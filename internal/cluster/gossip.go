@@ -55,10 +55,6 @@ type NodeConfig struct {
 	Fanout int
 	// Interval is Run's period between Steps (default 50ms).
 	Interval time.Duration
-	// MaxDigest bounds digest entries per message (default 512).
-	MaxDigest int
-	// MaxDelta bounds records per delta/push message (default 64).
-	MaxDelta int
 	// DisableAutoRegister stops the agent from pushing applied records into
 	// the context's peer tables. Scale harnesses that only measure registry
 	// convergence set it to skip a million table installs.
@@ -78,12 +74,6 @@ func (cfg NodeConfig) withDefaults(id transport.ContextID) NodeConfig {
 	if cfg.Interval <= 0 {
 		cfg.Interval = 50 * time.Millisecond
 	}
-	if cfg.MaxDigest <= 0 {
-		cfg.MaxDigest = 512
-	}
-	if cfg.MaxDelta <= 0 {
-		cfg.MaxDelta = 64
-	}
 	if cfg.SuspectAfter <= 0 {
 		cfg.SuspectAfter = 1
 	}
@@ -92,6 +82,13 @@ func (cfg NodeConfig) withDefaults(id transport.ContextID) NodeConfig {
 	}
 	return cfg
 }
+
+// Message bounds: maxDigest entries per digest — larger registries are swept
+// across rounds by a rotating window — and maxDelta records per delta or push.
+const (
+	maxDigest = 512
+	maxDelta  = 64
+)
 
 // deadAfterFactor: a peer is declared dead (tombstoned) after
 // SuspectAfter*deadAfterFactor consecutive send failures.
@@ -216,7 +213,7 @@ func (n *Node) Join(seedTable *transport.Table, seedEP uint64) error {
 		return fmt.Errorf("cluster: node %d has left", n.ctx.ID())
 	}
 	sp := n.startpointLocked(seed, seedEP, seedTable)
-	digest, next := n.reg.Digest(n.digestPos, n.cfg.MaxDigest)
+	digest, next := n.reg.Digest(n.digestPos, maxDigest)
 	n.digestPos = next
 	self := n.self
 	n.mu.Unlock()
@@ -297,7 +294,7 @@ func (n *Node) Step() {
 	if len(peers) > n.cfg.Fanout {
 		peers = peers[:n.cfg.Fanout]
 	}
-	digest, next := n.reg.Digest(n.digestPos, n.cfg.MaxDigest)
+	digest, next := n.reg.Digest(n.digestPos, maxDigest)
 	n.digestPos = next
 	self := n.self
 	targets := make([]dst, 0, len(peers)+1)
@@ -632,7 +629,7 @@ func (n *Node) onDigest(_ *core.Endpoint, b *buffer.Buffer) {
 		}
 	}
 	n.reg.MergeAll(recs)
-	delta, wants := n.reg.DeltaFor(digest, n.cfg.MaxDelta)
+	delta, wants := n.reg.DeltaFor(digest, maxDelta)
 	// Never ship the sender its own record back: it is the authority on it
 	// (and during a leave push race, echoing it would be pure noise).
 	trimmed := delta[:0]
@@ -694,7 +691,7 @@ func (n *Node) onDelta(_ *core.Endpoint, b *buffer.Buffer) {
 	if len(wants) == 0 {
 		return
 	}
-	answer := n.reg.RecordsFor(wants, n.cfg.MaxDelta)
+	answer := n.reg.RecordsFor(wants, maxDelta)
 	if len(answer) == 0 {
 		return
 	}

@@ -11,14 +11,16 @@ type AdaptiveConfig struct {
 	Interval time.Duration
 	// MaxSkip caps how far an idle method is throttled (default 1024).
 	MaxSkip int
-	// Grow multiplies an idle method's skip each interval (default 2).
-	Grow int
-	// MinCostRatio exempts cheap methods: a method is only throttled if its
-	// advertised poll cost is at least this multiple of the cheapest
-	// enabled method's (default 4). Cheap methods stay at skip 1, where
-	// they belong.
-	MinCostRatio int
 }
+
+const (
+	// adaptiveGrow multiplies an idle method's skip each interval.
+	adaptiveGrow = 2
+	// adaptiveMinCostRatio exempts cheap methods: a method is only throttled
+	// if its poll cost is at least this multiple of the cheapest enabled
+	// method's. Cheap methods stay at skip 1, where they belong.
+	adaptiveMinCostRatio = 4
+)
 
 func (c AdaptiveConfig) withDefaults() AdaptiveConfig {
 	if c.Interval <= 0 {
@@ -26,12 +28,6 @@ func (c AdaptiveConfig) withDefaults() AdaptiveConfig {
 	}
 	if c.MaxSkip < 1 {
 		c.MaxSkip = 1024
-	}
-	if c.Grow < 2 {
-		c.Grow = 2
-	}
-	if c.MinCostRatio < 1 {
-		c.MinCostRatio = 4
 	}
 	return c
 }
@@ -101,7 +97,7 @@ func (c *Context) adaptOnce(cfg AdaptiveConfig, lastFrames map[string]uint64) {
 			continue
 		}
 		cost, hinted := costs[ms]
-		if !hinted || minCost == 0 || cost < minCost*time.Duration(cfg.MinCostRatio) {
+		if !hinted || minCost == 0 || cost < minCost*adaptiveMinCostRatio {
 			continue // cheap method: always polled eagerly
 		}
 		frames := ms.frames.Load()
@@ -116,7 +112,7 @@ func (c *Context) adaptOnce(cfg AdaptiveConfig, lastFrames map[string]uint64) {
 			}
 		default:
 			// Idle: back off geometrically.
-			next := cur * cfg.Grow
+			next := cur * adaptiveGrow
 			if next > cfg.MaxSkip {
 				next = cfg.MaxSkip
 			}

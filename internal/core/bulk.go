@@ -6,7 +6,6 @@ import (
 
 	"nexus/internal/bufpool"
 	"nexus/internal/frag"
-	"nexus/internal/obsv"
 	"nexus/internal/transport"
 	"nexus/internal/wire"
 )
@@ -51,124 +50,80 @@ func (fc FragConfig) toFragConfig(maxMsg int) frag.Config {
 	}
 }
 
-// fragmentTo sends one logical RSR as a sequence of fragment frames over a
-// bound communication object, each at most maxMsg encoded bytes. payload is
-// the already-encoded argument buffer (the tail of the whole-frame encoding,
-// so fragmentation reuses the single payload copy the zero-copy path made).
-// All fragments share a message id fresh from the owner's counter and the
-// caller's trace id, so one traced bulk send is one span family at the
-// receiver. An error from any fragment's Send aborts the remainder; the
-// caller's recovery path re-fragments under a new message id and the receiver
-// expires the abandoned partial.
-func (sp *Startpoint) fragmentTo(conn transport.Conn, maxMsg int, destCtx transport.ContextID, destEP uint64,
-	flags byte, rext wire.RPCExt, tid obsv.TraceID, handler string, payload []byte) error {
-	owner := sp.owner
-	// A piggybacked credit grant does not survive fragmentation (the
-	// fragment headers carry no credit fields); dropping it only delays the
-	// grant — cumulative totals make a later one supersede it.
-	fragFlags := (flags &^ wire.FlagCredit) | wire.FlagFrag
-	hdr := wire.HeaderLenExt(len(handler), fragFlags)
-	chunk := maxMsg - hdr
-	if chunk <= 0 {
-		return fmt.Errorf("core: method frame limit of %d bytes cannot carry fragment headers: %w",
-			maxMsg, transport.ErrTooLarge)
-	}
-	total := (len(payload) + chunk - 1) / chunk
-	if total > frag.DefaultMaxFragments {
-		return fmt.Errorf("core: payload of %d bytes needs %d fragments at frame limit %d (max %d): %w",
-			len(payload), total, maxMsg, frag.DefaultMaxFragments, transport.ErrTooLarge)
-	}
-	msgID := owner.nextMsgID.Add(1)
-	ext := wire.Ext{Trace: [16]byte(tid), FragID: msgID, FragTotal: uint32(total), RPC: rext}
-	if flags&wire.FlagRelay != 0 {
-		// Fragments of a mesh-routed message carry the same fresh hop budget
-		// the whole frame would: the originator always stamps (relayTTL, 0),
-		// so the values need not be threaded through from the caller.
-		ext.Relay = wire.RelayExt{TTL: owner.relayTTL, Via: 0}
-	}
-	if bs, ok := conn.(transport.BatchSender); ok && total > 1 {
-		return sp.fragmentBatch(bs, maxMsg, destCtx, destEP, fragFlags, ext,
-			handler, payload, chunk, total)
-	}
-	buf := bufpool.Get(min(maxMsg, hdr+len(payload)))
-	defer bufpool.Put(buf)
-	for i := 0; i < total; i++ {
-		lo := i * chunk
-		hi := min(lo+chunk, len(payload))
-		ext.FragIndex = uint32(i)
-		n := wire.EncodeHeaderExt(buf, wire.TypeRSR, fragFlags,
-			uint64(destCtx), destEP, uint64(owner.id), ext, handler, hi-lo)
-		n += copy(buf[n:], payload[lo:hi])
-		if err := conn.Send(buf[:n]); err != nil {
-			return err
-		}
-		owner.cFragTx.Inc()
-	}
-	owner.cFragMsgs.Inc()
-	return nil
-}
-
 // fragBatchSize is how many fragment frames are encoded and handed to a
 // BatchSender connection at once. The gain saturates quickly (a 32-frame
 // sendmmsg already amortizes the syscall to ~3% per frame) while the transient
 // pooled-buffer footprint stays bounded at fragBatchSize × method frame limit.
 const fragBatchSize = 32
 
-// fragmentBatch is fragmentTo's trunk for connections with the BatchSender
-// capability: fragments are encoded into separate pooled buffers —
-// fragmentTo's single reused scratch cannot back a batch whose frames must
-// coexist — and flushed fragBatchSize at a time, collapsing a fragment train
-// into one or two syscalls on datagram methods. Frames are borrowed by
-// SendBatch, so every buffer returns to the pool unconditionally.
-func (sp *Startpoint) fragmentBatch(bs transport.BatchSender, maxMsg int,
-	destCtx transport.ContextID, destEP uint64, fragFlags byte, ext wire.Ext,
-	handler string, payload []byte, chunk, total int) error {
-	owner := sp.owner
-	frames := make([][]byte, 0, min(fragBatchSize, total))
-	for i := 0; i < total; {
-		k := min(fragBatchSize, total-i)
+// fragment sends one logical RSR as a train of fragment frames over the bound
+// communication object, each at most b.maxMsg encoded bytes. The payload is
+// the tail of the whole-frame encoding, so fragmentation reuses the single
+// payload copy the zero-copy path made. All fragments share a message id
+// fresh from the context's counter and the message's trace id, so one traced
+// bulk send is one span family at the receiver. Frames are encoded into
+// separate pooled buffers and flushed a batch at a time: fragBatchSize on a
+// connection with the BatchSender capability (collapsing the train into one
+// or two syscalls on datagram methods), one otherwise. Sends borrow the
+// frames, so every buffer returns to the pool unconditionally. An error
+// aborts the remainder; the link's recovery re-fragments under a new message
+// id — the receiver cannot stitch fragments from two attempts together, so
+// the abandoned partial expires and delivery stays all-or-nothing.
+func (b *binding) fragment(c *Context, m *outMsg) error {
+	payload := m.enc[m.off:]
+	// A piggybacked credit grant does not survive fragmentation (the
+	// fragment headers carry no credit fields); dropping it only delays the
+	// grant — cumulative totals make a later one supersede it.
+	fragFlags := (m.flags &^ wire.FlagCredit) | wire.FlagFrag
+	hdr := wire.HeaderLenExt(len(m.handler), fragFlags)
+	chunk := b.maxMsg - hdr
+	if chunk <= 0 {
+		return fmt.Errorf("core: method frame limit of %d bytes cannot carry fragment headers: %w",
+			b.maxMsg, transport.ErrTooLarge)
+	}
+	total := (len(payload) + chunk - 1) / chunk
+	if total > frag.DefaultMaxFragments {
+		return fmt.Errorf("core: payload of %d bytes needs %d fragments at frame limit %d (max %d): %w",
+			len(payload), total, b.maxMsg, frag.DefaultMaxFragments, transport.ErrTooLarge)
+	}
+	ext := m.ext
+	ext.FragID, ext.FragTotal = c.nextMsgID.Add(1), uint32(total)
+	bs, _ := b.conn.conn.(transport.BatchSender)
+	batch := 1
+	if bs != nil {
+		batch = min(fragBatchSize, total)
+	}
+	frames := make([][]byte, 0, batch)
+	for i := 0; i < total; i += batch {
 		frames = frames[:0]
-		for j := 0; j < k; j++ {
-			lo := (i + j) * chunk
+		for j := i; j < min(i+batch, total); j++ {
+			lo := j * chunk
 			hi := min(lo+chunk, len(payload))
-			ext.FragIndex = uint32(i + j)
-			buf := bufpool.Get(min(maxMsg, wire.HeaderLenExt(len(handler), fragFlags)+(hi-lo)))
+			ext.FragIndex = uint32(j)
+			buf := bufpool.Get(hdr + hi - lo)
 			n := wire.EncodeHeaderExt(buf, wire.TypeRSR, fragFlags,
-				uint64(destCtx), destEP, uint64(owner.id), ext, handler, hi-lo)
+				uint64(b.l.context), m.endpoint, uint64(c.id), ext, m.handler, hi-lo)
 			n += copy(buf[n:], payload[lo:hi])
 			frames = append(frames, buf[:n])
 		}
-		sent, err := bs.SendBatch(frames)
+		var sent int
+		var err error
+		if bs != nil {
+			sent, err = bs.SendBatch(frames)
+		} else if err = b.conn.conn.Send(frames[0]); err == nil {
+			sent = 1
+		}
 		for _, f := range frames {
 			bufpool.Put(f)
 		}
-		if sent > k {
-			sent = k // defensive: a conn must not report more than offered
-		}
-		owner.cFragTx.Add(uint64(sent))
+		// Defensive: a conn must not report more than offered.
+		c.cFragTx.Add(uint64(min(sent, len(frames))))
 		if err != nil {
 			return err
 		}
-		i += k
 	}
-	owner.cFragMsgs.Inc()
+	c.cFragMsgs.Inc()
 	return nil
-}
-
-// sendToTargetLocked sends an encoded frame on a bound target, re-addressing
-// it for the target and fragmenting when it exceeds the target's frame limit.
-// It is the size-aware twin of a bare conn.Send for the locked recovery paths
-// (stale-snapshot retry, failover): after a mid-message failure the message
-// re-fragments under a FRESH message id on whatever method selection now
-// prefers — the receiver cannot stitch fragments from two attempts together,
-// so the abandoned partial expires and delivery stays all-or-nothing. Caller
-// holds sp.mu, and t.conn is non-nil.
-func (sp *Startpoint) sendToTargetLocked(t *target, enc []byte, handler string, flags byte, rext wire.RPCExt, off int, tid obsv.TraceID) error {
-	wire.PatchDest(enc, uint64(t.context), t.endpoint)
-	if t.maxMsg > 0 && len(enc) > t.maxMsg {
-		return sp.fragmentTo(t.conn.conn, t.maxMsg, t.context, t.endpoint, flags, rext, tid, handler, enc[off:])
-	}
-	return t.conn.conn.Send(enc)
 }
 
 // handleFragment buffers one inbound fragment; the fragment that completes

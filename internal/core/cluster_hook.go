@@ -35,11 +35,6 @@ type ClusterConfig struct {
 	Fanout int
 	// Interval is the background agent's round period (default 50ms).
 	Interval time.Duration
-	// MaxDigest bounds the digest entries per gossip message (default 512);
-	// larger registries are swept across rounds by a rotating window.
-	MaxDigest int
-	// MaxDelta bounds the records shipped per gossip message (default 64).
-	MaxDelta int
 	// RelayTTL is the hop budget stamped on mesh-routed frames
 	// (default DefaultRelayTTL).
 	RelayTTL int

@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"nexus/internal/buffer"
-	"nexus/internal/flow"
 	"nexus/internal/frag"
 	"nexus/internal/metrics"
 	"nexus/internal/obsv"
@@ -178,6 +177,10 @@ type Context struct {
 	cDropUnkEP   *metrics.Counter // rsr.dropped.unknown_endpoint
 	cDropUnkH    *metrics.Counter // rsr.dropped.unknown_handler
 	cDropNoRPC   *metrics.Counter // rsr.dropped.no_rpc_layer
+	cFwdRelayed  *metrics.Counter // forward.relayed
+	cFwdDropped  *metrics.Counter // forward.dropped (every undeliverable relay)
+	cFwdTTL      *metrics.Counter // forward.ttl_exhausted
+	cFwdLoop     *metrics.Counter // forward.loop_dropped
 
 	// rpcIntake receives delivered frames carrying wire.FlagRPC (see
 	// rpc_hook.go); rpcState holds the attached RPC runtime opaquely.
@@ -251,6 +254,7 @@ type Context struct {
 	advertised *transport.Table
 	nextEP     uint64
 	conns      map[connKey]*sharedConn
+	links      map[linkKey]*link // shared per-destination links (linkTo)
 	peerTables map[transport.ContextID]*transport.Table
 	forwarder  bool
 	closed     bool
@@ -350,6 +354,7 @@ func NewContext(opts Options) (*Context, error) {
 		registry:   reg,
 		byMethod:   make(map[string]*moduleState),
 		conns:      make(map[connKey]*sharedConn),
+		links:      make(map[linkKey]*link),
 		peerTables: make(map[transport.ContextID]*transport.Table),
 		advertised: transport.NewTable(),
 	}
@@ -367,6 +372,10 @@ func NewContext(opts Options) (*Context, error) {
 	c.cDropUnkEP = c.stats.Counter("rsr.dropped.unknown_endpoint")
 	c.cDropUnkH = c.stats.Counter("rsr.dropped.unknown_handler")
 	c.cDropNoRPC = c.stats.Counter("rsr.dropped.no_rpc_layer")
+	c.cFwdRelayed = c.stats.Counter("forward.relayed")
+	c.cFwdDropped = c.stats.Counter("forward.dropped")
+	c.cFwdTTL = c.stats.Counter("forward.ttl_exhausted")
+	c.cFwdLoop = c.stats.Counter("forward.loop_dropped")
 	c.relayTTL = DefaultRelayTTL
 	if opts.Cluster.RelayTTL > 0 && opts.Cluster.RelayTTL < 256 {
 		c.relayTTL = byte(opts.Cluster.RelayTTL)
@@ -809,14 +818,6 @@ func (c *Context) Close() error {
 	conns := c.conns
 	c.conns = make(map[connKey]*sharedConn)
 	c.mu.Unlock()
-
-	if c.flow != nil {
-		// Cached grant routes reference conns in the map being closed below;
-		// drop the references without a release so nothing double-closes.
-		c.flow.mu.Lock()
-		c.flow.routes = make(map[flow.Key]*sharedConn)
-		c.flow.mu.Unlock()
-	}
 
 	var errs []string
 	for _, sc := range conns {

@@ -90,7 +90,7 @@ func (ep *Endpoint) NewStartpoint() *Startpoint {
 	ep.ctx.mu.RUnlock()
 	return &Startpoint{
 		owner: ep.ctx,
-		targets: []*target{{
+		targets: []*link{{
 			context:  ep.ctx.id,
 			endpoint: ep.id,
 			table:    table,

@@ -3,13 +3,11 @@ package core
 import (
 	"errors"
 	"runtime"
-	"sync"
 	"time"
 
 	"nexus/internal/bufpool"
 	"nexus/internal/flow"
 	"nexus/internal/metrics"
-	"nexus/internal/obsv"
 	"nexus/internal/transport"
 	"nexus/internal/wire"
 )
@@ -28,7 +26,7 @@ import (
 
 // ErrNoCredit reports a send refused (or timed out waiting) for link credit:
 // the receiver's advertised window for this link is exhausted. ClassBulk
-// sends fail immediately; ClassNormal sends fail after FlowConfig.BlockTimeout.
+// sends fail immediately; ClassNormal sends fail after creditBlockTimeout.
 var ErrNoCredit = errors.New("core: link credit exhausted")
 
 // Class re-exports the wire traffic classes so callers tag startpoints
@@ -56,10 +54,6 @@ type FlowConfig struct {
 	WindowBytes int
 	// WindowFrames is the matching frame-count window (default 512).
 	WindowFrames int
-	// BlockTimeout bounds how long a ClassNormal send waits for credit before
-	// failing with ErrNoCredit (default 200ms; negative disables waiting).
-	// ClassBulk never waits.
-	BlockTimeout time.Duration
 	// ProbeInterval rate-limits credit probes from a starved sender
 	// (default 20ms per link).
 	ProbeInterval time.Duration
@@ -72,14 +66,15 @@ func (fc FlowConfig) withDefaults() FlowConfig {
 	if fc.WindowFrames <= 0 {
 		fc.WindowFrames = 512
 	}
-	if fc.BlockTimeout == 0 {
-		fc.BlockTimeout = 200 * time.Millisecond
-	}
 	if fc.ProbeInterval <= 0 {
 		fc.ProbeInterval = 20 * time.Millisecond
 	}
 	return fc
 }
+
+// creditBlockTimeout bounds how long a ClassNormal send waits for credit
+// before failing with ErrNoCredit. ClassBulk never waits.
+const creditBlockTimeout = 200 * time.Millisecond
 
 // Credit frames (wire.TypeControl + wire.FlagCredit) discriminate grant from
 // probe by destination endpoint; the Handler field carries the method name
@@ -89,15 +84,12 @@ const (
 	creditEPProbe = 1
 )
 
-// flowState is the context's credit machinery: the sender-side bank, the
-// receiver-side grantor, and cached reverse routes for standalone grants.
+// flowState is the context's credit machinery: the sender-side bank and the
+// receiver-side grantor.
 type flowState struct {
 	cfg     FlowConfig
 	bank    *flow.Bank
 	grantor *flow.Grantor
-
-	mu     sync.Mutex
-	routes map[flow.Key]*sharedConn // grant routes, refs retained until Close
 
 	cGrantsSent      *metrics.Counter // flow.grants.sent (standalone + piggybacked)
 	cGrantsRecv      *metrics.Counter // flow.grants.recv
@@ -113,7 +105,6 @@ func newFlowState(cfg FlowConfig, stats *metrics.Set) *flowState {
 		cfg:              cfg,
 		bank:             flow.NewBank(win),
 		grantor:          flow.NewGrantor(win),
-		routes:           make(map[flow.Key]*sharedConn),
 		cGrantsSent:      stats.Counter("flow.grants.sent"),
 		cGrantsRecv:      stats.Counter("flow.grants.recv"),
 		cProbesSent:      stats.Counter("flow.probes.sent"),
@@ -134,23 +125,24 @@ func (c *Context) shedCounter(cls wire.Class) *metrics.Counter {
 }
 
 // flowAcquire charges one outbound message (bytes across frames wire frames)
-// against the link's credit. On exhaustion it probes the receiver (rate
-// limited), then either gives up (ClassBulk, or waiting disabled) or polls
-// for a refill until BlockTimeout. The poll inside the wait loop matters: a
+// against the credit of the link bound by lb. On exhaustion it probes the
+// receiver (rate limited), then either gives up (ClassBulk) or polls for a
+// refill until creditBlockTimeout. The poll inside the wait loop matters: a
 // single-threaded sender in a request/reply loop is often the only goroutine
 // that can detect the very grant it is waiting for.
-func (c *Context) flowAcquire(peer uint64, method string, conn transport.Conn, cls wire.Class, bytes, frames uint64) bool {
+func (c *Context) flowAcquire(lb *binding, cls wire.Class, bytes, frames uint64) bool {
 	fl := c.flow
+	peer, method := uint64(lb.l.context), lb.method
 	if fl.bank.TryAcquire(peer, method, bytes, frames) {
 		return true
 	}
 	if fl.bank.ShouldProbe(peer, method, time.Now(), fl.cfg.ProbeInterval) {
-		c.sendCreditProbe(peer, method, conn)
+		c.sendCreditProbe(lb)
 	}
-	if cls == wire.ClassBulk || fl.cfg.BlockTimeout <= 0 {
+	if cls == wire.ClassBulk {
 		return false
 	}
-	deadline := time.Now().Add(fl.cfg.BlockTimeout)
+	deadline := time.Now().Add(creditBlockTimeout)
 	for {
 		c.tryPoll()
 		if fl.bank.TryAcquire(peer, method, bytes, frames) {
@@ -161,110 +153,55 @@ func (c *Context) flowAcquire(peer uint64, method string, conn transport.Conn, c
 			return false
 		}
 		if fl.bank.ShouldProbe(peer, method, now, fl.cfg.ProbeInterval) {
-			c.sendCreditProbe(peer, method, conn)
+			c.sendCreditProbe(lb)
 		}
 		runtime.Gosched()
 	}
 }
 
-// sendCreditFrame emits one standalone credit frame (grant or probe, by
-// endpoint) on the given connection. The frame is control class: it bypasses
-// credit accounting and admission control on both sides.
-func (c *Context) sendCreditFrame(conn transport.Conn, peer uint64, method string, ep uint64, bytes, frames uint64) error {
+// creditFrame encodes one standalone credit frame (grant or probe, by
+// endpoint) into a pooled buffer the caller recycles after sending. The frame
+// is control class: it bypasses credit accounting and admission control on
+// both sides.
+func (c *Context) creditFrame(peer uint64, method string, ep uint64, bytes, frames uint64) outMsg {
 	flags := wire.FlagCredit | wire.ClassFlags(wire.ClassControl)
-	off := wire.HeaderLenExt(len(method), flags)
-	buf := bufpool.Get(off)
-	defer bufpool.Put(buf)
-	wire.EncodeHeaderExt(buf, wire.TypeControl, flags, peer, ep, uint64(c.id),
+	enc := bufpool.Get(wire.HeaderLenExt(len(method), flags))
+	wire.EncodeHeaderExt(enc, wire.TypeControl, flags, peer, ep, uint64(c.id),
 		wire.Ext{CreditBytes: bytes, CreditFrames: frames}, method, 0)
-	return conn.Send(buf[:off])
+	return outMsg{enc: enc, endpoint: ep, mode: c.obs.mode.Load(), failover: true}
 }
 
 // sendCreditProbe tells the receiver our cumulative sent totals on the link,
-// over the link's own connection. The receiver reconciles (healing credit
-// leaked by dropped frames) and answers with a grant.
-func (c *Context) sendCreditProbe(peer uint64, method string, conn transport.Conn) {
+// over the link's own communication object. The receiver reconciles (healing
+// credit leaked by dropped frames) and answers with a grant. A failed probe
+// is not supervised: the data frame waiting behind it surfaces the failure.
+func (c *Context) sendCreditProbe(lb *binding) {
 	fl := c.flow
-	sb, sf := fl.bank.Sent(peer, method)
-	if err := c.sendCreditFrame(conn, peer, method, creditEPProbe, sb, sf); err == nil {
+	peer := uint64(lb.l.context)
+	sb, sf := fl.bank.Sent(peer, lb.method)
+	m := c.creditFrame(peer, lb.method, creditEPProbe, sb, sf)
+	if err := lb.transmit(c, &m); err == nil {
 		fl.cProbesSent.Inc()
 	}
+	bufpool.Put(m.enc)
 }
 
 // sendCreditGrant advertises the link's refreshed window to the peer with a
-// standalone grant frame. It needs a reverse route: the peer's registered
-// descriptor table, preferring the same method the credited traffic arrives
-// on. Routes are resolved once and cached; an unroutable grant is counted
-// and dropped — the sender's probe retries will find us again once a table
-// is registered.
+// standalone grant frame over the context's link to the peer. The link
+// resolves through the peer's registered descriptor table; any applicable
+// method carries the grant — the frame itself names the credited method. A
+// grant that cannot be delivered is counted and dropped — the sender's probe
+// retries will find us again once a table is registered.
 func (c *Context) sendCreditGrant(peer uint64, method string) {
 	fl := c.flow
 	bytes, frames := fl.grantor.Grant(peer, method)
-	k := flow.Key{Peer: peer, Method: method}
-	sc := c.creditRoute(k)
-	if sc == nil {
+	m := c.creditFrame(peer, method, creditEPGrant, bytes, frames)
+	if err := c.linkTo(transport.ContextID(peer), 0).deliver(c, &m); err != nil {
 		fl.cGrantUnroutable.Inc()
-		return
+	} else {
+		fl.cGrantsSent.Inc()
 	}
-	if err := c.sendCreditFrame(sc.conn, peer, method, creditEPGrant, bytes, frames); err != nil {
-		c.dropCreditRoute(k, sc)
-		return
-	}
-	fl.cGrantsSent.Inc()
-}
-
-// creditRoute resolves (and caches) the connection grants to a peer travel
-// on. The cached sharedConn keeps a reference until the route is dropped or
-// the context closes.
-func (c *Context) creditRoute(k flow.Key) *sharedConn {
-	fl := c.flow
-	fl.mu.Lock()
-	sc := fl.routes[k]
-	fl.mu.Unlock()
-	if sc != nil {
-		return sc
-	}
-	table := c.PeerTable(transport.ContextID(k.Peer))
-	if table == nil {
-		return nil
-	}
-	desc, ok := table.Find(k.Method)
-	if !ok {
-		// The peer does not advertise the method its traffic reached us on
-		// (asymmetric setup); any applicable method carries the grant — the
-		// frame itself names the credited method.
-		d, err := c.healthSel(c, table)
-		if err != nil {
-			return nil
-		}
-		desc = d
-	}
-	nsc, err := c.acquireConn(desc, obsv.TraceID{})
-	if err != nil {
-		return nil
-	}
-	fl.mu.Lock()
-	if cur := fl.routes[k]; cur != nil {
-		fl.mu.Unlock()
-		c.releaseConn(nsc)
-		return cur
-	}
-	fl.routes[k] = nsc
-	fl.mu.Unlock()
-	return nsc
-}
-
-// dropCreditRoute uncaches a grant route after a send failure so the next
-// grant redials instead of inheriting the poisoned connection.
-func (c *Context) dropCreditRoute(k flow.Key, sc *sharedConn) {
-	fl := c.flow
-	fl.mu.Lock()
-	if fl.routes[k] == sc {
-		delete(fl.routes, k)
-	}
-	fl.mu.Unlock()
-	c.invalidateConn(sc)
-	c.releaseConn(sc)
+	bufpool.Put(m.enc)
 }
 
 // handleCreditFrame consumes an inbound standalone credit frame. Runs on the

@@ -1,9 +1,9 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
-	"time"
 
 	"nexus/internal/obsv"
 	"nexus/internal/transport"
@@ -30,132 +30,59 @@ func (c *Context) ForwardingEnabled() bool {
 	return c.forwarder
 }
 
-// forward relays a frame addressed to another context. The frame is re-sent
-// byte-for-byte: the wire header already carries the ultimate destination
-// (and, for traced frames, the originator's trace ID, which therefore
-// crosses the relay untouched — a trace spans every hop of a forwarded
-// path). Like dispatch, forward borrows raw — the relaying Send completes
-// before it returns.
+// forward relays a frame addressed to another context over the context's
+// link to the destination, with the supervision every link send gets. The
+// frame is re-sent byte-for-byte: the wire header already carries the
+// ultimate destination (and, for traced frames, the originator's trace ID,
+// which therefore crosses the relay untouched — a trace spans every hop of a
+// forwarded path). Like dispatch, forward borrows raw — the relaying Send
+// completes before it returns.
 func (c *Context) forward(f *wire.Frame, raw []byte) {
 	dest := transport.ContextID(f.DestContext)
-	c.mu.RLock()
-	enabled := c.forwarder
-	c.mu.RUnlock()
-	if !enabled {
+	if !c.ForwardingEnabled() {
 		c.errlog(fmt.Errorf("core: context %d: frame for context %d dropped (forwarding disabled)",
 			c.id, dest))
-		c.stats.Counter("forward.dropped").Inc()
+		c.cFwdDropped.Inc()
 		return
 	}
-	table := c.PeerTable(dest)
-	if table == nil {
-		c.errlog(fmt.Errorf("core: forwarder %d: no route to context %d: %w", c.id, dest, ErrNoTable))
-		c.stats.Counter("forward.dropped").Inc()
-		return
+	m := outMsg{
+		enc:      raw,
+		handler:  f.Handler,
+		endpoint: f.DestEndpoint,
+		stage:    obsv.StageRelay,
+		mode:     c.obs.mode.Load(),
+		failover: true,
+	}
+	if f.HasTrace() {
+		m.ext.Trace = f.Trace
 	}
 	// Multi-hop mesh frames carry the relay extension: spend one hop of the
 	// budget and stamp this context as the via hop before relaying. The next
 	// hop may itself be a relay (the route table entry for dest points at
 	// it), so forwarding recurses across the mesh until the budget runs out.
+	// Loop suppression: the frame rides the link that never routes back
+	// through the relay it just came from.
+	var via uint64
 	if f.HasRelay() {
 		if f.Relay.TTL <= 1 {
 			c.errlog(fmt.Errorf("core: forwarder %d: frame for context %d dropped (hop budget exhausted, via %d)",
 				c.id, dest, f.Relay.Via))
-			c.stats.Counter("forward.ttl_exhausted").Inc()
-			c.stats.Counter("forward.dropped").Inc()
+			c.cFwdTTL.Inc()
+			c.cFwdDropped.Inc()
 			return
 		}
-		via := f.Relay.Via
+		via = f.Relay.Via
 		wire.PatchRelay(raw, f.Relay.TTL-1, uint64(c.id))
-		// Loop suppression: never hand the frame back to the relay it just
-		// came from. Route entries name their next hop in the relay
-		// attribute; direct entries (no attribute) are always kept.
-		if via != 0 {
-			kept := table.Entries[:0]
-			for _, e := range table.Entries {
-				if rv := e.Attr(transport.AttrRelay); rv != "" && rv == strconv.FormatUint(via, 10) {
-					continue
-				}
-				kept = append(kept, e)
-			}
-			if len(kept) == 0 {
-				c.errlog(fmt.Errorf("core: forwarder %d: frame for context %d dropped (only route points back at via %d)",
-					c.id, dest, via))
-				c.stats.Counter("forward.loop_dropped").Inc()
-				c.stats.Counter("forward.dropped").Inc()
-				return
-			}
-			table.Entries = kept
-		}
 	}
-	var tid obsv.TraceID
-	if f.HasTrace() {
-		tid = obsv.TraceID(f.Trace)
-	}
-	// Relay with the same supervision an RSR link gets: a failed route feeds
-	// the health registry, the route is reselected against the remaining
-	// healthy descriptors, and the frame is resent — bounded by the same
-	// per-frame attempt budget startpoint failover uses.
-	budget := table.Len()*c.health.cfg.FailureThreshold + 1
-	var lastErr error
-	for attempt := 0; attempt < budget; attempt++ {
-		desc, err := c.healthSel(c, table)
-		if err != nil {
-			c.errlog(fmt.Errorf("core: forwarder %d: selecting route to context %d: %w (last relay error: %v)", c.id, dest, err, lastErr))
-			c.stats.Counter("forward.dropped").Inc()
-			return
+	if err := c.linkTo(dest, via).deliver(c, &m); err != nil {
+		if errors.Is(err, errRouteLoop) {
+			c.cFwdLoop.Inc()
 		}
-		sc, err := c.acquireConn(desc, tid)
-		if err != nil {
-			lastErr = err
-			c.health.reportFailure(desc.Method, dest, err)
-			continue
-		}
-		if attempt > 0 {
-			c.health.cRedials.Inc()
-		}
-		mode := c.obs.mode.Load()
-		var t0 time.Time
-		if mode&obsStats != 0 {
-			t0 = time.Now()
-		}
-		// The forwarder keeps its route connections open: the acquired
-		// reference is intentionally retained (released when the context
-		// closes).
-		if err := sc.conn.Send(raw); err != nil {
-			lastErr = err
-			c.errlog(fmt.Errorf("core: forwarder %d: relaying to context %d via %s: %w", c.id, dest, desc.Method, err))
-			c.health.reportFailure(desc.Method, dest, err)
-			c.invalidateConn(sc)
-			c.releaseConn(sc)
-			continue
-		}
-		if mode&obsStats != 0 {
-			d := time.Since(t0)
-			if ss := c.stageSetFor(desc.Method); ss != nil {
-				ss.Stage(obsv.StageRelay).Record(d)
-			}
-			if mode&obsTrace != 0 && !tid.IsZero() {
-				c.recordEvent(obsv.Event{
-					Trace:    tid,
-					Stage:    obsv.StageRelay,
-					Method:   desc.Method,
-					Peer:     f.DestContext,
-					Endpoint: f.DestEndpoint,
-					Handler:  f.Handler,
-					Dur:      d,
-				})
-			}
-		}
-		if attempt > 0 {
-			c.health.reportSuccess(desc.Method, dest)
-			c.health.cResends.Inc()
-		}
-		c.stats.Counter("forward.relayed").Inc()
+		c.errlog(fmt.Errorf("core: forwarder %d: relaying to context %d: %w", c.id, dest, err))
+		c.cFwdDropped.Inc()
 		return
 	}
-	c.errlog(fmt.Errorf("core: forwarder %d: relay to context %d exhausted %d attempts: %w", c.id, dest, budget, lastErr))
-	c.stats.Counter("forward.dropped").Inc()
+	c.cFwdRelayed.Inc()
 }
 
 // NewRelayRoute builds the peer table that routes frames for dest through a

@@ -140,8 +140,8 @@ type healthRegistry struct {
 	cfg HealthConfig
 
 	// gen increments on every state transition that should make supervised
-	// links re-run selection (trip and heal). Targets stamp the generation
-	// they selected under; a mismatch on the next send triggers
+	// links re-run selection (trip and heal). Bindings stamp the generation
+	// they were validated under; a mismatch on the next send triggers
 	// re-selection.
 	gen atomic.Uint64
 	// nextRetry is the earliest UnixNano at which any open circuit may be

@@ -225,8 +225,6 @@ func NewContext(opts Options) (*Context, error) {
 			Mesh:      opts.Cluster.Mesh,
 			Fanout:    opts.Cluster.Fanout,
 			Interval:  opts.Cluster.Interval,
-			MaxDigest: opts.Cluster.MaxDigest,
-			MaxDelta:  opts.Cluster.MaxDelta,
 			Seed:      opts.Cluster.Seed,
 		})
 	}
