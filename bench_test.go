@@ -1,4 +1,6 @@
-// Benchmarks regenerating the paper's tables and figures.
+// Benchmarks regenerating the paper's tables and figures. Performance of the
+// library itself is measured by the repository benchmark (bench/README.md),
+// not here.
 //
 // Two families:
 //
@@ -6,11 +8,9 @@
 //     drive the calibrated virtual-time models and report the paper's
 //     numbers as custom metrics (µs-one-way, s-per-step). These regenerate
 //     the published curves exactly and deterministically.
-//   - Real benches (BenchmarkReal*, BenchmarkPollCost*, BenchmarkMPI*)
-//     measure the actual library over real transports, demonstrating the
-//     same effects on today's hardware: the idle-expensive-method polling
-//     tax, skip_poll recovery, the multimethod-vs-single-method coupled-app
-//     gap, and the MPI layering overhead.
+//   - Real benches (BenchmarkPollCost*, BenchmarkMPIOverhead,
+//     BenchmarkStartpointWeight, BenchmarkSelectionPolicy) put today's
+//     constants beside the paper's §3.1, §3.3 and §4 text.
 //
 // Run everything with:
 //
@@ -18,7 +18,6 @@
 package nexus_test
 
 import (
-	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -166,6 +165,12 @@ func BenchmarkPollCostTCP(b *testing.B) {
 	if got.Load() == 0 {
 		b.Fatal("setup RSR never arrived")
 	}
+	// Pin tcp to a probe on every pass: left to the reactor (the Linux
+	// default) an idle pass never touches the socket, and this bench exists
+	// to price the probe the paper's skip_poll amortizes.
+	if err := recv.SetSkipPoll("tcp", 1); err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		recv.Poll()
@@ -173,102 +178,12 @@ func BenchmarkPollCostTCP(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Real-transport analogue of Figure 4: a fast-method ping-pong with and
-// without an idle expensive method in the polling loop.
-
-func realPingPong(b *testing.B, methods []nexus.MethodConfig, size int) {
-	mk := func() *nexus.Context {
-		c, err := nexus.NewContext(nexus.Options{Methods: methods})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return c
-	}
-	a, c := mk(), mk()
-	defer a.Close()
-	defer c.Close()
-
-	var aGot, cGot atomic.Int64
-	epA := a.NewEndpoint(nexus.WithHandler(func(*nexus.Endpoint, *nexus.Buffer) { aGot.Add(1) }))
-	epC := c.NewEndpoint(nexus.WithHandler(func(*nexus.Endpoint, *nexus.Buffer) { cGot.Add(1) }))
-	spToC, err := nexus.TransferStartpoint(epC.NewStartpoint(), a)
-	if err != nil {
-		b.Fatal(err)
-	}
-	spToA, err := nexus.TransferStartpoint(epA.NewStartpoint(), c)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if m, err := spToC.SelectMethod(); err != nil || m != "inproc" {
-		b.Fatalf("selection: %v %v", m, err)
-	}
-
-	payload := nexus.NewBuffer(size)
-	payload.PutRaw(make([]byte, size))
-
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < b.N; i++ {
-			for cGot.Load() < int64(i+1) {
-				if c.Poll() == 0 {
-					runtime.Gosched()
-				}
-			}
-			if err := spToA.RSR("", payload); err != nil {
-				b.Error(err)
-				return
-			}
-		}
-	}()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := spToC.RSR("", payload); err != nil {
-			b.Fatal(err)
-		}
-		for aGot.Load() < int64(i+1) {
-			if a.Poll() == 0 {
-				runtime.Gosched()
-			}
-		}
-	}
-	b.StopTimer()
-	<-done
-}
-
-// BenchmarkRealPingPong is the single-method baseline (inproc only).
-func BenchmarkRealPingPong(b *testing.B) {
-	realPingPong(b, []nexus.MethodConfig{{Name: "inproc"}}, 64)
-}
-
-// BenchmarkRealPingPongIdleTCP adds an idle TCP module polled every pass:
-// the real-transport version of Figure 4's multimethod overhead.
-func BenchmarkRealPingPongIdleTCP(b *testing.B) {
-	realPingPong(b, []nexus.MethodConfig{
-		{Name: "inproc"},
-		{Name: "tcp"},
-	}, 64)
-}
-
-// BenchmarkRealPingPongSkipPoll sweeps skip_poll over the idle TCP module:
-// the real-transport version of Figure 6's recovery curve.
-func BenchmarkRealPingPongSkipPoll(b *testing.B) {
-	for _, skip := range []int{1, 10, 100} {
-		b.Run("skip"+itoa(skip), func(b *testing.B) {
-			realPingPong(b, []nexus.MethodConfig{
-				{Name: "inproc"},
-				{Name: "tcp", SkipPoll: skip},
-			}, 64)
-		})
-	}
-}
-
-// ---------------------------------------------------------------------------
 // §4 layering overhead: the mini-MPI ping-pong vs a raw-core ping-pong (the
 // paper reports ~6% for MPICH-on-Nexus vs MPICH-on-MPL).
 
-// BenchmarkMPIOverhead measures a two-rank MPI ping-pong; compare with
-// BenchmarkRealPingPong for the layering cost.
+// BenchmarkMPIOverhead measures a two-rank MPI ping-pong over inproc; compare
+// with BenchmarkRSRAllocsInproc, the raw RSR round trip over the same method,
+// for the layering cost.
 func BenchmarkMPIOverhead(b *testing.B) {
 	machine, err := nexus.NewMachine(nexus.UniformMachine(2, "p", nexus.MethodConfig{Name: "inproc"}))
 	if err != nil {
@@ -312,53 +227,6 @@ func BenchmarkMPIOverhead(b *testing.B) {
 	if err := <-done; err != nil {
 		b.Fatal(err)
 	}
-}
-
-// ---------------------------------------------------------------------------
-// Real-transport analogue of Table 1: the coupled mini-app over multimethod
-// vs wide-area-only machines.
-
-func realCoupled(b *testing.B, methods ...nexus.MethodConfig) {
-	cfg := nexus.ClimateConfig{
-		AtmoRanks: 2, OceanRanks: 1,
-		AtmoNX: 32, AtmoNY: 16,
-		OceanNX: 16, OceanNY: 8,
-		Steps: 4, CoupleEvery: 2,
-		Diffusivity: 0.5, DT: 0.25,
-	}
-	for i := 0; i < b.N; i++ {
-		machine, err := nexus.NewMachine(nexus.TwoPartitionMachine(
-			cfg.AtmoRanks, "atmo", cfg.OceanRanks, "ocean", methods...))
-		if err != nil {
-			b.Fatal(err)
-		}
-		world, err := nexus.NewWorld(machine)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := nexus.RunClimate(world, cfg); err != nil {
-			b.Fatal(err)
-		}
-		machine.Close()
-	}
-}
-
-// BenchmarkRealCoupledMultimethod runs the coupled app with mpl inside
-// partitions and wan between them.
-func BenchmarkRealCoupledMultimethod(b *testing.B) {
-	fast := nexus.Params{"latency": "2us", "poll_cost": "1us", "bandwidth": "0"}
-	wide := nexus.Params{"latency": "100us", "poll_cost": "20us", "bandwidth": "5e7"}
-	realCoupled(b,
-		nexus.MethodConfig{Name: "mpl", Params: fast},
-		nexus.MethodConfig{Name: "wan", Params: wide},
-	)
-}
-
-// BenchmarkRealCoupledWANOnly runs the same app with every message on the
-// wide-area method — the paper's no-multimethod configuration.
-func BenchmarkRealCoupledWANOnly(b *testing.B) {
-	wide := nexus.Params{"latency": "100us", "poll_cost": "20us", "bandwidth": "5e7"}
-	realCoupled(b, nexus.MethodConfig{Name: "wan", Params: wide})
 }
 
 // ---------------------------------------------------------------------------

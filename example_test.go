@@ -89,13 +89,10 @@ func ExampleStartpoint_SetMethod() {
 }
 
 // ExampleContext_SetSkipPoll shows the paper's skip_poll control: the
-// expensive method is checked on every 20th polling pass only. The reactor is
-// disabled to demonstrate the portable mechanism — with it on (the Linux
-// default), TCP detection is readiness-driven and skip_poll never applies.
+// expensive method is checked on every 20th polling pass only.
 func ExampleContext_SetSkipPoll() {
 	ctx, err := nexus.NewContext(nexus.Options{
-		Methods:        []nexus.MethodConfig{{Name: "inproc"}, {Name: "tcp"}},
-		DisableReactor: true,
+		Methods: []nexus.MethodConfig{{Name: "inproc"}, {Name: "tcp"}},
 	})
 	if err != nil {
 		fmt.Println(err)

@@ -345,30 +345,3 @@ func TestFloat64sTruncatedFails(t *testing.T) {
 		t.Errorf("Err = %v, want ErrTooLarge", d.Err())
 	}
 }
-
-func BenchmarkPutFloat64s(b *testing.B) {
-	v := make([]float64, 1024)
-	buf := New(8*len(v) + 16)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		buf.Reset()
-		buf.PutFloat64s(v)
-	}
-}
-
-func BenchmarkFloat64sDecode(b *testing.B) {
-	v := make([]float64, 1024)
-	src := New(8*len(v) + 16)
-	src.PutFloat64s(v)
-	enc := src.Encode()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		d, err := FromBytes(enc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if got := d.Float64s(); len(got) != len(v) {
-			b.Fatal("bad decode")
-		}
-	}
-}

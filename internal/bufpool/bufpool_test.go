@@ -85,10 +85,3 @@ func TestGetPutAllocFree(t *testing.T) {
 		t.Errorf("Get/Put allocates %.1f times per round trip, want 0", avg)
 	}
 }
-
-func BenchmarkGetPut(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		Put(Get(4096))
-	}
-}

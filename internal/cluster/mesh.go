@@ -258,17 +258,3 @@ func (n *Node) RouteVia(dest transport.ContextID) transport.ContextID {
 	defer n.mu.Unlock()
 	return n.routed[dest].via
 }
-
-// SuspectPeer marks a peer suspect by hand — the hook for callers that
-// observe a failure through their own traffic (an application send whose
-// circuit tripped) rather than through gossip. Routes recompute on the next
-// Step.
-func (n *Node) SuspectPeer(peer transport.ContextID) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if !n.suspects[peer] {
-		n.suspects[peer] = true
-		n.routesDirty = true
-		n.ctx.Stats().Counter("cluster.peer.suspect").Inc()
-	}
-}

@@ -22,34 +22,6 @@ import (
 // split is per link: one multicast RSR can go whole down a TCP link and
 // fragmented down a UDP link from the same encode.
 
-// FragConfig tunes the receive-side fragment reassembler. Zero fields select
-// the package frag defaults; the per-message size cap is always the context's
-// MaxMessageSize, so a context never buffers a partial message it would
-// refuse to send.
-type FragConfig struct {
-	// TTL is how long a partial message may wait for missing fragments,
-	// measured from its first fragment, before being dropped (frag.expired).
-	TTL time.Duration
-	// PerPeerBudget caps the bytes buffered across all partial messages from
-	// one source context (default twice MaxMessageSize).
-	PerPeerBudget int
-	// MaxFragments caps one message's fragment count.
-	MaxFragments int
-	// MaxPartials caps concurrently open partial messages per peer; opening
-	// one more evicts that peer's oldest.
-	MaxPartials int
-}
-
-func (fc FragConfig) toFragConfig(maxMsg int) frag.Config {
-	return frag.Config{
-		MaxMessage:    maxMsg,
-		PerPeerBudget: fc.PerPeerBudget,
-		TTL:           fc.TTL,
-		MaxFragments:  fc.MaxFragments,
-		MaxPartials:   fc.MaxPartials,
-	}
-}
-
 // fragBatchSize is how many fragment frames are encoded and handed to a
 // BatchSender connection at once. The gain saturates quickly (a 32-frame
 // sendmmsg already amortizes the syscall to ~3% per frame) while the transient

@@ -11,7 +11,6 @@ import (
 	"nexus/internal/simnet"
 	"nexus/internal/transport"
 	_ "nexus/internal/transport/rudp"
-	"nexus/internal/transport/shm"
 	_ "nexus/internal/transport/udp"
 )
 
@@ -378,7 +377,7 @@ func chaosPair(t *testing.T, tag string, ttl time.Duration) (send, recv *Context
 	mk := func() *Context {
 		c, err := NewContext(Options{
 			Methods: []MethodConfig{{Name: "wan", Params: params()}},
-			Frag:    FragConfig{TTL: ttl},
+			fragTTL: ttl,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -530,52 +529,6 @@ func TestFailoverRefragments(t *testing.T) {
 	}
 	if sink.bad.Load() != 0 {
 		t.Error("handler saw a partial delivery during failover")
-	}
-}
-
-// BenchmarkBulkBandwidth measures end-to-end RSR goodput for a 1 MiB
-// payload: tcp carries it as one frame, rudp fragments it into ~18 datagrams
-// and reassembles, shm carries it as one record through the mmap ring
-// (EXPERIMENTS.md quotes these numbers).
-func BenchmarkBulkBandwidth(b *testing.B) {
-	payload := bulkPayload(1 << 20)
-	for _, method := range []string{"tcp", "rudp", "shm"} {
-		b.Run(method, func(b *testing.B) {
-			mc := MethodConfig{Name: method}
-			if method == "shm" {
-				if !shm.Supported() {
-					b.Skip("shm transport requires linux")
-				}
-				mc.Params = transport.Params{"dir": b.TempDir()}
-			}
-			recv := newCtx(b, "bench-bulk-"+method, "", mc)
-			send := newCtx(b, "bench-bulk-"+method, "", mc)
-			sink := &bulkSink{want: payload}
-			ep := recv.NewEndpoint(WithHandler(sink.handler))
-			sp := transferStartpoint(b, ep.NewStartpoint(), send, false)
-			startPolling(b, recv)
-
-			b.SetBytes(1 << 20)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				buf := buffer.New(len(payload) + 8)
-				buf.PutBytes(payload)
-				if err := sp.RSR("", buf); err != nil {
-					b.Fatal(err)
-				}
-				want := int64(i + 1)
-				// Drive the receiver from this goroutine: on small machines a
-				// busy-wait here would starve the background poller instead
-				// of measuring the data path.
-				if !recv.PollUntil(func() bool { return sink.good.Load() >= want }, 30*time.Second) {
-					b.Fatalf("delivery %d timed out", want)
-				}
-			}
-			b.StopTimer()
-			if sink.bad.Load() != 0 {
-				b.Fatalf("%d corrupt deliveries", sink.bad.Load())
-			}
-		})
 	}
 }
 

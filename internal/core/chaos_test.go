@@ -54,7 +54,7 @@ func chaosCtx(t *testing.T, tag string) *Context {
 			{Name: "atm", Params: simParams()},
 			{Name: "wan", Params: simParams()},
 		},
-		Health: fastHealth(),
+		health: fastHealth(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -251,7 +251,7 @@ func TestChaosTCPKillFailover(t *testing.T) {
 				{Name: "tcp"},
 				{Name: "wan", Params: transport.Params{"fabric": tag, "latency": "0s", "poll_cost": "0s"}},
 			},
-			Health: fastHealth(),
+			health: fastHealth(),
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -57,17 +57,3 @@ func (c *Context) ClusterState() any { return c.clusterState.Load() }
 func (c *Context) SetClusterView(fn func() []obsv.ClusterMember) {
 	c.clusterView.Store(fn)
 }
-
-// MethodCostEstimate reports the observed per-message cost of a method from
-// this context — mean send latency plus mean poll (detection) cost, falling
-// back to the module's static hint when unobserved. Mesh route computation
-// uses it to weight the edges it can see locally; 0 means "no estimate".
-func (c *Context) MethodCostEstimate(method string) time.Duration {
-	c.mu.RLock()
-	ms := c.byMethod[method]
-	c.mu.RUnlock()
-	if ms == nil {
-		return 0
-	}
-	return c.sendCostEstimate(ms) + c.pollCostEstimate(ms)
-}

@@ -61,7 +61,8 @@ type MethodConfig struct {
 	// Params configures the module instance.
 	Params transport.Params
 	// SkipPoll polls this method only every k-th pass (default 1: every
-	// pass). This is the paper's skip_poll parameter.
+	// pass). This is the paper's skip_poll parameter. A value above 1 is
+	// pinned exactly as if set by Context.SetSkipPoll.
 	SkipPoll int
 	// Blocking starts the module in blocking-detection mode if it supports
 	// it (transport.Blocker); the polling loop then skips it.
@@ -101,10 +102,6 @@ type Options struct {
 	// ErrorLog receives asynchronous delivery errors (unknown handler,
 	// undeliverable forward). Defaults to counting them silently.
 	ErrorLog func(error)
-	// Health tunes the per-link health registry behind automatic method
-	// failover (circuit-breaker thresholds, backoff). The zero value
-	// selects defaults.
-	Health HealthConfig
 	// Observe configures the observability subsystem (latency histograms,
 	// RSR tracing). The zero value leaves it off — the default, and the
 	// configuration the hot-path overhead contract is written against.
@@ -116,9 +113,6 @@ type Options struct {
 	// the receiving context. Larger payloads are rejected with an error
 	// matching transport.ErrTooLarge.
 	MaxMessageSize int
-	// Frag tunes the receive-side fragment reassembler (buffering budgets,
-	// stale-partial TTL). The zero value selects defaults.
-	Frag FragConfig
 	// Flow enables and tunes credit-based flow control (see FlowConfig). The
 	// zero value leaves it off: sends are never charged against credit and
 	// the context advertises no windows.
@@ -146,6 +140,12 @@ type Options struct {
 	// handlers expose stacks and heap contents and belong behind an
 	// explicit flag.
 	DebugProfiling bool
+
+	// health and fragTTL shorten the health registry's thresholds and
+	// backoffs and the reassembler's stale-partial TTL for this package's
+	// tests; no other caller tunes them, so they are not options.
+	health  healthConfig
+	fragTTL time.Duration
 }
 
 var nextContextID atomic.Uint64
@@ -299,7 +299,7 @@ type moduleState struct {
 	skipAtomic atomic.Int64
 
 	// consecPollErrs and pollDisabled implement receive-path supervision:
-	// after HealthConfig.PollFailureThreshold consecutive Poll errors the
+	// after healthConfig.pollFailureThreshold consecutive Poll errors the
 	// module leaves the polling rotation and re-probes on the health
 	// registry's backoff schedule. Both guarded by the context's pollMu.
 	consecPollErrs int
@@ -362,7 +362,7 @@ func NewContext(opts Options) (*Context, error) {
 	c.endpoints.Store(&eps)
 	hs := make(map[string]HandlerFunc)
 	c.handlers.Store(&hs)
-	c.health = newHealthRegistry(opts.Health, c.stats)
+	c.health = newHealthRegistry(opts.health, c.stats)
 	c.cRSRSent = c.stats.Counter("rsr.sent")
 	c.cRSRRecv = c.stats.Counter("rsr.recv")
 	c.cBytesSent = c.stats.Counter("bytes.sent")
@@ -387,7 +387,7 @@ func NewContext(opts Options) (*Context, error) {
 	if c.maxMsg > wire.MaxPayload {
 		c.maxMsg = wire.MaxPayload
 	}
-	c.frags = frag.New(opts.Frag.toFragConfig(c.maxMsg))
+	c.frags = frag.New(frag.Config{MaxMessage: c.maxMsg, TTL: opts.fragTTL})
 	c.cFragMsgs = c.stats.Counter("frag.messages.sent")
 	c.cFragTx = c.stats.Counter("frag.fragments.sent")
 	c.cFragRx = c.stats.Counter("frag.fragments.recv")
@@ -452,6 +452,7 @@ func (c *Context) enableMethod(reg *transport.Registry, mc MethodConfig) error {
 		name:     mc.Name,
 		module:   mod,
 		skip:     mc.SkipPoll,
+		pinned:   mc.SkipPoll > 1,
 		polls:    c.stats.Counter("poll." + mc.Name),
 		frames:   c.stats.Counter("frames." + mc.Name),
 		pollErrs: c.stats.Counter("poll.errors." + mc.Name),

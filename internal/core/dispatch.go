@@ -29,20 +29,20 @@ import (
 // "no frame reaches a stale handler after UnregisterHandler returns" true
 // under full concurrency.
 
-// DispatchPolicy selects what the dispatch engine does with an inbound frame
+// dispatchPolicy selects what the dispatch engine does with an inbound frame
 // whose lane queue is full.
-type DispatchPolicy int
+type dispatchPolicy int
 
 const (
-	// DispatchBlock applies backpressure: the delivering poller blocks until
+	// dispatchBlock applies backpressure: the delivering poller blocks until
 	// the lane has room (or the context closes). Per-endpoint FIFO ordering
 	// is preserved. This is the default.
-	DispatchBlock DispatchPolicy = iota
-	// DispatchInline runs the overflowing frame's handler inline on the
+	dispatchBlock dispatchPolicy = iota
+	// dispatchInline runs the overflowing frame's handler inline on the
 	// delivering goroutine instead of blocking it. Detection keeps running
 	// at full speed under overload, at the cost of per-endpoint ordering:
 	// the inline frame can overtake frames still queued in its lane.
-	DispatchInline
+	dispatchInline
 )
 
 // DispatchConfig tunes the threaded dispatch engine. The zero value selects
@@ -54,8 +54,10 @@ type DispatchConfig struct {
 	Lanes int
 	// QueueDepth is each lane's bounded queue capacity (default 256).
 	QueueDepth int
-	// OnFull selects the backpressure policy when a lane queue is full.
-	OnFull DispatchPolicy
+	// onFull selects the backpressure policy when a lane queue is full.
+	// Every caller runs dispatchBlock; the field exists so this package's
+	// tests can exercise dispatchInline.
+	onFull dispatchPolicy
 }
 
 func (c DispatchConfig) withDefaults() DispatchConfig {
@@ -143,7 +145,7 @@ type dispatcher struct {
 	queueCap int
 	hiWater  int // bulk admission mark: at/above this depth, over-share senders' ClassBulk is shed
 	stopOnce sync.Once
-	onFull   DispatchPolicy
+	onFull   dispatchPolicy
 
 	cFull     *metrics.Counter // dispatch.queue_full: lane-full events
 	cInline   *metrics.Counter // dispatch.inline: frames run inline under overload
@@ -163,7 +165,7 @@ func newDispatcher(c *Context, cfg DispatchConfig) *dispatcher {
 		ctl:       newLaneShard(),
 		queueCap:  cfg.QueueDepth,
 		hiWater:   hi,
-		onFull:    cfg.OnFull,
+		onFull:    cfg.onFull,
 		cFull:     c.stats.Counter("dispatch.queue_full"),
 		cInline:   c.stats.Counter("dispatch.inline"),
 		cShedBulk: c.stats.Counter("rsr.shed.bulk"),
@@ -204,7 +206,7 @@ func (d *dispatcher) enqueue(ms *moduleState, f *wire.Frame, frame []byte) {
 // closing rather than through silence. A global mark alone would shed by
 // arrival accident — whoever filled the lane first keeps it pinned at high
 // water and every later sender is dropped on sight. ClassNormal frames keep
-// the configured OnFull policy.
+// the configured onFull policy.
 func (d *dispatcher) enqueueOwned(ms *moduleState, f *wire.Frame, buf []byte) {
 	it := laneItem{buf: buf, ms: ms, src: f.SrcContext}
 	if d.ctx.obs.mode.Load()&obsStats != 0 {
@@ -225,7 +227,7 @@ func (d *dispatcher) enqueueOwned(ms *moduleState, f *wire.Frame, buf []byte) {
 	if ln.size >= d.queueCap && !ln.closed {
 		if cls != wire.ClassControl {
 			d.cFull.Inc()
-			if d.onFull == DispatchInline {
+			if d.onFull == dispatchInline {
 				d.cInline.Inc()
 				ln.mu.Unlock()
 				d.ctx.deliverItem(it)

@@ -284,14 +284,14 @@ func TestConcurrentRegistration(t *testing.T) {
 	}
 }
 
-// TestDispatchInlinePolicy exercises the DispatchInline overflow policy: with
+// TestDispatchInlinePolicy exercises the dispatchInline overflow policy: with
 // a single blocked lane of depth 1, the third frame runs inline on the
 // dispatching goroutine — overtaking the queued second frame — and the
 // overflow counters record it.
 func TestDispatchInlinePolicy(t *testing.T) {
 	c, err := NewContext(Options{
 		Threaded: true,
-		Dispatch: DispatchConfig{Lanes: 1, QueueDepth: 1, OnFull: DispatchInline},
+		Dispatch: DispatchConfig{Lanes: 1, QueueDepth: 1, onFull: dispatchInline},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -178,84 +178,3 @@ func TestByteCountersTrackTraffic(t *testing.T) {
 		}
 	}
 }
-
-func BenchmarkRSRLocal(b *testing.B) {
-	c, err := NewContext(Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer c.Close()
-	ep := c.NewEndpoint(WithHandler(func(*Endpoint, *buffer.Buffer) {}))
-	sp := ep.NewStartpoint()
-	payload := buffer.New(64)
-	payload.PutRaw(make([]byte, 64))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := sp.RSR("", payload); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkRSRInproc(b *testing.B) {
-	tag := "bench-rsr"
-	mk := func(id int) *Context {
-		c, err := NewContext(Options{Methods: []MethodConfig{
-			{Name: "inproc", Params: transport.Params{"exchange": tag, "poll_batch": "1024"}},
-		}})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return c
-	}
-	recv, send := mk(1), mk(2)
-	defer recv.Close()
-	defer send.Close()
-	var got atomic.Int64
-	ep := recv.NewEndpoint(WithHandler(func(*Endpoint, *buffer.Buffer) { got.Add(1) }))
-	sp, err := TransferStartpoint(ep.NewStartpoint(), send)
-	if err != nil {
-		b.Fatal(err)
-	}
-	payload := buffer.New(64)
-	payload.PutRaw(make([]byte, 64))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := sp.RSR("", payload); err != nil {
-			b.Fatal(err)
-		}
-		for got.Load() < int64(i+1) {
-			recv.Poll()
-		}
-	}
-}
-
-func BenchmarkStartpointTransfer(b *testing.B) {
-	tag := "bench-transfer"
-	recv, err := NewContext(Options{Methods: []MethodConfig{
-		{Name: "inproc", Params: transport.Params{"exchange": tag}},
-		{Name: "tcp"},
-		{Name: "udp"},
-	}})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer recv.Close()
-	send, err := NewContext(Options{Methods: []MethodConfig{
-		{Name: "inproc", Params: transport.Params{"exchange": tag}},
-	}})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer send.Close()
-	sp := recv.NewEndpoint().NewStartpoint()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := TransferStartpoint(sp, send); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -42,35 +42,27 @@ const (
 	ClassBulk    = wire.ClassBulk
 )
 
-// FlowConfig tunes credit-based flow control. The zero value leaves it off;
-// zero fields otherwise select defaults.
+// FlowConfig enables credit-based flow control. The zero value leaves it off.
 type FlowConfig struct {
 	// Enabled turns credit accounting on for every non-control link of the
 	// context (both sending and granting sides).
 	Enabled bool
-	// WindowBytes is the per-(peer, method) byte window this context
-	// advertises to senders (default 1 MiB). A peer can have at most this
-	// many bytes (plus one in-flight message) outstanding toward us.
-	WindowBytes int
-	// WindowFrames is the matching frame-count window (default 512).
-	WindowFrames int
-	// ProbeInterval rate-limits credit probes from a starved sender
-	// (default 20ms per link).
-	ProbeInterval time.Duration
+
+	// Every caller runs with defaultFlow's window and probe interval; the
+	// fields exist so this package's overload tests can shrink them.
+
+	// windowBytes is the per-(peer, method) byte window this context
+	// advertises to senders. A peer can have at most this many bytes (plus
+	// one in-flight message) outstanding toward us.
+	windowBytes int
+	// windowFrames is the matching frame-count window.
+	windowFrames int
+	// probeInterval rate-limits credit probes from a starved sender, per
+	// link.
+	probeInterval time.Duration
 }
 
-func (fc FlowConfig) withDefaults() FlowConfig {
-	if fc.WindowBytes <= 0 {
-		fc.WindowBytes = 1 << 20
-	}
-	if fc.WindowFrames <= 0 {
-		fc.WindowFrames = 512
-	}
-	if fc.ProbeInterval <= 0 {
-		fc.ProbeInterval = 20 * time.Millisecond
-	}
-	return fc
-}
+var defaultFlow = FlowConfig{Enabled: true, windowBytes: 1 << 20, windowFrames: 512, probeInterval: 20 * time.Millisecond}
 
 // creditBlockTimeout bounds how long a ClassNormal send waits for credit
 // before failing with ErrNoCredit. ClassBulk never waits.
@@ -99,8 +91,10 @@ type flowState struct {
 }
 
 func newFlowState(cfg FlowConfig, stats *metrics.Set) *flowState {
-	cfg = cfg.withDefaults()
-	win := flow.Window{Bytes: uint64(cfg.WindowBytes), Frames: uint64(cfg.WindowFrames)}
+	if cfg == (FlowConfig{Enabled: true}) {
+		cfg = defaultFlow
+	}
+	win := flow.Window{Bytes: uint64(cfg.windowBytes), Frames: uint64(cfg.windowFrames)}
 	return &flowState{
 		cfg:              cfg,
 		bank:             flow.NewBank(win),
@@ -136,7 +130,7 @@ func (c *Context) flowAcquire(lb *binding, cls wire.Class, bytes, frames uint64)
 	if fl.bank.TryAcquire(peer, method, bytes, frames) {
 		return true
 	}
-	if fl.bank.ShouldProbe(peer, method, time.Now(), fl.cfg.ProbeInterval) {
+	if fl.bank.ShouldProbe(peer, method, time.Now(), fl.cfg.probeInterval) {
 		c.sendCreditProbe(lb)
 	}
 	if cls == wire.ClassBulk {
@@ -152,7 +146,7 @@ func (c *Context) flowAcquire(lb *binding, cls wire.Class, bytes, frames uint64)
 		if now.After(deadline) {
 			return false
 		}
-		if fl.bank.ShouldProbe(peer, method, now, fl.cfg.ProbeInterval) {
+		if fl.bank.ShouldProbe(peer, method, now, fl.cfg.probeInterval) {
 			c.sendCreditProbe(lb)
 		}
 		runtime.Gosched()

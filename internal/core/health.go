@@ -48,54 +48,38 @@ func (s CircuitState) String() string {
 	}
 }
 
-// HealthConfig tunes the health registry. The zero value selects defaults.
-type HealthConfig struct {
-	// FailureThreshold is how many consecutive send failures open a
-	// (method, peer) circuit (default 2: one failure may just be a stale
-	// cached connection; a redial that also fails is a dead method).
-	FailureThreshold int
-	// BackoffBase is the first open-circuit backoff (default 100ms). Each
-	// failed half-open probe doubles it up to BackoffMax.
-	BackoffBase time.Duration
-	// BackoffMax caps the backoff (default 5s).
-	BackoffMax time.Duration
-	// BackoffJitter randomizes each backoff by up to this fraction so a
-	// fleet of links does not probe in lockstep. 0 selects the default
-	// (0.2); a negative value disables jitter (deterministic tests).
-	BackoffJitter float64
-	// ProbeTimeout bounds a half-open probe: if its outcome has not been
+// healthConfig holds the health registry's thresholds and backoffs. Every
+// context outside this package's tests runs with defaultHealth.
+type healthConfig struct {
+	// failureThreshold is how many consecutive send failures open a
+	// (method, peer) circuit.
+	failureThreshold int
+	// backoffBase is the first open-circuit backoff. Each failed half-open
+	// probe doubles it up to backoffMax.
+	backoffBase time.Duration
+	backoffMax  time.Duration
+	// backoffJitter randomizes each backoff by up to this fraction so a
+	// fleet of links does not probe in lockstep; 0 disables it.
+	backoffJitter float64
+	// probeTimeout bounds a half-open probe: if its outcome has not been
 	// reported after this long (the probing sender died), another probe is
-	// allowed (default 2s).
-	ProbeTimeout time.Duration
-	// PollFailureThreshold is how many consecutive module Poll errors
-	// disable a method's receive path (default 8). The path re-probes on
-	// the circuit's backoff schedule instead of spinning forever.
-	PollFailureThreshold int
+	// allowed.
+	probeTimeout time.Duration
+	// pollFailureThreshold is how many consecutive module Poll errors
+	// disable a method's receive path. The path re-probes on the circuit's
+	// backoff schedule instead of spinning forever.
+	pollFailureThreshold int
 }
 
-func (c HealthConfig) withDefaults() HealthConfig {
-	if c.FailureThreshold < 1 {
-		c.FailureThreshold = 2
-	}
-	if c.BackoffBase <= 0 {
-		c.BackoffBase = 100 * time.Millisecond
-	}
-	if c.BackoffMax <= 0 {
-		c.BackoffMax = 5 * time.Second
-	}
-	if c.BackoffJitter == 0 {
-		c.BackoffJitter = 0.2
-	}
-	if c.BackoffJitter < 0 {
-		c.BackoffJitter = 0
-	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = 2 * time.Second
-	}
-	if c.PollFailureThreshold < 1 {
-		c.PollFailureThreshold = 8
-	}
-	return c
+// defaultHealth: two failures open a circuit (one may just be a stale cached
+// connection; a redial that also fails is a dead method).
+var defaultHealth = healthConfig{
+	failureThreshold:     2,
+	backoffBase:          100 * time.Millisecond,
+	backoffMax:           5 * time.Second,
+	backoffJitter:        0.2,
+	probeTimeout:         2 * time.Second,
+	pollFailureThreshold: 8,
 }
 
 // receivePeer is the pseudo-peer key under which a method's local receive
@@ -137,7 +121,7 @@ type HealthInfo struct {
 
 // healthRegistry tracks circuit state per (method, peer-context) pair.
 type healthRegistry struct {
-	cfg HealthConfig
+	cfg healthConfig
 
 	// gen increments on every state transition that should make supervised
 	// links re-run selection (trip and heal). Bindings stamp the generation
@@ -161,9 +145,13 @@ type healthRegistry struct {
 	cResends *metrics.Counter // failover.resends: frames resent after failure
 }
 
-func newHealthRegistry(cfg HealthConfig, stats *metrics.Set) *healthRegistry {
+// newHealthRegistry builds a registry; the zero cfg selects defaultHealth.
+func newHealthRegistry(cfg healthConfig, stats *metrics.Set) *healthRegistry {
+	if cfg == (healthConfig{}) {
+		cfg = defaultHealth
+	}
 	return &healthRegistry{
-		cfg:      cfg.withDefaults(),
+		cfg:      cfg,
 		rng:      rand.New(rand.NewSource(1)),
 		entries:  make(map[healthKey]*healthEntry),
 		cTrips:   stats.Counter("failover.trips"),
@@ -200,12 +188,12 @@ func (h *healthRegistry) entryLocked(k healthKey) *healthEntry {
 	return e
 }
 
-// jitteredLocked returns d extended by up to cfg.BackoffJitter*d.
+// jitteredLocked returns d extended by up to cfg.backoffJitter*d.
 func (h *healthRegistry) jitteredLocked(d time.Duration) time.Duration {
-	if h.cfg.BackoffJitter <= 0 {
+	if h.cfg.backoffJitter <= 0 {
 		return d
 	}
-	return d + time.Duration(h.cfg.BackoffJitter*h.rng.Float64()*float64(d))
+	return d + time.Duration(h.cfg.backoffJitter*h.rng.Float64()*float64(d))
 }
 
 // recomputeNextRetryLocked re-derives the earliest pending probe time across
@@ -218,8 +206,8 @@ func (h *healthRegistry) recomputeNextRetryLocked() {
 		case CircuitOpen:
 			at = e.retryAt
 		case CircuitHalfOpen:
-			// A probe that never reports back re-arms after ProbeTimeout.
-			at = e.probeStarted.Add(h.cfg.ProbeTimeout)
+			// A probe that never reports back re-arms after probeTimeout.
+			at = e.probeStarted.Add(h.cfg.probeTimeout)
 		default:
 			continue
 		}
@@ -253,7 +241,7 @@ func (h *healthRegistry) allowedLocked(k healthKey, now time.Time) bool {
 		h.recomputeNextRetryLocked()
 		return true
 	case CircuitHalfOpen:
-		if now.Sub(e.probeStarted) > h.cfg.ProbeTimeout {
+		if now.Sub(e.probeStarted) > h.cfg.probeTimeout {
 			e.probeStarted = now
 			h.cProbes.Inc()
 			h.recomputeNextRetryLocked()
@@ -295,7 +283,7 @@ func (h *healthRegistry) filterTable(table *transport.Table) *transport.Table {
 }
 
 // reportFailure records a failed send on (method, peer). It trips the
-// circuit after FailureThreshold consecutive failures and re-opens a
+// circuit after failureThreshold consecutive failures and re-opens a
 // half-open circuit with a doubled backoff.
 func (h *healthRegistry) reportFailure(method string, peer transport.ContextID, err error) {
 	now := time.Now()
@@ -310,17 +298,17 @@ func (h *healthRegistry) reportFailure(method string, peer transport.ContextID, 
 	case CircuitHalfOpen:
 		// Failed probe: back to open, backoff doubled.
 		e.backoff *= 2
-		if e.backoff > h.cfg.BackoffMax {
-			e.backoff = h.cfg.BackoffMax
+		if e.backoff > h.cfg.backoffMax {
+			e.backoff = h.cfg.backoffMax
 		}
 		e.state = CircuitOpen
 		e.retryAt = now.Add(h.jitteredLocked(e.backoff))
 		h.cOpens.Inc()
 		h.recomputeNextRetryLocked()
 	case CircuitClosed:
-		if e.consecFails >= h.cfg.FailureThreshold {
+		if e.consecFails >= h.cfg.failureThreshold {
 			e.state = CircuitOpen
-			e.backoff = h.cfg.BackoffBase
+			e.backoff = h.cfg.backoffBase
 			e.retryAt = now.Add(h.jitteredLocked(e.backoff))
 			e.openedAt = now
 			e.trips++
@@ -345,15 +333,15 @@ func (h *healthRegistry) tripNow(method string, peer transport.ContextID, err er
 	if err != nil {
 		e.lastErr = err.Error()
 	}
-	if e.consecFails < h.cfg.FailureThreshold {
-		e.consecFails = h.cfg.FailureThreshold
+	if e.consecFails < h.cfg.failureThreshold {
+		e.consecFails = h.cfg.failureThreshold
 	}
 	if e.state == CircuitOpen {
 		return
 	}
 	e.state = CircuitOpen
 	if e.backoff == 0 {
-		e.backoff = h.cfg.BackoffBase
+		e.backoff = h.cfg.backoffBase
 	}
 	e.retryAt = now.Add(h.jitteredLocked(e.backoff))
 	e.openedAt = now

@@ -11,26 +11,23 @@ import (
 
 // fastHealth is a deterministic registry config for tests: low thresholds,
 // short backoffs, no jitter.
-func fastHealth() HealthConfig {
-	return HealthConfig{
-		FailureThreshold:     2,
-		BackoffBase:          20 * time.Millisecond,
-		BackoffMax:           100 * time.Millisecond,
-		BackoffJitter:        -1, // disabled
-		ProbeTimeout:         200 * time.Millisecond,
-		PollFailureThreshold: 3,
+func fastHealth() healthConfig {
+	return healthConfig{
+		failureThreshold:     2,
+		backoffBase:          20 * time.Millisecond,
+		backoffMax:           100 * time.Millisecond,
+		backoffJitter:        0, // disabled
+		probeTimeout:         200 * time.Millisecond,
+		pollFailureThreshold: 3,
 	}
 }
 
 func TestHealthConfigDefaults(t *testing.T) {
-	c := HealthConfig{}.withDefaults()
-	if c.FailureThreshold != 2 || c.BackoffBase != 100*time.Millisecond ||
-		c.BackoffMax != 5*time.Second || c.BackoffJitter != 0.2 ||
-		c.ProbeTimeout != 2*time.Second || c.PollFailureThreshold != 8 {
-		t.Fatalf("unexpected defaults: %+v", c)
+	if c := newHealthRegistry(healthConfig{}, metrics.NewSet()).cfg; c != defaultHealth {
+		t.Fatalf("zero config selected %+v, want defaultHealth", c)
 	}
-	if j := (HealthConfig{BackoffJitter: -1}).withDefaults().BackoffJitter; j != 0 {
-		t.Fatalf("negative jitter should disable, got %v", j)
+	if c := newHealthRegistry(fastHealth(), metrics.NewSet()).cfg; c != fastHealth() {
+		t.Fatalf("explicit config was rewritten to %+v", c)
 	}
 }
 
@@ -163,7 +160,7 @@ func TestHealthAwareFallsBackWhenAllOpen(t *testing.T) {
 }
 
 // TestPollErrorsDisableModule drives the poll-supervision satellite: a module
-// whose Poll always fails leaves the rotation after PollFailureThreshold
+// whose Poll always fails leaves the rotation after pollFailureThreshold
 // consecutive errors, its receive circuit shows in the snapshot, and the
 // poll.errors counter reflects every failure.
 func TestPollErrorsDisableModule(t *testing.T) {
@@ -193,7 +190,7 @@ func TestPollErrorsDisableModule(t *testing.T) {
 			{Name: "badpoll"},
 			{Name: "inproc", Params: transport.Params{"exchange": tag}},
 		},
-		Health: fastHealth(),
+		health: fastHealth(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -203,7 +200,7 @@ func TestPollErrorsDisableModule(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		pollFails <- errors.New("socket gone")
 	}
-	threshold := c.health.cfg.PollFailureThreshold
+	threshold := c.health.cfg.pollFailureThreshold
 	for i := 0; i < threshold; i++ {
 		c.Poll()
 	}

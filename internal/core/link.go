@@ -456,7 +456,7 @@ func (l *link) recover(c *Context, b *binding, m *outMsg, cause error) error {
 		return err
 	}
 	c.selSize.Store(int64(len(m.enc) - m.off))
-	budget := table.Len()*c.health.cfg.FailureThreshold + 1
+	budget := table.Len()*c.health.cfg.failureThreshold + 1
 	for attempt := 0; attempt < budget; attempt++ {
 		l.unbindLocked(c)
 		nb, err := l.selectLocked(c, m.trace())

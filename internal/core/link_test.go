@@ -85,7 +85,7 @@ func scriptCtx(t *testing.T, opts Options, names ...string) (*Context, []*script
 		opts.Methods = append(opts.Methods, MethodConfig{Name: name})
 	}
 	opts.Registry = reg
-	opts.Health = fastHealth()
+	opts.health = fastHealth()
 	c, err := NewContext(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -160,7 +160,7 @@ func TestForwarderReleasesFailedRoute(t *testing.T) {
 // TestLinkSupervisionParity drives one scripted failure sequence through the
 // three users of a communication link — a startpoint RSR, a forwarder relay
 // and a standalone credit grant — and requires identical supervision from
-// each: the first method fails FailureThreshold times and its circuit opens,
+// each: the first method fails failureThreshold times and its circuit opens,
 // the next applicable method carries the frame, the circuit heals, and
 // traffic returns to the first method, with the same failover and health
 // counter movements and the same connection opens and closes at every step.
@@ -255,11 +255,11 @@ func TestLinkSupervisionParity(t *testing.T) {
 			a.failing.Store(true)
 			step(1)
 			if st, ok := circuitState(c, "a", dest); !ok || st != CircuitOpen {
-				t.Fatalf("circuit a after %d failures = %v, want open", fastHealth().FailureThreshold, st)
+				t.Fatalf("circuit a after %d failures = %v, want open", fastHealth().failureThreshold, st)
 			}
 			step(2)
 			a.failing.Store(false)
-			time.Sleep(2 * fastHealth().BackoffBase) // the open circuit's backoff expires: a probe is due
+			time.Sleep(2 * fastHealth().backoffBase) // the open circuit's backoff expires: a probe is due
 			step(3)
 			if st, _ := circuitState(c, "a", dest); st != CircuitClosed {
 				t.Fatalf("circuit a after the probe succeeded = %v, want closed", st)

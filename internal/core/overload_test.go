@@ -55,9 +55,9 @@ func newOverloadRig(tb testing.TB, tag string, nSenders int, spinFor time.Durati
 	}
 	fc := FlowConfig{
 		Enabled:       true,
-		WindowBytes:   32 << 10,
-		WindowFrames:  32,
-		ProbeInterval: 2 * time.Millisecond,
+		windowBytes:   32 << 10,
+		windowFrames:  32,
+		probeInterval: 2 * time.Millisecond,
 	}
 	recv, err := NewContext(Options{
 		Partition: "p0",

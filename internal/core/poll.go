@@ -82,12 +82,17 @@ func (c *Context) pollPassLocked() int {
 		if ms.blocking {
 			continue
 		}
+		// A skip_poll value set by hand (SetSkipPoll, MethodConfig.SkipPoll)
+		// takes a reactive module off readiness-driven detection: it is then
+		// probed on every k-th pass like any other module, until
+		// UnpinSkipPoll.
+		reactive := ms.reactive && !ms.pinned
 		edge := false
-		if ms.reactive {
+		if reactive {
 			// Readiness-driven: the kernel says whether this module has
-			// inbound data. No bit, no syscall — skip_poll countdowns don't
-			// apply (readiness is a strictly better version of the same
-			// economy). A module with a recent edge stays "hot" and is
+			// inbound data. No bit, no syscall — a tuner's skip_poll countdown
+			// doesn't apply (readiness is a strictly better version of the
+			// same economy). A module with a recent edge stays "hot" and is
 			// probed directly for a grace window: during a transfer the
 			// direct probe finds data the instant it lands, where waiting for
 			// the epoll waiter's cross-thread notification would add
@@ -137,7 +142,7 @@ func (c *Context) pollPassLocked() int {
 		}
 		if err != nil {
 			ms.pollErrs.Inc()
-			if ms.reactive {
+			if reactive {
 				// The edge was claimed but the drain failed; data may remain
 				// buffered, so the module must be re-polled without waiting
 				// for a fresh kernel event that will never come.
@@ -151,7 +156,7 @@ func (c *Context) pollPassLocked() int {
 				continue
 			}
 			ms.consecPollErrs++
-			if ms.consecPollErrs >= c.health.cfg.PollFailureThreshold {
+			if ms.consecPollErrs >= c.health.cfg.pollFailureThreshold {
 				ms.pollDisabled = true
 				c.health.tripNow(ms.name, receivePeer, err)
 				c.stats.Counter("poll.disabled").Inc()
@@ -165,7 +170,7 @@ func (c *Context) pollPassLocked() int {
 			c.health.reportSuccess(ms.name, receivePeer)
 		}
 		ms.consecPollErrs = 0
-		if ms.reactive {
+		if reactive {
 			// An edge counts as activity even when no complete frame came
 			// out of the drain: a large frame streaming in arrives as many
 			// edges that each deliver nothing until the last one. Entering
@@ -225,15 +230,17 @@ func (c *Context) PollUntil(pred func() bool, timeout time.Duration) bool {
 }
 
 // SetSkipPoll sets the skip_poll parameter for one method: the method is
-// polled on every k-th pass. k < 1 is treated as 1. A value set this way is
-// pinned: automatic tuners (AutoSkipPoll, StartAdaptiveSkipPoll) will not
-// overwrite it until UnpinSkipPoll releases the method back to them.
+// polled on every k-th pass, whether or not a reactor watches its sockets.
+// k < 1 is treated as 1. A value set this way is pinned: automatic tuners
+// (AutoSkipPoll, StartAdaptiveSkipPoll) will not overwrite it until
+// UnpinSkipPoll releases the method back to them.
 func (c *Context) SetSkipPoll(method string, k int) error {
 	return c.applySkipPoll(method, k, true)
 }
 
 // UnpinSkipPoll releases a method pinned by SetSkipPoll back to automatic
-// skip_poll tuning. The current skip value is kept until a tuner moves it.
+// skip_poll tuning, and a reactive method back to readiness-driven
+// detection. The current skip value is kept until a tuner moves it.
 func (c *Context) UnpinSkipPoll(method string) error {
 	ms := c.moduleFor(method)
 	if ms == nil {
@@ -242,6 +249,11 @@ func (c *Context) UnpinSkipPoll(method string) error {
 	c.pollMu.Lock()
 	ms.pinned = false
 	c.pollMu.Unlock()
+	if ms.reactive {
+		// Readiness edges claimed while the module was pinned were dropped
+		// unread; seed one drain so data they announced is not stranded.
+		atomicOr(&c.ready, ms.readyBit)
+	}
 	return nil
 }
 
@@ -416,9 +428,9 @@ type MethodInfo struct {
 	Pinned bool
 	// Blocking reports whether the method uses blocking detection.
 	Blocking bool
-	// Reactive reports whether the method is on readiness-driven detection:
-	// its sockets are watched by the context's reactor and the polling loop
-	// touches it only when the kernel reports inbound data.
+	// Reactive reports whether the method's sockets are watched by the
+	// context's reactor. Unless Pinned, the polling loop then touches it only
+	// when the kernel reports inbound data.
 	Reactive bool
 	// Polls is the number of module polls performed so far.
 	Polls uint64

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -74,6 +75,11 @@ func (r *moduleReadiness) Add(fd int) error {
 	defer r.mu.Unlock()
 	if !r.suspended {
 		if err := r.c.rx.Add(fd, r.notify); err != nil {
+			// The socket stays usable but is seen only by the cold probe, so
+			// the failure must not pass silently whatever the module does
+			// with the returned error.
+			r.c.stats.Counter("reactor.add_failed").Inc()
+			r.c.errlog(fmt.Errorf("core: context %d: watching %s fd %d: %w", r.c.id, r.ms.name, fd, err))
 			return err
 		}
 	}

@@ -498,38 +498,3 @@ func TestCrossPartitionMPI(t *testing.T) {
 		t.Error("no wan frames recorded")
 	}
 }
-
-func BenchmarkPingPongMPI(b *testing.B) {
-	w := newWorld(b, 2)
-	payload := floatsBuf(make([]float64, 128)...)
-	done := make(chan error, 1)
-	go func() {
-		c := w.Comm(1)
-		for i := 0; i < b.N; i++ {
-			m, err := c.Recv(0, 1)
-			if err != nil {
-				done <- err
-				return
-			}
-			if err := c.Send(0, 2, m.Buf); err != nil {
-				done <- err
-				return
-			}
-		}
-		done <- nil
-	}()
-	c := w.Comm(0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := c.Send(1, 1, payload); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := c.Recv(1, 2); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	if err := <-done; err != nil {
-		b.Fatal(err)
-	}
-}

@@ -280,32 +280,3 @@ func TestRegisteredInDefaultRegistry(t *testing.T) {
 		t.Fatal("inproc module not registered")
 	}
 }
-
-func BenchmarkSendPoll(b *testing.B) {
-	ex := NewExchange("bench")
-	sink := &collect{}
-	recv := New(ex, transport.Params{"poll_batch": "1024"})
-	d, err := recv.Init(transport.Env{Context: 1, Process: "p", Sink: sink})
-	if err != nil {
-		b.Fatal(err)
-	}
-	send := New(ex, nil)
-	if _, err := send.Init(transport.Env{Context: 2, Process: "p", Sink: &collect{}}); err != nil {
-		b.Fatal(err)
-	}
-	c, err := send.Dial(*d)
-	if err != nil {
-		b.Fatal(err)
-	}
-	frame := make([]byte, 64)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if err := c.Send(frame); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := recv.Poll(); err != nil {
-			b.Fatal(err)
-		}
-		sink.frames = sink.frames[:0]
-	}
-}

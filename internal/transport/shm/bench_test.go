@@ -1,10 +1,11 @@
 //go:build linux
 
 // Module-level benchmarks for the shared-memory transport. These measure the
-// raw ring path (Dial/Send/Poll) without the core's wire framing, so they
-// bound what the facade can achieve. cmd/nexus-bench re-runs equivalent
-// bodies to produce BENCH_8.json, and CI's bench-smoke step pins the
-// ping-pong number.
+// raw ring path (Dial/Send/Poll) without the core's wire framing.
+// BenchmarkShmPingPong/64B is the number CI pins; BenchmarkShmBatchSend has no
+// counterpart among the repository benchmark's probes (bench/README.md), which
+// report the ring's round trip and bulk bandwidth as shm.rtt_ns and
+// shm.bulk_mb_s.
 package shm
 
 import (
@@ -85,35 +86,6 @@ func BenchmarkShmPingPong(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkShmBulkBandwidth streams large frames one way, draining the
-// receiver from the same thread every half-ring so the producer never
-// blocks; MB/s comes from b.SetBytes. (A concurrent-goroutine drain would
-// measure the scheduler on single-CPU machines, not the rings.) This is the
-// number EXPERIMENTS.md compares against tcp's loopback bulk bandwidth.
-func BenchmarkShmBulkBandwidth(b *testing.B) {
-	const size = 256 << 10
-	// 8 frames ≈ half the default 4 MiB ring: the drain always finds room
-	// freed before the producer can fill up.
-	const burst = 8
-	_, c, _, cSink, toC, _ := benchPair(b, nil)
-	payload := pattern(0x17, size)
-	b.SetBytes(size)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := toC.Send(payload); err != nil {
-			b.Fatal(err)
-		}
-		if (i+1)%burst == 0 {
-			for cSink.n.Load() < int64(i+1) {
-				c.Poll()
-			}
-		}
-	}
-	for cSink.n.Load() < int64(b.N) {
-		c.Poll()
 	}
 }
 

@@ -435,8 +435,9 @@ func (ic *inConn) dead() bool {
 	return ic.isDead
 }
 
-// watch registers the connection's fd with the reactor (best effort: a
-// connection whose fd cannot be extracted simply stays poll-only).
+// watch registers the connection's fd with the reactor. Best effort: a
+// connection whose fd cannot be extracted or registered stays poll-only (the
+// reactor counts and logs a refused registration itself).
 func (ic *inConn) watch(r transport.Readiness) {
 	ic.mu.Lock()
 	defer ic.mu.Unlock()

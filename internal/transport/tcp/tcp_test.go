@@ -261,33 +261,3 @@ func TestRegisteredInDefaultRegistry(t *testing.T) {
 		t.Fatal("tcp module not registered")
 	}
 }
-
-func BenchmarkPollIdle(b *testing.B) {
-	// The cost of polling an idle TCP module with one connection: this is
-	// the per-pass tax that motivates skip_poll.
-	sink := &collect{}
-	recv := New(nil)
-	d, err := recv.Init(transport.Env{Context: 1, Sink: sink})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer recv.Close()
-	send := New(nil)
-	if _, err := send.Init(transport.Env{Context: 2, Sink: &collect{}}); err != nil {
-		b.Fatal(err)
-	}
-	defer send.Close()
-	c, err := send.Dial(*d)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer c.Close()
-	// Let the accept loop register the connection.
-	time.Sleep(10 * time.Millisecond)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := recv.Poll(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

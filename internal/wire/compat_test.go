@@ -65,7 +65,7 @@ func TestTraceExtensionRoundTrip(t *testing.T) {
 	f := Frame{
 		Type: TypeRSR, Flags: FlagTrace,
 		DestContext: 1, DestEndpoint: 2, SrcContext: 3,
-		Trace: trace, Handler: "h", Payload: []byte{0xAA},
+		Ext: Ext{Trace: trace}, Handler: "h", Payload: []byte{0xAA},
 	}
 	enc := f.Encode()
 	if enc[1] != versionExt {
@@ -91,7 +91,7 @@ func TestTraceExtensionRoundTrip(t *testing.T) {
 func TestPatchDestExtended(t *testing.T) {
 	for _, flags := range []byte{0, FlagTrace} {
 		f := Frame{Type: TypeRSR, Flags: flags, DestContext: 1, DestEndpoint: 2,
-			SrcContext: 3, Trace: [16]byte{1}, Handler: "h", Payload: []byte{9}}
+			SrcContext: 3, Ext: Ext{Trace: [16]byte{1}}, Handler: "h", Payload: []byte{9}}
 		enc := f.Encode()
 		PatchDest(enc, 77, 88)
 		got, err := Decode(enc)
@@ -137,7 +137,7 @@ func TestCreditExtensionRoundTrip(t *testing.T) {
 	f := Frame{
 		Type: TypeControl, Flags: FlagCredit | ClassFlags(ClassControl),
 		DestContext: 1, DestEndpoint: 0, SrcContext: 3,
-		CreditBytes: 1 << 40, CreditFrames: 512,
+		Ext:     Ext{CreditBytes: 1 << 40, CreditFrames: 512},
 		Handler: "mpl", Payload: []byte{0xAA},
 	}
 	enc := f.Encode()
@@ -185,8 +185,8 @@ func TestCreditExtensionRoundTrip(t *testing.T) {
 
 	// All three extensions together, in flag-bit order.
 	all := Frame{Type: TypeRSR, Flags: FlagTrace | FlagFrag | FlagCredit | ClassFlags(ClassBulk),
-		Trace: [16]byte{9}, FragID: 4, FragIndex: 1, FragTotal: 3,
-		CreditBytes: 77, CreditFrames: 2, Handler: "x", Payload: []byte{3}}
+		Ext: Ext{Trace: [16]byte{9}, FragID: 4, FragIndex: 1, FragTotal: 3,
+			CreditBytes: 77, CreditFrames: 2}, Handler: "x", Payload: []byte{3}}
 	ag, err := Decode(all.Encode())
 	if err != nil {
 		t.Fatalf("decoding trace+frag+credit frame: %v", err)
@@ -219,7 +219,7 @@ func TestFrameClassOnV1(t *testing.T) {
 }
 
 func TestDecodeTruncatedCreditExtension(t *testing.T) {
-	enc := (&Frame{Type: TypeControl, Flags: FlagCredit, CreditBytes: 1, CreditFrames: 2,
+	enc := (&Frame{Type: TypeControl, Flags: FlagCredit, Ext: Ext{CreditBytes: 1, CreditFrames: 2},
 		Handler: "handler"}).Encode()
 	cut := enc[:headerFixed+1+8] // inside the credit extension
 	if _, err := Decode(cut); !errors.Is(err, ErrShortFrame) {

@@ -11,8 +11,8 @@ func TestFragExtensionRoundTrip(t *testing.T) {
 		f := Frame{
 			Type: TypeRSR, Flags: flags,
 			DestContext: 4, DestEndpoint: 5, SrcContext: 6,
-			Trace:  [16]byte{0xCA, 0xFE},
-			FragID: 0xDEADBEEF01020304, FragIndex: 7, FragTotal: 9,
+			Ext: Ext{Trace: [16]byte{0xCA, 0xFE},
+				FragID: 0xDEADBEEF01020304, FragIndex: 7, FragTotal: 9},
 			Handler: "bulk", Payload: []byte("chunk-bytes"),
 		}
 		enc := f.Encode()
@@ -48,7 +48,7 @@ func TestFragExtensionRoundTrip(t *testing.T) {
 // the handler name.
 func TestFragExtensionLayout(t *testing.T) {
 	f := Frame{Type: TypeRSR, Flags: FlagTrace | FlagFrag,
-		Trace: [16]byte{1}, FragID: 2, FragIndex: 0, FragTotal: 3, Handler: "h"}
+		Ext: Ext{Trace: [16]byte{1}, FragID: 2, FragIndex: 0, FragTotal: 3}, Handler: "h"}
 	enc := f.Encode()
 	off := headerFixed + 1 + traceExtLen
 	if id := binary.BigEndian.Uint64(enc[off:]); id != 2 {
@@ -61,7 +61,7 @@ func TestFragExtensionLayout(t *testing.T) {
 
 func TestDecodeRejectsBadFrag(t *testing.T) {
 	good := (&Frame{Type: TypeRSR, Flags: FlagFrag,
-		FragID: 1, FragIndex: 0, FragTotal: 2, Handler: "h"}).Encode()
+		Ext: Ext{FragID: 1, FragIndex: 0, FragTotal: 2}, Handler: "h"}).Encode()
 	fragOff := headerFixed + 1
 
 	zeroTotal := append([]byte(nil), good...)
@@ -79,7 +79,7 @@ func TestDecodeRejectsBadFrag(t *testing.T) {
 
 func TestDecodeTruncatedFragExtension(t *testing.T) {
 	enc := (&Frame{Type: TypeRSR, Flags: FlagFrag,
-		FragID: 1, FragTotal: 2, Handler: "handler", Payload: []byte{1}}).Encode()
+		Ext: Ext{FragID: 1, FragTotal: 2}, Handler: "handler", Payload: []byte{1}}).Encode()
 	cut := enc[:headerFixed+1+6] // inside the fragment extension
 	if _, err := Decode(cut); !errors.Is(err, ErrShortFrame) {
 		t.Errorf("truncated frag ext: err = %v, want ErrShortFrame", err)
@@ -91,7 +91,7 @@ func TestDecodeTruncatedFragExtension(t *testing.T) {
 func TestPatchDestFragFrame(t *testing.T) {
 	f := Frame{Type: TypeRSR, Flags: FlagTrace | FlagFrag,
 		DestContext: 1, DestEndpoint: 2, SrcContext: 3,
-		Trace: [16]byte{5}, FragID: 11, FragIndex: 1, FragTotal: 4,
+		Ext:     Ext{Trace: [16]byte{5}, FragID: 11, FragIndex: 1, FragTotal: 4},
 		Handler: "h", Payload: []byte{9}}
 	enc := f.Encode()
 	PatchDest(enc, 77, 88)

@@ -14,7 +14,7 @@ func TestRelayExtensionRoundTrip(t *testing.T) {
 	f := Frame{
 		Type: TypeRSR, Flags: FlagRelay,
 		DestContext: 1, DestEndpoint: 2, SrcContext: 3,
-		Relay:   RelayExt{TTL: 8, Via: 0x1122334455667788},
+		Ext:     Ext{Relay: RelayExt{TTL: 8, Via: 0x1122334455667788}},
 		Handler: "svc", Payload: []byte{0xAA},
 	}
 	enc := f.Encode()
@@ -49,10 +49,10 @@ func TestRelayExtensionRoundTrip(t *testing.T) {
 	// order.
 	all := Frame{
 		Type: TypeRSR, Flags: FlagTrace | FlagFrag | FlagCredit | FlagRPC | FlagRelay | ClassFlags(ClassControl),
-		Trace: [16]byte{9}, FragID: 4, FragIndex: 1, FragTotal: 3,
-		CreditBytes: 77, CreditFrames: 2,
-		RPC:     RPCExt{Call: 42, Kind: RPCStreamChunk, Aux: 7},
-		Relay:   RelayExt{TTL: 3, Via: 55},
+		Ext: Ext{Trace: [16]byte{9}, FragID: 4, FragIndex: 1, FragTotal: 3,
+			CreditBytes: 77, CreditFrames: 2,
+			RPC:   RPCExt{Call: 42, Kind: RPCStreamChunk, Aux: 7},
+			Relay: RelayExt{TTL: 3, Via: 55}},
 		Handler: "x", Payload: []byte{3},
 	}
 	aenc := all.Encode()
@@ -83,7 +83,7 @@ func TestPatchRelay(t *testing.T) {
 	f := Frame{
 		Type: TypeRSR, Flags: FlagTrace | FlagRelay,
 		DestContext: 7, DestEndpoint: 8, SrcContext: 9,
-		Trace: [16]byte{1}, Relay: RelayExt{TTL: 5, Via: 0},
+		Ext:     Ext{Trace: [16]byte{1}, Relay: RelayExt{TTL: 5, Via: 0}},
 		Handler: "hop", Payload: []byte{1, 2, 3},
 	}
 	enc := f.Encode()
@@ -128,7 +128,7 @@ func TestPatchRelay(t *testing.T) {
 // always stamps a positive budget and relays drop rather than forward at 0.
 func TestDecodeRejectsZeroRelayTTL(t *testing.T) {
 	enc := (&Frame{Type: TypeRSR, Flags: FlagRelay,
-		Relay: RelayExt{TTL: 1, Via: 3}, Handler: "h"}).Encode()
+		Ext: Ext{Relay: RelayExt{TTL: 1, Via: 3}}, Handler: "h"}).Encode()
 	enc[headerFixed+1] = 0
 	if _, err := Decode(enc); !errors.Is(err, ErrBadRelay) {
 		t.Errorf("ttl 0: err = %v, want ErrBadRelay", err)
@@ -137,7 +137,7 @@ func TestDecodeRejectsZeroRelayTTL(t *testing.T) {
 
 func TestDecodeTruncatedRelayExtension(t *testing.T) {
 	enc := (&Frame{Type: TypeRSR, Flags: FlagRelay,
-		Relay: RelayExt{TTL: 2, Via: 5}, Handler: "handler"}).Encode()
+		Ext: Ext{Relay: RelayExt{TTL: 2, Via: 5}}, Handler: "handler"}).Encode()
 	cut := enc[:headerFixed+1+4] // inside the relay extension
 	if _, err := Decode(cut); !errors.Is(err, ErrShortFrame) {
 		t.Errorf("truncated relay ext: err = %v, want ErrShortFrame", err)
@@ -151,20 +151,20 @@ func FuzzDecodeRelayExt(f *testing.F) {
 	for _, ttl := range []byte{1, 2, 8, 255} {
 		f.Add((&Frame{Type: TypeRSR, Flags: FlagRelay,
 			DestContext: 1, DestEndpoint: 2, SrcContext: 3,
-			Relay:   RelayExt{TTL: ttl, Via: uint64(ttl) << 32},
+			Ext:     Ext{Relay: RelayExt{TTL: ttl, Via: uint64(ttl) << 32}},
 			Handler: "relay", Payload: []byte{ttl}}).Encode())
 	}
 	// Relay alongside every other extension, and with class bits.
 	f.Add((&Frame{Type: TypeForward,
 		Flags: FlagTrace | FlagFrag | FlagCredit | FlagRPC | FlagRelay | ClassFlags(ClassBulk),
-		Trace: [16]byte{1}, FragID: 2, FragIndex: 0, FragTotal: 2,
-		CreditBytes: 3, CreditFrames: 4,
-		RPC:     RPCExt{Call: 5, Kind: RPCResponse, Aux: 6},
-		Relay:   RelayExt{TTL: 7, Via: 8},
+		Ext: Ext{Trace: [16]byte{1}, FragID: 2, FragIndex: 0, FragTotal: 2,
+			CreditBytes: 3, CreditFrames: 4,
+			RPC:   RPCExt{Call: 5, Kind: RPCResponse, Aux: 6},
+			Relay: RelayExt{TTL: 7, Via: 8}},
 		Handler: "all", Payload: []byte{9}}).Encode())
 	// Near-miss corruptions: zero TTL, truncation, patched bytes.
 	good := (&Frame{Type: TypeRSR, Flags: FlagRelay,
-		Relay: RelayExt{TTL: 9, Via: 10}, Handler: "g"}).Encode()
+		Ext: Ext{Relay: RelayExt{TTL: 9, Via: 10}}, Handler: "g"}).Encode()
 	zeroTTL := append([]byte(nil), good...)
 	zeroTTL[headerFixed+1] = 0
 	f.Add(zeroTTL)

@@ -14,7 +14,7 @@ func TestRPCExtensionRoundTrip(t *testing.T) {
 	f := Frame{
 		Type: TypeRSR, Flags: FlagRPC,
 		DestContext: 1, DestEndpoint: 2, SrcContext: 3,
-		RPC:     RPCExt{Call: 0x1122334455667788, Kind: RPCRequest, Aux: 0x99},
+		Ext:     Ext{RPC: RPCExt{Call: 0x1122334455667788, Kind: RPCRequest, Aux: 0x99}},
 		Handler: "svc", Payload: []byte{0xAA},
 	}
 	enc := f.Encode()
@@ -51,9 +51,9 @@ func TestRPCExtensionRoundTrip(t *testing.T) {
 	// Every extension at once: trace, frag, credit, then rpc, in flag order.
 	all := Frame{
 		Type: TypeRSR, Flags: FlagTrace | FlagFrag | FlagCredit | FlagRPC | ClassFlags(ClassBulk),
-		Trace: [16]byte{9}, FragID: 4, FragIndex: 1, FragTotal: 3,
-		CreditBytes: 77, CreditFrames: 2,
-		RPC:     RPCExt{Call: 42, Kind: RPCStreamChunk, Aux: 7},
+		Ext: Ext{Trace: [16]byte{9}, FragID: 4, FragIndex: 1, FragTotal: 3,
+			CreditBytes: 77, CreditFrames: 2,
+			RPC: RPCExt{Call: 42, Kind: RPCStreamChunk, Aux: 7}},
 		Handler: "x", Payload: []byte{3},
 	}
 	aenc := all.Encode()
@@ -82,7 +82,7 @@ func TestRPCExtensionRoundTrip(t *testing.T) {
 // undecodable, reserving them for future protocol revisions.
 func TestDecodeRejectsBadRPCKind(t *testing.T) {
 	enc := (&Frame{Type: TypeRSR, Flags: FlagRPC,
-		RPC: RPCExt{Call: 1, Kind: RPCRequest}, Handler: "h"}).Encode()
+		Ext: Ext{RPC: RPCExt{Call: 1, Kind: RPCRequest}}, Handler: "h"}).Encode()
 	kindOff := headerFixed + 1 + 8
 
 	zero := append([]byte(nil), enc...)
@@ -100,7 +100,7 @@ func TestDecodeRejectsBadRPCKind(t *testing.T) {
 
 func TestDecodeTruncatedRPCExtension(t *testing.T) {
 	enc := (&Frame{Type: TypeRSR, Flags: FlagRPC,
-		RPC: RPCExt{Call: 5, Kind: RPCResponse, Aux: 9}, Handler: "handler"}).Encode()
+		Ext: Ext{RPC: RPCExt{Call: 5, Kind: RPCResponse, Aux: 9}}, Handler: "handler"}).Encode()
 	cut := enc[:headerFixed+1+8] // inside the rpc extension
 	if _, err := Decode(cut); !errors.Is(err, ErrShortFrame) {
 		t.Errorf("truncated rpc ext: err = %v, want ErrShortFrame", err)
@@ -115,19 +115,19 @@ func FuzzDecodeRPCExt(f *testing.F) {
 		RPCStreamChunk, RPCStreamEnd, RPCPull, RPCPullData, RPCRequestHandle} {
 		f.Add((&Frame{Type: TypeRSR, Flags: FlagRPC,
 			DestContext: 1, DestEndpoint: 2, SrcContext: 3,
-			RPC:     RPCExt{Call: uint64(kind) << 32, Kind: kind, Aux: 0x0102030405060708},
+			Ext:     Ext{RPC: RPCExt{Call: uint64(kind) << 32, Kind: kind, Aux: 0x0102030405060708}},
 			Handler: "rpc", Payload: []byte{kind}}).Encode())
 	}
 	// RPC alongside every other extension, and with class bits.
 	f.Add((&Frame{Type: TypeRSR,
 		Flags: FlagTrace | FlagFrag | FlagCredit | FlagRPC | ClassFlags(ClassControl),
-		Trace: [16]byte{1}, FragID: 2, FragIndex: 0, FragTotal: 2,
-		CreditBytes: 3, CreditFrames: 4,
-		RPC:     RPCExt{Call: 5, Kind: RPCResponse, Aux: 6},
+		Ext: Ext{Trace: [16]byte{1}, FragID: 2, FragIndex: 0, FragTotal: 2,
+			CreditBytes: 3, CreditFrames: 4,
+			RPC: RPCExt{Call: 5, Kind: RPCResponse, Aux: 6}},
 		Handler: "all", Payload: []byte{9}}).Encode())
 	// Near-miss corruptions: zero kind, future kind, truncation.
 	good := (&Frame{Type: TypeRSR, Flags: FlagRPC,
-		RPC: RPCExt{Call: 7, Kind: RPCRequest, Aux: 8}, Handler: "g"}).Encode()
+		Ext: Ext{RPC: RPCExt{Call: 7, Kind: RPCRequest, Aux: 8}}, Handler: "g"}).Encode()
 	zeroKind := append([]byte(nil), good...)
 	zeroKind[headerFixed+1+8] = 0
 	f.Add(zeroKind)

@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-
 	"strings"
 	"unsafe"
 
@@ -84,15 +83,6 @@ const (
 	// relayExtLen is the size of the relay extension: remaining hop budget
 	// (1) and the context that last forwarded the frame (8).
 	relayExtLen = 1 + 8
-
-	// MaxFrameLen is the largest encoded frame any version can produce:
-	// extended fixed header, maximal handler name, every extension, payload
-	// length prefix, and maximal payload. Stream and datagram transports use
-	// it to clamp corrupt length prefixes; the old per-transport guesswork
-	// (MaxPayload plus a hand-picked slack) undercounted the header and
-	// could kill a connection carrying a legal frame with a maximal handler
-	// name.
-	MaxFrameLen = headerFixed + 1 + traceExtLen + fragExtLen + creditExtLen + rpcExtLen + relayExtLen + MaxHandlerLen + 4 + MaxPayload
 )
 
 // Header extension flags (versionExt frames only).
@@ -143,11 +133,6 @@ const (
 	// loops self-extinguish. It follows the RPC extension (flag-bit order)
 	// and precedes the handler name.
 	FlagRelay = byte(1 << 6)
-
-	// knownFlags is the set of flags this decoder understands. Unknown flags
-	// change the header length, so a frame carrying any is undecodable and
-	// rejected rather than misparsed.
-	knownFlags = FlagTrace | FlagFrag | FlagCredit | ClassMask | FlagRPC | FlagRelay
 )
 
 // RPC extension kinds (RPCExt.Kind). Kind 0 and values beyond RPCMaxKind are
@@ -243,6 +228,30 @@ var (
 	ErrBadRelay   = errors.New("wire: invalid relay extension")
 )
 
+// Ext holds the value of every header extension. An extension's fields are
+// meaningful only while its flag is set in the frame's flags byte: the encoder
+// ignores the rest and the decoder leaves them zero.
+type Ext struct {
+	// Trace is the 16-byte trace/span id of the FlagTrace extension.
+	Trace [16]byte
+	// FragID identifies the logical message a FlagFrag fragment belongs to;
+	// all fragments of one message share it.
+	FragID uint64
+	// FragIndex is this fragment's position in [0, FragTotal).
+	FragIndex uint32
+	// FragTotal is the number of fragments in the logical message (≥ 1).
+	FragTotal uint32
+	// CreditBytes and CreditFrames are the cumulative flow-control totals of
+	// the FlagCredit extension. On a grant they are totals the receiver has
+	// granted; on a probe, totals the sender has debited.
+	CreditBytes  uint64
+	CreditFrames uint64
+	// RPC is the FlagRPC extension.
+	RPC RPCExt
+	// Relay is the FlagRelay extension.
+	Relay RelayExt
+}
+
 // Frame is a decoded message frame.
 type Frame struct {
 	// Type discriminates RSR, forwarded, and control frames.
@@ -258,27 +267,8 @@ type Frame struct {
 	DestEndpoint uint64
 	// SrcContext identifies the sending context.
 	SrcContext uint64
-	// Trace is the 16-byte trace/span id carried by the FlagTrace extension
-	// (all zero when the flag is absent).
-	Trace [16]byte
-	// FragID identifies the logical message a FlagFrag fragment belongs to;
-	// all fragments of one message share it (0 when the flag is absent).
-	FragID uint64
-	// FragIndex is this fragment's position in [0, FragTotal).
-	FragIndex uint32
-	// FragTotal is the number of fragments in the logical message (≥ 1 when
-	// FlagFrag is set).
-	FragTotal uint32
-	// CreditBytes and CreditFrames are the cumulative flow-control totals
-	// carried by the FlagCredit extension (0 when the flag is absent). On a
-	// grant they are totals the receiver has granted; on a probe, totals the
-	// sender has debited.
-	CreditBytes  uint64
-	CreditFrames uint64
-	// RPC carries the FlagRPC extension (zero when the flag is absent).
-	RPC RPCExt
-	// Relay carries the FlagRelay extension (zero when the flag is absent).
-	Relay RelayExt
+	// Ext carries the extensions Flags selects.
+	Ext
 	// Handler names the remote handler to invoke.
 	Handler string
 	// Payload is the encoded argument buffer (see internal/buffer).
@@ -303,6 +293,108 @@ func (f *Frame) HasRelay() bool { return f.Flags&FlagRelay != 0 }
 // Class reports the frame's priority class from its flag bits.
 func (f *Frame) Class() Class { return Class((f.Flags & ClassMask) >> classShift) }
 
+// extensions is the header-extension table: one row per extension, in wire
+// order, which is ascending flag-bit order. Header sizes, extension offsets,
+// the encoder, the decoder, PatchRelay, knownFlags and MaxFrameLen are all
+// derived from it; only Ext.put and Ext.get know what lies inside a row's
+// bytes. (The codecs are switch arms rather than func-valued columns because
+// an *Ext passed through a func value escapes, and DecodeInto's callers keep
+// their Frame on the stack.)
+var extensions = []struct {
+	flag byte
+	size int
+}{
+	{FlagTrace, traceExtLen},
+	{FlagFrag, fragExtLen},
+	{FlagCredit, creditExtLen},
+	{FlagRPC, rpcExtLen},
+	{FlagRelay, relayExtLen},
+}
+
+// put writes the extension flag selects into dst, which holds at least the
+// extension's size.
+func (e *Ext) put(flag byte, dst []byte) {
+	switch flag {
+	case FlagTrace:
+		copy(dst, e.Trace[:])
+	case FlagFrag:
+		binary.BigEndian.PutUint64(dst, e.FragID)
+		binary.BigEndian.PutUint32(dst[8:], e.FragIndex)
+		binary.BigEndian.PutUint32(dst[12:], e.FragTotal)
+	case FlagCredit:
+		binary.BigEndian.PutUint64(dst, e.CreditBytes)
+		binary.BigEndian.PutUint64(dst[8:], e.CreditFrames)
+	case FlagRPC:
+		binary.BigEndian.PutUint64(dst, e.RPC.Call)
+		dst[8] = e.RPC.Kind
+		binary.BigEndian.PutUint64(dst[9:], e.RPC.Aux)
+	case FlagRelay:
+		dst[0] = e.Relay.TTL
+		binary.BigEndian.PutUint64(dst[1:], e.Relay.Via)
+	}
+}
+
+// get reads the extension flag selects from src, which holds at least the
+// extension's size, and validates it.
+func (e *Ext) get(flag byte, src []byte) error {
+	switch flag {
+	case FlagTrace:
+		copy(e.Trace[:], src)
+	case FlagFrag:
+		e.FragID = binary.BigEndian.Uint64(src)
+		e.FragIndex = binary.BigEndian.Uint32(src[8:])
+		e.FragTotal = binary.BigEndian.Uint32(src[12:])
+		// A zero fragment count or an index beyond it can only come from a
+		// corrupt or hostile encoder; reject rather than hand the reassembler
+		// an impossible fragment.
+		if e.FragTotal == 0 || e.FragIndex >= e.FragTotal {
+			return ErrBadFrag
+		}
+	case FlagCredit:
+		e.CreditBytes = binary.BigEndian.Uint64(src)
+		e.CreditFrames = binary.BigEndian.Uint64(src[8:])
+	case FlagRPC:
+		e.RPC.Call = binary.BigEndian.Uint64(src)
+		e.RPC.Kind = src[8]
+		e.RPC.Aux = binary.BigEndian.Uint64(src[9:])
+		// Kind 0 is never encoded and kinds beyond RPCMaxKind belong to
+		// future protocol revisions: reject rather than misinterpret.
+		if e.RPC.Kind == 0 || e.RPC.Kind > RPCMaxKind {
+			return ErrBadRPC
+		}
+	case FlagRelay:
+		e.Relay.TTL = src[0]
+		e.Relay.Via = binary.BigEndian.Uint64(src[1:])
+		// A zero hop budget is never encoded: the originator stamps a
+		// positive TTL and relays drop a frame instead of forwarding it with
+		// TTL 0. Reject rather than let a corrupt frame circulate.
+		if e.Relay.TTL == 0 {
+			return ErrBadRelay
+		}
+	}
+	return nil
+}
+
+// knownFlags is the set of flag bits this decoder understands: the class
+// bits and every extension in the table. Unknown flags change the header
+// length, so a frame carrying any is undecodable and rejected rather than
+// misparsed.
+var knownFlags = func() byte {
+	known := ClassMask
+	for _, x := range extensions {
+		known |= x.flag
+	}
+	return known
+}()
+
+// MaxFrameLen is the largest encoded frame any version can produce: extended
+// fixed header, every extension, maximal handler name, payload length prefix,
+// and maximal payload. Stream and datagram transports use it to clamp corrupt
+// length prefixes; a hand-picked slack over MaxPayload undercounts the header
+// and can kill a connection carrying a legal frame with a maximal handler
+// name.
+var MaxFrameLen = HeaderLenExt(MaxHandlerLen, knownFlags) + MaxPayload
+
 // extLen reports the total length of the extensions selected by flags,
 // including the flags byte itself (0 for a v1 frame with no flags).
 func extLen(flags byte) int {
@@ -310,20 +402,10 @@ func extLen(flags byte) int {
 		return 0
 	}
 	n := 1 // the flags byte
-	if flags&FlagTrace != 0 {
-		n += traceExtLen
-	}
-	if flags&FlagFrag != 0 {
-		n += fragExtLen
-	}
-	if flags&FlagCredit != 0 {
-		n += creditExtLen
-	}
-	if flags&FlagRPC != 0 {
-		n += rpcExtLen
-	}
-	if flags&FlagRelay != 0 {
-		n += relayExtLen
+	for _, x := range extensions {
+		if flags&x.flag != 0 {
+			n += x.size
+		}
 	}
 	return n
 }
@@ -367,24 +449,6 @@ func EncodeHeader(dst []byte, typ byte, destCtx, destEP, srcCtx uint64, handler 
 	return n + 4
 }
 
-// Ext carries the values of the header extensions selected by a frame's
-// flags byte. Fields for absent extensions are ignored by the encoder.
-type Ext struct {
-	// Trace fills the FlagTrace extension.
-	Trace [16]byte
-	// FragID, FragIndex, and FragTotal fill the FlagFrag extension.
-	FragID    uint64
-	FragIndex uint32
-	FragTotal uint32
-	// CreditBytes and CreditFrames fill the FlagCredit extension.
-	CreditBytes  uint64
-	CreditFrames uint64
-	// RPC fills the FlagRPC extension.
-	RPC RPCExt
-	// Relay fills the FlagRelay extension.
-	Relay RelayExt
-}
-
 // EncodeHeaderExt is EncodeHeader for a frame carrying header extensions:
 // flags selects the extensions, ext supplies their values. dst must have
 // length at least HeaderLenExt(len(handler), flags). With flags == 0 it
@@ -403,30 +467,11 @@ func EncodeHeaderExt(dst []byte, typ, flags byte, destCtx, destEP, srcCtx uint64
 	binary.BigEndian.PutUint64(dst[20:], srcCtx)
 	binary.BigEndian.PutUint16(dst[28:], uint16(len(handler)))
 	n := headerFixed + 1
-	if flags&FlagTrace != 0 {
-		n += copy(dst[n:], ext.Trace[:])
-	}
-	if flags&FlagFrag != 0 {
-		binary.BigEndian.PutUint64(dst[n:], ext.FragID)
-		binary.BigEndian.PutUint32(dst[n+8:], ext.FragIndex)
-		binary.BigEndian.PutUint32(dst[n+12:], ext.FragTotal)
-		n += fragExtLen
-	}
-	if flags&FlagCredit != 0 {
-		binary.BigEndian.PutUint64(dst[n:], ext.CreditBytes)
-		binary.BigEndian.PutUint64(dst[n+8:], ext.CreditFrames)
-		n += creditExtLen
-	}
-	if flags&FlagRPC != 0 {
-		binary.BigEndian.PutUint64(dst[n:], ext.RPC.Call)
-		dst[n+8] = ext.RPC.Kind
-		binary.BigEndian.PutUint64(dst[n+9:], ext.RPC.Aux)
-		n += rpcExtLen
-	}
-	if flags&FlagRelay != 0 {
-		dst[n] = ext.Relay.TTL
-		binary.BigEndian.PutUint64(dst[n+1:], ext.Relay.Via)
-		n += relayExtLen
+	for _, x := range extensions {
+		if flags&x.flag != 0 {
+			ext.put(x.flag, dst[n:])
+			n += x.size
+		}
 	}
 	n += copy(dst[n:], handler)
 	binary.BigEndian.PutUint32(dst[n:], uint32(payloadLen))
@@ -464,24 +509,20 @@ func PatchRelay(dst []byte, ttl byte, via uint64) bool {
 		return false
 	}
 	n := headerFixed + 1
-	if flags&FlagTrace != 0 {
-		n += traceExtLen
+	for _, x := range extensions {
+		if x.flag == FlagRelay {
+			if len(dst) < n+x.size {
+				return false
+			}
+			e := Ext{Relay: RelayExt{TTL: ttl, Via: via}}
+			e.put(x.flag, dst[n:])
+			return true
+		}
+		if flags&x.flag != 0 {
+			n += x.size
+		}
 	}
-	if flags&FlagFrag != 0 {
-		n += fragExtLen
-	}
-	if flags&FlagCredit != 0 {
-		n += creditExtLen
-	}
-	if flags&FlagRPC != 0 {
-		n += rpcExtLen
-	}
-	if len(dst) < n+relayExtLen {
-		return false
-	}
-	dst[n] = ttl
-	binary.BigEndian.PutUint64(dst[n+1:], via)
-	return true
+	return false
 }
 
 // Encode serializes the frame.
@@ -496,10 +537,7 @@ func (f *Frame) Encode() []byte {
 // encodes as wire version 1; any flag selects the extended header.
 func (f *Frame) EncodeTo(dst []byte) int {
 	n := EncodeHeaderExt(dst, f.Type, f.Flags,
-		f.DestContext, f.DestEndpoint, f.SrcContext,
-		Ext{Trace: f.Trace, FragID: f.FragID, FragIndex: f.FragIndex, FragTotal: f.FragTotal,
-			CreditBytes: f.CreditBytes, CreditFrames: f.CreditFrames, RPC: f.RPC, Relay: f.Relay},
-		f.Handler, len(f.Payload))
+		f.DestContext, f.DestEndpoint, f.SrcContext, f.Ext, f.Handler, len(f.Payload))
 	n += copy(dst[n:], f.Payload)
 	return n
 }
@@ -532,11 +570,7 @@ func DecodeInto(f *Frame, p []byte) error {
 		// v1 layout, unchanged since the first release: frames from old
 		// encoders decode here byte-for-byte as they always did.
 		f.Flags = 0
-		f.Trace = [16]byte{}
-		f.FragID, f.FragIndex, f.FragTotal = 0, 0, 0
-		f.CreditBytes, f.CreditFrames = 0, 0
-		f.RPC = RPCExt{}
-		f.Relay = RelayExt{}
+		f.Ext = Ext{}
 		f.Type = p[2]
 		f.DestContext = binary.BigEndian.Uint64(p[3:])
 		f.DestEndpoint = binary.BigEndian.Uint64(p[11:])
@@ -566,73 +600,18 @@ func DecodeInto(f *Frame, p []byte) error {
 		f.SrcContext = binary.BigEndian.Uint64(p[20:])
 		hl = int(binary.BigEndian.Uint16(p[28:]))
 		n = headerFixed + 1
-		if flags&FlagTrace != 0 {
-			if len(p) < n+traceExtLen+4 {
+		f.Ext = Ext{}
+		for _, x := range extensions {
+			if flags&x.flag == 0 {
+				continue
+			}
+			if len(p) < n+x.size+4 {
 				return ErrShortFrame
 			}
-			copy(f.Trace[:], p[n:n+traceExtLen])
-			n += traceExtLen
-		} else {
-			f.Trace = [16]byte{}
-		}
-		if flags&FlagFrag != 0 {
-			if len(p) < n+fragExtLen+4 {
-				return ErrShortFrame
+			if err := f.Ext.get(x.flag, p[n:]); err != nil {
+				return err
 			}
-			f.FragID = binary.BigEndian.Uint64(p[n:])
-			f.FragIndex = binary.BigEndian.Uint32(p[n+8:])
-			f.FragTotal = binary.BigEndian.Uint32(p[n+12:])
-			// A zero fragment count or an index beyond it can only come from
-			// a corrupt or hostile encoder; reject rather than hand the
-			// reassembler an impossible fragment.
-			if f.FragTotal == 0 || f.FragIndex >= f.FragTotal {
-				return ErrBadFrag
-			}
-			n += fragExtLen
-		} else {
-			f.FragID, f.FragIndex, f.FragTotal = 0, 0, 0
-		}
-		if flags&FlagCredit != 0 {
-			if len(p) < n+creditExtLen+4 {
-				return ErrShortFrame
-			}
-			f.CreditBytes = binary.BigEndian.Uint64(p[n:])
-			f.CreditFrames = binary.BigEndian.Uint64(p[n+8:])
-			n += creditExtLen
-		} else {
-			f.CreditBytes, f.CreditFrames = 0, 0
-		}
-		if flags&FlagRPC != 0 {
-			if len(p) < n+rpcExtLen+4 {
-				return ErrShortFrame
-			}
-			f.RPC.Call = binary.BigEndian.Uint64(p[n:])
-			f.RPC.Kind = p[n+8]
-			f.RPC.Aux = binary.BigEndian.Uint64(p[n+9:])
-			// Kind 0 is never encoded and kinds beyond RPCMaxKind belong to
-			// future protocol revisions: reject rather than misinterpret.
-			if f.RPC.Kind == 0 || f.RPC.Kind > RPCMaxKind {
-				return ErrBadRPC
-			}
-			n += rpcExtLen
-		} else {
-			f.RPC = RPCExt{}
-		}
-		if flags&FlagRelay != 0 {
-			if len(p) < n+relayExtLen+4 {
-				return ErrShortFrame
-			}
-			f.Relay.TTL = p[n]
-			f.Relay.Via = binary.BigEndian.Uint64(p[n+1:])
-			// A zero hop budget is never encoded: the originator stamps a
-			// positive TTL and relays drop a frame instead of forwarding it
-			// with TTL 0. Reject rather than let a corrupt frame circulate.
-			if f.Relay.TTL == 0 {
-				return ErrBadRelay
-			}
-			n += relayExtLen
-		} else {
-			f.Relay = RelayExt{}
+			n += x.size
 		}
 	default:
 		return ErrBadVersion
@@ -658,21 +637,6 @@ func DecodeInto(f *Frame, p []byte) error {
 		return fmt.Errorf("wire: %d trailing bytes after frame", len(p)-n-pl)
 	}
 	return nil
-}
-
-// WriteFrame writes a length-prefixed encoded frame to a stream transport as
-// a single Write call (two writes per frame means two syscalls — and, on a
-// socket without TCP_NODELAY, risks a header-only segment).
-func WriteFrame(w io.Writer, encoded []byte) error {
-	if len(encoded) > MaxFrameLen {
-		return ErrOversize
-	}
-	buf := bufpool.Get(4 + len(encoded))
-	binary.BigEndian.PutUint32(buf, uint32(len(encoded)))
-	copy(buf[4:], encoded)
-	_, err := w.Write(buf)
-	bufpool.Put(buf)
-	return err
 }
 
 // ReadFrame reads one length-prefixed encoded frame from a stream transport.

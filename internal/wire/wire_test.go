@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"testing"
@@ -95,6 +96,12 @@ func TestPropertyRoundTrip(t *testing.T) {
 	}
 }
 
+// prefixed returns encoded behind the 4-byte big-endian length prefix stream
+// transports put before every frame.
+func prefixed(encoded []byte) []byte {
+	return append(binary.BigEndian.AppendUint32(nil, uint32(len(encoded))), encoded...)
+}
+
 func TestStreamWriteRead(t *testing.T) {
 	var buf bytes.Buffer
 	frames := [][]byte{
@@ -103,9 +110,7 @@ func TestStreamWriteRead(t *testing.T) {
 		(&Frame{Type: TypeRSR, Handler: "h", Payload: bytes.Repeat([]byte{7}, 1000)}).Encode(),
 	}
 	for _, f := range frames {
-		if err := WriteFrame(&buf, f); err != nil {
-			t.Fatal(err)
-		}
+		buf.Write(prefixed(f))
 	}
 	sr := NewStreamReader(&buf)
 	for i, want := range frames {
@@ -123,11 +128,7 @@ func TestStreamWriteRead(t *testing.T) {
 }
 
 func TestReadFrameTruncatedStream(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, sample().Encode()); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
+	data := prefixed(sample().Encode())
 	// Cut mid-frame: ReadFrame must report an unexpected EOF, not hang or
 	// return a partial frame.
 	for _, cut := range []int{2, 4, 10, len(data) - 1} {
@@ -155,24 +156,5 @@ func TestEncodeToReuse(t *testing.T) {
 	}
 	if !bytes.Equal(dst, f.Encode()) {
 		t.Error("EncodeTo differs from Encode")
-	}
-}
-
-func BenchmarkEncode(b *testing.B) {
-	f := sample()
-	dst := make([]byte, f.EncodedLen())
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		f.EncodeTo(dst)
-	}
-}
-
-func BenchmarkDecode(b *testing.B) {
-	enc := sample().Encode()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := Decode(enc); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

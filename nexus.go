@@ -84,24 +84,15 @@ type (
 	Selector = core.Selector
 	// MethodInfo is the per-method enquiry record.
 	MethodInfo = core.MethodInfo
-	// HealthConfig tunes the per-context link health registry.
-	HealthConfig = core.HealthConfig
 	// HealthInfo is one (method, peer) circuit's state in a health snapshot.
 	HealthInfo = core.HealthInfo
 	// CircuitState is a health circuit's position in the breaker state
 	// machine.
 	CircuitState = core.CircuitState
 	// DispatchConfig tunes the threaded dispatch engine (worker lanes,
-	// queue depth, backpressure policy).
+	// queue depth).
 	DispatchConfig = core.DispatchConfig
-	// DispatchPolicy selects what a full dispatch lane does with a frame.
-	DispatchPolicy = core.DispatchPolicy
-	// FragConfig tunes the receive-side bulk-message reassembler
-	// (Options.Frag): partial-message TTL and buffering budgets.
-	FragConfig = core.FragConfig
-	// FlowConfig enables and tunes credit-based per-link flow control
-	// (Options.Flow): receiver-advertised byte/frame windows, the sender's
-	// bounded wait for credit, and the idle-link probe interval.
+	// FlowConfig enables credit-based per-link flow control (Options.Flow).
 	FlowConfig = core.FlowConfig
 	// Class is an RSR's priority class, carried in the wire header and used
 	// by the dispatch lanes and the load-shedding policy (Startpoint.SetClass).
@@ -185,16 +176,6 @@ const (
 	CircuitClosed   = core.CircuitClosed
 	CircuitOpen     = core.CircuitOpen
 	CircuitHalfOpen = core.CircuitHalfOpen
-)
-
-// Dispatch backpressure policies for threaded contexts.
-const (
-	// DispatchBlock blocks the delivering poller while a lane is full,
-	// preserving per-endpoint FIFO order (the default).
-	DispatchBlock = core.DispatchBlock
-	// DispatchInline runs an overflowing frame's handler on the delivering
-	// goroutine instead, trading per-endpoint ordering for poller progress.
-	DispatchInline = core.DispatchInline
 )
 
 // RSR priority classes. Control preempts normal traffic on send queues and
