@@ -457,7 +457,7 @@ func (c *Context) enableMethod(reg *transport.Registry, mc MethodConfig) error {
 		frames:   c.stats.Counter("frames." + mc.Name),
 		pollErrs: c.stats.Counter("poll.errors." + mc.Name),
 		lat:      &obsv.StageSet{},
-		maxMsg:   wire.MaxFrameLen,
+		maxMsg:   wire.MaxFrameLen(),
 	}
 	if sl, ok := mod.(transport.SizeLimiter); ok {
 		if n := sl.MaxMessage(); n > 0 && n < ms.maxMsg {

@@ -49,7 +49,9 @@ type FlowConfig struct {
 	Enabled bool
 
 	// Every caller runs with defaultFlow's window and probe interval; the
-	// fields exist so this package's overload tests can shrink them.
+	// fields exist so this package's overload tests can shrink them. A
+	// config that sets any of them is used whole, zeros included, so such a
+	// test copies defaultFlow and overrides.
 
 	// windowBytes is the per-(peer, method) byte window this context
 	// advertises to senders. A peer can have at most this many bytes (plus

@@ -49,7 +49,9 @@ func (s CircuitState) String() string {
 }
 
 // healthConfig holds the health registry's thresholds and backoffs. Every
-// context outside this package's tests runs with defaultHealth.
+// context outside this package's tests runs with defaultHealth; a test copies
+// it and overrides, because any non-zero config is used whole, zeros included
+// (a zero backoffJitter has to mean "none").
 type healthConfig struct {
 	// failureThreshold is how many consecutive send failures open a
 	// (method, peer) circuit.

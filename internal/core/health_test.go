@@ -9,17 +9,18 @@ import (
 	"nexus/internal/transport"
 )
 
-// fastHealth is a deterministic registry config for tests: low thresholds,
-// short backoffs, no jitter.
+// fastHealth is a deterministic registry config for tests: defaultHealth with
+// a lower poll threshold, short backoffs and no jitter. A config is used
+// whole (only the all-zero one selects the defaults), so start from
+// defaultHealth and override.
 func fastHealth() healthConfig {
-	return healthConfig{
-		failureThreshold:     2,
-		backoffBase:          20 * time.Millisecond,
-		backoffMax:           100 * time.Millisecond,
-		backoffJitter:        0, // disabled
-		probeTimeout:         200 * time.Millisecond,
-		pollFailureThreshold: 3,
-	}
+	cfg := defaultHealth
+	cfg.backoffBase = 20 * time.Millisecond
+	cfg.backoffMax = 100 * time.Millisecond
+	cfg.backoffJitter = 0 // disabled
+	cfg.probeTimeout = 200 * time.Millisecond
+	cfg.pollFailureThreshold = 3
+	return cfg
 }
 
 func TestHealthConfigDefaults(t *testing.T) {

@@ -209,7 +209,7 @@ func (l *link) bindLocked(c *Context, desc transport.Descriptor, gen uint64, tid
 		method: desc.Method,
 		conn:   sc,
 		lat:    c.stageSetFor(desc.Method),
-		maxMsg: wire.MaxFrameLen,
+		maxMsg: wire.MaxFrameLen(),
 		relay:  relayHop(desc) != 0,
 	}
 	if ms := c.moduleFor(desc.Method); ms != nil && ms.maxMsg < b.maxMsg {

@@ -53,12 +53,10 @@ func newOverloadRig(tb testing.TB, tag string, nSenders int, spinFor time.Durati
 		return []MethodConfig{{Name: "mpl", Params: transport.Params{
 			"fabric": tag, "poll_cost": "1us", "latency": "0", "bandwidth": "0"}}}
 	}
-	fc := FlowConfig{
-		Enabled:       true,
-		windowBytes:   32 << 10,
-		windowFrames:  32,
-		probeInterval: 2 * time.Millisecond,
-	}
+	fc := defaultFlow // used whole: override fields, never build a partial literal
+	fc.windowBytes = 32 << 10
+	fc.windowFrames = 32
+	fc.probeInterval = 2 * time.Millisecond
 	recv, err := NewContext(Options{
 		Partition: "p0",
 		Methods:   methods(),

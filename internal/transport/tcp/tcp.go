@@ -317,7 +317,7 @@ func (m *Module) DetachReactor() {
 
 // MaxMessage implements transport.SizeLimiter: a stream carries any legal
 // wire frame, so the only bound is the wire format's own.
-func (m *Module) MaxMessage() int { return wire.MaxFrameLen }
+func (m *Module) MaxMessage() int { return wire.MaxFrameLen() }
 
 // TransportStats implements transport.StatsReporter: the bytes currently
 // queued behind in-flight writes across all outbound connections — the
@@ -533,7 +533,7 @@ func (ic *inConn) extract(sink transport.Sink) int {
 		}
 		b := ic.buf[consumed:]
 		size := int(uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3]))
-		if size > wire.MaxFrameLen {
+		if size > wire.MaxFrameLen() {
 			// The old clamp (MaxPayload plus hand-picked slack) undercounted
 			// the header and killed connections carrying legal frames with
 			// maximal handler names; MaxFrameLen accounts for every header
@@ -612,7 +612,7 @@ func newOutConn(c net.Conn, maxPending int) *outConn {
 }
 
 func (oc *outConn) Send(frame []byte) error {
-	if len(frame) > wire.MaxFrameLen {
+	if len(frame) > wire.MaxFrameLen() {
 		// A caller error, not a socket error: the connection stays usable.
 		return fmt.Errorf("tcp: frame of %d bytes exceeds wire.MaxFrameLen: %w",
 			len(frame), transport.ErrTooLarge)

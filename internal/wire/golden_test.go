@@ -143,11 +143,11 @@ func TestTableSums(t *testing.T) {
 	if knownFlags != known {
 		t.Errorf("knownFlags = %#02x, table says %#02x", knownFlags, known)
 	}
-	if want := headerFixed + 1 + total + MaxHandlerLen + 4 + MaxPayload; MaxFrameLen != want {
-		t.Errorf("MaxFrameLen = %d, table says %d", MaxFrameLen, want)
+	if want := headerFixed + 1 + total + MaxHandlerLen + 4 + MaxPayload; MaxFrameLen() != want {
+		t.Errorf("MaxFrameLen() = %d, table says %d", MaxFrameLen(), want)
 	}
 	all := goldenFrame(knownFlags &^ ClassMask)
-	if got, want := len(all.Encode()), MaxFrameLen-MaxHandlerLen-MaxPayload+len(all.Handler)+len(all.Payload); got != want {
-		t.Errorf("frame with every extension is %d bytes, MaxFrameLen implies %d", got, want)
+	if got, want := len(all.Encode()), MaxFrameLen()-MaxHandlerLen-MaxPayload+len(all.Handler)+len(all.Payload); got != want {
+		t.Errorf("frame with every extension is %d bytes, MaxFrameLen() implies %d", got, want)
 	}
 }

@@ -329,9 +329,15 @@ func (e *Ext) put(flag byte, dst []byte) {
 		dst[8] = e.RPC.Kind
 		binary.BigEndian.PutUint64(dst[9:], e.RPC.Aux)
 	case FlagRelay:
-		dst[0] = e.Relay.TTL
-		binary.BigEndian.PutUint64(dst[1:], e.Relay.Via)
+		putRelay(dst, e.Relay.TTL, e.Relay.Via)
 	}
+}
+
+// putRelay lays out the relay extension, for put and for PatchRelay, which
+// rewrites it on every forwarded frame and has no Ext to hand.
+func putRelay(dst []byte, ttl byte, via uint64) {
+	dst[0] = ttl
+	binary.BigEndian.PutUint64(dst[1:], via)
 }
 
 // get reads the extension flag selects from src, which holds at least the
@@ -393,7 +399,9 @@ var knownFlags = func() byte {
 // length prefixes; a hand-picked slack over MaxPayload undercounts the header
 // and can kill a connection carrying a legal frame with a maximal handler
 // name.
-var MaxFrameLen = HeaderLenExt(MaxHandlerLen, knownFlags) + MaxPayload
+func MaxFrameLen() int { return maxFrameLen }
+
+var maxFrameLen = HeaderLenExt(MaxHandlerLen, knownFlags) + MaxPayload
 
 // extLen reports the total length of the extensions selected by flags,
 // including the flags byte itself (0 for a v1 frame with no flags).
@@ -514,8 +522,7 @@ func PatchRelay(dst []byte, ttl byte, via uint64) bool {
 			if len(dst) < n+x.size {
 				return false
 			}
-			e := Ext{Relay: RelayExt{TTL: ttl, Via: via}}
-			e.put(x.flag, dst[n:])
+			putRelay(dst[n:], ttl, via)
 			return true
 		}
 		if flags&x.flag != 0 {
@@ -565,12 +572,12 @@ func DecodeInto(f *Frame, p []byte) error {
 		return ErrBadMagic
 	}
 	var n, hl int
+	f.Ext = Ext{}
 	switch p[1] {
 	case version:
 		// v1 layout, unchanged since the first release: frames from old
 		// encoders decode here byte-for-byte as they always did.
 		f.Flags = 0
-		f.Ext = Ext{}
 		f.Type = p[2]
 		f.DestContext = binary.BigEndian.Uint64(p[3:])
 		f.DestEndpoint = binary.BigEndian.Uint64(p[11:])
@@ -600,7 +607,6 @@ func DecodeInto(f *Frame, p []byte) error {
 		f.SrcContext = binary.BigEndian.Uint64(p[20:])
 		hl = int(binary.BigEndian.Uint16(p[28:]))
 		n = headerFixed + 1
-		f.Ext = Ext{}
 		for _, x := range extensions {
 			if flags&x.flag == 0 {
 				continue
@@ -650,7 +656,7 @@ func ReadFrame(r io.Reader) ([]byte, error) {
 		return nil, err
 	}
 	n := int(binary.BigEndian.Uint32(hdr[:]))
-	if n > MaxFrameLen {
+	if n > maxFrameLen {
 		return nil, ErrOversize
 	}
 	p := bufpool.Get(n)
