@@ -29,22 +29,6 @@ import (
 // "no frame reaches a stale handler after UnregisterHandler returns" true
 // under full concurrency.
 
-// dispatchPolicy selects what the dispatch engine does with an inbound frame
-// whose lane queue is full.
-type dispatchPolicy int
-
-const (
-	// dispatchBlock applies backpressure: the delivering poller blocks until
-	// the lane has room (or the context closes). Per-endpoint FIFO ordering
-	// is preserved. This is the default.
-	dispatchBlock dispatchPolicy = iota
-	// dispatchInline runs the overflowing frame's handler inline on the
-	// delivering goroutine instead of blocking it. Detection keeps running
-	// at full speed under overload, at the cost of per-endpoint ordering:
-	// the inline frame can overtake frames still queued in its lane.
-	dispatchInline
-)
-
 // DispatchConfig tunes the threaded dispatch engine. The zero value selects
 // defaults; it is ignored unless Options.Threaded is set.
 type DispatchConfig struct {
@@ -52,12 +36,10 @@ type DispatchConfig struct {
 	// hashed to a lane by destination endpoint id, so deliveries to one
 	// endpoint are FIFO while different endpoints run in parallel.
 	Lanes int
-	// QueueDepth is each lane's bounded queue capacity (default 256).
+	// QueueDepth is each lane's bounded queue capacity (default 256). A full
+	// lane applies backpressure: the delivering poller blocks until the lane
+	// has room (or the context closes), so per-endpoint FIFO order holds.
 	QueueDepth int
-	// onFull selects the backpressure policy when a lane queue is full.
-	// Every caller runs dispatchBlock; the field exists so this package's
-	// tests can exercise dispatchInline.
-	onFull dispatchPolicy
 }
 
 func (c DispatchConfig) withDefaults() DispatchConfig {
@@ -145,10 +127,8 @@ type dispatcher struct {
 	queueCap int
 	hiWater  int // bulk admission mark: at/above this depth, over-share senders' ClassBulk is shed
 	stopOnce sync.Once
-	onFull   dispatchPolicy
 
 	cFull     *metrics.Counter // dispatch.queue_full: lane-full events
-	cInline   *metrics.Counter // dispatch.inline: frames run inline under overload
 	cShedBulk *metrics.Counter // rsr.shed.bulk: ClassBulk frames dropped at admission
 	depth     *metrics.Gauge   // dispatch.lane.depth: frames queued across all lanes
 }
@@ -165,9 +145,7 @@ func newDispatcher(c *Context, cfg DispatchConfig) *dispatcher {
 		ctl:       newLaneShard(),
 		queueCap:  cfg.QueueDepth,
 		hiWater:   hi,
-		onFull:    cfg.onFull,
 		cFull:     c.stats.Counter("dispatch.queue_full"),
-		cInline:   c.stats.Counter("dispatch.inline"),
 		cShedBulk: c.stats.Counter("rsr.shed.bulk"),
 		depth:     c.stats.Gauge("dispatch.lane.depth"),
 	}
@@ -205,8 +183,8 @@ func (d *dispatcher) enqueue(ms *moduleState, f *wire.Frame, frame []byte) {
 // for the depth, and the sender learns about it through the credit window
 // closing rather than through silence. A global mark alone would shed by
 // arrival accident — whoever filled the lane first keeps it pinned at high
-// water and every later sender is dropped on sight. ClassNormal frames keep
-// the configured onFull policy.
+// water and every later sender is dropped on sight. ClassNormal frames wait
+// for room.
 func (d *dispatcher) enqueueOwned(ms *moduleState, f *wire.Frame, buf []byte) {
 	it := laneItem{buf: buf, ms: ms, src: f.SrcContext}
 	if d.ctx.obs.mode.Load()&obsStats != 0 {
@@ -227,13 +205,6 @@ func (d *dispatcher) enqueueOwned(ms *moduleState, f *wire.Frame, buf []byte) {
 	if ln.size >= d.queueCap && !ln.closed {
 		if cls != wire.ClassControl {
 			d.cFull.Inc()
-			if d.onFull == dispatchInline {
-				d.cInline.Inc()
-				ln.mu.Unlock()
-				d.ctx.deliverItem(it)
-				bufpool.Put(buf)
-				return
-			}
 		}
 		for ln.size >= d.queueCap && !ln.closed {
 			ln.notFull.Wait()

@@ -284,14 +284,13 @@ func TestConcurrentRegistration(t *testing.T) {
 	}
 }
 
-// TestDispatchInlinePolicy exercises the dispatchInline overflow policy: with
-// a single blocked lane of depth 1, the third frame runs inline on the
-// dispatching goroutine — overtaking the queued second frame — and the
-// overflow counters record it.
-func TestDispatchInlinePolicy(t *testing.T) {
+// TestDispatchBlocksWhenLaneFull: with a single blocked lane of depth 1, the
+// third frame's dispatch waits for room instead of overtaking the queued
+// second frame, and the overflow is counted once.
+func TestDispatchBlocksWhenLaneFull(t *testing.T) {
 	c, err := NewContext(Options{
 		Threaded: true,
-		Dispatch: DispatchConfig{Lanes: 1, QueueDepth: 1, onFull: dispatchInline},
+		Dispatch: DispatchConfig{Lanes: 1, QueueDepth: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -300,17 +299,12 @@ func TestDispatchInlinePolicy(t *testing.T) {
 
 	entered := make(chan int64, 8)
 	release := make(chan struct{})
-	var order []int64
-	var mu sync.Mutex
 	ep := c.NewEndpoint(WithHandler(func(_ *Endpoint, b *buffer.Buffer) {
 		v := b.Int64()
 		entered <- v
 		if v == 1 {
 			<-release
 		}
-		mu.Lock()
-		order = append(order, v)
-		mu.Unlock()
 	}))
 	f := func(v int64) []byte { return encodeRSR(t, c.ID(), ep.ID(), "", v) }
 
@@ -319,34 +313,34 @@ func TestDispatchInlinePolicy(t *testing.T) {
 		t.Fatalf("first handler saw %d", got)
 	}
 	c.dispatch(nil, f(2)) // fills the depth-1 queue
-	c.dispatch(nil, f(3)) // queue full: runs inline, right here, before 2
-	mu.Lock()
-	gotInline := len(order) == 1 && order[0] == 3
-	mu.Unlock()
-	if !gotInline {
-		t.Fatalf("frame 3 did not run inline; order so far = %v", order)
-	}
-	close(release)
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		mu.Lock()
-		n := len(order)
-		mu.Unlock()
-		if n == 3 || time.Now().After(deadline) {
-			break
+	third := make(chan struct{})
+	go func() {
+		defer close(third)
+		c.dispatch(nil, f(3)) // queue full: blocks until the worker takes 2
+	}()
+	full := c.stats.Counter("dispatch.queue_full")
+	for deadline := time.Now().Add(5 * time.Second); full.Load() == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("third dispatch never found the lane full")
 		}
 		time.Sleep(time.Millisecond)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(order) != 3 || order[1] != 1 || order[2] != 2 {
-		t.Errorf("delivery order = %v, want [3 1 2]", order)
+	select {
+	case <-third:
+		t.Fatal("dispatch into a full lane returned before the lane had room")
+	case v := <-entered:
+		t.Fatalf("frame %d ran while frame 1 still held the lane", v)
+	default:
 	}
-	if got := c.stats.Counter("dispatch.queue_full").Load(); got != 1 {
+	close(release)
+	<-third
+	for want := int64(2); want <= 3; want++ {
+		if got := <-entered; got != want {
+			t.Fatalf("delivery order broken: got frame %d, want %d", got, want)
+		}
+	}
+	if got := full.Load(); got != 1 {
 		t.Errorf("dispatch.queue_full = %d, want 1", got)
-	}
-	if got := c.stats.Counter("dispatch.inline").Load(); got != 1 {
-		t.Errorf("dispatch.inline = %d, want 1", got)
 	}
 }
 

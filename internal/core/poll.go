@@ -46,7 +46,16 @@ func (c *Context) tryPoll() int {
 // notification instead (milliseconds when pollers monopolize a busy CPU).
 // The cost of oversizing is only a bounded tail of cheap empty probes after
 // traffic stops.
+//
+// The window is also how this loop keeps the poller's half of the
+// transport.Reactive contract: after an edge or a non-zero Poll the module is
+// probed until reactiveHotPasses consecutive probes came up empty, which
+// covers the transport.ParkPolls the contract asks for (asserted below) — so
+// a module may stop a Poll at its per-pass bound, and shm is armed long
+// before its fd rejoins the kernel watch set.
 const reactiveHotPasses = 4096
+
+const _ = uint(reactiveHotPasses - transport.ParkPolls) // compile-time: reactiveHotPasses >= ParkPolls
 
 // reactiveColdProbe bounds notification latency for a cold module: even with
 // no readiness edge it is probed directly on every reactiveColdProbe-th

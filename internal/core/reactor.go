@@ -70,16 +70,23 @@ type moduleReadiness struct {
 
 func (r *moduleReadiness) notify() { atomicOr(&r.c.ready, r.ms.readyBit) }
 
+// watch puts fd into the kernel watch set. On failure the socket stays usable
+// but is seen only by the cold probe, so the failure is counted and logged
+// here, whatever the caller does with the returned error.
+func (r *moduleReadiness) watch(fd int) error {
+	err := r.c.rx.Add(fd, r.notify)
+	if err != nil {
+		r.c.stats.Counter("reactor.add_failed").Inc()
+		r.c.errlog(fmt.Errorf("core: context %d: watching %s fd %d: %w", r.c.id, r.ms.name, fd, err))
+	}
+	return err
+}
+
 func (r *moduleReadiness) Add(fd int) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if !r.suspended {
-		if err := r.c.rx.Add(fd, r.notify); err != nil {
-			// The socket stays usable but is seen only by the cold probe, so
-			// the failure must not pass silently whatever the module does
-			// with the returned error.
-			r.c.stats.Counter("reactor.add_failed").Inc()
-			r.c.errlog(fmt.Errorf("core: context %d: watching %s fd %d: %w", r.c.id, r.ms.name, fd, err))
+		if err := r.watch(fd); err != nil {
 			return err
 		}
 	}
@@ -111,8 +118,8 @@ func (r *moduleReadiness) suspend() {
 }
 
 // resume re-registers the module's fds when its hot-poll window decays. An
-// fd that went bad while suspended is dropped (its connection is dying
-// anyway and will be removed by the module).
+// fd the kernel refuses is dropped from the set, counted and logged like any
+// other failed registration.
 func (r *moduleReadiness) resume() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -121,7 +128,7 @@ func (r *moduleReadiness) resume() {
 	}
 	r.suspended = false
 	for fd := range r.fds {
-		if err := r.c.rx.Add(fd, r.notify); err != nil {
+		if r.watch(fd) != nil {
 			delete(r.fds, fd)
 		}
 	}

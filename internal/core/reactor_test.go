@@ -298,7 +298,9 @@ func TestReactorPollCostEstimate(t *testing.T) {
 
 // TestReactorAddFailureIsCounted: a failed epoll registration leaves the
 // socket to the cold probe alone, so it must be counted and logged even when
-// the module that asked ignores the error.
+// the module that asked ignores the error — and equally when it is the
+// re-registration at the end of a hot window that fails, where there is no
+// caller to return an error to.
 func TestReactorAddFailureIsCounted(t *testing.T) {
 	var logged []error
 	ctx, err := NewContext(Options{
@@ -316,7 +318,8 @@ func TestReactorAddFailureIsCounted(t *testing.T) {
 	// closed; the number of a pipe closed a moment ago could be handed to a
 	// socket the context's own goroutines open in between.
 	const closedFD = 1 << 30
-	if err := ctx.moduleFor("tcp").rd.Add(closedFD); err == nil {
+	rd := ctx.moduleFor("tcp").rd
+	if err := rd.Add(closedFD); err == nil {
 		t.Fatal("Add of a closed fd succeeded")
 	}
 	if got := ctx.Stats().Get("reactor.add_failed"); got != 1 {
@@ -324,5 +327,24 @@ func TestReactorAddFailureIsCounted(t *testing.T) {
 	}
 	if len(logged) != 1 || !strings.Contains(logged[0].Error(), "watching tcp fd") {
 		t.Errorf("ErrorLog got %v, want one registration failure", logged)
+	}
+
+	// While suspended an Add only joins the set; the kernel sees it on resume.
+	rd.suspend()
+	if err := rd.Add(closedFD); err != nil {
+		t.Fatalf("Add while suspended: %v", err)
+	}
+	rd.resume()
+	if got := ctx.Stats().Get("reactor.add_failed"); got != 2 {
+		t.Errorf("reactor.add_failed = %d after a failed resume, want 2", got)
+	}
+	if len(logged) != 2 || !strings.Contains(logged[1].Error(), "watching tcp fd") {
+		t.Errorf("ErrorLog got %v, want a second registration failure", logged)
+	}
+	rd.mu.Lock()
+	_, kept := rd.fds[closedFD]
+	rd.mu.Unlock()
+	if kept {
+		t.Error("resume kept an fd the kernel refused")
 	}
 }

@@ -16,11 +16,10 @@
 // Edge-triggered registration is deliberate. The reactor goroutine never
 // reads the sockets itself (delivery stays on the polling goroutine, where
 // the paper's detection semantics live); with level-triggered events the
-// waiting goroutine would spin on a socket it does not drain. Edge
-// triggering makes the contract with modules explicit: after a readiness
-// notification, the module's next Poll must consume everything pending —
-// its final read must observe "would block" — or the remainder is
-// announced only when the peer sends again.
+// waiting goroutine would spin on a socket it does not drain. A consumed
+// edge is not announced again, so modules and their poller share the
+// contract written on transport.Reactive: a notified module is polled until
+// it has reported nothing pending several times in a row.
 //
 // The reactor is a Linux fast path, not a portability layer: Supported()
 // reports false elsewhere and New returns ErrUnsupported, leaving every

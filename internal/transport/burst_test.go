@@ -4,8 +4,10 @@
 // order; unreliable ones may shed load but the connection must remain usable
 // afterwards. Each method runs twice: in portable fallback mode (plain
 // polling) and, where the platform and the module support it, attached to a
-// reactor with the poller gated on readiness edges — exercising the
-// edge-triggered drain-until-would-block contract under load.
+// reactor with a poller that does exactly the poller's half of the
+// transport.Reactive contract and no more — so a module that stops at its
+// per-pass bound and reports 0, or parks without arming an edge, strands the
+// rest of the burst and fails here.
 package transport_test
 
 import (
@@ -32,10 +34,11 @@ func (br *burstReadiness) Add(fd int) error {
 
 func (br *burstReadiness) Remove(fd int) { br.r.Remove(fd) }
 
-// startEdgePoller drives the pair's modules only when the readiness flag is
-// set, the way the core's poll pass consumes the reactor bitmap. The flag is
-// cleared before polling (edges arriving during a drain are kept), and every
-// attached module drains to would-block inside one Poll call.
+// startEdgePoller is the poller half of the transport.Reactive contract
+// (rule 3) and nothing stricter: it touches the pair's modules only after a
+// readiness edge, and then polls them until transport.ParkPolls consecutive
+// rounds delivered nothing. The flag is cleared before polling, so an edge
+// arriving during a round is kept.
 func startEdgePoller(t *testing.T, p *pair, ready *atomic.Bool) {
 	t.Helper()
 	done := make(chan struct{})
@@ -52,8 +55,17 @@ func startEdgePoller(t *testing.T, p *pair, ready *atomic.Bool) {
 				time.Sleep(200 * time.Microsecond)
 				continue
 			}
-			for _, m := range p.poll {
-				_, _ = m.Poll()
+			for empty := 0; empty < transport.ParkPolls; {
+				delivered := 0
+				for _, m := range p.poll {
+					n, _ := m.Poll()
+					delivered += n
+				}
+				if delivered > 0 {
+					empty = 0
+				} else {
+					empty++
+				}
 			}
 		}
 	}()

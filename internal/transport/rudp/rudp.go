@@ -52,9 +52,8 @@ const recvSlots = 16
 // sendSlots is the per-connection batch width: frames per sendmmsg call.
 const sendSlots = 16
 
-// maxPollDatagrams bounds one fallback Poll pass (see udp: a flooding peer
-// must not pin the polling loop inside one module). Reactor-attached modules
-// drain to empty instead, as edge-triggered readiness requires.
+// maxPollDatagrams bounds one Poll pass (see udp: a flooding peer must not
+// pin the polling loop inside one module).
 const maxPollDatagrams = 1024
 
 // Errors returned by the rudp module.
@@ -250,9 +249,10 @@ func (m *Module) Dial(remote transport.Descriptor) (transport.Conn, error) {
 // Poll drains the socket in recvmmsg batches: DATA datagrams are delivered
 // in order, straight from their receive slots (the sink borrows each frame
 // for the call); duplicates and gaps are dropped, and one cumulative ACK per
-// stream is flushed at the end of the pass. The fallback path bounds one
-// pass at maxPollDatagrams; reactor-attached modules drain until the socket
-// reports empty, as edge-triggered readiness requires.
+// stream is flushed at the end of the pass. A pass ends when the socket
+// reports empty or after maxPollDatagrams datagrams; one that stops at the
+// bound reports progress even if every datagram was a duplicate, a gap or an
+// ACK, because input remains queued (transport.Reactive, rule 1).
 func (m *Module) Poll() (int, error) {
 	m.mu.Lock()
 	if !m.inited {
@@ -263,7 +263,7 @@ func (m *Module) Poll() (int, error) {
 		m.mu.Unlock()
 		return 0, transport.ErrClosed
 	}
-	br, attached := m.br, m.rdy != nil
+	br := m.br
 	m.mu.Unlock()
 
 	pendingAcks := make(map[streamKey]ackDue)
@@ -311,11 +311,14 @@ func (m *Module) Poll() (int, error) {
 			}
 			return delivered, err
 		}
-		if !attached && seen >= maxPollDatagrams {
+		if seen >= maxPollDatagrams {
 			break // bounded pass; the rest waits for the next
 		}
 	}
 	m.flushAcks(pendingAcks)
+	if delivered == 0 {
+		delivered = 1 // nothing in order, but input remains queued: not idle
+	}
 	return delivered, nil
 }
 
@@ -331,9 +334,8 @@ func udpFd(pc *net.UDPConn) int {
 }
 
 // AttachReactor implements transport.Reactive: the listen socket joins the
-// reactor's watch set, and Poll calls switch to drain-to-empty semantics.
-// Outbound connections are unaffected: their ACKs arrive on their own
-// connected sockets, consumed by a blocked reader goroutine.
+// reactor's watch set. Outbound connections are unaffected: their ACKs arrive
+// on their own connected sockets, consumed by a blocked reader goroutine.
 func (m *Module) AttachReactor(r transport.Readiness) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()

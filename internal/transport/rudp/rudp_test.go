@@ -1,8 +1,10 @@
 package rudp
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -335,5 +337,56 @@ func TestApplicable(t *testing.T) {
 	}
 	if m.Applicable(transport.Descriptor{Method: "udp", Attrs: map[string]string{"addr": "x"}}) {
 		t.Error("udp descriptor applicable to rudp")
+	}
+}
+
+// TestBoundedPollReportsProgress pins transport.Reactive rule 1: a Poll that
+// stops at maxPollDatagrams having seen only duplicates still has input
+// queued behind it, so it must not report an idle pass — a poller that parks
+// on 0 would strand the in-order datagram waiting behind the duplicates.
+func TestBoundedPollReportsProgress(t *testing.T) {
+	sink := &collect{}
+	recv, d := initModule(t, nil, 1, sink)
+	raw, err := net.Dial("udp", d.Attr("addr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	data := func(seq uint32) []byte {
+		pkt := make([]byte, headerLen+1)
+		pkt[0] = typeData
+		binary.BigEndian.PutUint64(pkt[1:], 7) // conn id
+		binary.BigEndian.PutUint32(pkt[9:], seq)
+		return pkt
+	}
+	send := func(pkt []byte) {
+		t.Helper()
+		if _, err := raw.Write(pkt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	send(data(0))
+	drain(t, recv, sink, 1, 5*time.Second)
+
+	for i := 0; i < maxPollDatagrams+recvSlots/2; i++ {
+		send(data(0)) // duplicates of the delivered datagram
+	}
+	send(data(1))
+	// Loopback datagrams are queued by the time Write returns. The first Poll
+	// sees maxPollDatagrams duplicates; the second finds the rest — unless the
+	// kernel's receive buffer cap (net.core.rmem_max) dropped the tail.
+	n, err := recv.Poll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stoppedAtBound := sink.count() == 1
+	if _, err := recv.Poll(); err != nil {
+		t.Fatal(err)
+	}
+	if !stoppedAtBound || sink.count() != 2 {
+		t.Skipf("socket buffer holds fewer than %d datagrams", maxPollDatagrams)
+	}
+	if n == 0 {
+		t.Fatal("Poll stopped at the bound with the in-order datagram still queued and returned 0")
 	}
 }

@@ -90,8 +90,7 @@ func (r *ring) tryPush(frame []byte) (bool, error) {
 // drain delivers every published record to sink, advancing tail per record
 // so the producer reclaims space as we go. Frames are delivered zero-copy
 // straight out of the shared region — the sink borrows them for the call,
-// exactly the transport.Sink contract. max bounds one pass (0 = unbounded,
-// the drain-to-empty mode edge-triggered readiness requires).
+// exactly the transport.Sink contract. max bounds one pass (0 = unbounded).
 //
 // Every length read from shared memory is validated before use: a peer that
 // scribbles on the segment can corrupt its own link, never this process.

@@ -24,11 +24,11 @@
 // # Wakeup: bounded spin, then park
 //
 // The receive hot path is polling — the core's reactive hot windows spin the
-// module while traffic flows, and every poll is a few loads per ring. After
-// spinPolls consecutive empty polls the module arms a per-ring doorbell flag
-// in the shared header and parks: from then on a producer that publishes a
-// frame and observes the armed flag clears it and writes one byte to the
-// consumer's FIFO. The FIFO's read end is the fd the module registers with
+// module while traffic flows, and every poll is a few loads per ring. At the
+// transport.ParkPolls-th consecutive empty poll, reactor-attached or not, the
+// module arms a per-ring doorbell flag in the shared header and parks: from
+// then on a producer that publishes a frame and observes the armed flag
+// clears it and writes one byte to the consumer's FIFO. The FIFO's read end is the fd the module registers with
 // the readiness reactor (transport.Reactive), so a parked context costs zero
 // CPU until the kernel reports the doorbell. The arm/publish race is resolved
 // by sequentially consistent atomics: the consumer re-checks the rings after

@@ -27,11 +27,6 @@ var ErrTooLarge = fmt.Errorf("shm: frame exceeds ring message limit: %w", transp
 
 // Tunables (see New for the parameter names).
 const (
-	// DefaultSpinPolls is how many consecutive empty Poll passes the module
-	// tolerates before arming the doorbells and parking. It is far below the
-	// core's reactive hot window, so by the time a reactor suspends the
-	// module's fd watch the rings are already armed.
-	DefaultSpinPolls = 64
 	// DefaultSendTimeout bounds how long a Send waits on a full ring whose
 	// consumer is alive but not draining.
 	DefaultSendTimeout = 5 * time.Second
@@ -41,9 +36,8 @@ const (
 	// carryLimit bounds the partial-line buffer for the control FIFO; a
 	// writer streaming garbage without newlines is cut off here.
 	carryLimit = 64 << 10
-	// maxPollFrames bounds one fallback Poll pass per segment, like the
-	// datagram modules: a flooding peer cannot pin the polling loop.
-	// Reactor-attached modules drain to empty as edge-triggering requires.
+	// maxPollFrames bounds one Poll pass per segment, like the datagram
+	// modules: a flooding peer cannot pin the polling loop.
 	maxPollFrames = 1024
 )
 
@@ -61,7 +55,8 @@ type segment struct {
 	peerCtl string // peer's control FIFO (doorbell target)
 
 	doorMu sync.Mutex
-	doorFd int // write end of peerCtl; -1 until opened, -2 after failure/close
+	doorFd int            // write end of peerCtl; -1 until opened, -2 after failure/close
+	rung   *atomic.Uint64 // the owning module's shm.doorbells counter
 
 	prodMu  [2]sync.Mutex // serializes producers per direction
 	revRefs atomic.Int32  // accepted segments: live reverse conns
@@ -71,7 +66,6 @@ type segment struct {
 // Module is a shared-memory communication method instance.
 type Module struct {
 	ringSize   int
-	spin       int
 	sendTO     time.Duration
 	baseDir    string
 	staleAfter time.Duration
@@ -88,22 +82,22 @@ type Module struct {
 	byPeer  map[transport.ContextID]*segment // accepted segments, newest wins
 	carry   []byte
 	rbuf    []byte
-	empties int
 	inited  bool
 	closed  bool
 
-	attaches atomic.Uint64
-	framesIn atomic.Uint64
-	corrupt  atomic.Uint64
-	rejects  atomic.Uint64
-	swept    atomic.Uint64
+	empties   atomic.Int32 // consecutive empty Polls; the rings arm at transport.ParkPolls
+	attaches  atomic.Uint64
+	framesIn  atomic.Uint64
+	doorbells atomic.Uint64 // doorbell bytes written to peers' FIFOs (segment.rung)
+	corrupt   atomic.Uint64
+	rejects   atomic.Uint64
+	swept     atomic.Uint64
 }
 
 // New returns an uninitialized shared-memory module. Recognized parameters:
 //
 //	ring         — per-direction ring bytes, rounded to a power of two
 //	               (default 4 MiB; the message limit is ring/2-8)
-//	spin         — empty Poll passes before arming doorbells (default 64)
 //	send_timeout — bound on a Send blocked by a full ring (default 5s)
 //	dir          — base directory for the segment directory
 //	               (default /dev/shm when present, else the OS temp dir)
@@ -115,7 +109,6 @@ func New(p transport.Params) *Module {
 	}
 	return &Module{
 		ringSize:   ringSizeFor(p.Int("ring", DefaultRingSize)),
-		spin:       p.Int("spin", DefaultSpinPolls),
 		sendTO:     p.Duration("send_timeout", DefaultSendTimeout),
 		baseDir:    p.Str("dir", ""),
 		staleAfter: p.Duration("stale_after", DefaultStaleAfter),
@@ -342,7 +335,11 @@ func (m *Module) dialFresh(remote transport.Descriptor) (transport.Conn, error) 
 		peerCtx: remote.Context,
 		peerCtl: rctl,
 		doorFd:  -1,
+		rung:    &m.doorbells,
 	}
+	// This side consumes ring 1 and may already be parked (transport.Reactive,
+	// rule 2): the ring starts armed so the peer's first frame on it rings.
+	seg.ring[1].armed.Store(1)
 	// Announce on the peer's FIFO. ENXIO means no reader — the peer died
 	// between Applicable and here.
 	wfd, err := syscall.Open(rctl, syscall.O_WRONLY|syscall.O_NONBLOCK|syscall.O_CLOEXEC, 0)
@@ -426,9 +423,11 @@ func (m *Module) DetachReactor() {
 
 // Poll drains the control FIFO (attach announcements, doorbell bytes) and
 // every segment's inbound ring, delivering frames zero-copy out of shared
-// memory. After spin consecutive empty passes it arms the doorbells and
-// re-drains once more — the sequentially consistent arm/publish handshake
-// that makes parking lossless.
+// memory. At the transport.ParkPolls-th consecutive empty pass it arms the
+// doorbells and drains once more — the sequentially consistent arm/publish
+// handshake that makes parking lossless: a frame that raced the arming is
+// either picked up by that drain or its producer observed the armed flag and
+// rang the doorbell.
 func (m *Module) Poll() (int, error) {
 	m.mu.Lock()
 	if !m.inited {
@@ -443,57 +442,21 @@ func (m *Module) Poll() (int, error) {
 	segs := make([]*segment, len(m.segs))
 	copy(segs, m.segs)
 	sink := m.env.Sink
-	attached := m.rd != nil
 	m.mu.Unlock()
 
-	bound := maxPollFrames
-	if attached {
-		bound = 0 // edge-triggered: drain to empty
-	}
 	for _, seg := range segs {
-		progress += m.pollSeg(seg, sink, bound)
+		progress += m.pollSeg(seg, sink)
 	}
-	if attached {
-		// The edge contract: consumed edges are never re-announced, so this
-		// pass must not return while a producer could publish without
-		// generating one. Arm every ring, then re-drain; a frame that raced
-		// the arming is either picked up here or its producer observed the
-		// armed flag and rang the doorbell (sequential consistency
-		// guarantees one of the two). Repeat until a post-arm drain comes
-		// up empty — from then on any publish produces an edge.
-		for {
-			for _, seg := range segs {
-				seg.arm()
-			}
-			n := 0
-			for _, seg := range segs {
-				n += m.pollSeg(seg, sink, bound)
-			}
-			if n == 0 {
-				break
-			}
-			progress += n
+	if progress == 0 && m.empties.Add(1) == transport.ParkPolls {
+		for _, seg := range segs {
+			seg.arm()
 		}
-	} else if progress > 0 {
-		m.mu.Lock()
-		m.empties = 0
-		m.mu.Unlock()
-	} else {
-		m.mu.Lock()
-		m.empties++
-		arm := m.empties == m.spin
-		m.mu.Unlock()
-		if arm {
-			// Fallback parking: after spin consecutive empty passes, arm
-			// the doorbells so producers wake us through the FIFO, and
-			// close the arm/publish race with one more drain.
-			for _, seg := range segs {
-				seg.arm()
-			}
-			for _, seg := range segs {
-				progress += m.pollSeg(seg, sink, bound)
-			}
+		for _, seg := range segs {
+			progress += m.pollSeg(seg, sink)
 		}
+	}
+	if progress > 0 {
+		m.empties.Store(0)
 	}
 	reap := false
 	for _, seg := range segs {
@@ -587,6 +550,7 @@ func (m *Module) attachLocked(msg attachMsg) bool {
 		peerCtx: transport.ContextID(msg.ctx),
 		peerCtl: msg.ctl,
 		doorFd:  -1,
+		rung:    &m.doorbells,
 	}
 	m.segs = append(m.segs, seg)
 	m.byPeer[seg.peerCtx] = seg
@@ -597,14 +561,14 @@ func (m *Module) attachLocked(msg attachMsg) bool {
 // pollSeg drains one segment's inbound ring, disarms its doorbell when
 // traffic flows, poisons it on corruption, and schedules it for reaping
 // when the peer is gone and the ring is drained.
-func (m *Module) pollSeg(seg *segment, sink transport.Sink, bound int) int {
+func (m *Module) pollSeg(seg *segment, sink transport.Sink) int {
 	seg.mu.RLock()
 	if seg.mem == nil {
 		seg.mu.RUnlock()
 		return 0
 	}
 	r := &seg.ring[seg.cons]
-	n, err := r.drain(sink, seg.maxMsg, bound)
+	n, err := r.drain(sink, seg.maxMsg, maxPollFrames)
 	if n > 0 && r.armed.Load() == 1 {
 		r.armed.Store(0)
 	}
@@ -703,6 +667,7 @@ func (s *segment) doorbell(i int) {
 	}
 	if fd >= 0 {
 		_, _ = syscall.Write(fd, []byte{'\n'})
+		s.rung.Add(1)
 	}
 	s.doorMu.Unlock()
 }
@@ -848,6 +813,7 @@ func (m *Module) TransportStats() map[string]uint64 {
 		"shm.segments":        segs,
 		"shm.attaches":        m.attaches.Load(),
 		"shm.frames.in":       m.framesIn.Load(),
+		"shm.doorbells":       m.doorbells.Load(),
 		"shm.attach.rejected": m.rejects.Load(),
 		"shm.ring.corrupt":    m.corrupt.Load(),
 		"shm.stale.swept":     m.swept.Load(),

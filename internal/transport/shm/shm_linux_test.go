@@ -114,7 +114,9 @@ func TestBatchSendSingleDoorbell(t *testing.T) {
 
 // TestReverseRingReuse: when B has accepted a segment from A, a dial B→A
 // claims the reverse ring of that same segment — no second mapping, no
-// rendezvous — and frames flow back through it.
+// rendezvous — and frames flow back through it. A is parked before it dials
+// (transport.Reactive, rule 2), so the first frame on the ring it then starts
+// consuming must raise an edge: a dialed segment's reverse ring starts armed.
 func TestReverseRingReuse(t *testing.T) {
 	aSink := &sinkFrames{}
 	a := New(transport.Params{"dir": t.TempDir()})
@@ -131,6 +133,11 @@ func TestReverseRingReuse(t *testing.T) {
 	}
 	defer b.Close()
 
+	for i := 0; i < transport.ParkPolls; i++ {
+		if _, err := a.Poll(); err != nil {
+			t.Fatal(err)
+		}
+	}
 	ab, err := a.Dial(*bDesc)
 	if err != nil {
 		t.Fatal(err)
@@ -150,8 +157,14 @@ func TestReverseRingReuse(t *testing.T) {
 	if !ok || !bc.rev {
 		t.Fatalf("B→A dial did not claim the reverse ring (rev=%v)", ok && bc.rev)
 	}
+	if readable(a.rfd) {
+		t.Fatal("A's fifo readable before B sent anything")
+	}
 	if err := ba.Send(pattern(2, 64)); err != nil {
 		t.Fatal(err)
+	}
+	if !waitReadable(a.rfd, time.Second) {
+		t.Fatal("first frame on a dialed segment's reverse ring raised no edge for its parked consumer")
 	}
 	pollUntil(t, a, aSink, 1) // A consumes its dialed segment's reverse ring
 	if !bytes.Equal(aSink.frames[0], pattern(2, 64)) {
@@ -162,54 +175,80 @@ func TestReverseRingReuse(t *testing.T) {
 	}
 }
 
-// TestDoorbellArmAndWake exercises the spin-then-park protocol end to end:
-// after `spin` empty polls the consumer arms the in-ring flag; the next
-// producer publish clears it and makes the reactor fd readable.
+// TestDoorbellArmAndWake exercises the spin-then-park protocol end to end,
+// reactor-attached and not, with the same expectations (transport.Reactive,
+// rule 2): the consumer arms the in-ring flag at the ParkPolls-th consecutive
+// empty poll and not before; the next producer publish clears it and makes
+// the reactor fd readable, at the cost of exactly one doorbell.
 func TestDoorbellArmAndWake(t *testing.T) {
-	recv, send, desc, sink := newPair(t, transport.Params{"spin": "4"}, nil)
-	c, err := send.Dial(desc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.Send(pattern(1, 32)); err != nil {
-		t.Fatal(err)
-	}
-	pollUntil(t, recv, sink, 1)
+	for _, attached := range []bool{false, true} {
+		t.Run(fmt.Sprintf("attached=%v", attached), func(t *testing.T) {
+			recv, send, desc, sink := newPair(t, nil, nil)
+			if attached {
+				if err := recv.AttachReactor(&fakeReadiness{}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			c, err := send.Dial(desc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			if err := c.Send(pattern(1, 32)); err != nil {
+				t.Fatal(err)
+			}
+			pollUntil(t, recv, sink, 1)
 
-	var seg *segment
-	recv.mu.Lock()
-	if len(recv.segs) == 1 {
-		seg = recv.segs[0]
-	}
-	rfd := recv.rfd
-	recv.mu.Unlock()
-	if seg == nil {
-		t.Fatal("receiver has no segment")
-	}
-	for i := 0; i < 8; i++ { // empty passes beyond spin=4
-		if _, err := recv.Poll(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if seg.ring[0].armed.Load() != 1 {
-		t.Fatal("doorbell not armed after spin empty polls")
-	}
-	if readable(rfd) {
-		t.Fatal("fifo readable before any doorbell")
-	}
-	if err := c.Send(pattern(2, 32)); err != nil {
-		t.Fatal(err)
-	}
-	if seg.ring[0].armed.Load() != 0 {
-		t.Fatal("producer did not consume the armed flag")
-	}
-	if !waitReadable(rfd, time.Second) {
-		t.Fatal("doorbell byte did not make the reactor fd readable")
-	}
-	pollUntil(t, recv, sink, 2)
-	if !bytes.Equal(sink.frames[1], pattern(2, 32)) {
-		t.Fatal("post-park frame corrupted")
+			var seg *segment
+			recv.mu.Lock()
+			if len(recv.segs) == 1 {
+				seg = recv.segs[0]
+			}
+			rfd := recv.rfd
+			recv.mu.Unlock()
+			if seg == nil {
+				t.Fatal("receiver has no segment")
+			}
+			for i := 1; i < transport.ParkPolls; i++ {
+				if n, err := recv.Poll(); n != 0 || err != nil {
+					t.Fatalf("empty poll %d = %d, %v", i, n, err)
+				}
+			}
+			if seg.ring[0].armed.Load() != 0 {
+				t.Fatalf("doorbell armed before %d consecutive empty polls: a polled link would pay a syscall per message", transport.ParkPolls)
+			}
+			if _, err := recv.Poll(); err != nil {
+				t.Fatal(err)
+			}
+			if seg.ring[0].armed.Load() != 1 {
+				t.Fatalf("doorbell not armed after %d consecutive empty polls", transport.ParkPolls)
+			}
+			if readable(rfd) {
+				t.Fatal("fifo readable before any doorbell")
+			}
+			rung := send.TransportStats()["shm.doorbells"]
+			if err := c.Send(pattern(2, 32)); err != nil {
+				t.Fatal(err)
+			}
+			if seg.ring[0].armed.Load() != 0 {
+				t.Fatal("producer did not consume the armed flag")
+			}
+			if !waitReadable(rfd, time.Second) {
+				t.Fatal("doorbell byte did not make the reactor fd readable")
+			}
+			pollUntil(t, recv, sink, 2)
+			if !bytes.Equal(sink.frames[1], pattern(2, 32)) {
+				t.Fatal("post-park frame corrupted")
+			}
+			// Traffic flows again: no further doorbells until the next park.
+			if err := c.Send(pattern(3, 32)); err != nil {
+				t.Fatal(err)
+			}
+			pollUntil(t, recv, sink, 3)
+			if got := send.TransportStats()["shm.doorbells"] - rung; got != 1 {
+				t.Fatalf("shm.doorbells grew by %d across one park, want 1", got)
+			}
+		})
 	}
 }
 

@@ -215,14 +215,13 @@ func (m *Module) Dial(remote transport.Descriptor) (transport.Conn, error) {
 }
 
 // Poll performs one readiness scan over all inbound connections, delivering
-// any complete frames. Each connection is drained until its socket reports
-// "would block" (required once reactor-attached: consumed edges are not
-// re-announced) — with a per-pass read bound on the fallback path so one
-// fire-hosing peer cannot monopolize the polling loop. A connection that
-// consumed bytes without completing a frame — a large frame still streaming
-// in — counts as one unit of activity, so activity-driven pollers keep
-// probing instead of treating the pass as idle. In blocking mode Poll
-// returns immediately.
+// any complete frames. Each connection is read until its socket reports
+// "would block" or maxPollReads is reached, so one fire-hosing peer cannot
+// monopolize the polling loop. A connection that consumed bytes without
+// completing a frame — a large frame still streaming in, or a pass that
+// stopped at the bound — counts as one unit of activity (transport.Reactive,
+// rule 1), so pollers keep probing instead of treating the pass as idle. In
+// blocking mode Poll returns immediately.
 func (m *Module) Poll() (int, error) {
 	m.mu.Lock()
 	if !m.inited {
@@ -240,13 +239,12 @@ func (m *Module) Poll() (int, error) {
 	conns := make([]*inConn, len(m.inbound))
 	copy(conns, m.inbound)
 	sink := m.env.Sink
-	drainAll := m.rdy != nil
 	m.mu.Unlock()
 
 	total := 0
 	anyDead := false
 	for _, ic := range conns {
-		n, progressed := ic.poll(sink, drainAll)
+		n, progressed := ic.poll(sink)
 		if n == 0 && progressed {
 			n = 1 // mid-frame: bytes consumed, remainder en route
 		}
@@ -279,10 +277,10 @@ func (m *Module) reap() {
 }
 
 // AttachReactor implements transport.Reactive: every inbound connection's fd
-// joins the reactor's watch set (the accept loop keeps the set current), and
-// Poll switches to drain-to-empty semantics. The listener itself needs no
-// registration — accepts happen on a dedicated blocked goroutine. Blocking
-// mode reports ErrNotReactive: detection already costs no polling there.
+// joins the reactor's watch set (the accept loop keeps the set current). The
+// listener itself needs no registration — accepts happen on a dedicated
+// blocked goroutine. Blocking mode reports ErrNotReactive: detection already
+// costs no polling there.
 func (m *Module) AttachReactor(r transport.Readiness) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -472,15 +470,13 @@ func (ic *inConn) unwatch(r transport.Readiness) {
 	}
 }
 
-// maxPollReads bounds one fallback poll pass per connection (reads × 64 KiB
-// scratch). Reactor-attached connections ignore the bound and drain until
-// "would block", as edge-triggered readiness requires.
+// maxPollReads bounds one poll pass per connection (reads × 64 KiB scratch).
 const maxPollReads = 16
 
-// poll drains the connection — reading and extracting frames until the
-// socket reports empty or, on the fallback path, the per-pass bound is
-// reached — and delivers every complete frame reassembled so far.
-func (ic *inConn) poll(sink transport.Sink, drainAll bool) (int, bool) {
+// poll reads the connection until the socket reports empty or the per-pass
+// bound is reached, and delivers every complete frame reassembled so far. It
+// also reports whether any bytes were consumed.
+func (ic *inConn) poll(sink transport.Sink) (int, bool) {
 	ic.mu.Lock()
 	defer ic.mu.Unlock()
 	if ic.isDead {
@@ -504,7 +500,7 @@ func (ic *inConn) poll(sink transport.Sink, drainAll bool) (int, bool) {
 	}
 	delivered := 0
 	progressed := false
-	for reads := 0; drainAll || reads < maxPollReads; reads++ {
+	for reads := 0; reads < maxPollReads; reads++ {
 		n, err := ic.rd.Read(ic.scratch)
 		if n > 0 {
 			progressed = true

@@ -261,3 +261,64 @@ func TestRegisteredInDefaultRegistry(t *testing.T) {
 		t.Fatal("tcp module not registered")
 	}
 }
+
+// nopReadiness accepts every registration; it only makes a module "attached".
+type nopReadiness struct{}
+
+func (nopReadiness) Add(int) error { return nil }
+func (nopReadiness) Remove(int)    {}
+
+// TestPollBoundHoldsWhenAttached pins transport.Reactive rule 1 on the
+// attached module: with more than maxPollReads reads' worth pending on one
+// connection, a Poll stops at the bound, reports the unfinished work as
+// progress, and later Polls finish the job. A 1 KiB scratch makes one read at
+// most 1 KiB, so a 64 KiB frame is four passes' worth.
+func TestPollBoundHoldsWhenAttached(t *testing.T) {
+	sink := &collect{}
+	recv, d := initModule(t, nil, 1, sink)
+	send, _ := initModule(t, nil, 2, &collect{})
+	if err := recv.AttachReactor(nopReadiness{}); err != nil {
+		t.Fatal(err)
+	}
+	c, err := send.Dial(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Send([]byte("hello")); err != nil {
+		t.Fatal(err)
+	}
+	pollUntil(t, recv, func() bool { return len(sink.snapshot()) == 1 })
+	recv.mu.Lock()
+	ic := recv.inbound[0]
+	recv.mu.Unlock()
+	ic.mu.Lock()
+	ic.scratch = make([]byte, 1<<10)
+	ic.mu.Unlock()
+
+	big := bytes.Repeat([]byte{0xAB}, 64<<10)
+	if err := c.Send(big); err != nil {
+		t.Fatal(err)
+	}
+	// Polls that return 0 found the socket empty (bytes still in flight);
+	// every Poll that consumed bytes must say so, and none may exceed the bound.
+	productive := 0
+	for deadline := time.Now().Add(5 * time.Second); len(sink.snapshot()) < 2; {
+		n, err := recv.Poll()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n > 0 {
+			productive++
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("frame not delivered after %d productive polls", productive)
+		}
+	}
+	if min := len(big) / (maxPollReads << 10); productive < min {
+		t.Fatalf("a %d-byte frame took %d productive polls of at most %d 1 KiB reads each, want at least %d", len(big), productive, maxPollReads, min)
+	}
+	if got := sink.snapshot()[1]; !bytes.Equal(got, big) {
+		t.Fatal("frame corrupted across bounded passes")
+	}
+}

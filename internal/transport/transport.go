@@ -220,17 +220,36 @@ type Readiness interface {
 	Remove(fd int)
 }
 
-// Reactive is an optional capability: a module whose inbound sockets can be
-// watched by an OS readiness facility (epoll) instead of being probed on
-// every poll pass. AttachReactor switches the module to readiness-driven
-// detection: the module registers its current inbound fds with r and keeps
-// the set current as connections are accepted and torn down. Registration is
-// edge-triggered, which imposes one contract on the module's Poll: once
-// attached, every Poll call must drain all pending inbound data — its final
-// read must observe "would block" — because consumed edges are not
-// re-announced. Poll remains callable at any time (spurious calls find
-// nothing and return), so a module works identically whether or not the
-// caller honors readiness.
+// ParkPolls is the one number in the detection contract below: how many
+// consecutive empty polls separate "being probed" from "parked".
+const ParkPolls = 64
+
+// Reactive is an optional capability: a module whose inbound file descriptors
+// can be watched by an OS readiness facility (epoll) instead of being probed
+// on every poll pass. AttachReactor registers the module's current inbound
+// fds with r, and the module keeps the set current as connections are
+// accepted and torn down. Registration is edge-triggered — a consumed edge is
+// not re-announced — so the module and whoever polls it share one contract.
+// The module's half holds whether or not a reactor is attached; Poll has one
+// path:
+//
+//  1. Bounded and honest. One Poll does at most the module's per-pass bound
+//     of work, so a flooding peer cannot pin the polling loop inside one
+//     module. It returns > 0 whenever it delivered a frame or stopped for any
+//     reason other than running dry: at the bound, or part-way through a
+//     frame. It returns 0 only after observing "would block" / empty rings.
+//  2. Park. Once Poll has returned 0 ParkPolls times in a row, anything that
+//     arrives later raises a readiness edge on a registered fd. A socket
+//     satisfies this from its first "would block"; a memory-backed module
+//     (shm) arms its doorbells at the ParkPolls-th consecutive empty poll.
+//  3. The poller's half. After an edge or a non-zero Poll, keep polling the
+//     module until it has returned 0 ParkPolls times in a row; only then may
+//     the poller wait for the next edge. A freshly attached module counts as
+//     having just raised one.
+//
+// Poll remains callable at any time (spurious calls find nothing and return
+// 0), so a module works identically for a caller that ignores readiness and
+// polls on every pass.
 //
 // AttachReactor returns ErrNotReactive (or any error) when the module cannot
 // export pollable fds in its current configuration — for example a wrapper

@@ -69,11 +69,9 @@ const recvSlots = 16
 // sendSlots is the per-connection batch width: frames per sendmmsg call.
 const sendSlots = 16
 
-// maxPollDatagrams bounds one fallback Poll pass. A pass drains full batches
-// until the socket is empty or the bound is reached, so a flooding peer
-// cannot pin the polling loop inside one module's Poll while other methods
-// starve. Reactor-attached modules ignore the bound: edge-triggered
-// readiness requires draining to "would block" (transport.Reactive).
+// maxPollDatagrams bounds one Poll pass. A pass drains full batches until the
+// socket is empty or the bound is reached, so a flooding peer cannot pin the
+// polling loop inside one module's Poll while other methods starve.
 const maxPollDatagrams = 1024
 
 // Module is a UDP communication method instance.
@@ -215,7 +213,7 @@ func (m *Module) Dial(remote transport.Descriptor) (transport.Conn, error) {
 }
 
 // AttachReactor implements transport.Reactive: the listen socket joins the
-// reactor's watch set, and Poll calls switch to drain-to-empty semantics.
+// reactor's watch set.
 func (m *Module) AttachReactor(r transport.Readiness) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -246,10 +244,8 @@ func (m *Module) DetachReactor() {
 }
 
 // Poll drains queued datagrams in recvmmsg batches, delivering each frame
-// straight from its receive slot (the sink borrows it for the call). The
-// fallback path bounds one pass at maxPollDatagrams; reactor-attached
-// modules drain until the socket reports empty, as edge-triggered readiness
-// requires.
+// straight from its receive slot (the sink borrows it for the call), until
+// the socket reports empty or maxPollDatagrams have been delivered.
 func (m *Module) Poll() (int, error) {
 	m.mu.Lock()
 	if !m.inited {
@@ -260,7 +256,7 @@ func (m *Module) Poll() (int, error) {
 		m.mu.Unlock()
 		return 0, transport.ErrClosed
 	}
-	br, sink, attached := m.br, m.env.Sink, m.rd != nil
+	br, sink := m.br, m.env.Sink
 	m.mu.Unlock()
 
 	delivered := 0
@@ -279,7 +275,7 @@ func (m *Module) Poll() (int, error) {
 			}
 			return delivered, err
 		}
-		if !attached && delivered >= maxPollDatagrams {
+		if delivered >= maxPollDatagrams {
 			return delivered, nil // bounded pass; the rest waits for the next
 		}
 	}

@@ -160,3 +160,71 @@ func TestShmBulkThroughCore(t *testing.T) {
 		t.Fatal("bulk RSR not reassembled over shm")
 	}
 }
+
+// TestShmPolledLinkRingsNoDoorbells counts the fast method's syscalls per
+// message through the whole stack: two reactor-attached contexts echo in
+// lockstep over shm, so each side is being polled when its frame lands and no
+// producer should ever find a ring armed. Arming after every Poll — instead
+// of at the transport.ParkPolls-th consecutive empty one — cost one doorbell
+// write and one FIFO read per message here.
+func TestShmPolledLinkRingsNoDoorbells(t *testing.T) {
+	if !shm.Supported() {
+		t.Skip("shm transport requires linux")
+	}
+	a := shmContext(t, shmMethods(t, "shm"), nil)
+	b := shmContext(t, shmMethods(t, "shm"), nil)
+	if !a.ReactorActive() {
+		t.Skip("no reactor on this platform")
+	}
+	var atA, atB atomic.Int64
+	a.RegisterHandler("echo", func(*nexus.Endpoint, *nexus.Buffer) { atA.Add(1) })
+	b.RegisterHandler("echo", func(*nexus.Endpoint, *nexus.Buffer) { atB.Add(1) })
+	toB, err := nexus.TransferStartpoint(b.NewEndpoint().NewStartpoint(), a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	toA, err := nexus.TransferStartpoint(a.NewEndpoint().NewStartpoint(), b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// hop sends one 64 B RSR and polls the destination until it has arrived.
+	hop := func(sp *nexus.Startpoint, dst *nexus.Context, arrived *atomic.Int64, i int64) {
+		t.Helper()
+		buf := nexus.NewBuffer(80)
+		buf.PutBytes(make([]byte, 64))
+		if err := sp.RSR("echo", buf); err != nil {
+			t.Fatal(err)
+		}
+		if !dst.PollUntil(func() bool { return arrived.Load() == i }, 5*time.Second) {
+			t.Fatalf("echo %d not delivered", i)
+		}
+	}
+	echo := func(i int64) {
+		t.Helper()
+		hop(toB, b, &atB, i)
+		hop(toA, a, &atA, i)
+	}
+	const warm, rounds = 10, 1000
+	for i := int64(1); i <= warm; i++ { // dial, attach and the first wake-ups
+		echo(i)
+	}
+	doorbells := func(c *nexus.Context) uint64 {
+		n, ok := c.Observe().Counters["shm.doorbells"]
+		if !ok {
+			t.Fatal("Observe() reports no shm.doorbells")
+		}
+		return n
+	}
+	a0, b0 := doorbells(a), doorbells(b)
+	for i := int64(warm + 1); i <= warm+rounds; i++ {
+		echo(i)
+	}
+	if m := toB.Method(); m != "shm" {
+		t.Fatalf("echoes went over %q, want shm", m)
+	}
+	for name, d := range map[string]uint64{"A": doorbells(a) - a0, "B": doorbells(b) - b0} {
+		if d > 2 {
+			t.Errorf("context %s rang %d doorbells in %d lockstep echoes, want at most 2", name, d, rounds)
+		}
+	}
+}
