@@ -55,16 +55,13 @@ type NodeConfig struct {
 	Fanout int
 	// Interval is Run's period between Steps (default 50ms).
 	Interval time.Duration
-	// DisableAutoRegister stops the agent from pushing applied records into
-	// the context's peer tables. Scale harnesses that only measure registry
-	// convergence set it to skip a million table installs.
-	DisableAutoRegister bool
-	// SuspectAfter is how many consecutive failed sends to a peer mark it
-	// suspect (routed around); three times that declares it dead and
-	// publishes a third-party tombstone. Default 1 (suspect on first error).
-	SuspectAfter int
 	// Seed fixes peer-sampling randomness; 0 derives it from the context id.
 	Seed int64
+
+	// disableAutoRegister stops the agent from pushing applied records into
+	// the context's peer tables. RunScale sets it for runs that only measure
+	// registry convergence, to skip a million table installs.
+	disableAutoRegister bool
 }
 
 func (cfg NodeConfig) withDefaults(id transport.ContextID) NodeConfig {
@@ -73,9 +70,6 @@ func (cfg NodeConfig) withDefaults(id transport.ContextID) NodeConfig {
 	}
 	if cfg.Interval <= 0 {
 		cfg.Interval = 50 * time.Millisecond
-	}
-	if cfg.SuspectAfter <= 0 {
-		cfg.SuspectAfter = 1
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = int64(id)*0x9e3779b9 + 1
@@ -90,9 +84,13 @@ const (
 	maxDelta  = 64
 )
 
-// deadAfterFactor: a peer is declared dead (tombstoned) after
-// SuspectAfter*deadAfterFactor consecutive send failures.
-const deadAfterFactor = 3
+// Failure detector thresholds: suspectAfter consecutive failed sends to a
+// peer mark it suspect (routed around), and suspectAfter*deadAfterFactor
+// declare it dead and publish a third-party tombstone.
+const (
+	suspectAfter    = 1
+	deadAfterFactor = 3
+)
 
 // spCacheCap bounds the gossip agent's cached reply startpoints.
 const spCacheCap = 64
@@ -432,7 +430,7 @@ func (n *Node) applyRegistryLocked() {
 					continue
 				}
 				n.applied[rec.Origin] = appliedState{seq: rec.Seq, tombstone: true}
-				if !n.cfg.DisableAutoRegister {
+				if !n.cfg.disableAutoRegister {
 					n.ctx.RemovePeerTable(rec.Origin)
 				}
 				n.dropPeerLocked(rec.Origin)
@@ -453,7 +451,7 @@ func (n *Node) applyRegistryLocked() {
 			// Cached gossip startpoints to this peer rebind on next use, so a
 			// bootstrap-era binding cannot outlive the table it was built from.
 			n.closeSPsLocked(rec.Origin)
-			if !n.cfg.DisableAutoRegister && rec.Table != nil {
+			if !n.cfg.disableAutoRegister && rec.Table != nil {
 				n.ctx.RefreshPeerTable(rec.Table)
 			}
 			n.routesDirty = true
@@ -556,12 +554,12 @@ func (n *Node) noteSend(origin transport.ContextID, err error) {
 	n.mu.Lock()
 	n.failures[origin]++
 	f := n.failures[origin]
-	if f >= n.cfg.SuspectAfter && !n.suspects[origin] {
+	if f >= suspectAfter && !n.suspects[origin] {
 		n.suspects[origin] = true
 		n.routesDirty = true
 		n.ctx.Stats().Counter("cluster.peer.suspect").Inc()
 	}
-	dead := f >= n.cfg.SuspectAfter*deadAfterFactor
+	dead := f >= suspectAfter*deadAfterFactor
 	var tomb names.Record
 	if dead {
 		if rec, ok := n.reg.Get(origin); ok && !rec.Tombstone {

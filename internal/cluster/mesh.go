@@ -208,7 +208,7 @@ func (n *Node) recomputeRoutesLocked() {
 			// startpoints drop the routed binding).
 			if _, had := n.routed[dest]; had {
 				delete(n.routed, dest)
-				if !n.cfg.DisableAutoRegister && nodes[v].table != nil {
+				if !n.cfg.disableAutoRegister && nodes[v].table != nil {
 					n.ctx.RefreshPeerTable(nodes[v].table)
 				}
 				n.ctx.Stats().Counter("cluster.routes.removed").Inc()
@@ -220,7 +220,7 @@ func (n *Node) recomputeRoutesLocked() {
 			// stale route so senders fail fast instead of spraying a dead hop.
 			if _, had := n.routed[dest]; had {
 				delete(n.routed, dest)
-				if !n.cfg.DisableAutoRegister {
+				if !n.cfg.disableAutoRegister {
 					n.ctx.RemovePeerTable(dest)
 				}
 				n.ctx.Stats().Counter("cluster.routes.removed").Inc()
@@ -237,7 +237,7 @@ func (n *Node) recomputeRoutesLocked() {
 		if had && cur.via == via.Origin && cur.viaSeq == via.Seq {
 			continue
 		}
-		if n.cfg.DisableAutoRegister {
+		if n.cfg.disableAutoRegister {
 			n.routed[dest] = routeState{via: via.Origin, viaSeq: via.Seq}
 			continue
 		}

@@ -89,8 +89,8 @@ type ScaleSpec struct {
 	N int
 	// MaxRounds bounds each convergence phase.
 	MaxRounds int
-	// Node is the per-agent config. Fanout etc. default as usual;
-	// DisableAutoRegister is forced on for N > 200 runs, where a million
+	// Node is the per-agent config. Fanout etc. default as usual; peer-table
+	// auto-registration is forced off for N > 200 runs, where a million
 	// peer-table installs would measure the allocator, not the protocol.
 	Node NodeConfig
 	// Churn additionally runs the churn + partition phases.
@@ -152,7 +152,7 @@ func RunScale(spec ScaleSpec) ([]ScalePhase, error) {
 	}
 	nc := spec.Node
 	if spec.N > 200 {
-		nc.DisableAutoRegister = true
+		nc.disableAutoRegister = true
 	}
 	scaleSeq++
 	tag := fmt.Sprintf("scale-%d-%d", spec.N, scaleSeq)

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"nexus/internal/obsv"
 	"nexus/internal/wire"
@@ -33,21 +32,12 @@ func (deadlineError) Is(target error) bool { return target == context.DeadlineEx
 // it.
 var ErrDeadline error = deadlineError{}
 
-// RPCConfig configures the request/response layer (Options.RPC). The layer
+// RPCConfig selects the request/response layer (Options.RPC). The layer
 // itself lives in internal/rpc and is attached by the facade (or by calling
-// rpc.Enable directly); core only carries the knobs.
+// rpc.Enable directly); core only carries the switch.
 type RPCConfig struct {
 	// Enabled attaches the RPC runtime to the context at construction.
 	Enabled bool
-	// BulkThreshold is the encoded request-payload size, in bytes, past
-	// which an argument travels by bulk-handle pull: the caller sends a
-	// compact handle and the callee pulls the payload over the fragmentation
-	// path. 0 selects the default (256 KiB); negative disables the pull
-	// model (arguments always travel eagerly).
-	BulkThreshold int
-	// DefaultTimeout bounds calls that specify no deadline of their own.
-	// 0 selects the default (30s); negative means no implicit deadline.
-	DefaultTimeout time.Duration
 }
 
 // RPCInbound is one delivered frame carrying the wire RPC extension, as

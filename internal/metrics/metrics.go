@@ -8,7 +8,6 @@
 package metrics
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -135,45 +134,5 @@ func (s *Set) Snapshot() map[string]uint64 {
 	for k, g := range s.gauges {
 		out[k] = clampGauge(g.Load())
 	}
-	return out
-}
-
-// NamedValue is one counter in an ordered snapshot.
-type NamedValue struct {
-	Name  string
-	Value uint64
-}
-
-// SortedSnapshot returns all counters ordered by name. The copy is taken
-// under the read lock; the sort runs after the lock is released, so hot-path
-// writers creating counters are never stalled behind an O(n log n) sort.
-func (s *Set) SortedSnapshot() []NamedValue {
-	s.mu.RLock()
-	out := make([]NamedValue, 0, len(s.counters)+len(s.gauges))
-	for k, c := range s.counters {
-		out = append(out, NamedValue{Name: k, Value: c.Load()})
-	}
-	for k, g := range s.gauges {
-		out = append(out, NamedValue{Name: k, Value: clampGauge(g.Load())})
-	}
-	s.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// Names returns the counter and gauge names in sorted order. Like
-// SortedSnapshot, the names are copied under the read lock and sorted
-// outside it.
-func (s *Set) Names() []string {
-	s.mu.RLock()
-	out := make([]string, 0, len(s.counters)+len(s.gauges))
-	for k := range s.counters {
-		out = append(out, k)
-	}
-	for k := range s.gauges {
-		out = append(out, k)
-	}
-	s.mu.RUnlock()
-	sort.Strings(out)
 	return out
 }

@@ -32,65 +32,6 @@ func TestSetCreateAndGet(t *testing.T) {
 	if got := s.Snapshot(); !reflect.DeepEqual(got, map[string]uint64{"a": 4, "b": 1}) {
 		t.Errorf("Snapshot = %v", got)
 	}
-	if got := s.Names(); !reflect.DeepEqual(got, []string{"a", "b"}) {
-		t.Errorf("Names = %v", got)
-	}
-}
-
-func TestSortedSnapshotOrdering(t *testing.T) {
-	s := NewSet()
-	// Insert in deliberately unsorted order.
-	for _, name := range []string{"zeta", "alpha", "mid", "beta.sub", "beta"} {
-		s.Counter(name).Inc()
-	}
-	s.Counter("alpha").Add(9)
-	got := s.SortedSnapshot()
-	want := []NamedValue{
-		{"alpha", 10}, {"beta", 1}, {"beta.sub", 1}, {"mid", 1}, {"zeta", 1},
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("SortedSnapshot = %v, want %v", got, want)
-	}
-	// The ordered view must agree with the map snapshot.
-	m := s.Snapshot()
-	if len(m) != len(got) {
-		t.Fatalf("Snapshot has %d entries, SortedSnapshot %d", len(m), len(got))
-	}
-	for _, nv := range got {
-		if m[nv.Name] != nv.Value {
-			t.Errorf("%s: map %d, sorted %d", nv.Name, m[nv.Name], nv.Value)
-		}
-	}
-}
-
-func TestSortedSnapshotConcurrentWriters(t *testing.T) {
-	// The sort runs outside the lock; hammer concurrent counter creation to
-	// let the race detector check the copy-then-sort sequencing.
-	s := NewSet()
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			s.Counter(string(rune('a' + i%26))).Inc()
-		}
-	}()
-	for i := 0; i < 100; i++ {
-		snap := s.SortedSnapshot()
-		for j := 1; j < len(snap); j++ {
-			if snap[j-1].Name >= snap[j].Name {
-				t.Fatalf("snapshot out of order at %d: %v", j, snap)
-			}
-		}
-	}
-	close(stop)
-	wg.Wait()
 }
 
 func TestSetConcurrent(t *testing.T) {

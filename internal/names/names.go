@@ -5,13 +5,14 @@
 // The paper closes with "further work is also required on the
 // representation, discovery, and use of configuration data". This package is
 // that mechanism in its simplest useful form, and a demonstration of the
-// architecture eating its own dog food: the service's protocol is nothing
-// but RSRs, the names map to encoded startpoints (which carry their own
-// descriptor tables), and a resolved startpoint works immediately in the
-// resolving context because method selection re-runs there. Registering a
-// name therefore publishes not just *where* an endpoint is but *every way to
-// reach it*, and resolution composes with manual method control like any
-// other received startpoint.
+// architecture eating its own dog food: the service's protocol is three RPC
+// methods (names.register, names.resolve, names.list) on internal/rpc, which
+// is itself built on RSRs; the names map to encoded startpoints (which carry
+// their own descriptor tables), and a resolved startpoint works immediately
+// in the resolving context because method selection re-runs there.
+// Registering a name therefore publishes not just *where* an endpoint is but
+// *every way to reach it*, and resolution composes with manual method control
+// like any other received startpoint.
 package names
 
 import (
@@ -22,17 +23,17 @@ import (
 
 	"nexus/internal/buffer"
 	"nexus/internal/core"
+	"nexus/internal/rpc"
 )
 
-// Handler names used by the service protocol.
+// RPC method names of the service.
 const (
-	handlerRegister = "names.register"
-	handlerResolve  = "names.resolve"
-	handlerList     = "names.list"
-	handlerReply    = "names.reply"
+	methodRegister = "names.register"
+	methodResolve  = "names.resolve"
+	methodList     = "names.list"
 )
 
-// Reply status codes.
+// Reply status codes: the first byte of every reply.
 const (
 	statusOK       = 0
 	statusNotFound = 1
@@ -51,23 +52,25 @@ var (
 	ErrTimeout = fmt.Errorf("names: request timed out: %w", core.ErrDeadline)
 )
 
-// Server is a name service hosted in a context.
+// Server is a name service hosted in a context. A context hosts at most one
+// server: its methods are registered by name, so a second server in the same
+// context would take them over.
 type Server struct {
-	ctx *core.Context
-	ep  *core.Endpoint
+	ep *core.Endpoint
 
 	mu      sync.Mutex
 	entries map[string][]byte // name -> encoded startpoint
 }
 
-// NewServer installs a name service in the context and returns it. The
-// server answers requests whenever the hosting context polls.
+// NewServer installs a name service in the context (attaching the RPC layer
+// if it is not already) and returns it. The server answers requests whenever
+// the hosting context polls.
 func NewServer(ctx *core.Context) *Server {
-	s := &Server{ctx: ctx, entries: make(map[string][]byte)}
-	ctx.RegisterHandler(handlerRegister, s.onRegister)
-	ctx.RegisterHandler(handlerResolve, s.onResolve)
-	ctx.RegisterHandler(handlerList, s.onList)
-	s.ep = ctx.NewEndpoint()
+	s := &Server{ep: ctx.NewEndpoint(), entries: make(map[string][]byte)}
+	r := rpc.Enable(ctx)
+	r.Register(methodRegister, s.onRegister)
+	r.Register(methodResolve, s.onResolve)
+	r.Register(methodList, s.onList)
 	return s
 }
 
@@ -81,126 +84,85 @@ func (s *Server) Len() int {
 	return len(s.entries)
 }
 
-// onRegister: [name string][seq][encoded reply sp][encoded target sp]
-func (s *Server) onRegister(ep *core.Endpoint, b *buffer.Buffer) {
-	name := b.String()
-	reply, seq, err := s.decodeReply(b)
-	if err != nil {
-		return
+// malformed reports a request whose name is empty or whose payload ended
+// early.
+func malformed(q *rpc.Request, name string) error {
+	if err := q.Payload.Err(); err != nil {
+		return fmt.Errorf("names: truncated %s request: %w", q.Method, err)
 	}
-	target := b.BytesValue()
-	if b.Err() != nil || name == "" {
-		s.respond(reply, seq, statusNotFound, nil)
-		return
+	if name == "" {
+		return fmt.Errorf("names: empty name in %s request", q.Method)
 	}
-	s.mu.Lock()
-	_, dup := s.entries[name]
-	if !dup {
-		s.entries[name] = target
-	}
-	s.mu.Unlock()
-	if dup {
-		s.respond(reply, seq, statusExists, nil)
-		return
-	}
-	s.respond(reply, seq, statusOK, nil)
+	return nil
 }
 
-// onResolve: [name string][seq][encoded reply sp]
-func (s *Server) onResolve(ep *core.Endpoint, b *buffer.Buffer) {
-	name := b.String()
-	reply, seq, err := s.decodeReply(b)
-	if err != nil {
+// onRegister: [name string][encoded target startpoint] -> [status]
+func (s *Server) onRegister(q *rpc.Request, rp *rpc.Responder) {
+	name := q.Payload.String()
+	target := q.Payload.BytesValue()
+	if err := malformed(q, name); err != nil {
+		_ = rp.Error(err) // unsent: the caller's deadline is the recovery
+		return
+	}
+	out := buffer.New(1)
+	s.mu.Lock()
+	if _, dup := s.entries[name]; dup {
+		out.PutByte(statusExists)
+	} else {
+		s.entries[name] = target
+		out.PutByte(statusOK)
+	}
+	s.mu.Unlock()
+	_ = rp.Reply(out) // unsent: the caller's deadline is the recovery
+}
+
+// onResolve: [name string] -> [status][encoded startpoint if found]
+func (s *Server) onResolve(q *rpc.Request, rp *rpc.Responder) {
+	name := q.Payload.String()
+	if err := malformed(q, name); err != nil {
+		_ = rp.Error(err) // unsent: the caller's deadline is the recovery
 		return
 	}
 	s.mu.Lock()
 	enc, ok := s.entries[name]
 	s.mu.Unlock()
-	if !ok {
-		s.respond(reply, seq, statusNotFound, nil)
-		return
-	}
-	s.respond(reply, seq, statusOK, func(out *buffer.Buffer) {
+	out := buffer.New(len(enc) + 8)
+	if ok {
+		out.PutByte(statusOK)
 		out.PutBytes(enc)
-	})
+	} else {
+		out.PutByte(statusNotFound)
+	}
+	_ = rp.Reply(out) // unsent: the caller's deadline is the recovery
 }
 
-// onList: [seq][encoded reply sp]
-func (s *Server) onList(ep *core.Endpoint, b *buffer.Buffer) {
-	reply, seq, err := s.decodeReply(b)
-	if err != nil {
-		return
-	}
+// onList: [] -> [status][count uint32][name string]...
+func (s *Server) onList(q *rpc.Request, rp *rpc.Responder) {
 	s.mu.Lock()
-	names := make([]string, 0, len(s.entries))
+	out := buffer.New(64)
+	out.PutByte(statusOK)
+	out.PutUint32(uint32(len(s.entries)))
 	for n := range s.entries {
-		names = append(names, n)
+		out.PutString(n)
 	}
 	s.mu.Unlock()
-	s.respond(reply, seq, statusOK, func(out *buffer.Buffer) {
-		out.PutUint32(uint32(len(names)))
-		for _, n := range names {
-			out.PutString(n)
-		}
-	})
-}
-
-// decodeReply unpacks the request's sequence number and reply startpoint.
-func (s *Server) decodeReply(b *buffer.Buffer) (*core.Startpoint, uint32, error) {
-	seq := b.Uint32()
-	sp, err := s.ctx.DecodeStartpoint(b)
-	if err != nil {
-		return nil, 0, err
-	}
-	return sp, seq, nil
-}
-
-func (s *Server) respond(reply *core.Startpoint, seq uint32, status byte, fill func(*buffer.Buffer)) {
-	out := buffer.New(64)
-	out.PutUint32(seq)
-	out.PutByte(status)
-	if fill != nil {
-		fill(out)
-	}
-	_ = reply.RSR(handlerReply, out)
-	reply.Close()
+	_ = rp.Reply(out) // unsent: the caller's deadline is the recovery
 }
 
 // Client talks to a name server from another context.
 type Client struct {
 	ctx     *core.Context
+	rpc     *rpc.RPC
 	server  *core.Startpoint
-	ep      *core.Endpoint
 	timeout time.Duration
-
-	mu      sync.Mutex
-	nextSeq uint32
-	replies map[uint32]*buffer.Buffer
 }
 
-// NewClient builds a client in ctx for the server reachable via the given
-// startpoint (typically obtained out of band or from a parent context).
+// NewClient builds a client in ctx (attaching the RPC layer if it is not
+// already) for the server reachable via the given startpoint (typically
+// obtained out of band or from a parent context). Any number of clients may
+// share a context.
 func NewClient(ctx *core.Context, server *core.Startpoint) *Client {
-	c := &Client{
-		ctx:     ctx,
-		server:  server,
-		timeout: 10 * time.Second,
-		replies: make(map[uint32]*buffer.Buffer),
-	}
-	ctx.RegisterHandler(handlerReply, func(ep *core.Endpoint, b *buffer.Buffer) {
-		seq := b.Uint32()
-		if b.Err() != nil {
-			return
-		}
-		c.mu.Lock()
-		// The handler's buffer borrows the delivered frame, whose storage is
-		// recycled after the handler returns; the parked reply must own its
-		// bytes or a later send scribbles over it.
-		c.replies[seq] = b.Clone()
-		c.mu.Unlock()
-	})
-	c.ep = ctx.NewEndpoint()
-	return c
+	return &Client{ctx: ctx, rpc: rpc.Enable(ctx), server: server, timeout: 10 * time.Second}
 }
 
 // SetTimeout adjusts the per-request timeout.
@@ -210,16 +172,14 @@ func (c *Client) SetTimeout(d time.Duration) { c.timeout = d }
 func (c *Client) Register(name string, sp *core.Startpoint) error {
 	enc := buffer.New(256)
 	sp.Encode(enc)
-	encoded := enc.Encode() // keep the format tag: the resolver re-decodes it
-	reply, err := c.request(handlerRegister, func(b *buffer.Buffer) {
-		b.PutString(name)
-	}, func(b *buffer.Buffer) {
-		b.PutBytes(encoded)
-	})
+	req := buffer.New(enc.Len() + len(name) + 16)
+	req.PutString(name)
+	req.PutEncoded(enc) // keep the format tag: the resolver re-decodes it
+	_, status, err := c.call(methodRegister, req)
 	if err != nil {
 		return err
 	}
-	switch status := reply.Byte(); status {
+	switch status {
 	case statusOK:
 		return nil
 	case statusExists:
@@ -232,79 +192,55 @@ func (c *Client) Register(name string, sp *core.Startpoint) error {
 // Resolve returns a startpoint for the named link, usable immediately in the
 // client's context.
 func (c *Client) Resolve(name string) (*core.Startpoint, error) {
-	reply, err := c.request(handlerResolve, func(b *buffer.Buffer) {
-		b.PutString(name)
-	}, nil)
+	req := buffer.New(len(name) + 8)
+	req.PutString(name)
+	reply, status, err := c.call(methodResolve, req)
 	if err != nil {
 		return nil, err
 	}
-	if status := reply.Byte(); status != statusOK {
+	if status != statusOK {
 		return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
-	enc := reply.BytesValue()
-	if err := reply.Err(); err != nil {
-		return nil, fmt.Errorf("names: corrupt resolve reply: %w", err)
-	}
-	dec, err := buffer.FromBytes(enc)
+	dec, err := buffer.FromBytes(reply.BytesValue())
 	if err != nil {
-		return nil, fmt.Errorf("names: corrupt entry: %w", err)
+		return nil, fmt.Errorf("names: corrupt resolve reply: %w", err)
 	}
 	return c.ctx.DecodeStartpoint(dec)
 }
 
 // List returns all registered names.
 func (c *Client) List() ([]string, error) {
-	reply, err := c.request(handlerList, nil, nil)
+	reply, status, err := c.call(methodList, nil)
 	if err != nil {
 		return nil, err
 	}
-	if status := reply.Byte(); status != statusOK {
+	if status != statusOK {
 		return nil, fmt.Errorf("names: list failed (status %d)", status)
 	}
-	n := int(reply.Uint32())
-	out := make([]string, 0, n)
-	for i := 0; i < n; i++ {
+	var out []string
+	for n := reply.Uint32(); n > 0 && reply.Err() == nil; n-- {
 		out = append(out, reply.String())
 	}
 	if err := reply.Err(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("names: corrupt list reply: %w", err)
 	}
 	return out, nil
 }
 
-// request sends one RSR [pre][seq][reply sp][post] and polls for the reply.
-func (c *Client) request(handler string, pre, post func(*buffer.Buffer)) (*buffer.Buffer, error) {
-	c.mu.Lock()
-	c.nextSeq++
-	seq := c.nextSeq
-	c.mu.Unlock()
-
-	b := buffer.New(512)
-	if pre != nil {
-		pre(b)
+// call runs one request to completion and returns the reply positioned after
+// its status byte.
+func (c *Client) call(method string, req *buffer.Buffer) (*buffer.Buffer, byte, error) {
+	f, err := c.rpc.Call(c.server, method, req, rpc.CallOptions{Timeout: c.timeout})
+	if err != nil {
+		return nil, 0, err
 	}
-	b.PutUint32(seq)
-	c.ep.NewStartpoint().Encode(b)
-	if post != nil {
-		post(b)
+	reply, err := f.Await()
+	if errors.Is(err, core.ErrDeadline) {
+		return nil, 0, fmt.Errorf("%w (%s)", ErrTimeout, method)
 	}
-	if err := c.server.RSR(handler, b); err != nil {
-		return nil, err
+	if err != nil {
+		return nil, 0, err
 	}
-	deadline := time.Now().Add(c.timeout)
-	for {
-		c.mu.Lock()
-		reply, ok := c.replies[seq]
-		if ok {
-			delete(c.replies, seq)
-		}
-		c.mu.Unlock()
-		if ok {
-			return reply, nil
-		}
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("%w (%s)", ErrTimeout, handler)
-		}
-		c.ctx.Poll()
-	}
+	status := reply.Byte()
+	return reply, status, reply.Err()
 }

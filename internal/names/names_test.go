@@ -14,6 +14,7 @@ import (
 	"nexus/internal/cluster"
 	"nexus/internal/core"
 	"nexus/internal/names"
+	"nexus/internal/rpc"
 	"nexus/internal/transport"
 )
 
@@ -332,6 +333,56 @@ func TestConcurrentRegisterResolve(t *testing.T) {
 	}
 	if n := srv.Len(); n != 2*perWorker {
 		t.Errorf("server holds %d names, want %d", n, 2*perWorker)
+	}
+}
+
+// TestTwoClientsOneContext builds two clients in one context against one
+// server: each must receive its own replies, so what the first registers the
+// second resolves.
+func TestTwoClientsOneContext(t *testing.T) {
+	m, srv, _ := testWorld(t, 2)
+	var cls [2]*names.Client
+	for i := range cls {
+		sp, err := core.TransferStartpoint(srv.Startpoint(), m.Context(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cls[i] = names.NewClient(m.Context(1), sp)
+		cls[i].SetTimeout(2 * time.Second)
+	}
+	ep := m.Context(1).NewEndpoint()
+	if err := cls[0].Register("a", ep.NewStartpoint()); err != nil {
+		t.Fatalf("first client's Register: %v", err)
+	}
+	if _, err := cls[1].Resolve("a"); err != nil {
+		t.Fatalf("second client's Resolve: %v", err)
+	}
+}
+
+// TestMalformedRequestIsAnswered: an empty name or a truncated payload gets
+// a remote error at once instead of leaving the caller to its deadline.
+func TestMalformedRequestIsAnswered(t *testing.T) {
+	m, srv, clients := testWorld(t, 2)
+	var re *rpc.RemoteError
+	ep := m.Context(1).NewEndpoint()
+	if err := clients[0].Register("", ep.NewStartpoint()); !errors.As(err, &re) {
+		t.Errorf("Register with an empty name = %v, want a RemoteError", err)
+	}
+	sp, err := core.TransferStartpoint(srv.Startpoint(), m.Context(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := buffer.New(16)
+	req.PutString("no-target") // the encoded startpoint is missing
+	f, err := rpc.For(m.Context(1)).Call(sp, "names.register", req, rpc.CallOptions{Timeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Await(); !errors.As(err, &re) {
+		t.Errorf("truncated register = %v, want a RemoteError", err)
+	}
+	if srv.Len() != 0 {
+		t.Errorf("server holds %d names after malformed requests", srv.Len())
 	}
 }
 

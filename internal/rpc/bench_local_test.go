@@ -32,7 +32,7 @@ func localCallFixture(t testing.TB) (raw, call func()) {
 			}
 		}
 	}
-	r := Enable(c, core.RPCConfig{})
+	r := Enable(c)
 	r.Register("echo", func(req *Request, rp *Responder) { _ = rp.Reply(req.Payload) })
 	sp := c.NewEndpoint().NewStartpoint()
 	call = func() {

@@ -20,8 +20,8 @@ const awaitSlice = 20 * time.Millisecond
 
 // CallOptions tunes one call.
 type CallOptions struct {
-	// Timeout bounds the call relative to now. 0 applies the layer's
-	// DefaultTimeout; negative disables the deadline entirely.
+	// Timeout bounds the call relative to now. 0 applies DefaultTimeout;
+	// negative disables the deadline entirely.
 	Timeout time.Duration
 	// Deadline bounds the call absolutely and takes precedence over Timeout
 	// when nonzero.
@@ -50,10 +50,10 @@ type pendingCall struct {
 	result    *buffer.Buffer
 	resultBuf buffer.Buffer // inline storage for the unary reply
 	err       error
-	chunks map[uint64]*buffer.Buffer // received, not yet consumed, by index; lazily made
-	next   uint64                    // next chunk index Recv returns
-	total  uint64                    // chunk count, valid once ended
-	ended  bool
+	chunks    map[uint64]*buffer.Buffer // received, not yet consumed, by index; lazily made
+	next      uint64                    // next chunk index Recv returns
+	total     uint64                    // chunk count, valid once ended
+	ended     bool
 }
 
 // Future is the rendezvous for one unary call. The pending record lives
@@ -125,9 +125,9 @@ func (r *RPC) startCall(pc *pendingCall, sp *core.Startpoint, method string, req
 		deadline = now.Add(opts.Timeout)
 	case opts.Timeout < 0:
 		// no deadline
-	case r.cfg.DefaultTimeout > 0:
+	default:
 		now = time.Now()
-		deadline = now.Add(r.cfg.DefaultTimeout)
+		deadline = now.Add(r.defaultTimeout)
 	}
 	if !now.IsZero() {
 		coarseClock.Store(now.UnixNano())
@@ -136,7 +136,7 @@ func (r *RPC) startCall(pc *pendingCall, sp *core.Startpoint, method string, req
 	if req != nil {
 		reqLen = req.EncodedLen()
 	}
-	bulk := req != nil && r.cfg.BulkThreshold > 0 && reqLen >= r.cfg.BulkThreshold
+	bulk := req != nil && reqLen >= r.bulkThreshold
 	id := r.nextCall.Add(1)
 	var trace obsv.TraceID
 	if r.ctx.TracingEnabled() {

@@ -34,43 +34,43 @@ type rpcFixture struct {
 
 var rpcFixtures = []struct {
 	name string
-	make func(t *testing.T, cfg core.RPCConfig) *rpcFixture
+	make func(t *testing.T) *rpcFixture
 }{
-	{"inproc", func(t *testing.T, cfg core.RPCConfig) *rpcFixture {
+	{"inproc", func(t *testing.T) *rpcFixture {
 		tag := freshTag("rpcconf-inproc")
-		serverC, server := newCtx(t, tag, "", cfg, core.MethodConfig{Name: "inproc"})
-		callerC, caller := newCtx(t, tag, "", cfg, core.MethodConfig{Name: "inproc"})
+		serverC, server := newCtx(t, tag, "", core.MethodConfig{Name: "inproc"})
+		callerC, caller := newCtx(t, tag, "", core.MethodConfig{Name: "inproc"})
 		sp := transferStartpoint(t, serverC.NewEndpoint().NewStartpoint(), callerC)
 		t.Cleanup(serverC.StartPoller(100 * time.Microsecond))
 		return &rpcFixture{callerC: callerC, caller: caller, server: server, sp: sp, reliable: true}
 	}},
-	{"local", func(t *testing.T, cfg core.RPCConfig) *rpcFixture {
+	{"local", func(t *testing.T) *rpcFixture {
 		// Self-call: one context is both caller and server; delivery is
 		// synchronous inside RSRWithRPC.
-		c, r := newCtx(t, freshTag("rpcconf-local"), "", cfg, core.MethodConfig{Name: "local"})
+		c, r := newCtx(t, freshTag("rpcconf-local"), "", core.MethodConfig{Name: "local"})
 		sp := c.NewEndpoint().NewStartpoint()
 		return &rpcFixture{callerC: c, caller: r, server: r, sp: sp, reliable: true}
 	}},
-	{"tcp", func(t *testing.T, cfg core.RPCConfig) *rpcFixture {
+	{"tcp", func(t *testing.T) *rpcFixture {
 		tag := freshTag("rpcconf-tcp")
-		serverC, server := newCtx(t, tag, "", cfg, core.MethodConfig{Name: "tcp"})
-		callerC, caller := newCtx(t, tag, "", cfg, core.MethodConfig{Name: "tcp"})
+		serverC, server := newCtx(t, tag, "", core.MethodConfig{Name: "tcp"})
+		callerC, caller := newCtx(t, tag, "", core.MethodConfig{Name: "tcp"})
 		sp := transferStartpoint(t, serverC.NewEndpoint().NewStartpoint(), callerC)
 		t.Cleanup(serverC.StartPoller(100 * time.Microsecond))
 		return &rpcFixture{callerC: callerC, caller: caller, server: server, sp: sp, reliable: true}
 	}},
-	{"udp", func(t *testing.T, cfg core.RPCConfig) *rpcFixture {
+	{"udp", func(t *testing.T) *rpcFixture {
 		tag := freshTag("rpcconf-udp")
-		serverC, server := newCtx(t, tag, "", cfg, core.MethodConfig{Name: "udp"})
-		callerC, caller := newCtx(t, tag, "", cfg, core.MethodConfig{Name: "udp"})
+		serverC, server := newCtx(t, tag, "", core.MethodConfig{Name: "udp"})
+		callerC, caller := newCtx(t, tag, "", core.MethodConfig{Name: "udp"})
 		sp := transferStartpoint(t, serverC.NewEndpoint().NewStartpoint(), callerC)
 		t.Cleanup(serverC.StartPoller(100 * time.Microsecond))
 		return &rpcFixture{callerC: callerC, caller: caller, server: server, sp: sp, reliable: false}
 	}},
-	{"rudp", func(t *testing.T, cfg core.RPCConfig) *rpcFixture {
+	{"rudp", func(t *testing.T) *rpcFixture {
 		tag := freshTag("rpcconf-rudp")
-		serverC, server := newCtx(t, tag, "", cfg, core.MethodConfig{Name: "rudp"})
-		callerC, caller := newCtx(t, tag, "", cfg, core.MethodConfig{Name: "rudp"})
+		serverC, server := newCtx(t, tag, "", core.MethodConfig{Name: "rudp"})
+		callerC, caller := newCtx(t, tag, "", core.MethodConfig{Name: "rudp"})
 		sp := transferStartpoint(t, serverC.NewEndpoint().NewStartpoint(), callerC)
 		t.Cleanup(serverC.StartPoller(100 * time.Microsecond))
 		// The caller's rudp module needs polling for ACKs/retransmits even
@@ -78,31 +78,31 @@ var rpcFixtures = []struct {
 		t.Cleanup(callerC.StartPoller(100 * time.Microsecond))
 		return &rpcFixture{callerC: callerC, caller: caller, server: server, sp: sp, reliable: true}
 	}},
-	{"secure", func(t *testing.T, cfg core.RPCConfig) *rpcFixture {
+	{"secure", func(t *testing.T) *rpcFixture {
 		tag := freshTag("rpcconf-secure")
 		mc := func() core.MethodConfig {
 			return core.MethodConfig{Name: "secure",
 				Params: transport.Params{"key": secureTestKey, "inner": "tcp"}}
 		}
-		serverC, server := newCtx(t, tag, "", cfg, mc())
-		callerC, caller := newCtx(t, tag, "", cfg, mc())
+		serverC, server := newCtx(t, tag, "", mc())
+		callerC, caller := newCtx(t, tag, "", mc())
 		sp := transferStartpoint(t, serverC.NewEndpoint().NewStartpoint(), callerC)
 		t.Cleanup(serverC.StartPoller(100 * time.Microsecond))
 		return &rpcFixture{callerC: callerC, caller: caller, server: server, sp: sp, reliable: true}
 	}},
-	{"simnet", func(t *testing.T, cfg core.RPCConfig) *rpcFixture {
+	{"simnet", func(t *testing.T) *rpcFixture {
 		tag := freshTag("rpcconf-sim")
 		mc := func() core.MethodConfig {
 			return core.MethodConfig{Name: "mpl",
 				Params: transport.Params{"latency": "0", "poll_cost": "0", "bandwidth": "0"}}
 		}
-		serverC, server := newCtx(t, tag, "rpcconf", cfg, mc())
-		callerC, caller := newCtx(t, tag, "rpcconf", cfg, mc())
+		serverC, server := newCtx(t, tag, "rpcconf", mc())
+		callerC, caller := newCtx(t, tag, "rpcconf", mc())
 		sp := transferStartpoint(t, serverC.NewEndpoint().NewStartpoint(), callerC)
 		t.Cleanup(serverC.StartPoller(100 * time.Microsecond))
 		return &rpcFixture{callerC: callerC, caller: caller, server: server, sp: sp, reliable: true}
 	}},
-	{"shm", func(t *testing.T, cfg core.RPCConfig) *rpcFixture {
+	{"shm", func(t *testing.T) *rpcFixture {
 		if !shm.Supported() {
 			t.Skip("shm transport requires linux mmap/FIFO support")
 		}
@@ -110,8 +110,8 @@ var rpcFixtures = []struct {
 		mc := func() core.MethodConfig {
 			return core.MethodConfig{Name: "shm", Params: transport.Params{"dir": t.TempDir()}}
 		}
-		serverC, server := newCtx(t, tag, "", cfg, mc())
-		callerC, caller := newCtx(t, tag, "", cfg, mc())
+		serverC, server := newCtx(t, tag, "", mc())
+		callerC, caller := newCtx(t, tag, "", mc())
 		sp := transferStartpoint(t, serverC.NewEndpoint().NewStartpoint(), callerC)
 		t.Cleanup(serverC.StartPoller(100 * time.Microsecond))
 		t.Cleanup(callerC.StartPoller(100 * time.Microsecond))
@@ -178,7 +178,7 @@ func TestRPCConformance(t *testing.T) {
 	for _, fc := range rpcFixtures {
 		fc := fc
 		t.Run(fc.name, func(t *testing.T) {
-			fx := fc.make(t, core.RPCConfig{})
+			fx := fc.make(t)
 			fx.server.Register("echo", echoHandler)
 			fx.server.Register("fail", func(req *Request, r *Responder) {
 				_ = r.Error(errors.New("nope"))
@@ -253,9 +253,9 @@ func TestRPCConformance(t *testing.T) {
 // still completes with the full argument.
 func TestBulkPullFragmentedRUDP(t *testing.T) {
 	tag := freshTag("rpc-bulk-rudp")
-	cfg := core.RPCConfig{BulkThreshold: 1 << 10}
-	serverC, server := newCtx(t, tag, "", cfg, core.MethodConfig{Name: "rudp"})
-	callerC, caller := newCtx(t, tag, "", cfg, core.MethodConfig{Name: "rudp"})
+	serverC, server := newCtx(t, tag, "", core.MethodConfig{Name: "rudp"})
+	callerC, caller := newCtx(t, tag, "", core.MethodConfig{Name: "rudp"})
+	caller.bulkThreshold = 1 << 10
 	sp := transferStartpoint(t, serverC.NewEndpoint().NewStartpoint(), callerC)
 	t.Cleanup(serverC.StartPoller(100 * time.Microsecond))
 	t.Cleanup(callerC.StartPoller(100 * time.Microsecond))

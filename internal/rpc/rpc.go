@@ -33,7 +33,7 @@ import (
 	"nexus/internal/wire"
 )
 
-// Defaults for the zero RPCConfig fields.
+// Tuning every runtime starts with (Enable copies it into the RPC).
 const (
 	// DefaultBulkThreshold is the encoded request size past which arguments
 	// travel by bulk-handle pull.
@@ -193,7 +193,13 @@ type pullEntry struct {
 // RPC is the request/response runtime attached to one context.
 type RPC struct {
 	ctx *core.Context
-	cfg core.RPCConfig
+
+	// bulkThreshold is the encoded request size past which an argument
+	// travels by bulk-handle pull; defaultTimeout bounds calls that name no
+	// deadline of their own. Enable sets the package defaults; tests lower
+	// them directly.
+	bulkThreshold  int
+	defaultTimeout time.Duration
 
 	// ep is the auto-registered response endpoint; replyEnc is its encoded
 	// startpoint, embedded in every request envelope so the callee can route
@@ -243,30 +249,22 @@ type RPC struct {
 // endpoint, installs the core intake hook for wire.FlagRPC frames, and
 // publishes itself through the context's RPC state slot. Calling Enable on a
 // context that already has the layer returns the existing runtime.
-func Enable(c *core.Context, cfg core.RPCConfig) *RPC {
+func Enable(c *core.Context) *RPC {
 	if r := For(c); r != nil {
 		return r
 	}
-	if cfg.BulkThreshold == 0 {
-		cfg.BulkThreshold = DefaultBulkThreshold
-	}
-	switch {
-	case cfg.DefaultTimeout == 0:
-		cfg.DefaultTimeout = DefaultTimeout
-	case cfg.DefaultTimeout < 0:
-		cfg.DefaultTimeout = 0 // no implicit deadline
-	}
 	r := &RPC{
-		ctx:         c,
-		cfg:         cfg,
-		pending:     make(map[uint64]*pendingCall),
-		pulls:       make(map[uint64]*pullEntry),
-		handlers:    make(map[string]Handler),
-		methodNames: make(map[string]string),
-		routes:      make(map[uint64]*replyRoute),
-		active:      make(map[callKey]*serverCall),
-		waiting:     make(map[callKey]*pullWait),
-		lats:        make(map[string]*obsv.StageSet),
+		ctx:            c,
+		bulkThreshold:  DefaultBulkThreshold,
+		defaultTimeout: DefaultTimeout,
+		pending:        make(map[uint64]*pendingCall),
+		pulls:          make(map[uint64]*pullEntry),
+		handlers:       make(map[string]Handler),
+		methodNames:    make(map[string]string),
+		routes:         make(map[uint64]*replyRoute),
+		active:         make(map[callKey]*serverCall),
+		waiting:        make(map[callKey]*pullWait),
+		lats:           make(map[string]*obsv.StageSet),
 	}
 	r.ep = c.NewEndpoint()
 	spb := buffer.New(256)

@@ -31,7 +31,7 @@ func freshTag(base string) string {
 }
 
 // newCtx builds a context (with the RPC layer attached) on isolated media.
-func newCtx(t testing.TB, tag, partition string, cfg core.RPCConfig, methods ...core.MethodConfig) (*core.Context, *RPC) {
+func newCtx(t testing.TB, tag, partition string, methods ...core.MethodConfig) (*core.Context, *RPC) {
 	t.Helper()
 	for i := range methods {
 		if methods[i].Params == nil {
@@ -49,7 +49,7 @@ func newCtx(t testing.TB, tag, partition string, cfg core.RPCConfig, methods ...
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
-	return c, Enable(c, cfg)
+	return c, Enable(c)
 }
 
 // transferStartpoint carries an encoded startpoint into another context, the
@@ -71,11 +71,11 @@ func transferStartpoint(t testing.TB, sp *core.Startpoint, dst *core.Context) *c
 
 // inprocPair builds a caller/server pair joined by an isolated inproc
 // exchange, with a background poller on the server side.
-func inprocPair(t testing.TB, base string, cfg core.RPCConfig) (callerC *core.Context, caller *RPC, server *RPC, sp *core.Startpoint) {
+func inprocPair(t testing.TB, base string) (callerC *core.Context, caller *RPC, server *RPC, sp *core.Startpoint) {
 	t.Helper()
 	tag := freshTag(base)
-	serverC, server := newCtx(t, tag, "", cfg, core.MethodConfig{Name: "inproc"})
-	callerC, caller = newCtx(t, tag, "", cfg, core.MethodConfig{Name: "inproc"})
+	serverC, server := newCtx(t, tag, "", core.MethodConfig{Name: "inproc"})
+	callerC, caller = newCtx(t, tag, "", core.MethodConfig{Name: "inproc"})
 	ep := serverC.NewEndpoint()
 	sp = transferStartpoint(t, ep.NewStartpoint(), callerC)
 	t.Cleanup(serverC.StartPoller(0))
@@ -94,7 +94,7 @@ func echoHandler(req *Request, r *Responder) {
 }
 
 func TestCallReply(t *testing.T) {
-	_, caller, server, sp := inprocPair(t, "rpc-basic", core.RPCConfig{})
+	_, caller, server, sp := inprocPair(t, "rpc-basic")
 	server.Register("echo", echoHandler)
 	f, err := caller.Call(sp, "echo", strBuf("hello"), CallOptions{Timeout: 10 * time.Second})
 	if err != nil {
@@ -118,7 +118,7 @@ func TestCallReply(t *testing.T) {
 }
 
 func TestNilRequestAndNilReply(t *testing.T) {
-	_, caller, server, sp := inprocPair(t, "rpc-nil", core.RPCConfig{})
+	_, caller, server, sp := inprocPair(t, "rpc-nil")
 	server.Register("ping", func(req *Request, r *Responder) {
 		if req.Payload.Len() != 0 {
 			_ = r.Error(errors.New("expected empty request"))
@@ -140,7 +140,7 @@ func TestNilRequestAndNilReply(t *testing.T) {
 }
 
 func TestRemoteError(t *testing.T) {
-	_, caller, server, sp := inprocPair(t, "rpc-err", core.RPCConfig{})
+	_, caller, server, sp := inprocPair(t, "rpc-err")
 	server.Register("fail", func(req *Request, r *Responder) {
 		_ = r.Error(errors.New("boom"))
 	})
@@ -159,7 +159,7 @@ func TestRemoteError(t *testing.T) {
 }
 
 func TestUnknownHandler(t *testing.T) {
-	_, caller, _, sp := inprocPair(t, "rpc-unknown", core.RPCConfig{})
+	_, caller, _, sp := inprocPair(t, "rpc-unknown")
 	f, err := caller.Call(sp, "nope", nil, CallOptions{Timeout: 10 * time.Second})
 	if err != nil {
 		t.Fatal(err)
@@ -172,7 +172,7 @@ func TestUnknownHandler(t *testing.T) {
 }
 
 func TestDeadlineExpiresAndCancelsServerWork(t *testing.T) {
-	_, caller, server, sp := inprocPair(t, "rpc-deadline", core.RPCConfig{})
+	_, caller, server, sp := inprocPair(t, "rpc-deadline")
 	var serverSawCancel atomic.Bool
 	server.Register("slow", func(req *Request, r *Responder) {
 		// Defer the reply: hold the responder, watch the call context from a
@@ -212,7 +212,7 @@ func TestDeadlineExpiresAndCancelsServerWork(t *testing.T) {
 }
 
 func TestFutureCancelStopsServerWork(t *testing.T) {
-	_, caller, server, sp := inprocPair(t, "rpc-cancel", core.RPCConfig{})
+	_, caller, server, sp := inprocPair(t, "rpc-cancel")
 	var serverSawCancel atomic.Bool
 	started := make(chan struct{}, 1)
 	server.Register("slow", func(req *Request, r *Responder) {
@@ -245,7 +245,7 @@ func TestFutureCancelStopsServerWork(t *testing.T) {
 }
 
 func TestResponderCompletesOnce(t *testing.T) {
-	_, caller, server, sp := inprocPair(t, "rpc-once", core.RPCConfig{})
+	_, caller, server, sp := inprocPair(t, "rpc-once")
 	errs := make(chan error, 2)
 	server.Register("twice", func(req *Request, r *Responder) {
 		errs <- r.Reply(strBuf("first"))
@@ -274,7 +274,7 @@ func TestResponderCompletesOnce(t *testing.T) {
 // way a failover-retried request produces two replies under one call id: the
 // Future must complete once and the copy must be counted as a duplicate.
 func TestDuplicateReplySuppression(t *testing.T) {
-	callerC, caller, server, sp := inprocPair(t, "rpc-dup", core.RPCConfig{})
+	callerC, caller, server, sp := inprocPair(t, "rpc-dup")
 	server.Register("echo", echoHandler)
 	f, err := caller.Call(sp, "echo", strBuf("x"), CallOptions{Timeout: 10 * time.Second})
 	if err != nil {
@@ -305,7 +305,7 @@ func TestDuplicateReplySuppression(t *testing.T) {
 // server serves it twice, and the caller's Future must still complete
 // exactly once, counting the second reply as a duplicate.
 func TestRetriedRequestSingleCallback(t *testing.T) {
-	callerC, caller, server, sp := inprocPair(t, "rpc-retry", core.RPCConfig{})
+	callerC, caller, server, sp := inprocPair(t, "rpc-retry")
 	var served atomic.Int64
 	server.Register("echo", func(req *Request, r *Responder) {
 		served.Add(1)
@@ -347,7 +347,7 @@ func TestRetriedRequestSingleCallback(t *testing.T) {
 }
 
 func TestStreamingOrder(t *testing.T) {
-	_, caller, server, sp := inprocPair(t, "rpc-stream", core.RPCConfig{})
+	_, caller, server, sp := inprocPair(t, "rpc-stream")
 	const n = 10
 	server.Register("count", func(req *Request, r *Responder) {
 		for i := 0; i < n; i++ {
@@ -383,7 +383,7 @@ func TestStreamingOrder(t *testing.T) {
 }
 
 func TestStreamEmpty(t *testing.T) {
-	_, caller, server, sp := inprocPair(t, "rpc-stream-empty", core.RPCConfig{})
+	_, caller, server, sp := inprocPair(t, "rpc-stream-empty")
 	server.Register("none", func(req *Request, r *Responder) { _ = r.End() })
 	s, err := caller.CallStream(sp, "none", nil, CallOptions{Timeout: 10 * time.Second})
 	if err != nil {
@@ -395,7 +395,7 @@ func TestStreamEmpty(t *testing.T) {
 }
 
 func TestStreamErrorMidway(t *testing.T) {
-	_, caller, server, sp := inprocPair(t, "rpc-stream-err", core.RPCConfig{})
+	_, caller, server, sp := inprocPair(t, "rpc-stream-err")
 	server.Register("flaky", func(req *Request, r *Responder) {
 		_ = r.Send(strBuf("a"))
 		_ = r.Send(strBuf("b"))
@@ -426,7 +426,7 @@ func TestStreamErrorMidway(t *testing.T) {
 }
 
 func TestStreamUnaryReplyBridges(t *testing.T) {
-	_, caller, server, sp := inprocPair(t, "rpc-stream-unary", core.RPCConfig{})
+	_, caller, server, sp := inprocPair(t, "rpc-stream-unary")
 	server.Register("echo", echoHandler)
 	s, err := caller.CallStream(sp, "echo", strBuf("one"), CallOptions{Timeout: 10 * time.Second})
 	if err != nil {
@@ -445,8 +445,8 @@ func TestStreamUnaryReplyBridges(t *testing.T) {
 }
 
 func TestBulkHandlePull(t *testing.T) {
-	callerC, caller, server, sp := inprocPair(t, "rpc-bulk",
-		core.RPCConfig{BulkThreshold: 1 << 10})
+	callerC, caller, server, sp := inprocPair(t, "rpc-bulk")
+	caller.bulkThreshold = 1 << 10
 	server.Register("size", func(req *Request, r *Responder) {
 		data := req.Payload.BytesValue()
 		b := buffer.New(8)
@@ -479,8 +479,8 @@ func TestBulkHandlePull(t *testing.T) {
 // must not trigger a second payload transfer — the parked entry is consumed
 // by the first pull.
 func TestBulkPullSingleTransfer(t *testing.T) {
-	callerC, caller, server, sp := inprocPair(t, "rpc-bulk-once",
-		core.RPCConfig{BulkThreshold: 1 << 10})
+	callerC, caller, server, sp := inprocPair(t, "rpc-bulk-once")
+	caller.bulkThreshold = 1 << 10
 	server.Register("size", func(req *Request, r *Responder) {
 		b := buffer.New(8)
 		b.PutInt(req.Payload.Len())
@@ -528,15 +528,14 @@ func TestCallNotEnabled(t *testing.T) {
 }
 
 func TestTimeoutNegativeMeansNone(t *testing.T) {
-	_, caller, server, sp := inprocPair(t, "rpc-notimeout",
-		core.RPCConfig{DefaultTimeout: -1})
+	_, caller, server, sp := inprocPair(t, "rpc-notimeout")
 	server.Register("echo", echoHandler)
-	f, err := caller.Call(sp, "echo", strBuf("a"), CallOptions{})
+	f, err := caller.Call(sp, "echo", strBuf("a"), CallOptions{Timeout: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if f.pc.deadline != (time.Time{}) {
-		t.Fatalf("negative DefaultTimeout still set deadline %v", f.pc.deadline)
+		t.Fatalf("negative Timeout still set deadline %v", f.pc.deadline)
 	}
 	if _, err := f.Await(); err != nil {
 		t.Fatal(err)
@@ -544,7 +543,7 @@ func TestTimeoutNegativeMeansNone(t *testing.T) {
 }
 
 func TestRPCLatenciesPublished(t *testing.T) {
-	callerC, caller, server, sp := inprocPair(t, "rpc-lat", core.RPCConfig{})
+	callerC, caller, server, sp := inprocPair(t, "rpc-lat")
 	callerC.EnableStats()
 	server.Register("echo", echoHandler)
 	f, err := caller.Call(sp, "echo", strBuf("a"), CallOptions{Timeout: 10 * time.Second})

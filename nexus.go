@@ -198,7 +198,7 @@ func NewContext(opts Options) (*Context, error) {
 		return nil, err
 	}
 	if opts.RPC.Enabled {
-		rpc.Enable(c, opts.RPC)
+		rpc.Enable(c)
 	}
 	if opts.Cluster.Enabled {
 		cluster.Attach(c, cluster.NodeConfig{
@@ -268,7 +268,7 @@ var (
 // with Options.RPC, register server methods with RegisterRPC, and call with
 // Call (unary, returns a Future) or CallStream (ordered chunk stream).
 type (
-	// RPCConfig enables and tunes the request/response layer (Options.RPC).
+	// RPCConfig enables the request/response layer (Options.RPC).
 	RPCConfig = core.RPCConfig
 	// Future is the rendezvous for one unary RPC (Call).
 	Future = rpc.Future

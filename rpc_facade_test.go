@@ -125,7 +125,7 @@ func TestFacadeRPCNotEnabled(t *testing.T) {
 		t.Fatalf("Call without Options.RPC = %v, want ErrRPCNotEnabled", err)
 	}
 	// EnableRPC retrofits the layer.
-	nexus.EnableRPC(c, nexus.RPCConfig{})
+	nexus.EnableRPC(c)
 	_ = nexus.RegisterRPC(c, "echo", func(req *nexus.RPCRequest, r *nexus.Responder) {
 		_ = r.Reply(nil)
 	})
