@@ -70,10 +70,13 @@ func main() {
 	if err := viewerClient.Register("iway/display", viewerEP.NewStartpoint()); err != nil {
 		log.Fatal(err)
 	}
+	// RunPipeline polls the instrument's context itself, and its result
+	// handler writes state that Run reads between polls: no other goroutine
+	// may poll that context while it runs.
+	stopNS()
 
 	// The instrument runs the pipeline over the farm...
 	st, err := nexus.RunPipeline(machine, cfg)
-	stopNS()
 	if err != nil {
 		log.Fatal(err)
 	}

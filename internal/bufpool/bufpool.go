@@ -33,35 +33,60 @@ import (
 	"unsafe"
 )
 
-// Size classes are powers of two from 1<<minShift to 1<<maxShift bytes.
-// Requests above the largest class are served by plain make and dropped on
-// Put: frames that large are dominated by the copy/syscall anyway, and
-// keeping multi-megabyte slabs alive in a pool is a memory-footprint hazard.
+// Size classes. Up to 1 MiB they are the powers of two from 1<<minShift to
+// 1<<maxShift. Above 1 MiB every doubling has four classes, 2^k·5/4, 6/4, 7/4
+// and 2^(k+1), so a large slab wastes at most a fifth of itself instead of
+// up to half. The quarter steps stop at maxSize (20 MiB), the first of them
+// that holds the largest frame a context with default options builds:
+// frag.DefaultMaxMessage of payload plus the largest wire header
+// (TestTopClassHoldsDefaultFrame). On the bulk_tcp workload (256 KiB to
+// 4 MiB messages over tcp, 2-vCPU VM) peak RSS reads 38–40 MB with these
+// classes, against 53–59 MB when every frame past 1 MiB was a fresh make;
+// power-of-two classes up to 8 MiB, which put a 4 MiB frame in an 8 MiB
+// slab, read 86–90 MB. Requests above maxSize, possible only with a raised
+// Options.MaxMessageSize, are served by plain make and dropped on Put.
 const (
 	minShift = 6  // 64 B
-	maxShift = 20 // 1 MiB
-	nClasses = maxShift - minShift + 1
+	maxShift = 20 // 1 MiB, the largest power-of-two class
+	nPow2    = maxShift - minShift + 1
+	nQuarter = 17 // 1.25 MiB … 20 MiB
+	nClasses = nPow2 + nQuarter
+	maxSize  = 1 << (maxShift + (nQuarter-1)/4) / 4 * (5 + (nQuarter-1)%4)
 )
 
 var classes [nClasses]sync.Pool
 
 // classFor returns the index of the smallest class able to hold n bytes
-// (n must be ≤ the largest class).
+// (n must be ≤ maxSize).
 func classFor(n int) int {
 	if n <= 1<<minShift {
 		return 0
 	}
-	return bits.Len(uint(n-1)) - minShift
+	if n <= 1<<maxShift {
+		return bits.Len(uint(n-1)) - minShift
+	}
+	// 2^k < n ≤ 2^(k+1): the class is the quarter step of 2^k covering n.
+	k := bits.Len(uint(n-1)) - 1
+	return nPow2 + (k-maxShift)*4 + (n-1-(1<<k))>>(k-2)
+}
+
+// classSize returns class c's capacity in bytes.
+func classSize(c int) int {
+	if c < nPow2 {
+		return 1 << (minShift + c)
+	}
+	j := c - nPow2
+	return 1 << (maxShift + j/4) / 4 * (5 + j%4)
 }
 
 // Get returns a slice of length n backed by pooled storage (capacity is the
 // full size class, at least n). The contents are arbitrary.
 func Get(n int) []byte {
-	if n > 1<<maxShift {
+	if n > maxSize {
 		return make([]byte, n)
 	}
 	c := classFor(n)
-	size := 1 << (minShift + c)
+	size := classSize(c)
 	p, _ := classes[c].Get().(unsafe.Pointer)
 	if p == nil {
 		return make([]byte, n, size)
@@ -74,11 +99,21 @@ func Get(n int) []byte {
 // as are slices above the largest class.
 func Put(p []byte) {
 	n := cap(p)
-	if n < 1<<minShift || n > 1<<maxShift {
+	if n < 1<<minShift || n > maxSize {
 		return
 	}
-	// File the slice under the largest class its capacity fully covers, so a
-	// future Get never receives less capacity than its class promises.
+	classes[coveredClass(n)].Put(unsafe.Pointer(&p[:n][0]))
+}
+
+// coveredClass returns the largest class no bigger than n bytes
+// (1<<minShift ≤ n ≤ maxSize). Put files a slice there, so a future Get never
+// receives less capacity than its class promises.
+func coveredClass(n int) int {
 	c := bits.Len(uint(n)) - 1 - minShift
-	classes[c].Put(unsafe.Pointer(&p[:n][0]))
+	if c < nPow2-1 {
+		return c
+	}
+	// 2^k ≤ n < 2^(k+1), k ≥ maxShift: count the quarter steps above 2^k.
+	k := c + minShift
+	return nPow2 - 1 + (k-maxShift)*4 + (n-(1<<k))>>(k-2)
 }

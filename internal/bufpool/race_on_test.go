@@ -1,0 +1,8 @@
+//go:build race
+
+package bufpool
+
+// raceEnabled reports that this binary was built with the race detector,
+// under which sync.Pool drops items at random and allocation counts are not
+// reproducible.
+const raceEnabled = true

@@ -5,17 +5,25 @@
 // message id shared by the whole logical message plus its index and the
 // fragment count. The Reassembler collects fragments per (source context,
 // message id), tolerating out-of-order arrival and suppressing duplicates,
-// and returns the concatenated payload once every index is present.
+// and returns the whole payload once every index is present.
+//
+// Every fragment but the last has the same length, the stride, because the
+// sender cuts the payload at fixed offsets. So each fragment is copied once,
+// to index×stride in one pooled buffer that becomes the payload; a last
+// fragment that arrives before any other is held until the stride is known.
+// A fragment that breaks the stride is Invalid.
 //
 // Buffering unacknowledged partial messages is a memory liability on a
 // receiver that cannot trust its peers, so the reassembler enforces three
 // budgets: a per-message size cap (MaxMessage), a per-source-context byte
-// budget across all of that peer's partial messages (PerPeerBudget), and a
-// cap on concurrently open partial messages per peer (MaxPartials, with
-// oldest-first eviction so a sender's retry is never wedged behind its own
-// abandoned attempt). Partial messages whose sender went quiet are garbage
-// collected after a TTL; the polling loop drives expiry, and the fast path
-// for "nothing buffered / nothing due" is two atomic loads.
+// budget across all of that peer's partial messages (PerPeerBudget, charged
+// the whole reserved buffer when it is taken, so one fragment cannot commit
+// more memory than the budget allows), and a cap on concurrently open
+// partial messages per peer (MaxPartials, with oldest-first eviction so a
+// sender's retry is never wedged behind its own abandoned attempt). Partial
+// messages whose sender went quiet are garbage collected after a TTL; the
+// polling loop drives expiry, and the fast path for "nothing buffered /
+// nothing due" is two atomic loads.
 package frag
 
 import (
@@ -90,15 +98,17 @@ const (
 	// Duplicate: a fragment with this index was already buffered; dropped.
 	Duplicate
 	// Invalid: the fragment is self-contradictory (zero or oversized total,
-	// index out of range, empty chunk, or a total disagreeing with earlier
-	// fragments of the same message); the fragment is dropped, any existing
-	// partial state is kept.
+	// index out of range, empty chunk, a total disagreeing with earlier
+	// fragments of the same message, a non-last fragment whose length is not
+	// the stride, or a last fragment longer than the stride); the fragment is
+	// dropped, any existing partial state is kept.
 	Invalid
-	// OverBudget: accepting the fragment would exceed the per-peer byte
-	// budget; the whole partial message was dropped.
+	// OverBudget: reserving the message's buffer (or holding its last
+	// fragment) would exceed the per-peer byte budget; the whole partial
+	// message was dropped.
 	OverBudget
-	// TooLarge: the accumulated message would exceed MaxMessage; the whole
-	// partial message was dropped.
+	// TooLarge: the message would exceed MaxMessage; the whole partial
+	// message was dropped.
 	TooLarge
 )
 
@@ -128,9 +138,13 @@ type key struct {
 
 // message is one partial message's buffered state.
 type message struct {
-	chunks   [][]byte // index → chunk (pooled storage), nil = missing
+	present  []bool // index → fragment landed
 	got      int
-	bytes    int
+	stride   int    // length of every fragment but the last; 0 until one arrives
+	buf      []byte // pooled payload buffer, taken when the stride becomes known
+	last     []byte // pooled copy of the last fragment while the stride is unknown
+	size     int    // payload length, known once the last fragment is in buf
+	charged  int    // bytes charged to the peer's budget
 	deadline time.Time
 }
 
@@ -185,7 +199,7 @@ func (r *Reassembler) Add(src, msgID uint64, index, total uint32, chunk []byte, 
 			evicted++
 		}
 		m = &message{
-			chunks:   make([][]byte, total),
+			present:  make([]bool, total),
 			deadline: now.Add(r.cfg.TTL),
 		}
 		r.msgs[k] = m
@@ -194,47 +208,106 @@ func (r *Reassembler) Add(src, msgID uint64, index, total uint32, chunk []byte, 
 		if dl := m.deadline.UnixNano(); dl < r.earliest.Load() {
 			r.earliest.Store(dl)
 		}
-	} else if len(m.chunks) != int(total) {
+	} else if len(m.present) != int(total) {
 		return nil, Invalid, evicted
 	}
-	if m.chunks[index] != nil {
+	if m.present[index] {
 		return nil, Duplicate, evicted
 	}
-	if m.bytes+len(chunk) > r.cfg.MaxMessage {
-		r.dropLocked(k, m)
-		return nil, TooLarge, evicted
+	lastIdx := int(total) - 1
+	switch {
+	case int(index) < lastIdx && m.stride == 0:
+		// The first non-last fragment fixes the stride: reserve the buffer.
+		if m.last != nil && len(m.last) > len(chunk) {
+			return nil, Invalid, evicted
+		}
+		tail := 1 // the last fragment carries at least one byte
+		if m.last != nil {
+			tail = len(m.last)
+		}
+		// lastIdx×stride + tail > MaxMessage, without overflowing int.
+		if tail > r.cfg.MaxMessage || len(chunk) > (r.cfg.MaxMessage-tail)/lastIdx {
+			r.dropLocked(k, m)
+			return nil, TooLarge, evicted
+		}
+		// A stride × total buffer, never more than the largest message.
+		reserve := min(len(chunk)*int(total), r.cfg.MaxMessage)
+		if !r.chargeLocked(k, m, reserve) {
+			return nil, OverBudget, evicted
+		}
+		m.stride = len(chunk)
+		m.buf = bufpool.Get(reserve)
+		if m.last != nil {
+			m.size = copy(m.buf[lastIdx*m.stride:], m.last) + lastIdx*m.stride
+			bufpool.Put(m.last)
+			m.last = nil
+		}
+		copy(m.buf[int(index)*m.stride:], chunk)
+	case int(index) < lastIdx:
+		if len(chunk) != m.stride {
+			return nil, Invalid, evicted
+		}
+		copy(m.buf[int(index)*m.stride:], chunk)
+	case m.stride == 0:
+		// The last fragment ahead of every other (or a one-fragment
+		// message): hold it until the stride is known.
+		if len(chunk) > r.cfg.MaxMessage {
+			r.dropLocked(k, m)
+			return nil, TooLarge, evicted
+		}
+		if !r.chargeLocked(k, m, len(chunk)) {
+			return nil, OverBudget, evicted
+		}
+		m.last = bufpool.Get(len(chunk))
+		copy(m.last, chunk)
+	default:
+		if len(chunk) > m.stride {
+			return nil, Invalid, evicted
+		}
+		if lastIdx*m.stride+len(chunk) > r.cfg.MaxMessage {
+			r.dropLocked(k, m)
+			return nil, TooLarge, evicted
+		}
+		m.size = copy(m.buf[lastIdx*m.stride:], chunk) + lastIdx*m.stride
 	}
-	if r.peerBytes[src]+len(chunk) > r.cfg.PerPeerBudget {
-		r.dropLocked(k, m)
-		return nil, OverBudget, evicted
-	}
-	cp := bufpool.Get(len(chunk))
-	copy(cp, chunk)
-	m.chunks[index] = cp
+	m.present[index] = true
 	m.got++
-	m.bytes += len(chunk)
-	r.peerBytes[src] += len(chunk)
 	if m.got < int(total) {
 		return nil, Stored, evicted
 	}
-	out := bufpool.Get(m.bytes)
-	n := 0
-	for _, c := range m.chunks {
-		n += copy(out[n:], c)
+	if m.buf != nil {
+		payload, m.buf = m.buf[:m.size], nil
+	} else {
+		payload, m.last = m.last, nil // a one-fragment message
 	}
 	r.dropLocked(k, m)
-	return out, Complete, evicted
+	return payload, Complete, evicted
+}
+
+// chargeLocked raises the bytes m holds against its peer's budget to n. If
+// that would exceed the budget it drops the whole partial message instead
+// and reports false.
+func (r *Reassembler) chargeLocked(k key, m *message, n int) bool {
+	if r.peerBytes[k.src]-m.charged+n > r.cfg.PerPeerBudget {
+		r.dropLocked(k, m)
+		return false
+	}
+	r.peerBytes[k.src] += n - m.charged
+	m.charged = n
+	return true
 }
 
 // dropLocked releases one partial message's storage and accounting.
 func (r *Reassembler) dropLocked(k key, m *message) {
-	for i, c := range m.chunks {
-		if c != nil {
-			bufpool.Put(c)
-			m.chunks[i] = nil
-		}
+	if m.buf != nil {
+		bufpool.Put(m.buf)
+		m.buf = nil
 	}
-	r.peerBytes[k.src] -= m.bytes
+	if m.last != nil {
+		bufpool.Put(m.last)
+		m.last = nil
+	}
+	r.peerBytes[k.src] -= m.charged
 	if r.peerBytes[k.src] <= 0 {
 		delete(r.peerBytes, k.src)
 	}
@@ -294,7 +367,8 @@ func (r *Reassembler) Expire(now time.Time) int {
 // Partials reports the number of partial messages currently buffered.
 func (r *Reassembler) Partials() int { return int(r.partials.Load()) }
 
-// BufferedBytes reports the total payload bytes currently buffered.
+// BufferedBytes reports the bytes currently charged to the per-peer budgets:
+// every partial message's reserved buffer, or its held last fragment.
 func (r *Reassembler) BufferedBytes() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -14,12 +14,18 @@ import (
 // script may replay a full fragment set after a completion, which starts a
 // legitimate fresh message under the reused id; real senders never reuse
 // ids, so at-most-once delivery is the sender's counter's job, not checked
-// here.)
+// here.) The third canonical message is cut at unequal strides, as no
+// conforming sender cuts, so it must never complete.
 func FuzzReassemble(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3})
 	f.Add([]byte{3, 2, 1, 0, 0, 1, 2, 3})
 	f.Add([]byte{0, 0, 0, 0, 128, 200, 255})
 	f.Add(bytes.Repeat([]byte{7, 11, 13}, 20))
+	// Every fragment of the unequal-stride message, in order, reversed, and
+	// the odd one first.
+	f.Add([]byte{2, 10, 18, 26, 34, 42, 50, 58})
+	f.Add([]byte{58, 50, 42, 34, 26, 18, 10, 2})
+	f.Add([]byte{18, 58, 2, 10, 26, 34, 42, 50})
 	f.Fuzz(func(t *testing.T, script []byte) {
 		r := New(Config{
 			MaxMessage:    1 << 12,
@@ -30,23 +36,28 @@ func FuzzReassemble(f *testing.F) {
 		})
 		// Two canonical messages whose fragments the script replays in any
 		// order; completions must reproduce these exact bytes.
-		msgs := [2][]byte{
+		msgs := [3][]byte{
 			bytes.Repeat([]byte{0xA5}, 700),
 			[]byte("the quick brown fox jumps over the lazy dog"),
+			bytes.Repeat([]byte("uneven"), 8),
 		}
 		const perMsg = 8
-		chunks := [2][][]byte{splitInto(msgs[0], perMsg), splitInto(msgs[1], perMsg)}
+		chunks := [3][][]byte{splitInto(msgs[0], perMsg), splitInto(msgs[1], perMsg), nil}
+		cuts := [perMsg + 1]int{0, 6, 12, 21, 27, 33, 39, 45, 48} // strides 6, 6, 9, 6, …, last 3
+		for i := 0; i < perMsg; i++ {
+			chunks[2] = append(chunks[2], msgs[2][cuts[i]:cuts[i+1]])
+		}
 		now := time.Unix(0, 0)
 		for _, op := range script {
 			now = now.Add(time.Duration(op%5) * time.Second)
 			switch which := op % 8; {
-			case which < 2:
+			case which < 3:
 				// Canonical fragment of message `which`, index from the op.
 				m := int(which)
 				idx := uint32(op/8) % perMsg
 				payload, res, _ := r.Add(1, uint64(m), idx, perMsg, chunks[m][idx], now)
-				if res == Complete && !bytes.Equal(payload, msgs[m]) {
-					t.Fatalf("message %d completed corrupted: %d bytes vs %d",
+				if res == Complete && (m == 2 || !bytes.Equal(payload, msgs[m])) {
+					t.Fatalf("message %d completed: %d bytes vs %d",
 						m, len(payload), len(msgs[m]))
 				}
 			case which < 4:

@@ -57,14 +57,17 @@ var sysSendmmsg = func() uintptr {
 // BatchReader drains multiple datagrams per syscall via recvmmsg(2). It owns
 // a fixed set of receive slots — persistent buffers plus the iovec/msghdr
 // scaffolding recvmmsg fills — so steady-state receives perform no
-// allocation: callers borrow Frame(i) until the next Recv call.
+// allocation: callers borrow Frame(i) until the next Recv call. Like Reader,
+// it binds its recvmmsg callback once and is not safe for concurrent use.
 type BatchReader struct {
 	rc    syscall.RawConn
+	recv  func(fd uintptr) bool
 	bufs  [][]byte
 	hdrs  []mmsghdr
 	iovs  []syscall.Iovec
 	names []syscall.RawSockaddrInet6
 	count int
+	err   error // the last recvmmsg's result, set by recvFD
 }
 
 // NewBatchReader prepares batched non-blocking receives on c with the given
@@ -81,6 +84,7 @@ func NewBatchReader(c syscall.Conn, slots, bufSize int) (*BatchReader, error) {
 		iovs:  make([]syscall.Iovec, slots),
 		names: make([]syscall.RawSockaddrInet6, slots),
 	}
+	b.recv = b.recvFD
 	for i := 0; i < slots; i++ {
 		b.bufs[i] = make([]byte, bufSize)
 		b.iovs[i].Base = &b.bufs[i][0]
@@ -100,36 +104,37 @@ func (b *BatchReader) Slots() int { return len(b.bufs) }
 // It returns the number received, or (0, ErrWouldBlock) when the socket has
 // nothing queued. The filled slots are valid until the next Recv.
 func (b *BatchReader) Recv() (int, error) {
-	var n int
-	var rerr error
-	err := b.rc.Read(func(fd uintptr) bool {
-		for {
-			// The kernel overwrites Namelen with each datagram's actual
-			// source-address length; reset before reuse.
-			for i := range b.hdrs {
-				b.hdrs[i].Hdr.Namelen = syscall.SizeofSockaddrInet6
-			}
-			r1, _, e := syscall.Syscall6(syscall.SYS_RECVMMSG, fd,
-				uintptr(unsafe.Pointer(&b.hdrs[0])), uintptr(len(b.hdrs)),
-				syscall.MSG_DONTWAIT, 0, 0)
-			switch {
-			case e == syscall.EINTR:
-				continue
-			case e == syscall.EAGAIN || e == syscall.EWOULDBLOCK:
-				n, rerr = 0, ErrWouldBlock
-			case e != 0:
-				n, rerr = 0, e
-			default:
-				n, rerr = int(r1), nil
-			}
-			return true // never park; this is a poll
-		}
-	})
-	if err != nil {
+	b.count = 0
+	if err := b.rc.Read(b.recv); err != nil {
 		return 0, err
 	}
-	b.count = n
-	return n, rerr
+	err := b.err
+	b.err = nil
+	return b.count, err
+}
+
+func (b *BatchReader) recvFD(fd uintptr) bool {
+	for {
+		// The kernel overwrites Namelen with each datagram's actual
+		// source-address length; reset before reuse.
+		for i := range b.hdrs {
+			b.hdrs[i].Hdr.Namelen = syscall.SizeofSockaddrInet6
+		}
+		r1, _, e := syscall.Syscall6(syscall.SYS_RECVMMSG, fd,
+			uintptr(unsafe.Pointer(&b.hdrs[0])), uintptr(len(b.hdrs)),
+			syscall.MSG_DONTWAIT, 0, 0)
+		switch {
+		case e == syscall.EINTR:
+			continue
+		case e == syscall.EAGAIN || e == syscall.EWOULDBLOCK:
+			b.count, b.err = 0, ErrWouldBlock
+		case e != 0:
+			b.count, b.err = 0, e
+		default:
+			b.count, b.err = int(r1), nil
+		}
+		return true // never park; this is a poll
+	}
 }
 
 // Frame returns slot i's datagram payload from the last Recv. The slice is

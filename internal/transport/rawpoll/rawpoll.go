@@ -19,10 +19,18 @@ import (
 // ErrWouldBlock reports that no data was available at the time of the read.
 var ErrWouldBlock = errors.New("rawpoll: no data available")
 
-// Reader performs non-blocking reads on one socket. It caches the RawConn so
-// repeated polls do not reallocate.
+// Reader performs non-blocking reads on one socket. It is not safe for
+// concurrent use: the read callbacks are bound once, in NewReader, and one
+// call's buffer and results travel in the Reader's fields, so a probe that
+// finds the socket empty allocates nothing.
 type Reader struct {
-	rc syscall.RawConn
+	rc             syscall.RawConn
+	read, readFrom func(fd uintptr) bool
+
+	buf  []byte
+	n    int
+	from *net.UDPAddr
+	err  error
 }
 
 // NewReader prepares non-blocking reads on c (any *net.TCPConn,
@@ -32,66 +40,73 @@ func NewReader(c syscall.Conn) (*Reader, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Reader{rc: rc}, nil
+	r := &Reader{rc: rc}
+	r.read, r.readFrom = r.readFD, r.readFromFD
+	return r, nil
 }
 
 // Read performs one non-blocking read into buf. It returns the number of
 // bytes read; (0, ErrWouldBlock) when the socket has no data; (0, io.EOF) at
 // end of stream.
 func (r *Reader) Read(buf []byte) (int, error) {
-	var n int
-	var rerr error
-	err := r.rc.Read(func(fd uintptr) bool {
-		for {
-			m, e := syscall.Read(int(fd), buf)
-			switch {
-			case e == syscall.EINTR:
-				continue
-			case e == syscall.EAGAIN || e == syscall.EWOULDBLOCK:
-				n, rerr = 0, ErrWouldBlock
-			case e != nil:
-				n, rerr = 0, e
-			case m == 0:
-				n, rerr = 0, io.EOF
-			default:
-				n, rerr = m, nil
-			}
-			return true // never park; this is a poll
-		}
-	})
+	r.buf = buf
+	err := r.rc.Read(r.read)
+	n, rerr := r.n, r.err
+	r.buf, r.err = nil, nil // keep no reference to the caller's buffer
 	if err != nil {
 		return 0, err
 	}
 	return n, rerr
 }
 
+func (r *Reader) readFD(fd uintptr) bool {
+	for {
+		m, e := syscall.Read(int(fd), r.buf)
+		switch {
+		case e == syscall.EINTR:
+			continue
+		case e == syscall.EAGAIN || e == syscall.EWOULDBLOCK:
+			r.n, r.err = 0, ErrWouldBlock
+		case e != nil:
+			r.n, r.err = 0, e
+		case m == 0:
+			r.n, r.err = 0, io.EOF
+		default:
+			r.n, r.err = m, nil
+		}
+		return true // never park; this is a poll
+	}
+}
+
 // ReadFrom performs one non-blocking recvfrom(2) into buf, returning the
 // datagram's source address. It returns (0, nil, ErrWouldBlock) when no
 // datagram is queued. Only meaningful for datagram sockets.
 func (r *Reader) ReadFrom(buf []byte) (int, *net.UDPAddr, error) {
-	var n int
-	var from *net.UDPAddr
-	var rerr error
-	err := r.rc.Read(func(fd uintptr) bool {
-		for {
-			m, sa, e := syscall.Recvfrom(int(fd), buf, 0)
-			switch {
-			case e == syscall.EINTR:
-				continue
-			case e == syscall.EAGAIN || e == syscall.EWOULDBLOCK:
-				n, rerr = 0, ErrWouldBlock
-			case e != nil:
-				n, rerr = 0, e
-			default:
-				n, from, rerr = m, sockaddrToUDP(sa), nil
-			}
-			return true // never park; this is a poll
-		}
-	})
+	r.buf = buf
+	err := r.rc.Read(r.readFrom)
+	n, from, rerr := r.n, r.from, r.err
+	r.buf, r.from, r.err = nil, nil, nil
 	if err != nil {
 		return 0, nil, err
 	}
 	return n, from, rerr
+}
+
+func (r *Reader) readFromFD(fd uintptr) bool {
+	for {
+		m, sa, e := syscall.Recvfrom(int(fd), r.buf, 0)
+		switch {
+		case e == syscall.EINTR:
+			continue
+		case e == syscall.EAGAIN || e == syscall.EWOULDBLOCK:
+			r.n, r.from, r.err = 0, nil, ErrWouldBlock
+		case e != nil:
+			r.n, r.from, r.err = 0, nil, e
+		default:
+			r.n, r.from, r.err = m, sockaddrToUDP(sa), nil
+		}
+		return true // never park; this is a poll
+	}
 }
 
 func sockaddrToUDP(sa syscall.Sockaddr) *net.UDPAddr {

@@ -222,3 +222,46 @@ func BenchmarkReadWouldBlock(b *testing.B) {
 		}
 	}
 }
+
+// TestWouldBlockReadAllocs pins the cost of probing an empty socket — the
+// common case for a polled method — at zero allocations for each of Read,
+// ReadFrom and BatchReader.Recv.
+func TestWouldBlockReadAllocs(t *testing.T) {
+	_, server := tcpPair(t)
+	rd, err := NewReader(server)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, receiver := udpPair(t)
+	urd, err := NewReader(receiver)
+	if err != nil {
+		t.Fatal(err)
+	}
+	br, err := NewBatchReader(receiver, 16, 2048)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 64)
+	probes := []struct {
+		name string
+		read func() error
+	}{
+		{"Read", func() error { _, err := rd.Read(buf); return err }},
+		{"ReadFrom", func() error { _, _, err := urd.ReadFrom(buf); return err }},
+		{"Recv", func() error { _, err := br.Recv(); return err }},
+	}
+	for _, p := range probes {
+		var perr error
+		allocs := testing.AllocsPerRun(100, func() {
+			if err := p.read(); !errors.Is(err, ErrWouldBlock) {
+				perr = err
+			}
+		})
+		if perr != nil {
+			t.Fatalf("%s on an empty socket: %v", p.name, perr)
+		}
+		if allocs != 0 {
+			t.Errorf("%s on an empty socket allocates %.1f times per call, want 0", p.name, allocs)
+		}
+	}
+}

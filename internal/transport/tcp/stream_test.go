@@ -1,0 +1,295 @@
+package tcp
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"net"
+	"runtime"
+	"testing"
+	"time"
+
+	"nexus/internal/wire"
+)
+
+// streamPair returns a raw client socket and the inConn reading its accepted
+// peer, with no module around them.
+func streamPair(t testing.TB) (net.Conn, *inConn) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			close(accepted)
+			return
+		}
+		accepted <- c
+	}()
+	client, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	server, ok := <-accepted
+	if !ok {
+		client.Close()
+		t.Fatal("accept failed")
+	}
+	t.Cleanup(func() { client.Close(); server.Close() })
+	return client, &inConn{c: server}
+}
+
+// encodeStream length-prefixes each frame, as outConn does.
+func encodeStream(frames ...[]byte) []byte {
+	var out []byte
+	for _, f := range frames {
+		out = binary.BigEndian.AppendUint32(out, uint32(len(f)))
+		out = append(out, f...)
+	}
+	return out
+}
+
+func pattern(n, seed int) []byte {
+	p := make([]byte, n)
+	for i := range p {
+		p[i] = byte(i*7 + seed)
+	}
+	return p
+}
+
+// TestStreamFramesLandIntact sends frames on both sides of every reader
+// boundary — 1 B, one that exactly fills the 64 KiB scratch with its prefix,
+// one byte more, just past bufpool's 1 MiB class, and 4 MiB — through writes
+// of 1 B, 3 B, an odd size and 1 MiB, so prefixes, small frames and the start
+// of large frames arrive split at arbitrary points. Every frame must arrive in
+// order and byte-identical. (The small writes cover the first 4 KiB of each
+// frame; the rest of a frame goes in 1 MiB writes to keep the test fast.)
+func TestStreamFramesLandIntact(t *testing.T) {
+	const scratch = 64 << 10
+	var want [][]byte
+	for i, n := range []int{1, scratch - 4, scratch - 3, 1<<20 + 1, 4 << 20} {
+		want = append(want, pattern(n, i))
+	}
+	for _, w := range []int{1, 3, 4099, 1 << 20} {
+		t.Run(fmt.Sprintf("write=%d", w), func(t *testing.T) {
+			sink := &collect{}
+			recv, d := initModule(t, nil, 1, sink)
+			c, err := net.Dial("tcp", d.Attr("addr"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			wrote := make(chan error, 1)
+			go func() {
+				for _, f := range want {
+					frame := encodeStream(f)
+					head := min(len(frame), 4<<10)
+					for off := 0; off < len(frame); {
+						step := 1 << 20
+						if off < head {
+							step = min(w, head-off)
+						}
+						n, err := c.Write(frame[off:min(off+step, len(frame))])
+						if err != nil {
+							wrote <- err
+							return
+						}
+						off += n
+					}
+				}
+				wrote <- nil
+			}()
+			for deadline := time.Now().Add(20 * time.Second); len(sink.snapshot()) < len(want); {
+				if n, err := recv.Poll(); err != nil {
+					t.Fatal(err)
+				} else if n == 0 {
+					runtime.Gosched()
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("%d of %d frames delivered", len(sink.snapshot()), len(want))
+				}
+			}
+			if err := <-wrote; err != nil {
+				t.Fatal(err)
+			}
+			for i, got := range sink.snapshot() {
+				if !bytes.Equal(got, want[i]) {
+					t.Fatalf("frame %d: %d bytes, want %d, contents differ", i, len(got), len(want[i]))
+				}
+			}
+		})
+	}
+}
+
+// countSink counts frames and bytes and keeps the last frame's first bytes,
+// so it allocates nothing.
+type countSink struct {
+	frames, bytes int
+	head          [8]byte
+}
+
+func (s *countSink) Deliver(f []byte) {
+	s.frames++
+	s.bytes += len(f)
+	s.head = [8]byte{}
+	copy(s.head[:], f)
+}
+
+// TestOversizePrefixPoisonsBeforeAllocating: a length prefix above
+// wire.MaxFrameLen() kills the connection at the prefix, after the frames
+// ahead of it are delivered and before any landing buffer is taken.
+func TestOversizePrefixPoisonsBeforeAllocating(t *testing.T) {
+	client, ic := streamPair(t)
+	sink := &countSink{}
+	// Warm up: the first poll builds the reader and scratch.
+	if _, err := client.Write(encodeStream([]byte("warm"))); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); sink.frames < 1; ic.poll(sink) {
+		if time.Now().After(deadline) {
+			t.Fatal("warm-up frame not delivered")
+		}
+	}
+	bad := binary.BigEndian.AppendUint32(encodeStream([]byte("ahead")), uint32(wire.MaxFrameLen()+1))
+	if _, err := client.Write(append(bad, pattern(1<<10, 0)...)); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for deadline := time.Now().Add(5 * time.Second); !ic.dead(); ic.poll(sink) {
+		if time.Now().After(deadline) {
+			t.Fatal("oversize prefix did not poison the connection")
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if sink.frames != 2 || string(sink.head[:5]) != "ahead" {
+		t.Fatalf("delivered %d frames, the last starting %q; want the warm-up frame and the frame ahead of the bad prefix",
+			sink.frames, sink.head[:])
+	}
+	if ic.frame != nil {
+		t.Fatalf("a %d B landing buffer was taken for a rejected prefix", len(ic.frame))
+	}
+	if mallocs := after.Mallocs - before.Mallocs; !raceEnabled && mallocs != 0 {
+		t.Errorf("rejecting the prefix allocated %d times, want 0", mallocs)
+	}
+}
+
+// TestLargeFrameReceiveAllocs pins the receive of a 4 MiB frame, after the
+// connection's first, at zero allocations: its landing buffer comes from
+// the pool and the reads go straight into it.
+func TestLargeFrameReceiveAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	client, ic := streamPair(t)
+	frame := encodeStream(pattern(4<<20, 1))
+	send := make(chan struct{})
+	wrote := make(chan error, 1)
+	go func() {
+		for range send {
+			_, err := client.Write(frame)
+			wrote <- err
+		}
+	}()
+	defer close(send)
+	sink := &countSink{}
+	var perr error
+	receive := func() {
+		send <- struct{}{}
+		want := sink.frames + 1
+		for deadline := time.Now().Add(10 * time.Second); sink.frames < want; {
+			if n, _ := ic.poll(sink); n == 0 {
+				runtime.Gosched()
+			}
+			if time.Now().After(deadline) || ic.dead() {
+				perr = errors.New("frame not delivered")
+				return
+			}
+		}
+		if err := <-wrote; err != nil {
+			perr = err
+		}
+	}
+	receive() // the connection's first large frame builds reader, scratch and slab
+	allocs := testing.AllocsPerRun(5, receive)
+	if perr != nil {
+		t.Fatal(perr)
+	}
+	if sink.bytes != sink.frames*(4<<20) {
+		t.Fatalf("received %d bytes in %d frames", sink.bytes, sink.frames)
+	}
+	if allocs != 0 {
+		t.Errorf("receiving a 4 MiB frame allocates %.1f times, want 0", allocs)
+	}
+}
+
+// FuzzStreamReader feeds an arbitrary byte stream through the poll-mode
+// reader, written in chunks whose sizes come from cuts, each chunk consumed
+// before the next is written, with a scratch of 4–67 bytes so that the
+// landing-buffer path runs on small inputs. The oracle is wire.ReadFrame over
+// the same bytes: the reader delivers exactly the frames it returns, and the
+// connection is poisoned exactly when it returns ErrOversize.
+func FuzzStreamReader(f *testing.F) {
+	f.Add(encodeStream([]byte("a"), []byte("bc")), []byte{0, 2}, uint8(12))
+	f.Add(encodeStream(pattern(200, 1), nil, []byte("tail")), []byte{3, 50, 7}, uint8(0))
+	f.Add(append(encodeStream([]byte("ok")), 0xff, 0xff, 0xff, 0xff, 1), []byte{1}, uint8(60))
+	f.Add(encodeStream(pattern(300, 2))[:150], []byte{9}, uint8(30))
+	f.Fuzz(func(t *testing.T, stream, cuts []byte, scratch uint8) {
+		var want [][]byte
+		var oerr error
+		for r := bytes.NewReader(stream); oerr == nil; {
+			var fr []byte
+			if fr, oerr = wire.ReadFrame(r); oerr == nil {
+				want = append(want, fr)
+			}
+		}
+
+		client, ic := streamPair(t)
+		ic.scratch = make([]byte, 4+int(scratch)%64)
+		sink := &collect{}
+		consumed := func() int {
+			n := ic.have
+			for _, f := range sink.snapshot() {
+				n += 4 + len(f)
+			}
+			if ic.frame != nil {
+				n += 4 + ic.landed
+			}
+			return n
+		}
+		for off, i := 0, 0; off < len(stream) && !ic.dead(); i++ {
+			step := len(stream)
+			if len(cuts) > 0 {
+				step = 1 + int(cuts[i%len(cuts)])
+			}
+			end := min(off+step, len(stream))
+			if _, err := client.Write(stream[off:end]); err != nil {
+				t.Fatal(err)
+			}
+			off = end
+			for deadline := time.Now().Add(5 * time.Second); consumed() < off && !ic.dead(); ic.poll(sink) {
+				if time.Now().After(deadline) {
+					t.Fatalf("reader consumed %d of %d bytes written", consumed(), off)
+				}
+			}
+		}
+
+		got := sink.snapshot()
+		if len(got) != len(want) {
+			t.Fatalf("reader delivered %d frames, ReadFrame %d (then %v)", len(got), len(want), oerr)
+		}
+		for i := range want {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Fatalf("frame %d differs from ReadFrame's", i)
+			}
+		}
+		if poisoned := ic.dead(); poisoned != errors.Is(oerr, wire.ErrOversize) {
+			t.Fatalf("poisoned = %v, but ReadFrame ended with %v", poisoned, oerr)
+		}
+	})
+}

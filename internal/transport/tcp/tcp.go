@@ -408,14 +408,18 @@ func (m *Module) Close() error {
 }
 
 // inConn is an inbound connection with incremental frame-reassembly state for
-// poll mode.
+// poll mode. Every byte is read once, into the memory it is delivered from:
+// frames that fit in scratch are delivered straight from it, and a larger
+// frame is read directly into its own pooled landing buffer.
 type inConn struct {
 	c net.Conn
 
 	mu      sync.Mutex
 	rd      *rawpoll.Reader
-	buf     []byte // accumulated unparsed bytes
-	scratch []byte
+	scratch []byte // read buffer; scratch[:have] is the start of an incomplete frame
+	have    int
+	frame   []byte // landing buffer of a frame larger than scratch, nil when none
+	landed  int    // bytes of frame read so far
 	fd      int
 	watched bool
 	isDead  bool
@@ -470,12 +474,13 @@ func (ic *inConn) unwatch(r transport.Readiness) {
 	}
 }
 
-// maxPollReads bounds one poll pass per connection (reads × 64 KiB scratch).
+// maxPollReads bounds one poll pass per connection: reads of up to 64 KiB
+// into scratch, or of up to the remainder of a large frame.
 const maxPollReads = 16
 
 // poll reads the connection until the socket reports empty or the per-pass
-// bound is reached, and delivers every complete frame reassembled so far. It
-// also reports whether any bytes were consumed.
+// bound is reached, and delivers every frame completed so far. It also
+// reports whether any bytes were consumed.
 func (ic *inConn) poll(sink transport.Sink) (int, bool) {
 	ic.mu.Lock()
 	defer ic.mu.Unlock()
@@ -501,13 +506,26 @@ func (ic *inConn) poll(sink transport.Sink) (int, bool) {
 	delivered := 0
 	progressed := false
 	for reads := 0; reads < maxPollReads; reads++ {
-		n, err := ic.rd.Read(ic.scratch)
+		dst := ic.scratch[ic.have:]
+		if ic.frame != nil {
+			dst = ic.frame[ic.landed:]
+		}
+		n, err := ic.rd.Read(dst)
 		if n > 0 {
 			progressed = true
-			ic.buf = append(ic.buf, ic.scratch[:n]...)
-			delivered += ic.extract(sink)
-			if ic.isDead { // extract poisons the conn on a malformed frame
-				break
+			if ic.frame == nil {
+				delivered += ic.parse(sink, ic.have+n)
+				if ic.isDead { // parse poisons the conn on a malformed frame
+					break
+				}
+			} else {
+				ic.landed += n
+				if ic.landed == len(ic.frame) {
+					sink.Deliver(ic.frame)
+					bufpool.Put(ic.frame) // Deliver borrows; the frame is ours to recycle
+					ic.frame = nil
+					delivered++
+				}
 			}
 		}
 		if err != nil {
@@ -517,43 +535,44 @@ func (ic *inConn) poll(sink transport.Sink) (int, bool) {
 			break
 		}
 	}
+	if ic.isDead && ic.frame != nil {
+		bufpool.Put(ic.frame)
+		ic.frame = nil
+	}
 	return delivered, progressed
 }
 
-func (ic *inConn) extract(sink transport.Sink) int {
-	delivered := 0
-	consumed := 0
-	for {
-		if len(ic.buf)-consumed < 4 {
-			break
-		}
-		b := ic.buf[consumed:]
-		size := int(uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3]))
+// parse consumes scratch[:end]. Every whole frame is delivered straight from
+// scratch; a frame too large for scratch gets its landing buffer as soon as
+// its length prefix has passed the MaxFrameLen check, with the bytes already
+// read copied in; an incomplete smaller frame is moved to the front.
+func (ic *inConn) parse(sink transport.Sink, end int) int {
+	delivered, off := 0, 0
+	for end-off >= 4 {
+		b := ic.scratch[off:end]
+		size := int(binary.BigEndian.Uint32(b))
 		if size > wire.MaxFrameLen() {
 			// The old clamp (MaxPayload plus hand-picked slack) undercounted
 			// the header and killed connections carrying legal frames with
 			// maximal handler names; MaxFrameLen accounts for every header
 			// version and extension.
 			ic.isDead = true
-			break
+			return delivered
+		}
+		if 4+size > len(ic.scratch) {
+			ic.frame = bufpool.Get(size)
+			ic.landed = copy(ic.frame, b[4:])
+			ic.have = 0
+			return delivered
 		}
 		if len(b) < 4+size {
 			break
 		}
-		frame := bufpool.Get(size)
-		copy(frame, b[4:4+size])
-		consumed += 4 + size
-		sink.Deliver(frame)
-		bufpool.Put(frame)
+		sink.Deliver(b[4 : 4+size])
+		off += 4 + size
 		delivered++
 	}
-	if consumed > 0 {
-		// Compact the consumed prefix out rather than re-slicing forward: the
-		// buffer keeps its capacity, so steady-state reassembly stops
-		// allocating once the buffer has grown to the connection's frame size.
-		n := copy(ic.buf, ic.buf[consumed:])
-		ic.buf = ic.buf[:n]
-	}
+	ic.have = copy(ic.scratch, ic.scratch[off:end])
 	return delivered
 }
 

@@ -270,9 +270,9 @@ func (nopReadiness) Remove(int)    {}
 
 // TestPollBoundHoldsWhenAttached pins transport.Reactive rule 1 on the
 // attached module: with more than maxPollReads reads' worth pending on one
-// connection, a Poll stops at the bound, reports the unfinished work as
-// progress, and later Polls finish the job. A 1 KiB scratch makes one read at
-// most 1 KiB, so a 64 KiB frame is four passes' worth.
+// connection, a Poll stops at the bound, reports the frames it delivered, and
+// later Polls finish the job. A 64 B scratch makes one read at most two of the
+// train's 32 B frames, so no Poll may deliver more than 2·maxPollReads.
 func TestPollBoundHoldsWhenAttached(t *testing.T) {
 	sink := &collect{}
 	recv, d := initModule(t, nil, 1, sink)
@@ -293,32 +293,39 @@ func TestPollBoundHoldsWhenAttached(t *testing.T) {
 	ic := recv.inbound[0]
 	recv.mu.Unlock()
 	ic.mu.Lock()
-	ic.scratch = make([]byte, 1<<10)
+	ic.scratch = make([]byte, 64)
 	ic.mu.Unlock()
 
-	big := bytes.Repeat([]byte{0xAB}, 64<<10)
-	if err := c.Send(big); err != nil {
-		t.Fatal(err)
+	const frames, perPoll = 1000, 2 * maxPollReads
+	for i := 0; i < frames; i++ {
+		if err := c.Send(bytes.Repeat([]byte{byte(i)}, 28)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// Polls that return 0 found the socket empty (bytes still in flight);
-	// every Poll that consumed bytes must say so, and none may exceed the bound.
-	productive := 0
-	for deadline := time.Now().Add(5 * time.Second); len(sink.snapshot()) < 2; {
+	reported, most := 0, 0
+	for deadline := time.Now().Add(5 * time.Second); len(sink.snapshot()) < 1+frames; {
 		n, err := recv.Poll()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n > 0 {
-			productive++
+		if n > perPoll {
+			t.Fatalf("one Poll delivered %d frames, more than %d reads of 64 B hold", n, maxPollReads)
 		}
+		reported += n
+		most = max(most, n)
 		if time.Now().After(deadline) {
-			t.Fatalf("frame not delivered after %d productive polls", productive)
+			t.Fatalf("%d of %d frames delivered", len(sink.snapshot())-1, frames)
 		}
 	}
-	if min := len(big) / (maxPollReads << 10); productive < min {
-		t.Fatalf("a %d-byte frame took %d productive polls of at most %d 1 KiB reads each, want at least %d", len(big), productive, maxPollReads, min)
+	if reported != frames {
+		t.Errorf("Polls reported %d frames, delivered %d", reported, frames)
 	}
-	if got := sink.snapshot()[1]; !bytes.Equal(got, big) {
-		t.Fatal("frame corrupted across bounded passes")
+	if most != perPoll {
+		t.Errorf("no Poll stopped at the bound (most frames in one Poll: %d, bound %d)", most, perPoll)
+	}
+	for i, got := range sink.snapshot()[1:] {
+		if !bytes.Equal(got, bytes.Repeat([]byte{byte(i)}, 28)) {
+			t.Fatalf("frame %d corrupted across bounded passes", i)
+		}
 	}
 }
