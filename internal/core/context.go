@@ -741,7 +741,7 @@ func (c *Context) deliver(ms *moduleState, f *wire.Frame) {
 		// Request/response traffic routes by its correlation extension, not
 		// by endpoint/handler lookup: the attached RPC runtime (rpc_hook.go)
 		// resolves the call and invokes the registered handler itself.
-		c.deliverRPC(ms, f)
+		c.deliverRPC(f)
 		return
 	}
 	ep := (*c.endpoints.Load())[f.DestEndpoint]

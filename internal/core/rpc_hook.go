@@ -45,19 +45,12 @@ type RPCConfig struct {
 // are borrowed: they are valid only for the duration of the intake call, and
 // the hook must copy whatever it retains.
 type RPCInbound struct {
-	// Method names the communication method the frame arrived on ("" when
-	// unknown, e.g. frames injected by tests).
-	Method string
 	// SrcContext is the sending context.
 	SrcContext uint64
-	// DestEndpoint is the endpoint the frame was addressed to.
-	DestEndpoint uint64
 	// Handler is the wire handler name (the RPC method name on requests).
 	Handler string
 	// RPC is the decoded correlation extension.
 	RPC wire.RPCExt
-	// Class is the frame's priority class.
-	Class Class
 	// Trace is the frame's trace id (zero when untraced).
 	Trace obsv.TraceID
 	// Payload is the encoded argument buffer, borrowed from the frame.
@@ -114,7 +107,7 @@ func (c *Context) RegisterLatencies(name string, ss *obsv.StageSet) {
 
 // deliverRPC hands a frame carrying the RPC extension to the installed
 // intake. Runs bracketed by the dispatch gate, like any delivery.
-func (c *Context) deliverRPC(ms *moduleState, f *wire.Frame) {
+func (c *Context) deliverRPC(f *wire.Frame) {
 	fn := c.rpcIntake.Load()
 	if fn == nil {
 		c.cDropNoRPC.Inc()
@@ -123,13 +116,10 @@ func (c *Context) deliverRPC(ms *moduleState, f *wire.Frame) {
 		return
 	}
 	(*fn)(RPCInbound{
-		Method:       msName(ms),
-		SrcContext:   f.SrcContext,
-		DestEndpoint: f.DestEndpoint,
-		Handler:      f.Handler,
-		RPC:          f.RPC,
-		Class:        f.Class(),
-		Trace:        obsv.TraceID(f.Trace),
-		Payload:      f.Payload,
+		SrcContext: f.SrcContext,
+		Handler:    f.Handler,
+		RPC:        f.RPC,
+		Trace:      obsv.TraceID(f.Trace),
+		Payload:    f.Payload,
 	})
 }

@@ -247,38 +247,21 @@ func TestRPCConformance(t *testing.T) {
 	}
 }
 
-// TestBulkPullFragmentedRUDP pushes a bulk argument bigger than rudp's
-// datagram limit through the handle/pull path: the RPCPullData frame must
-// fragment on the caller's side and reassemble on the server's, and the call
-// still completes with the full argument.
-func TestBulkPullFragmentedRUDP(t *testing.T) {
-	tag := freshTag("rpc-bulk-rudp")
+// TestLargeRequestFragmentedRUDP sends an argument far bigger than rudp's
+// datagram limit as one request: the request RSR fragments on the caller's
+// side and reassembles on the server's, and the call completes with the full
+// argument.
+func TestLargeRequestFragmentedRUDP(t *testing.T) {
+	tag := freshTag("rpc-large-rudp")
 	serverC, server := newCtx(t, tag, "", core.MethodConfig{Name: "rudp"})
 	callerC, caller := newCtx(t, tag, "", core.MethodConfig{Name: "rudp"})
-	caller.bulkThreshold = 1 << 10
 	sp := transferStartpoint(t, serverC.NewEndpoint().NewStartpoint(), callerC)
 	t.Cleanup(serverC.StartPoller(100 * time.Microsecond))
 	t.Cleanup(callerC.StartPoller(100 * time.Microsecond))
 
-	server.Register("sum", func(req *Request, r *Responder) {
-		data := req.Payload.BytesValue()
-		var sum uint64
-		for _, b := range data {
-			sum += uint64(b)
-		}
-		out := buffer.New(16)
-		out.PutUint64(sum)
-		out.PutInt(len(data))
-		_ = r.Reply(out)
-	})
-	payload := make([]byte, 256<<10) // far above any datagram limit
-	var want uint64
-	for i := range payload {
-		payload[i] = byte(i * 7)
-		want += uint64(payload[i])
-	}
-	req := buffer.New(len(payload) + 8)
-	req.PutBytes(payload)
+	server.Register("sum", sumHandler)
+	const n = 256 << 10
+	req, sum := largeArg(n)
 	f, err := caller.Call(sp, "sum", req, CallOptions{Timeout: 30 * time.Second})
 	if err != nil {
 		t.Fatal(err)
@@ -287,17 +270,12 @@ func TestBulkPullFragmentedRUDP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.Uint64(); got != want {
-		t.Fatalf("checksum = %d, want %d", got, want)
+	checkSum(t, res, sum, n)
+	if got := callerC.Stats().Get("rsr.sent"); got != 1 {
+		t.Fatalf("caller rsr.sent = %d, want 1", got)
 	}
-	if got := res.Int(); got != len(payload) {
-		t.Fatalf("server saw %d bytes, want %d", got, len(payload))
-	}
-	if n := callerC.Stats().Get("rpc.pull_data"); n != 1 {
-		t.Fatalf("rpc.pull_data = %d, want 1", n)
-	}
-	if n := callerC.Stats().Get("frag.messages.sent"); n == 0 {
-		t.Fatal("pull data frame was not fragmented over rudp")
+	if got := callerC.Stats().Get("frag.messages.sent"); got == 0 {
+		t.Fatal("request frame was not fragmented over rudp")
 	}
 	if n := serverC.Stats().Get("frag.assembled"); n == 0 {
 		t.Fatal("server never reassembled a fragmented message")

@@ -3,15 +3,15 @@
 // extreme-scale services: a call is an RSR carrying the wire RPC extension
 // (call id, kind, deadline), the reply travels back through a per-context
 // response endpoint whose startpoint rides inside the request envelope, and
-// the caller rendezvouses with the reply through a Future. Large arguments
-// use a bulk-handle pull model — past a threshold the caller sends a compact
-// handle and the callee pulls the payload over the fragmentation path — and
-// servers may stream ordered chunk sequences instead of a single reply.
+// the caller rendezvouses with the reply through a Future. Servers may
+// stream ordered chunk sequences instead of a single reply.
 //
 // The layer inherits the substrate's guarantees wholesale: requests are
 // encoded once, so failover retries resend byte-identical frames and a
 // retried call keeps its call id (the caller suppresses the duplicate
-// reply); oversize frames fragment per link; deadlines travel on the wire as
+// reply); an argument of any size is one request RSR, which fragments per
+// link and is reassembled once, in pooled memory, and which waits for flow
+// credit like any normal-class send; deadlines travel on the wire as
 // absolute unix nanoseconds and cancel server-side work through a standard
 // context.Context.
 package rpc
@@ -33,14 +33,8 @@ import (
 	"nexus/internal/wire"
 )
 
-// Tuning every runtime starts with (Enable copies it into the RPC).
-const (
-	// DefaultBulkThreshold is the encoded request size past which arguments
-	// travel by bulk-handle pull.
-	DefaultBulkThreshold = 256 << 10
-	// DefaultTimeout bounds calls made with no explicit deadline.
-	DefaultTimeout = 30 * time.Second
-)
+// DefaultTimeout bounds calls made with no explicit deadline.
+const DefaultTimeout = 30 * time.Second
 
 var (
 	// ErrNotEnabled reports an RPC operation on a context without the layer
@@ -173,33 +167,9 @@ type serverCall struct {
 	cancel context.CancelFunc
 }
 
-// pullWait is a bulk-handle call waiting for its pulled argument.
-type pullWait struct {
-	method   string
-	route    *replyRoute
-	deadline time.Time
-	trace    obsv.TraceID
-	class    core.Class
-}
-
-// pullEntry is a caller-side bulk argument parked until the callee pulls it.
-type pullEntry struct {
-	data   []byte // the encoded argument buffer
-	sp     *core.Startpoint
-	method string
-	trace  obsv.TraceID
-}
-
 // RPC is the request/response runtime attached to one context.
 type RPC struct {
 	ctx *core.Context
-
-	// bulkThreshold is the encoded request size past which an argument
-	// travels by bulk-handle pull; defaultTimeout bounds calls that name no
-	// deadline of their own. Enable sets the package defaults; tests lower
-	// them directly.
-	bulkThreshold  int
-	defaultTimeout time.Duration
 
 	// ep is the auto-registered response endpoint; replyEnc is its encoded
 	// startpoint, embedded in every request envelope so the callee can route
@@ -216,7 +186,6 @@ type RPC struct {
 
 	mu       sync.Mutex
 	pending  map[uint64]*pendingCall
-	pulls    map[uint64]*pullEntry
 	handlers map[string]Handler
 	// methodNames interns registered method names so the request path can
 	// use a stable string instead of cloning the borrowed frame's handler
@@ -224,7 +193,6 @@ type RPC struct {
 	methodNames map[string]string
 	routes      map[uint64]*replyRoute
 	active      map[callKey]*serverCall
-	waiting     map[callKey]*pullWait
 	lats        map[string]*obsv.StageSet
 
 	cCalls      *metrics.Counter // rpc.calls
@@ -238,8 +206,6 @@ type RPC struct {
 	cServed     *metrics.Counter // rpc.served
 	cUnknown    *metrics.Counter // rpc.unknown_handler
 	cExpired    *metrics.Counter // rpc.expired
-	cPulls      *metrics.Counter // rpc.pulls
-	cPullData   *metrics.Counter // rpc.pull_data
 	cChunks     *metrics.Counter // rpc.stream.chunks
 	cOrphans    *metrics.Counter // rpc.orphan_frames
 	cBadFrames  *metrics.Counter // rpc.bad_frames
@@ -254,17 +220,13 @@ func Enable(c *core.Context) *RPC {
 		return r
 	}
 	r := &RPC{
-		ctx:            c,
-		bulkThreshold:  DefaultBulkThreshold,
-		defaultTimeout: DefaultTimeout,
-		pending:        make(map[uint64]*pendingCall),
-		pulls:          make(map[uint64]*pullEntry),
-		handlers:       make(map[string]Handler),
-		methodNames:    make(map[string]string),
-		routes:         make(map[uint64]*replyRoute),
-		active:         make(map[callKey]*serverCall),
-		waiting:        make(map[callKey]*pullWait),
-		lats:           make(map[string]*obsv.StageSet),
+		ctx:         c,
+		pending:     make(map[uint64]*pendingCall),
+		handlers:    make(map[string]Handler),
+		methodNames: make(map[string]string),
+		routes:      make(map[uint64]*replyRoute),
+		active:      make(map[callKey]*serverCall),
+		lats:        make(map[string]*obsv.StageSet),
 	}
 	r.ep = c.NewEndpoint()
 	spb := buffer.New(256)
@@ -282,8 +244,6 @@ func Enable(c *core.Context) *RPC {
 	r.cServed = st.Counter("rpc.served")
 	r.cUnknown = st.Counter("rpc.unknown_handler")
 	r.cExpired = st.Counter("rpc.expired")
-	r.cPulls = st.Counter("rpc.pulls")
-	r.cPullData = st.Counter("rpc.pull_data")
 	r.cChunks = st.Counter("rpc.stream.chunks")
 	r.cOrphans = st.Counter("rpc.orphan_frames")
 	r.cBadFrames = st.Counter("rpc.bad_frames")
@@ -321,16 +281,12 @@ func Register(c *core.Context, method string, h Handler) error {
 // borrowed, so anything retained is copied here.
 func (r *RPC) intake(in core.RPCInbound) {
 	switch in.RPC.Kind {
-	case wire.RPCRequest, wire.RPCRequestHandle:
+	case wire.RPCRequest:
 		r.handleRequest(&in)
 	case wire.RPCResponse, wire.RPCError, wire.RPCStreamChunk, wire.RPCStreamEnd:
 		r.handleReply(&in)
 	case wire.RPCCancel:
 		r.handleCancel(&in)
-	case wire.RPCPull:
-		r.handlePull(&in)
-	case wire.RPCPullData:
-		r.handlePullData(&in)
 	default:
 		r.cBadFrames.Inc()
 	}
@@ -364,8 +320,8 @@ func (r *RPC) routeFor(src uint64, spBytes []byte) (*replyRoute, error) {
 	return nrt, nil
 }
 
-// handleRequest serves an inbound RPCRequest, or registers an
-// RPCRequestHandle and pulls its bulk argument.
+// handleRequest serves an inbound RPCRequest. A large request arrives here
+// like a small one: core has already reassembled its fragments.
 func (r *RPC) handleRequest(in *core.RPCInbound) {
 	env, err := buffer.Decode(in.Payload)
 	if err != nil {
@@ -375,7 +331,7 @@ func (r *RPC) handleRequest(in *core.RPCInbound) {
 	// The envelope views borrow the delivered frame; routeFor copies the
 	// startpoint bytes if (and only if) it has to build a fresh route, and
 	// the request bytes are consumed synchronously by serve below.
-	spBytes := env.BytesView()
+	spBytes, reqBytes := env.BytesView(), env.BytesView()
 	if env.Err() != nil {
 		r.cBadFrames.Inc()
 		return
@@ -399,42 +355,7 @@ func (r *RPC) handleRequest(in *core.RPCInbound) {
 	if in.RPC.Aux != 0 {
 		deadline = time.Unix(0, int64(in.RPC.Aux))
 	}
-	if in.RPC.Kind == wire.RPCRequestHandle {
-		// Bulk-handle pull: park the call and ask the caller for the real
-		// argument; handlePullData resumes it.
-		r.mu.Lock()
-		r.purgeWaitingLocked(time.Now())
-		r.waiting[key] = &pullWait{method: method, route: route,
-			deadline: deadline, trace: in.Trace, class: in.Class}
-		r.mu.Unlock()
-		r.cPulls.Inc()
-		if err := route.sp.RSRWithRPC(method, nil, core.RPCSend{
-			Ext:   wire.RPCExt{Call: key.call, Kind: wire.RPCPull},
-			Class: core.ClassControl, Trace: in.Trace,
-		}); err != nil {
-			r.mu.Lock()
-			delete(r.waiting, key)
-			r.mu.Unlock()
-		}
-		return
-	}
-	reqBytes := env.BytesView()
-	if env.Err() != nil {
-		r.cBadFrames.Inc()
-		return
-	}
 	r.serve(key, method, h, route, reqBytes, deadline, in.Trace)
-}
-
-// purgeWaitingLocked drops parked bulk-handle calls whose deadline passed:
-// their callers have given up and will never answer the pull. Caller holds
-// r.mu.
-func (r *RPC) purgeWaitingLocked(now time.Time) {
-	for k, w := range r.waiting {
-		if !w.deadline.IsZero() && now.After(w.deadline) {
-			delete(r.waiting, k)
-		}
-	}
 }
 
 // coarseClock caches the wall clock (unix nanoseconds), advanced whenever
@@ -516,67 +437,16 @@ func (r *RPC) serve(key callKey, method string, h Handler, route *replyRoute,
 }
 
 // handleCancel stops an in-flight inbound call's work: the handler's context
-// fires and any parked bulk-handle state is dropped.
+// fires.
 func (r *RPC) handleCancel(in *core.RPCInbound) {
 	key := callKey{src: in.SrcContext, call: in.RPC.Call}
 	r.mu.Lock()
 	sc := r.active[key]
-	delete(r.waiting, key)
 	r.mu.Unlock()
 	r.cCancelRecv.Inc()
 	if sc != nil {
 		sc.cancel()
 	}
-}
-
-// handlePull answers a callee's pull for a parked bulk argument: the stored
-// encoding is sent back as an RPCPullData frame, fragmenting on the way if
-// it exceeds the link's frame limit. The entry is consumed, so a duplicated
-// pull (failover retry) cannot trigger a second transfer.
-func (r *RPC) handlePull(in *core.RPCInbound) {
-	r.mu.Lock()
-	pe := r.pulls[in.RPC.Call]
-	delete(r.pulls, in.RPC.Call)
-	r.mu.Unlock()
-	if pe == nil {
-		r.cOrphans.Inc()
-		return
-	}
-	pb, err := buffer.FromBytes(pe.data)
-	if err != nil {
-		return
-	}
-	r.cPullData.Inc()
-	if serr := pe.sp.RSRWithRPC(pe.method, pb, core.RPCSend{
-		Ext:   wire.RPCExt{Call: in.RPC.Call, Kind: wire.RPCPullData},
-		Class: core.ClassBulk, Trace: pe.trace,
-	}); serr != nil {
-		r.mu.Lock()
-		pc := r.pending[in.RPC.Call]
-		r.mu.Unlock()
-		if pc != nil {
-			r.complete(pc, nil, fmt.Errorf("rpc: call %d (%s): bulk pull transfer failed: %w",
-				in.RPC.Call, pe.method, serr))
-		}
-	}
-}
-
-// handlePullData resumes a parked bulk-handle call with its pulled argument.
-func (r *RPC) handlePullData(in *core.RPCInbound) {
-	key := callKey{src: in.SrcContext, call: in.RPC.Call}
-	r.mu.Lock()
-	w := r.waiting[key]
-	delete(r.waiting, key)
-	var h Handler
-	if w != nil {
-		h = r.handlers[w.method]
-	}
-	r.mu.Unlock()
-	if w == nil {
-		r.cOrphans.Inc()
-		return
-	}
-	r.serve(key, w.method, h, w.route, in.Payload, w.deadline, w.trace)
 }
 
 // latFor returns (lazily creating and publishing) the latency stage set for

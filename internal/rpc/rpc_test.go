@@ -444,22 +444,52 @@ func TestStreamUnaryReplyBridges(t *testing.T) {
 	}
 }
 
-func TestBulkHandlePull(t *testing.T) {
-	callerC, caller, server, sp := inprocPair(t, "rpc-bulk")
-	caller.bulkThreshold = 1 << 10
-	server.Register("size", func(req *Request, r *Responder) {
-		data := req.Payload.BytesValue()
-		b := buffer.New(8)
-		b.PutInt(len(data))
-		_ = r.Reply(b)
-	})
-	payload := make([]byte, 64<<10)
-	for i := range payload {
-		payload[i] = byte(i)
+// sumHandler replies with the byte sum and length of a request's argument,
+// so a caller can check a large argument arrived whole.
+func sumHandler(req *Request, r *Responder) {
+	data := req.Payload.BytesView()
+	var sum uint64
+	for _, b := range data {
+		sum += uint64(b)
 	}
-	req := buffer.New(len(payload) + 8)
+	out := buffer.New(16)
+	out.PutUint64(sum)
+	out.PutInt(len(data))
+	_ = r.Reply(out)
+}
+
+// largeArg builds an n-byte request argument and its byte sum.
+func largeArg(n int) (*buffer.Buffer, uint64) {
+	payload := make([]byte, n)
+	var sum uint64
+	for i := range payload {
+		payload[i] = byte(i * 7)
+		sum += uint64(payload[i])
+	}
+	req := buffer.New(n + 8)
 	req.PutBytes(payload)
-	f, err := caller.Call(sp, "size", req, CallOptions{Timeout: 15 * time.Second})
+	return req, sum
+}
+
+// checkSum verifies a sumHandler reply against the argument sent.
+func checkSum(t *testing.T, res *buffer.Buffer, sum uint64, n int) {
+	t.Helper()
+	if got := res.Uint64(); got != sum {
+		t.Errorf("checksum = %d, want %d", got, sum)
+	}
+	if got := res.Int(); got != n {
+		t.Errorf("server saw %d bytes, want %d", got, n)
+	}
+}
+
+// TestLargeRequestInproc sends a 64 KiB argument as an ordinary request: one
+// RSR out, served whole.
+func TestLargeRequestInproc(t *testing.T) {
+	callerC, caller, server, sp := inprocPair(t, "rpc-large")
+	server.Register("sum", sumHandler)
+	const n = 64 << 10
+	req, sum := largeArg(n)
+	f, err := caller.Call(sp, "sum", req, CallOptions{Timeout: 15 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -467,45 +497,75 @@ func TestBulkHandlePull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.Int(); got != len(payload) {
-		t.Fatalf("server saw %d bytes, want %d", got, len(payload))
-	}
-	if n := callerC.Stats().Get("rpc.pull_data"); n != 1 {
-		t.Fatalf("rpc.pull_data = %d, want 1 (bulk path not taken)", n)
+	checkSum(t, res, sum, n)
+	if got := callerC.Stats().Get("rsr.sent"); got != 1 {
+		t.Fatalf("caller rsr.sent = %d, want 1", got)
 	}
 }
 
-// TestBulkPullSingleTransfer: a duplicated RequestHandle (failover retry)
-// must not trigger a second payload transfer — the parked entry is consumed
-// by the first pull.
-func TestBulkPullSingleTransfer(t *testing.T) {
-	callerC, caller, server, sp := inprocPair(t, "rpc-bulk-once")
-	caller.bulkThreshold = 1 << 10
-	server.Register("size", func(req *Request, r *Responder) {
-		b := buffer.New(8)
-		b.PutInt(req.Payload.Len())
-		_ = r.Reply(b)
-	})
-	req := buffer.New(4 << 10)
-	req.PutBytes(make([]byte, 4<<10))
-	f, err := caller.Call(sp, "size", req, CallOptions{Timeout: 15 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Await(); err != nil {
-		t.Fatal(err)
-	}
-	// A second pull for the same call finds nothing parked.
-	caller.intake(core.RPCInbound{
-		SrcContext: uint64(callerC.ID()),
-		RPC:        wire.RPCExt{Call: f.pc.id, Kind: wire.RPCPull},
-		Payload:    buffer.New(0).Encode(),
-	})
-	if n := callerC.Stats().Get("rpc.pull_data"); n != 1 {
-		t.Fatalf("rpc.pull_data = %d, want exactly 1", n)
-	}
-	if n := callerC.Stats().Get("rpc.orphan_frames"); n != 1 {
-		t.Fatalf("rpc.orphan_frames = %d, want 1", n)
+// TestLargeCallsUnderFlowControl starts k concurrent 512 KiB calls from one
+// caller against a threaded, flow-controlled tcp server (the shape of the
+// benchmark's rpc_mix) and awaits them all. Every call must succeed — a large
+// argument waits for credit like any normal-class request — and each call is
+// exactly one RSR out and one back.
+func TestLargeCallsUnderFlowControl(t *testing.T) {
+	const n = 512 << 10
+	req, sum := largeArg(n)
+	for _, k := range []int{1, 4, 8} {
+		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
+			mk := func(threaded bool) (*core.Context, *RPC) {
+				c, err := core.NewContext(core.Options{
+					Methods:  []core.MethodConfig{{Name: "tcp"}},
+					Threaded: threaded,
+					Flow:     core.FlowConfig{Enabled: true},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { c.Close() })
+				return c, Enable(c)
+			}
+			serverC, server := mk(true)
+			callerC, caller := mk(false)
+			// Credit grants travel on a reverse route resolved from the
+			// peer's table.
+			serverC.RegisterPeerTable(callerC.AdvertisedTable())
+			callerC.RegisterPeerTable(serverC.AdvertisedTable())
+			server.Register("sum", sumHandler)
+			sp := transferStartpoint(t, serverC.NewEndpoint().NewStartpoint(), callerC)
+			t.Cleanup(serverC.StartPoller(0))
+
+			callerSent0 := callerC.Stats().Get("rsr.sent")
+			serverSent0 := serverC.Stats().Get("rsr.sent")
+			futures := make([]*Future, k)
+			for i := range futures {
+				f, err := caller.Call(sp, "sum", req, CallOptions{Timeout: 30 * time.Second})
+				if err != nil {
+					t.Fatalf("call %d: %v", i, err)
+				}
+				futures[i] = f
+			}
+			for i, f := range futures {
+				res, err := f.Await()
+				if err != nil {
+					t.Errorf("call %d: %v", i, err)
+					continue
+				}
+				checkSum(t, res, sum, n)
+			}
+			if got := callerC.Stats().Get("rsr.sent") - callerSent0; got != uint64(k) {
+				t.Errorf("caller rsr.sent delta = %d, want %d", got, k)
+			}
+			// The server counts a reply after its send returns, which can be
+			// after the caller has already taken it.
+			deadline := time.Now().Add(10 * time.Second)
+			for serverC.Stats().Get("rsr.sent")-serverSent0 < uint64(k) && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			if got := serverC.Stats().Get("rsr.sent") - serverSent0; got != uint64(k) {
+				t.Errorf("server rsr.sent delta = %d, want %d", got, k)
+			}
+		})
 	}
 }
 

@@ -79,22 +79,19 @@ func TestRPCExtensionRoundTrip(t *testing.T) {
 }
 
 // TestDecodeRejectsBadRPCKind pins kind 0 and kinds beyond RPCMaxKind as
-// undecodable, reserving them for future protocol revisions.
+// undecodable, reserving them for future protocol revisions. Kinds 7-9 once
+// carried a bulk-handle pull protocol and are rejected like any unknown kind.
 func TestDecodeRejectsBadRPCKind(t *testing.T) {
 	enc := (&Frame{Type: TypeRSR, Flags: FlagRPC,
 		Ext: Ext{RPC: RPCExt{Call: 1, Kind: RPCRequest}}, Handler: "h"}).Encode()
 	kindOff := headerFixed + 1 + 8
 
-	zero := append([]byte(nil), enc...)
-	zero[kindOff] = 0
-	if _, err := Decode(zero); !errors.Is(err, ErrBadRPC) {
-		t.Errorf("kind 0: err = %v, want ErrBadRPC", err)
-	}
-
-	future := append([]byte(nil), enc...)
-	future[kindOff] = RPCMaxKind + 1
-	if _, err := Decode(future); !errors.Is(err, ErrBadRPC) {
-		t.Errorf("kind %d: err = %v, want ErrBadRPC", RPCMaxKind+1, err)
+	for _, kind := range []byte{0, 7, 8, 9, 0xFF} {
+		bad := append([]byte(nil), enc...)
+		bad[kindOff] = kind
+		if _, err := Decode(bad); !errors.Is(err, ErrBadRPC) {
+			t.Errorf("kind %d: err = %v, want ErrBadRPC", kind, err)
+		}
 	}
 }
 
@@ -112,7 +109,7 @@ func TestDecodeTruncatedRPCExtension(t *testing.T) {
 // accepted RPC frames must carry a valid kind.
 func FuzzDecodeRPCExt(f *testing.F) {
 	for _, kind := range []byte{RPCRequest, RPCResponse, RPCError, RPCCancel,
-		RPCStreamChunk, RPCStreamEnd, RPCPull, RPCPullData, RPCRequestHandle} {
+		RPCStreamChunk, RPCStreamEnd} {
 		f.Add((&Frame{Type: TypeRSR, Flags: FlagRPC,
 			DestContext: 1, DestEndpoint: 2, SrcContext: 3,
 			Ext:     Ext{RPC: RPCExt{Call: uint64(kind) << 32, Kind: kind, Aux: 0x0102030405060708}},
@@ -125,15 +122,15 @@ func FuzzDecodeRPCExt(f *testing.F) {
 			CreditBytes: 3, CreditFrames: 4,
 			RPC: RPCExt{Call: 5, Kind: RPCResponse, Aux: 6}},
 		Handler: "all", Payload: []byte{9}}).Encode())
-	// Near-miss corruptions: zero kind, future kind, truncation.
+	// Near-miss corruptions: zero kind, the retired pull kinds 7-9, the top
+	// kind, truncation.
 	good := (&Frame{Type: TypeRSR, Flags: FlagRPC,
 		Ext: Ext{RPC: RPCExt{Call: 7, Kind: RPCRequest, Aux: 8}}, Handler: "g"}).Encode()
-	zeroKind := append([]byte(nil), good...)
-	zeroKind[headerFixed+1+8] = 0
-	f.Add(zeroKind)
-	futureKind := append([]byte(nil), good...)
-	futureKind[headerFixed+1+8] = RPCMaxKind + 1
-	f.Add(futureKind)
+	for _, kind := range []byte{0, 7, 8, 9, 0xFF} {
+		bad := append([]byte(nil), good...)
+		bad[headerFixed+1+8] = kind
+		f.Add(bad)
+	}
 	f.Add(good[:headerFixed+1+4])
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, err := Decode(data)

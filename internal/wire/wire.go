@@ -116,11 +116,10 @@ const (
 
 	// FlagRPC marks a request/response correlation extension: the 8-byte
 	// call id shared by every frame of one logical call, a kind byte
-	// discriminating request, response, error, cancel, stream chunk/end, and
-	// bulk-handle pull traffic, and a kind-dependent 8-byte auxiliary word
-	// (absolute deadline in unix nanoseconds on requests, chunk index on
-	// stream chunks, chunk count on stream ends, payload size on bulk
-	// handles). It follows the credit extension (flag-bit order) and
+	// discriminating request, response, error, cancel, and stream chunk/end,
+	// and a kind-dependent 8-byte auxiliary word (absolute deadline in unix
+	// nanoseconds on requests, chunk index on stream chunks, chunk count on
+	// stream ends). It follows the credit extension (flag-bit order) and
 	// precedes the handler name.
 	FlagRPC = byte(1 << 5)
 
@@ -153,18 +152,9 @@ const (
 	RPCStreamChunk = byte(5)
 	// RPCStreamEnd terminates a streaming reply; Aux is the chunk count.
 	RPCStreamEnd = byte(6)
-	// RPCPull asks the caller to send a bulk argument announced by an
-	// earlier RPCRequestHandle.
-	RPCPull = byte(7)
-	// RPCPullData carries the pulled bulk argument back to the callee.
-	RPCPullData = byte(8)
-	// RPCRequestHandle is a call whose argument exceeded the bulk threshold:
-	// the payload is a compact handle and the callee pulls the real argument
-	// with RPCPull. Aux is the deadline, as for RPCRequest.
-	RPCRequestHandle = byte(9)
 
 	// RPCMaxKind is the largest kind the decoder accepts.
-	RPCMaxKind = RPCRequestHandle
+	RPCMaxKind = RPCStreamEnd
 )
 
 // RPCExt is the decoded FlagRPC extension: one call's correlation id, the
