@@ -415,48 +415,47 @@ func (n *Node) refreshSelfLocked() {
 // live records refresh the peer's descriptor table (bumping the health
 // generation, so in-flight startpoints re-select), tombstones remove it (so
 // subsequent sends fail fast with ErrNoTable instead of using a stale
-// descriptor), and any change marks mesh routes for recomputation.
+// descriptor), and any change marks mesh routes for recomputation. Only the
+// records applied since the last fold are read, with their cached hashes.
 func (n *Node) applyRegistryLocked() {
-	gen := n.reg.Gen()
-	if gen != n.appliedGen {
-		n.appliedGen = gen
-		for _, rec := range n.reg.Snapshot() {
-			if rec.Origin == n.self.Origin {
-				continue
-			}
-			prev, seen := n.applied[rec.Origin]
-			if rec.Tombstone {
-				if seen && prev.tombstone {
-					continue
-				}
-				n.applied[rec.Origin] = appliedState{seq: rec.Seq, tombstone: true}
-				if !n.cfg.disableAutoRegister {
-					n.ctx.RemovePeerTable(rec.Origin)
-				}
-				n.dropPeerLocked(rec.Origin)
-				n.routesDirty = true
-				n.ctx.Stats().Counter("cluster.applied.tombstone").Inc()
-				continue
-			}
-			h := rec.Hash()
-			if seen && !prev.tombstone && prev.seq == rec.Seq && prev.hash == h {
-				continue
-			}
-			n.applied[rec.Origin] = appliedState{seq: rec.Seq, hash: h}
-			if rec.Table != nil {
-				n.lastTables[rec.Origin] = rec.Table
-			}
-			delete(n.failures, rec.Origin)
-			delete(n.suspects, rec.Origin)
-			// Cached gossip startpoints to this peer rebind on next use, so a
-			// bootstrap-era binding cannot outlive the table it was built from.
-			n.closeSPsLocked(rec.Origin)
-			if !n.cfg.disableAutoRegister && rec.Table != nil {
-				n.ctx.RefreshPeerTable(rec.Table)
-			}
-			n.routesDirty = true
-			n.ctx.Stats().Counter("cluster.applied.record").Inc()
+	recs, hashes, gen := n.reg.ChangedSince(n.appliedGen)
+	n.appliedGen = gen
+	for i, rec := range recs {
+		if rec.Origin == n.self.Origin {
+			continue
 		}
+		prev, seen := n.applied[rec.Origin]
+		if rec.Tombstone {
+			if seen && prev.tombstone {
+				continue
+			}
+			n.applied[rec.Origin] = appliedState{seq: rec.Seq, tombstone: true}
+			if !n.cfg.disableAutoRegister {
+				n.ctx.RemovePeerTable(rec.Origin)
+			}
+			n.dropPeerLocked(rec.Origin)
+			n.routesDirty = true
+			n.ctx.Stats().Counter("cluster.applied.tombstone").Inc()
+			continue
+		}
+		h := hashes[i]
+		if seen && !prev.tombstone && prev.seq == rec.Seq && prev.hash == h {
+			continue
+		}
+		n.applied[rec.Origin] = appliedState{seq: rec.Seq, hash: h}
+		if rec.Table != nil {
+			n.lastTables[rec.Origin] = rec.Table
+		}
+		delete(n.failures, rec.Origin)
+		delete(n.suspects, rec.Origin)
+		// Cached gossip startpoints to this peer rebind on next use, so a
+		// bootstrap-era binding cannot outlive the table it was built from.
+		n.closeSPsLocked(rec.Origin)
+		if !n.cfg.disableAutoRegister && rec.Table != nil {
+			n.ctx.RefreshPeerTable(rec.Table)
+		}
+		n.routesDirty = true
+		n.ctx.Stats().Counter("cluster.applied.record").Inc()
 	}
 	if n.cfg.Mesh && n.routesDirty {
 		n.routesDirty = false

@@ -12,8 +12,9 @@ import (
 // This file is the cluster-scale harness: build N gossiping contexts on a
 // zero-latency simnet fabric, drive deterministic gossip rounds, and measure
 // convergence through join, churn (leaves, crashes, late joins), and a
-// network partition with heal. It lives outside _test.go because the bench
-// tool (cmd/nexus-bench) reports the same convergence curve the tests bound.
+// network partition with heal. It lives outside _test.go because the
+// repository benchmark's cluster_churn workload (bench/) runs the same
+// experiment the tests bound.
 
 // Converged reports whether every live (non-departed) agent holds the same
 // registry contents, by fingerprint + length — O(nodes), not O(nodes²×records),

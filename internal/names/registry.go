@@ -2,10 +2,11 @@ package names
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"hash/fnv"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"nexus/internal/buffer"
@@ -104,18 +105,6 @@ func (r Record) canonical() []byte {
 	r.encode(b)
 	return b.Bytes()
 }
-
-// hash64 is an FNV-1a digest of the record's canonical encoding, carried in
-// digest entries so peers can detect same-sequence content divergence.
-func (r Record) hash64() uint64 {
-	h := fnv.New64a()
-	h.Write(r.canonical())
-	return h.Sum64()
-}
-
-// Hash exposes the record's content hash, letting agents detect that an
-// applied record changed without holding its previous encoding.
-func (r Record) Hash() uint64 { return r.hash64() }
 
 // DigestEntry summarizes one record for an anti-entropy exchange: enough for
 // the receiver to decide newer/older/divergent without shipping the table.
@@ -220,14 +209,17 @@ func DecodeRecords(b *buffer.Buffer) ([]Record, error) {
 }
 
 // stored is a registry entry with its canonical encoding and content hash
-// cached at merge time, so digest rounds and tie-breaks never re-encode: at
-// thousand-context scale a bounded digest touches hundreds of records per
-// round, and recomputing FNV over a re-encoded table each time would dominate
-// the round's cost.
+// cached at merge time, so digest rounds, tie-breaks and the gossip agent's
+// fold of applied changes never re-encode: at thousand-context scale a
+// bounded digest touches hundreds of records per round, and recomputing FNV
+// over a re-encoded table each time would dominate the round's cost. gen is
+// the registry generation the entry was written at, which is how
+// ChangedSince finds what moved without a change log.
 type stored struct {
 	rec  Record
 	enc  []byte
 	hash uint64
+	gen  uint64
 }
 
 // fpMix folds one record's identity into the registry fingerprint. XOR of
@@ -239,12 +231,17 @@ func fpMix(origin transport.ContextID, seq, hash uint64) uint64 {
 
 // Registry is the versioned membership/descriptor table a gossip agent
 // maintains: one Record per origin, merged under the deterministic order
-// described above. All methods are safe for concurrent use.
+// described above. order holds every origin in ascending order; Merge
+// inserts an origin the first time it sees one, and nothing removes one,
+// because a departed origin keeps its tombstone. Every origin-ordered read
+// (Live, Snapshot, ChangedSince, Digest, DeltaFor) is therefore a walk of
+// order, never a sort. All methods are safe for concurrent use.
 type Registry struct {
-	mu   sync.RWMutex
-	recs map[transport.ContextID]stored
-	gen  uint64 // bumped on every applied change; cheap "did anything move" probe
-	fp   uint64 // order-independent content fingerprint (Fingerprint)
+	mu    sync.RWMutex
+	recs  map[transport.ContextID]stored
+	order []transport.ContextID
+	gen   uint64 // bumped on every applied change; stamps stored.gen
+	fp    uint64 // order-independent content fingerprint (Fingerprint)
 }
 
 // NewRegistry returns an empty registry.
@@ -258,13 +255,21 @@ func NewRegistry() *Registry {
 // live record; and two same-kind records at the same Seq are ordered by
 // their canonical encodings, so every registry picks the same winner.
 func (r *Registry) Merge(rec Record) bool {
+	// A version older than the one held loses whatever its content, so gossip
+	// re-deliveries are turned away before they cost an encoding.
+	r.mu.RLock()
+	cur, ok := r.recs[rec.Origin]
+	r.mu.RUnlock()
+	if ok && rec.Seq < cur.rec.Seq {
+		return false
+	}
 	enc := rec.canonical()
 	h := fnv.New64a()
 	h.Write(enc)
 	hash := h.Sum64()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	cur, ok := r.recs[rec.Origin]
+	cur, ok = r.recs[rec.Origin]
 	if ok {
 		switch {
 		case rec.Seq < cur.rec.Seq:
@@ -279,10 +284,13 @@ func (r *Registry) Merge(rec Record) bool {
 			}
 		}
 		r.fp ^= fpMix(rec.Origin, cur.rec.Seq, cur.hash)
+	} else {
+		i, _ := slices.BinarySearch(r.order, rec.Origin)
+		r.order = slices.Insert(r.order, i, rec.Origin)
 	}
-	r.recs[rec.Origin] = stored{rec: rec, enc: enc, hash: hash}
-	r.fp ^= fpMix(rec.Origin, rec.Seq, hash)
 	r.gen++
+	r.recs[rec.Origin] = stored{rec: rec, enc: enc, hash: hash, gen: r.gen}
+	r.fp ^= fpMix(rec.Origin, rec.Seq, hash)
 	return true
 }
 
@@ -317,14 +325,6 @@ func (r *Registry) Fingerprint() uint64 {
 	return r.fp
 }
 
-// Gen reports the registry's change generation: it moves exactly when a
-// Merge applies, so pollers can skip recomputation when nothing changed.
-func (r *Registry) Gen() uint64 {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.gen
-}
-
 // Len reports the number of records held, tombstones included.
 func (r *Registry) Len() int {
 	r.mu.RLock()
@@ -336,13 +336,12 @@ func (r *Registry) Len() int {
 func (r *Registry) Live() []Record {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	out := make([]Record, 0, len(r.recs))
-	for _, s := range r.recs {
-		if !s.rec.Tombstone {
+	out := make([]Record, 0, len(r.order))
+	for _, o := range r.order {
+		if s := r.recs[o]; !s.rec.Tombstone {
 			out = append(out, s.rec)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Origin < out[j].Origin })
 	return out
 }
 
@@ -350,12 +349,32 @@ func (r *Registry) Live() []Record {
 func (r *Registry) Snapshot() []Record {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	out := make([]Record, 0, len(r.recs))
-	for _, s := range r.recs {
-		out = append(out, s.rec)
+	out := make([]Record, 0, len(r.order))
+	for _, o := range r.order {
+		out = append(out, r.recs[o].rec)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Origin < out[j].Origin })
 	return out
+}
+
+// ChangedSince returns, sorted by origin, every record applied after
+// generation gen together with its cached content hash, and the generation
+// to pass next time; it moves exactly when a Merge applies. Starting from 0
+// returns every record. A poller that folds registry changes into other
+// state thereby pays for what moved, not for the table, and compares
+// content without re-encoding it.
+func (r *Registry) ChangedSince(gen uint64) (recs []Record, hashes []uint64, now uint64) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	if gen == r.gen {
+		return nil, nil, gen
+	}
+	for _, o := range r.order {
+		if s := r.recs[o]; s.gen > gen {
+			recs = append(recs, s.rec)
+			hashes = append(hashes, s.hash)
+		}
+	}
+	return recs, hashes, r.gen
 }
 
 // Equal reports whether two registries hold identical records — the
@@ -373,18 +392,6 @@ func (r *Registry) Equal(o *Registry) bool {
 	return true
 }
 
-// sortedOrigins returns every origin in ascending order. Callers hold no lock.
-func (r *Registry) sortedOrigins() []transport.ContextID {
-	r.mu.RLock()
-	out := make([]transport.ContextID, 0, len(r.recs))
-	for o := range r.recs {
-		out = append(out, o)
-	}
-	r.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // Digest summarizes up to limit records starting at the given rotation index
 // into the registry's sorted origin list, and returns the index where the
 // next round should start. When the whole table fits, the window spans the
@@ -394,73 +401,84 @@ func (r *Registry) sortedOrigins() []transport.ContextID {
 // bounded at thousand-context scale: a round's digest never exceeds limit
 // entries no matter how large the cluster grows.
 func (r *Registry) Digest(start, limit int) (Digest, int) {
-	origins := r.sortedOrigins()
-	n := len(origins)
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	n := len(r.order)
 	if n == 0 {
 		return Digest{Lo: 0, Hi: math.MaxUint64}, 0
 	}
-	if limit <= 0 || limit >= n {
-		d := Digest{Lo: 0, Hi: math.MaxUint64, Entries: make([]DigestEntry, 0, n)}
-		r.mu.RLock()
-		for _, o := range origins {
-			s := r.recs[o]
-			d.Entries = append(d.Entries, DigestEntry{Origin: o, Seq: s.rec.Seq, Hash: s.hash})
-		}
-		r.mu.RUnlock()
-		return d, 0
+	full := limit <= 0 || limit >= n
+	if full {
+		start, limit = 0, n
 	}
 	start %= n
 	d := Digest{Entries: make([]DigestEntry, 0, limit)}
-	r.mu.RLock()
 	for i := 0; i < limit; i++ {
-		o := origins[(start+i)%n]
+		o := r.order[(start+i)%n]
 		s := r.recs[o]
 		d.Entries = append(d.Entries, DigestEntry{Origin: o, Seq: s.rec.Seq, Hash: s.hash})
 	}
-	r.mu.RUnlock()
+	if full {
+		d.Lo, d.Hi = 0, math.MaxUint64
+		return d, 0
+	}
 	d.Lo = d.Entries[0].Origin
-	d.Hi = d.Entries[len(d.Entries)-1].Origin
+	d.Hi = d.Entries[limit-1].Origin
 	return d, (start + limit) % n
 }
 
 // DeltaFor computes the responder half of a push-pull round: the records we
 // hold inside the digest's window that the digest lacks, holds at a lower
 // sequence, or holds divergently at the same sequence (capped at maxDelta,
-// lowest origins first), plus the origins where the digest is ahead of us —
-// the want-list the requester answers with a push.
+// lowest origins first), plus the ascending origins where the digest is
+// ahead of us — the want-list the requester answers with a push.
+//
+// It walks our origin order and the digest's entries side by side. Digest
+// emits entries in origin order except across a wrapped window, and a
+// decoded digest is not checked, so out-of-order entries are walked from a
+// stably sorted copy. An origin listed more than once is judged by its last
+// entry, and each of its entries ahead of us is wanted.
 func (r *Registry) DeltaFor(d Digest, maxDelta int) (delta []Record, wants []transport.ContextID) {
-	known := make(map[transport.ContextID]DigestEntry, len(d.Entries))
-	for _, e := range d.Entries {
-		known[e.Origin] = e
+	es := d.Entries
+	byOrigin := func(a, b DigestEntry) int { return cmp.Compare(a.Origin, b.Origin) }
+	if !slices.IsSortedFunc(es, byOrigin) {
+		es = slices.Clone(es)
+		slices.SortStableFunc(es, byOrigin)
 	}
 	r.mu.RLock()
-	for o, s := range r.recs {
-		if !d.covers(o) {
-			continue
+	defer r.mu.RUnlock()
+	i := 0
+	for _, o := range r.order {
+		for ; i < len(es) && es[i].Origin < o; i++ {
+			wants = append(wants, es[i].Origin) // an origin we do not hold
 		}
-		e, ok := known[o]
-		switch {
-		case !ok, e.Seq < s.rec.Seq:
-			delta = append(delta, s.rec)
-		case e.Seq == s.rec.Seq && e.Hash != s.hash:
+		j := i
+		for j < len(es) && es[j].Origin == o {
+			j++
+		}
+		s := r.recs[o]
+		for _, e := range es[i:j] {
+			if e.Seq > s.rec.Seq {
+				wants = append(wants, o)
+			}
+		}
+		if d.covers(o) {
+			stale := i == j || es[j-1].Seq < s.rec.Seq
 			// Same version, different content: ship ours and ask for theirs;
 			// Merge's tie-break settles both sides on the same winner.
-			delta = append(delta, s.rec)
-			wants = append(wants, o)
+			diverged := i < j && es[j-1].Seq == s.rec.Seq && es[j-1].Hash != s.hash
+			if diverged {
+				wants = append(wants, o)
+			}
+			if (stale || diverged) && (maxDelta <= 0 || len(delta) < maxDelta) {
+				delta = append(delta, s.rec)
+			}
 		}
+		i = j
 	}
-	for _, e := range d.Entries {
-		s, ok := r.recs[e.Origin]
-		if !ok || s.rec.Seq < e.Seq {
-			wants = append(wants, e.Origin)
-		}
+	for ; i < len(es); i++ {
+		wants = append(wants, es[i].Origin)
 	}
-	r.mu.RUnlock()
-	sort.Slice(delta, func(i, j int) bool { return delta[i].Origin < delta[j].Origin })
-	if maxDelta > 0 && len(delta) > maxDelta {
-		delta = delta[:maxDelta]
-	}
-	sort.Slice(wants, func(i, j int) bool { return wants[i] < wants[j] })
 	return delta, wants
 }
 

@@ -2,7 +2,10 @@ package names
 
 import (
 	"bytes"
+	"hash/fnv"
 	"math"
+	"slices"
+	"sort"
 	"testing"
 
 	"nexus/internal/buffer"
@@ -20,11 +23,11 @@ func TestRegistryMergeVersions(t *testing.T) {
 	if !r.Merge(Record{Origin: 1, Seq: 1, Table: tbl("mpl", 1, nil)}) {
 		t.Fatal("first record not applied")
 	}
-	g := r.Gen()
+	_, _, g := r.ChangedSince(0)
 	if r.Merge(Record{Origin: 1, Seq: 1, Table: tbl("mpl", 1, nil)}) {
 		t.Error("duplicate record applied")
 	}
-	if r.Gen() != g {
+	if _, _, now := r.ChangedSince(g); now != g {
 		t.Error("generation moved on a no-op merge")
 	}
 	if r.Merge(Record{Origin: 1, Seq: 0, Table: tbl("wan", 1, nil)}) {
@@ -218,6 +221,97 @@ func TestDeltaForPushPull(t *testing.T) {
 	}
 }
 
+// TestChangedSince pins what the gossip agent folds each round: the records
+// applied after a generation, in origin order, each with the FNV hash of its
+// canonical encoding. Merges that lose change nothing; tombstones count.
+func TestChangedSince(t *testing.T) {
+	r := NewRegistry()
+	for _, o := range []uint64{5, 1, 3} {
+		r.Merge(Record{Origin: transport.ContextID(o), Seq: 1, Table: tbl("mpl", o, nil)})
+	}
+	check := func(since uint64, want ...transport.ContextID) ([]Record, uint64) {
+		t.Helper()
+		recs, hashes, now := r.ChangedSince(since)
+		if len(recs) != len(want) || len(hashes) != len(want) {
+			t.Fatalf("ChangedSince(%d) = %d records, %d hashes; want origins %v", since, len(recs), len(hashes), want)
+		}
+		for i, rec := range recs {
+			h := fnv.New64a()
+			h.Write(rec.canonical())
+			if rec.Origin != want[i] || hashes[i] != h.Sum64() {
+				t.Errorf("ChangedSince(%d)[%d] = origin %d hash %x, want origin %d hash %x",
+					since, i, rec.Origin, hashes[i], want[i], h.Sum64())
+			}
+		}
+		return recs, now
+	}
+	_, g := check(0, 1, 3, 5)
+	check(g)
+
+	a := Record{Origin: 3, Seq: 2, Table: tbl("mpl", 3, map[string]string{"addr": "1"})}
+	b := Record{Origin: 3, Seq: 2, Table: tbl("mpl", 3, map[string]string{"addr": "2"})}
+	win, lose := a, b
+	if bytes.Compare(a.canonical(), b.canonical()) < 0 {
+		win, lose = b, a
+	}
+	r.Merge(win)
+	_, g = check(g, 3)
+	if r.Merge(lose) || r.Merge(Record{Origin: 1, Seq: 0, Table: tbl("wan", 1, nil)}) {
+		t.Fatal("a tie loser or a stale record was applied")
+	}
+	check(g)
+
+	r.Merge(Record{Origin: 5, Seq: 2, Tombstone: true})
+	r.Merge(Record{Origin: 1, Seq: 2, Table: tbl("wan", 1, nil)})
+	if recs, _ := check(g, 1, 5); !recs[1].Tombstone {
+		t.Errorf("ChangedSince returned %+v for a tombstoned origin", recs[1])
+	}
+}
+
+// TestStaleMergeAllocs pins that a version older than the one held is turned
+// away before it is encoded: gossip delivers most records more than once.
+func TestStaleMergeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	r := NewRegistry()
+	r.Merge(Record{Origin: 1, Seq: 5, Table: tbl("mpl", 1, nil)})
+	stale := Record{Origin: 1, Seq: 4, Table: tbl("mpl", 1, nil)}
+	if avg := testing.AllocsPerRun(100, func() { r.Merge(stale) }); avg != 0 {
+		t.Errorf("a stale Merge allocates %.1f times, want 0", avg)
+	}
+}
+
+// TestDigestAllocs pins a full digest to its entries slice: no origin list,
+// no sort.
+func TestDigestAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	r := NewRegistry()
+	for o := uint64(1); o <= 400; o++ {
+		r.Merge(Record{Origin: transport.ContextID(o), Seq: 1, Table: tbl("mpl", o, nil)})
+	}
+	if avg := testing.AllocsPerRun(100, func() { r.Digest(0, 0) }); avg != 1 {
+		t.Errorf("Digest(0, 0) over 400 records allocates %.1f times, want 1", avg)
+	}
+}
+
+// fuzzRecord derives a record from three fuzz bytes: origin 1–8, sequence
+// 0–7, and a kind — a tombstone or one of three table variants.
+func fuzzRecord(origin, seq, kind byte) Record {
+	o := transport.ContextID(origin%8 + 1)
+	rec := Record{Origin: o, Seq: uint64(seq % 8), Partition: "p"}
+	switch k := kind % 4; k {
+	case 0:
+		rec.Tombstone = true
+	default:
+		rec.Forwarder = k == 2
+		rec.Table = tbl("mpl", uint64(o), map[string]string{"addr": string(rune('a' + k))})
+	}
+	return rec
+}
+
 // FuzzGossipMerge is the convergence property under adversarial delivery:
 // however a batch of records is reordered, duplicated, or interleaved with
 // stale versions, every registry that saw the whole batch holds the same
@@ -227,24 +321,9 @@ func FuzzGossipMerge(f *testing.F) {
 	f.Add([]byte{5, 5, 5, 5, 0, 0, 0, 0, 9, 9, 1, 2, 3, 4}, uint8(7))
 	f.Add([]byte{}, uint8(0))
 	f.Fuzz(func(t *testing.T, data []byte, rot uint8) {
-		// Derive a record batch from the fuzz bytes: 3 bytes each pick an
-		// origin, a sequence, and a kind (tombstone / table variant).
 		var recs []Record
 		for i := 0; i+2 < len(data) && len(recs) < 64; i += 3 {
-			origin := transport.ContextID(data[i]%8 + 1)
-			seq := uint64(data[i+1] % 8)
-			kind := data[i+2] % 4
-			rec := Record{Origin: origin, Seq: seq, Partition: "p"}
-			switch kind {
-			case 0:
-				rec.Tombstone = true
-			default:
-				rec.Forwarder = kind == 2
-				rec.Table = tbl("mpl", uint64(origin), map[string]string{
-					"addr": string(rune('a' + kind)),
-				})
-			}
-			recs = append(recs, rec)
+			recs = append(recs, fuzzRecord(data[i], data[i+1], data[i+2]))
 		}
 
 		forward := NewRegistry()
@@ -286,6 +365,96 @@ func FuzzGossipMerge(f *testing.F) {
 		wired.MergeAll(decoded)
 		if !forward.Equal(wired) {
 			t.Fatalf("wire round-trip diverged:\n%+v\n%+v", forward.Snapshot(), wired.Snapshot())
+		}
+	})
+}
+
+// deltaForMap is the map-based DeltaFor the merge-walk replaced, kept as the
+// reference FuzzDeltaFor compares against: a map of the digest's entries
+// (the last entry per origin wins), a pass over every record held, and two
+// sorts.
+func deltaForMap(r *Registry, d Digest, maxDelta int) (delta []Record, wants []transport.ContextID) {
+	known := make(map[transport.ContextID]DigestEntry, len(d.Entries))
+	for _, e := range d.Entries {
+		known[e.Origin] = e
+	}
+	r.mu.RLock()
+	for o, s := range r.recs {
+		if !d.covers(o) {
+			continue
+		}
+		e, ok := known[o]
+		switch {
+		case !ok, e.Seq < s.rec.Seq:
+			delta = append(delta, s.rec)
+		case e.Seq == s.rec.Seq && e.Hash != s.hash:
+			delta = append(delta, s.rec)
+			wants = append(wants, o)
+		}
+	}
+	for _, e := range d.Entries {
+		s, ok := r.recs[e.Origin]
+		if !ok || s.rec.Seq < e.Seq {
+			wants = append(wants, e.Origin)
+		}
+	}
+	r.mu.RUnlock()
+	sort.Slice(delta, func(i, j int) bool { return delta[i].Origin < delta[j].Origin })
+	if maxDelta > 0 && len(delta) > maxDelta {
+		delta = delta[:maxDelta]
+	}
+	sort.Slice(wants, func(i, j int) bool { return wants[i] < wants[j] })
+	return delta, wants
+}
+
+// FuzzDeltaFor holds the merge-walk DeltaFor to deltaForMap on random
+// registries and digests, including digests whose entries are out of order,
+// repeat an origin, or sit in a wrapped (Lo > Hi) window.
+func FuzzDeltaFor(f *testing.F) {
+	f.Add([]byte{0, 1, 1, 1, 2, 0, 2, 1, 2}, []byte{2, 1, 0, 0, 2, 1, 0, 3, 5, 9, 4, 3}, uint8(2), uint8(7), uint8(0))
+	f.Add([]byte{0, 3, 1, 4, 1, 2, 6, 2, 3, 7, 0, 0}, []byte{7, 0, 1, 8, 3, 2, 0, 1, 3, 4, 6, 4}, uint8(6), uint8(2), uint8(1))
+	f.Add([]byte{1, 1, 1}, []byte{}, uint8(0), uint8(math.MaxUint8), uint8(3))
+	f.Fuzz(func(t *testing.T, held, digest []byte, lo, hi, maxDelta uint8) {
+		r := NewRegistry()
+		for i := 0; i+2 < len(held) && i < 3*64; i += 3 {
+			r.Merge(fuzzRecord(held[i], held[i+1], held[i+2]))
+		}
+		// Windows range over origins 0–11 and wrap when lo > hi; hi 255 is
+		// the full keyspace a whole-table digest advertises.
+		d := Digest{Lo: transport.ContextID(lo % 12), Hi: transport.ContextID(hi % 12)}
+		if hi == math.MaxUint8 {
+			d.Lo, d.Hi = 0, math.MaxUint64
+		}
+		// Entries name origins 1–10, so some are held and some are not. Odd
+		// third bytes take the sequence we hold, and one in two of those our
+		// hash too, so agreeing and same-version divergent entries both occur.
+		for i := 0; i+2 < len(digest) && len(d.Entries) < 64; i += 3 {
+			e := DigestEntry{Origin: transport.ContextID(digest[i]%10 + 1), Seq: uint64(digest[i+1] % 8), Hash: uint64(digest[i+2])}
+			if s, ok := r.recs[e.Origin]; ok && digest[i+2]%2 == 1 {
+				e.Seq = s.rec.Seq
+				if digest[i+2]%4 == 1 {
+					e.Hash = s.hash
+				}
+			}
+			d.Entries = append(d.Entries, e)
+		}
+		in := slices.Clone(d.Entries)
+		limit := int(maxDelta % 8)
+		wantDelta, wantWants := deltaForMap(r, d, limit)
+		gotDelta, gotWants := r.DeltaFor(d, limit)
+		if !slices.Equal(d.Entries, in) {
+			t.Fatal("DeltaFor reordered the caller's digest entries")
+		}
+		if !slices.Equal(gotWants, wantWants) {
+			t.Fatalf("wants = %v, reference %v (digest %+v)", gotWants, wantWants, d)
+		}
+		if len(gotDelta) != len(wantDelta) {
+			t.Fatalf("delta of %d records, reference %d (digest %+v)", len(gotDelta), len(wantDelta), d)
+		}
+		for i := range gotDelta {
+			if !bytes.Equal(gotDelta[i].canonical(), wantDelta[i].canonical()) {
+				t.Fatalf("delta[%d] = %+v, reference %+v", i, gotDelta[i], wantDelta[i])
+			}
 		}
 	})
 }

@@ -247,5 +247,5 @@ func (c *conn) Send(frame []byte) error {
 	}
 	return c.inner.Send(c.m.seal(frame))
 }
-func (c *conn) Method() string          { return Name }
-func (c *conn) Close() error            { return c.inner.Close() }
+func (c *conn) Method() string { return Name }
+func (c *conn) Close() error   { return c.inner.Close() }

@@ -273,18 +273,18 @@ func TestParseAttach(t *testing.T) {
 		t.Fatalf("round trip failed: %+v ok=%v", msg, ok)
 	}
 	bad := []string{
-		"",                      // doorbell
-		"A",                     // truncated
-		"A  1 \"x\"",            // empty file
-		"A ../evil 1 \"x\"",     // path escape
-		"A a/b 1 \"x\"",         // path separator
-		"A x\\y 1 \"x\"",        // windows separator
-		"A seg nope \"x\"",      // non-numeric context
-		"A seg 1 x",             // unquoted ctl
-		"A seg 1",               // missing ctl
-		"B seg 1 \"x\"",         // unknown verb
-		"A . 1 \"x\"",           // dot
-		"A .. 1 \"x\"",          // dotdot
+		"",                       // doorbell
+		"A",                      // truncated
+		"A  1 \"x\"",             // empty file
+		"A ../evil 1 \"x\"",      // path escape
+		"A a/b 1 \"x\"",          // path separator
+		"A x\\y 1 \"x\"",         // windows separator
+		"A seg nope \"x\"",       // non-numeric context
+		"A seg 1 x",              // unquoted ctl
+		"A seg 1",                // missing ctl
+		"B seg 1 \"x\"",          // unknown verb
+		"A . 1 \"x\"",            // dot
+		"A .. 1 \"x\"",           // dotdot
 		"A seg 1 \"unterminated", // bad quoting
 	}
 	for _, l := range bad {
