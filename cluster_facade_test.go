@@ -7,28 +7,28 @@ import (
 	"nexus"
 )
 
-// TestFacadeCluster boots two contexts through the public facade with
-// Options.Cluster, joins the second to the first, and shows that a
-// lightweight startpoint resolves with no out-of-band table shipping —
-// gossip replicated the descriptor tables.
+// TestFacadeCluster boots two contexts through the public facade, attaches a
+// gossip agent to each with AttachCluster, joins the second to the first, and
+// shows that a lightweight startpoint resolves with no out-of-band table
+// shipping — gossip replicated the descriptor tables.
 func TestFacadeCluster(t *testing.T) {
 	mk := func() *nexus.Context {
 		ctx, err := nexus.NewContext(nexus.Options{
 			Methods: []nexus.MethodConfig{
 				{Name: "inproc", Params: nexus.Params{"exchange": "facade-cluster"}},
 			},
-			Cluster: nexus.ClusterConfig{Enabled: true, Fanout: 4},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { _ = ctx.Close() })
+		nexus.AttachCluster(ctx, nexus.ClusterNodeConfig{})
 		return ctx
 	}
 	seed, joiner := mk(), mk()
 	sn, jn := nexus.ClusterNodeOf(seed), nexus.ClusterNodeOf(joiner)
 	if sn == nil || jn == nil {
-		t.Fatal("Options.Cluster did not attach gossip agents")
+		t.Fatal("AttachCluster did not attach gossip agents")
 	}
 
 	seedTable, seedEP := sn.Bootstrap()

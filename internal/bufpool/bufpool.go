@@ -37,14 +37,15 @@ import (
 // 1<<maxShift. Above 1 MiB every doubling has four classes, 2^k·5/4, 6/4, 7/4
 // and 2^(k+1), so a large slab wastes at most a fifth of itself instead of
 // up to half. The quarter steps stop at maxSize (20 MiB), the first of them
-// that holds the largest frame a context with default options builds:
+// that holds the largest frame a context builds:
 // frag.DefaultMaxMessage of payload plus the largest wire header
 // (TestTopClassHoldsDefaultFrame). On the bulk_tcp workload (256 KiB to
 // 4 MiB messages over tcp, 2-vCPU VM) peak RSS reads 38–40 MB with these
 // classes, against 53–59 MB when every frame past 1 MiB was a fresh make;
 // power-of-two classes up to 8 MiB, which put a 4 MiB frame in an 8 MiB
-// slab, read 86–90 MB. Requests above maxSize, possible only with a raised
-// Options.MaxMessageSize, are served by plain make and dropped on Put.
+// slab, read 86–90 MB. Requests above maxSize — a frame no context builds,
+// though a peer may announce one up to wire.MaxFrameLen — are served by plain
+// make and dropped on Put.
 const (
 	minShift = 6  // 64 B
 	maxShift = 20 // 1 MiB, the largest power-of-two class

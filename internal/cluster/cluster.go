@@ -73,9 +73,6 @@ type Config struct {
 	// node joins through node 0. Tables then spread by anti-entropy —
 	// Machine.Settle drives the rounds in tests.
 	Dynamic *NodeConfig
-	// RelayTTL overrides the hop budget stamped on mesh-routed frames on
-	// every node (default core.DefaultRelayTTL).
-	RelayTTL int
 }
 
 var machineSeq atomic.Uint64
@@ -110,7 +107,6 @@ func New(cfg Config) (*Machine, error) {
 			Methods:   methods,
 			Threaded:  cfg.Threaded,
 			Selector:  cfg.Selector,
-			Cluster:   core.ClusterConfig{RelayTTL: cfg.RelayTTL},
 		})
 		if err != nil {
 			m.Close()

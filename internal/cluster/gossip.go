@@ -53,8 +53,6 @@ type NodeConfig struct {
 	Mesh bool
 	// Fanout is how many peers each Step contacts (default 2).
 	Fanout int
-	// Interval is Run's period between Steps (default 50ms).
-	Interval time.Duration
 	// Seed fixes peer-sampling randomness; 0 derives it from the context id.
 	Seed int64
 
@@ -67,9 +65,6 @@ type NodeConfig struct {
 func (cfg NodeConfig) withDefaults(id transport.ContextID) NodeConfig {
 	if cfg.Fanout <= 0 {
 		cfg.Fanout = 2
-	}
-	if cfg.Interval <= 0 {
-		cfg.Interval = 50 * time.Millisecond
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = int64(id)*0x9e3779b9 + 1
@@ -94,6 +89,9 @@ const (
 
 // spCacheCap bounds the gossip agent's cached reply startpoints.
 const spCacheCap = 64
+
+// runInterval is Run's period between Steps.
+const runInterval = 50 * time.Millisecond
 
 // Node is a context's gossip agent: one per clustered context.
 type Node struct {
@@ -350,8 +348,8 @@ func (n *Node) Step() {
 // probeEvery is how often (in Steps) a node probes one tombstoned peer.
 const probeEvery = 4
 
-// Run drives Step on the configured interval from a background goroutine
-// until the returned stop function is called (or Leave).
+// Run drives Step every runInterval from a background goroutine until the
+// returned stop function is called (or Leave).
 func (n *Node) Run() (stop func()) {
 	n.mu.Lock()
 	if n.stopRun != nil || n.closed {
@@ -362,7 +360,7 @@ func (n *Node) Run() (stop func()) {
 	n.stopRun = ch
 	n.mu.Unlock()
 	go func() {
-		tick := time.NewTicker(n.cfg.Interval)
+		tick := time.NewTicker(runInterval)
 		defer tick.Stop()
 		for {
 			select {

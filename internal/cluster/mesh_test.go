@@ -241,9 +241,9 @@ func TestMeshRouteRemovedWhenNoPath(t *testing.T) {
 // dropped at the relay with the ttl_exhausted counter, not delivered and not
 // looped.
 func TestRelayExtTTLExhaustion(t *testing.T) {
-	cfg := meshConfig()
-	cfg.RelayTTL = 2 // one hop short of what the two-relay path needs
-	m := dynMachine(t, cfg, 60)
+	m := dynMachine(t, meshConfig(), 60)
+	// Only the originator stamps the budget; relays decrement the frame's.
+	core.SetRelayTTL(m.Context(rankSender), 2) // one hop short of the two-relay path
 	ctxs := make([]*core.Context, m.Size())
 	for i := range ctxs {
 		ctxs[i] = m.Context(i)

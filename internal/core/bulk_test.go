@@ -214,10 +214,10 @@ func TestSmallSendsSkipFragPath(t *testing.T) {
 }
 
 // TestContextMessageCap checks the context-level payload ceiling: an RSR
-// larger than Options.MaxMessageSize is refused at the startpoint with the
+// larger than the context's message cap is refused at the startpoint with the
 // unified oversize error before any bytes move.
 func TestContextMessageCap(t *testing.T) {
-	c, err := NewContext(Options{MaxMessageSize: 4 << 10})
+	c, err := NewContext(Options{maxMessage: 4 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,46 +1,28 @@
 package core
 
-import (
-	"time"
-
-	"nexus/internal/obsv"
-)
+import "nexus/internal/obsv"
 
 // This file is core's half of the cluster membership layer's attachment
 // surface, mirroring rpc_hook.go: core knows nothing about gossip rounds or
-// route computation — it only carries the configuration knobs, an opaque
+// route computation and has no option for them — it only carries an opaque
 // state slot for the attached agent, the membership view Observe folds into
 // snapshots, and the hop budget stamped on mesh-routed frames. The layer
-// itself lives in internal/cluster and is attached by the facade.
+// itself lives in internal/cluster and is attached with cluster.Attach.
 
-// DefaultRelayTTL is the hop budget stamped on mesh-routed frames when
-// ClusterConfig.RelayTTL is unset: generous against any plausible route
-// depth, small enough that a routing loop extinguishes within a handful of
-// relays.
+// DefaultRelayTTL is the hop budget stamped on mesh-routed frames: generous
+// against any plausible route depth, small enough that a routing loop
+// extinguishes within a handful of relays.
 const DefaultRelayTTL = 8
 
-// ClusterConfig configures the dynamic membership layer (internal/cluster).
-// The zero value leaves it off.
-type ClusterConfig struct {
-	// Enabled turns the layer on: the facade attaches a gossip agent to the
-	// context at construction.
-	Enabled bool
-	// Forwarder advertises this context as a relay in gossip and enables
-	// frame forwarding, so mesh routes may pass through it.
-	Forwarder bool
-	// Mesh enables cost-aware multi-hop route computation: peers with no
-	// directly applicable method are reached through advertised forwarders.
-	Mesh bool
-	// Fanout is how many peers each gossip round contacts (default 2).
-	Fanout int
-	// Interval is the background agent's round period (default 50ms).
-	Interval time.Duration
-	// RelayTTL is the hop budget stamped on mesh-routed frames
-	// (default DefaultRelayTTL).
-	RelayTTL int
-	// Seed fixes the agent's peer-sampling randomness for deterministic
-	// tests (0 derives one from the context id).
-	Seed int64
+// SetRelayTTL overrides the hop budget stamped on c's mesh-routed frames;
+// values outside 1..255 are ignored. It is a function rather than a method so
+// the facade, which aliases Context, does not expose it: it exists for the
+// cluster layer's tests to build a route longer than the budget, and must be
+// called before c sends anything (the send path reads the budget unlocked).
+func SetRelayTTL(c *Context, ttl int) {
+	if ttl > 0 && ttl < 256 {
+		c.relayTTL = byte(ttl)
+	}
 }
 
 // SetClusterState attaches an opaque cluster-layer runtime to the context,

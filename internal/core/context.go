@@ -77,21 +77,19 @@ type Options struct {
 	Process string
 	// Partition names the context's partition, for partition-scoped methods.
 	Partition string
-	// Registry resolves method names (defaults to transport.Default).
-	Registry *transport.Registry
 	// Methods lists the enabled methods in descriptor-table preference
-	// order. The "local" method is always enabled and listed first.
+	// order. The "local" method is always enabled and listed first. Names
+	// resolve in transport.Default, where transport.Register adds modules.
 	Methods []MethodConfig
 	// Threaded runs incoming RSR handlers on the context's dispatch engine —
 	// a sharded pool of worker lanes — instead of inline on the goroutine
 	// that detected the message (the Nexus threaded-handler model). Frames
 	// are hashed to a lane by destination endpoint, so deliveries to one
 	// endpoint stay FIFO while distinct endpoints execute in parallel.
-	// Default: handlers run inline on the detecting goroutine.
+	// There are GOMAXPROCS lanes, each holding up to 256 frames; a full lane
+	// blocks the delivering poller. Default: handlers run inline on the
+	// detecting goroutine.
 	Threaded bool
-	// Dispatch tunes the threaded dispatch engine (lane count, queue depth,
-	// backpressure policy). Ignored unless Threaded is set.
-	Dispatch DispatchConfig
 	// Selector chooses among applicable methods (default FirstApplicable).
 	Selector Selector
 	// PollOnRSR performs an opportunistic poll pass on every RSR send,
@@ -106,13 +104,6 @@ type Options struct {
 	// RSR tracing). The zero value leaves it off — the default, and the
 	// configuration the hot-path overhead contract is written against.
 	Observe ObserveConfig
-	// MaxMessageSize caps one RSR's encoded payload in bytes (default 16 MiB,
-	// clamped to the wire format's 64 MiB payload cap). Payloads up to this
-	// size are accepted on every link: a payload too large for the selected
-	// method's frame limit travels as wire fragments and is reassembled at
-	// the receiving context. Larger payloads are rejected with an error
-	// matching transport.ErrTooLarge.
-	MaxMessageSize int
 	// Flow enables and tunes credit-based flow control (see FlowConfig). The
 	// zero value leaves it off: sends are never charged against credit and
 	// the context advertises no windows.
@@ -125,15 +116,9 @@ type Options struct {
 	// syscalls for those methods.
 	DisableReactor bool
 	// RPC configures the request/response layer built on top of RSR. Core
-	// only carries the knobs; the layer itself (internal/rpc) is attached by
+	// only carries the switch; the layer itself (internal/rpc) is attached by
 	// the facade when Enabled is set, or by calling rpc.Enable directly.
 	RPC RPCConfig
-	// Cluster configures dynamic cluster membership: gossip-driven
-	// descriptor distribution and mesh relay routing. Core only carries the
-	// knobs (see cluster_hook.go); the layer itself (internal/cluster) is
-	// attached by the facade when Enabled is set, or by calling
-	// cluster.Attach directly.
-	Cluster ClusterConfig
 	// DebugProfiling opts this context into runtime profiling endpoints:
 	// the facade's DebugMux mounts net/http/pprof alongside /debug/nexusz
 	// only for contexts built with this set. Off by default — profiling
@@ -141,11 +126,23 @@ type Options struct {
 	// explicit flag.
 	DebugProfiling bool
 
-	// health and fragTTL shorten the health registry's thresholds and
-	// backoffs and the reassembler's stale-partial TTL for this package's
-	// tests; no other caller tunes them, so they are not options.
-	health  healthConfig
-	fragTTL time.Duration
+	// The fields below are this package's test seams. No caller outside its
+	// tests sets them, so they are not options; the zero value of each is
+	// what every other context runs with.
+	//   - registry resolves method names in place of transport.Default, so a
+	//     test can substitute fake modules.
+	//   - dispatch sizes the threaded engine's lanes and queues.
+	//   - maxMessage lowers the per-RSR payload cap (frag.DefaultMaxMessage,
+	//     16 MiB). A payload up to the cap is accepted on every link,
+	//     fragmented where the selected method's frame limit needs it; a
+	//     larger one fails with an error matching transport.ErrTooLarge.
+	//   - health and fragTTL shorten the health registry's thresholds and
+	//     backoffs and the reassembler's stale-partial TTL.
+	registry   *transport.Registry
+	dispatch   dispatchConfig
+	maxMessage int
+	health     healthConfig
+	fragTTL    time.Duration
 }
 
 var nextContextID atomic.Uint64
@@ -334,7 +331,7 @@ func NewContext(opts Options) (*Context, error) {
 	if proc == "" {
 		proc = fmt.Sprintf("p%d", os.Getpid())
 	}
-	reg := opts.Registry
+	reg := opts.registry
 	if reg == nil {
 		reg = transport.Default
 	}
@@ -377,15 +374,9 @@ func NewContext(opts Options) (*Context, error) {
 	c.cFwdTTL = c.stats.Counter("forward.ttl_exhausted")
 	c.cFwdLoop = c.stats.Counter("forward.loop_dropped")
 	c.relayTTL = DefaultRelayTTL
-	if opts.Cluster.RelayTTL > 0 && opts.Cluster.RelayTTL < 256 {
-		c.relayTTL = byte(opts.Cluster.RelayTTL)
-	}
-	c.maxMsg = opts.MaxMessageSize
-	if c.maxMsg <= 0 {
-		c.maxMsg = frag.DefaultMaxMessage
-	}
-	if c.maxMsg > wire.MaxPayload {
-		c.maxMsg = wire.MaxPayload
+	c.maxMsg = frag.DefaultMaxMessage
+	if opts.maxMessage > 0 {
+		c.maxMsg = opts.maxMessage
 	}
 	c.frags = frag.New(frag.Config{MaxMessage: c.maxMsg, TTL: opts.fragTTL})
 	c.cFragMsgs = c.stats.Counter("frag.messages.sent")
@@ -402,7 +393,7 @@ func NewContext(opts Options) (*Context, error) {
 		c.flow = newFlowState(opts.Flow, c.stats)
 	}
 	if opts.Threaded {
-		c.dispatcher = newDispatcher(c, opts.Dispatch)
+		c.dispatcher = newDispatcher(c, opts.dispatch)
 	}
 	c.obs.ids = obsv.NewIDGen(uint64(id)<<32 ^ uint64(time.Now().UnixNano()))
 	if opts.Observe.Trace {

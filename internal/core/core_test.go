@@ -402,7 +402,7 @@ func TestThreadedHandlers(t *testing.T) {
 	recvOpts := Options{
 		Methods:  []MethodConfig{{Name: "inproc", Params: transport.Params{"exchange": tag}}},
 		Threaded: true,
-		Dispatch: DispatchConfig{Lanes: 4},
+		dispatch: dispatchConfig{lanes: 4},
 	}
 	recv, err := NewContext(recvOpts)
 	if err != nil {
@@ -624,7 +624,7 @@ func TestFailoverToNextMethod(t *testing.T) {
 
 	mk := func() *Context {
 		c, err := NewContext(Options{
-			Registry: reg,
+			registry: reg,
 			Methods: []MethodConfig{
 				{Name: "flaky"},
 				{Name: "inproc", Params: transport.Params{"exchange": tag}},

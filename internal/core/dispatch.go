@@ -29,25 +29,25 @@ import (
 // "no frame reaches a stale handler after UnregisterHandler returns" true
 // under full concurrency.
 
-// DispatchConfig tunes the threaded dispatch engine. The zero value selects
-// defaults; it is ignored unless Options.Threaded is set.
-type DispatchConfig struct {
-	// Lanes is the number of worker lanes (default GOMAXPROCS). Frames are
+// dispatchConfig sizes the threaded dispatch engine (Options.dispatch, a test
+// seam). The zero value selects the sizes every other context runs with.
+type dispatchConfig struct {
+	// lanes is the number of worker lanes (default GOMAXPROCS). Frames are
 	// hashed to a lane by destination endpoint id, so deliveries to one
 	// endpoint are FIFO while different endpoints run in parallel.
-	Lanes int
-	// QueueDepth is each lane's bounded queue capacity (default 256). A full
+	lanes int
+	// queueDepth is each lane's bounded queue capacity (default 256). A full
 	// lane applies backpressure: the delivering poller blocks until the lane
 	// has room (or the context closes), so per-endpoint FIFO order holds.
-	QueueDepth int
+	queueDepth int
 }
 
-func (c DispatchConfig) withDefaults() DispatchConfig {
-	if c.Lanes < 1 {
-		c.Lanes = runtime.GOMAXPROCS(0)
+func (c dispatchConfig) withDefaults() dispatchConfig {
+	if c.lanes < 1 {
+		c.lanes = runtime.GOMAXPROCS(0)
 	}
-	if c.QueueDepth < 1 {
-		c.QueueDepth = 256
+	if c.queueDepth < 1 {
+		c.queueDepth = 256
 	}
 	return c
 }
@@ -133,17 +133,17 @@ type dispatcher struct {
 	depth     *metrics.Gauge   // dispatch.lane.depth: frames queued across all lanes
 }
 
-func newDispatcher(c *Context, cfg DispatchConfig) *dispatcher {
+func newDispatcher(c *Context, cfg dispatchConfig) *dispatcher {
 	cfg = cfg.withDefaults()
-	hi := cfg.QueueDepth * 3 / 4
+	hi := cfg.queueDepth * 3 / 4
 	if hi < 1 {
 		hi = 1
 	}
 	d := &dispatcher{
 		ctx:       c,
-		lanes:     make([]*laneShard, cfg.Lanes),
+		lanes:     make([]*laneShard, cfg.lanes),
 		ctl:       newLaneShard(),
-		queueCap:  cfg.QueueDepth,
+		queueCap:  cfg.queueDepth,
 		hiWater:   hi,
 		cFull:     c.stats.Counter("dispatch.queue_full"),
 		cShedBulk: c.stats.Counter("rsr.shed.bulk"),

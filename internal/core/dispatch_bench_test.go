@@ -110,7 +110,7 @@ func BenchmarkSendContention(b *testing.B) {
 		return m
 	})
 	mk := func() *Context {
-		c, err := NewContext(Options{Registry: reg, Methods: []MethodConfig{{Name: "null"}}})
+		c, err := NewContext(Options{registry: reg, Methods: []MethodConfig{{Name: "null"}}})
 		if err != nil {
 			b.Fatal(err)
 		}

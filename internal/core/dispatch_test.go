@@ -37,7 +37,7 @@ func TestPerEndpointFIFO(t *testing.T) {
 		drivers   = 4 // goroutines feeding dispatch; each owns numEP/drivers endpoints
 		epsPerDrv = numEP / drivers
 	)
-	c, err := NewContext(Options{Threaded: true, Dispatch: DispatchConfig{Lanes: 3}})
+	c, err := NewContext(Options{Threaded: true, dispatch: dispatchConfig{lanes: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestUnregisterHandlerDrains(t *testing.T) {
 		t.Run(fmt.Sprintf("threaded=%v", threaded), func(t *testing.T) {
 			c, err := NewContext(Options{
 				Threaded: threaded,
-				Dispatch: DispatchConfig{Lanes: 4, QueueDepth: 64},
+				dispatch: dispatchConfig{lanes: 4, queueDepth: 64},
 				ErrorLog: func(error) {}, // unknown-handler drops after removal are expected
 			})
 			if err != nil {
@@ -199,7 +199,7 @@ func TestConcurrentRegistration(t *testing.T) {
 				Partition: "p0",
 				Methods:   tc.methods(tag),
 				Threaded:  true,
-				Dispatch:  DispatchConfig{Lanes: 4, QueueDepth: 64},
+				dispatch:  dispatchConfig{lanes: 4, queueDepth: 64},
 				ErrorLog:  func(error) {}, // churn makes unknown drops routine
 			})
 			if err != nil {
@@ -290,7 +290,7 @@ func TestConcurrentRegistration(t *testing.T) {
 func TestDispatchBlocksWhenLaneFull(t *testing.T) {
 	c, err := NewContext(Options{
 		Threaded: true,
-		Dispatch: DispatchConfig{Lanes: 1, QueueDepth: 1},
+		dispatch: dispatchConfig{lanes: 1, queueDepth: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -350,7 +350,7 @@ func TestDispatchBlocksWhenLaneFull(t *testing.T) {
 // *Buffer wrapper handed to the handler. Budget 3 leaves room for sizing
 // variance in the pools.
 func TestThreadedRSRAllocs(t *testing.T) {
-	c, err := NewContext(Options{Threaded: true, Dispatch: DispatchConfig{Lanes: 2}})
+	c, err := NewContext(Options{Threaded: true, dispatch: dispatchConfig{lanes: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -132,7 +132,7 @@ func TestMulticastEncodesOnce(t *testing.T) {
 	})
 
 	mk := func() *Context {
-		c, err := NewContext(Options{Registry: reg, Methods: []MethodConfig{{Name: "rec"}}})
+		c, err := NewContext(Options{registry: reg, Methods: []MethodConfig{{Name: "rec"}}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -186,7 +186,7 @@ func TestPollErrorsDisableModule(t *testing.T) {
 		return &badPollModule{Module: inner, errs: pollFails}
 	})
 	c, err := NewContext(Options{
-		Registry: reg,
+		registry: reg,
 		Methods: []MethodConfig{
 			{Name: "badpoll"},
 			{Name: "inproc", Params: transport.Params{"exchange": tag}},

@@ -84,7 +84,7 @@ func scriptCtx(t *testing.T, opts Options, names ...string) (*Context, []*script
 		reg.Register(name, func(transport.Params) transport.Module { return m })
 		opts.Methods = append(opts.Methods, MethodConfig{Name: name})
 	}
-	opts.Registry = reg
+	opts.registry = reg
 	opts.health = fastHealth()
 	c, err := NewContext(opts)
 	if err != nil {

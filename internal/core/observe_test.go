@@ -135,7 +135,7 @@ func TestTraceCrossContextTCP(t *testing.T) {
 		Partition: "p0",
 		Methods:   []MethodConfig{{Name: "tcp"}},
 		Threaded:  true,
-		Dispatch:  DispatchConfig{Lanes: 2, QueueDepth: 64},
+		dispatch:  dispatchConfig{lanes: 2, queueDepth: 64},
 		Observe:   ObserveConfig{Trace: true},
 	})
 	send := observeCtx(t, Options{

@@ -61,7 +61,7 @@ func newOverloadRig(tb testing.TB, tag string, nSenders int, spinFor time.Durati
 		Partition: "p0",
 		Methods:   methods(),
 		Threaded:  true,
-		Dispatch:  DispatchConfig{Lanes: 2, QueueDepth: 64},
+		dispatch:  dispatchConfig{lanes: 2, queueDepth: 64},
 		Flow:      fc,
 		ErrorLog:  func(error) {}, // shed bulk frames are logged; expected here
 	})

@@ -89,9 +89,6 @@ type (
 	// CircuitState is a health circuit's position in the breaker state
 	// machine.
 	CircuitState = core.CircuitState
-	// DispatchConfig tunes the threaded dispatch engine (worker lanes,
-	// queue depth).
-	DispatchConfig = core.DispatchConfig
 	// FlowConfig enables credit-based per-link flow control (Options.Flow).
 	FlowConfig = core.FlowConfig
 	// Class is an RSR's priority class, carried in the wire header and used
@@ -189,9 +186,8 @@ const (
 // NewContext creates a context and initializes its modules. When
 // Options.RPC.Enabled is set, the request/response layer (internal/rpc) is
 // attached before the context is returned: RegisterRPC, Call, and CallStream
-// work immediately. When Options.Cluster.Enabled is set, a gossip membership
-// agent (internal/cluster) is attached: retrieve it with ClusterNodeOf, join
-// an existing cluster with Join, and start background anti-entropy with Run.
+// work immediately. A gossip membership agent is attached afterwards, with
+// AttachCluster.
 func NewContext(opts Options) (*Context, error) {
 	c, err := core.NewContext(opts)
 	if err != nil {
@@ -199,15 +195,6 @@ func NewContext(opts Options) (*Context, error) {
 	}
 	if opts.RPC.Enabled {
 		rpc.Enable(c)
-	}
-	if opts.Cluster.Enabled {
-		cluster.Attach(c, cluster.NodeConfig{
-			Forwarder: opts.Cluster.Forwarder,
-			Mesh:      opts.Cluster.Mesh,
-			Fanout:    opts.Cluster.Fanout,
-			Interval:  opts.Cluster.Interval,
-			Seed:      opts.Cluster.Seed,
-		})
 	}
 	return c, nil
 }
@@ -251,8 +238,8 @@ var (
 	ErrUnknownEndpoint    = core.ErrUnknownEndpoint
 	ErrUnknownMethod      = core.ErrUnknownMethod
 	// ErrTooLarge matches (errors.Is) every size-limit rejection: an RSR
-	// payload over Options.MaxMessageSize, or a frame over the selected
-	// method's limit on a direct transport send.
+	// payload over the context's 16 MiB message cap, or a frame over the
+	// selected method's limit on a direct transport send.
 	ErrTooLarge = transport.ErrTooLarge
 	// ErrNoCredit reports an RSR refused by credit-based flow control: the
 	// link's receive window is exhausted and the send's class or the
@@ -373,12 +360,9 @@ var (
 
 // Dynamic cluster membership (internal/cluster): gossip-replicated descriptor
 // registry, runtime method add/remove propagation, and the multi-hop relay
-// mesh. Enable per context with Options.Cluster, or machine-wide with
+// mesh. Attach an agent per context with AttachCluster, or machine-wide with
 // MachineConfig.Dynamic.
 type (
-	// ClusterConfig enables and tunes a context's gossip membership agent
-	// (Options.Cluster).
-	ClusterConfig = core.ClusterConfig
 	// ClusterNode is a context's gossip membership agent: Join, Leave, Step,
 	// Run, Registry, and RouteVia.
 	ClusterNode = cluster.Node
@@ -391,8 +375,9 @@ type (
 )
 
 var (
-	// AttachCluster attaches a gossip membership agent to a context built
-	// without Options.Cluster (e.g. machine bootstrap).
+	// AttachCluster attaches a gossip membership agent to a context and
+	// returns it; join an existing cluster with its Join, and start
+	// background anti-entropy with Run.
 	AttachCluster = cluster.Attach
 	// ClusterNodeOf returns the agent attached to a context, or nil.
 	ClusterNodeOf = cluster.NodeOf
