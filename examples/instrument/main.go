@@ -33,19 +33,20 @@ func main() {
 		{Name: "mpl", Params: nexus.Params{"latency": "20us", "poll_cost": "2us"}},
 		{Name: "tcp"},
 	}
-	// Tracing on both sides: the operator view below prints per-stage
-	// percentiles and one cross-context trace of a streamed frame.
-	obs := nexus.ObserveConfig{Trace: true, TraceBuffer: 1024}
-	processor, err := nexus.NewContext(nexus.Options{Partition: "lab", Methods: methods, Observe: obs})
+	processor, err := nexus.NewContext(nexus.Options{Partition: "lab", Methods: methods})
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer processor.Close()
-	instrument, err := nexus.NewContext(nexus.Options{Partition: "lab", Methods: methods, Observe: obs})
+	instrument, err := nexus.NewContext(nexus.Options{Partition: "lab", Methods: methods})
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer instrument.Close()
+	// Tracing on both sides: the operator view below prints per-stage
+	// percentiles and one cross-context trace of a streamed frame.
+	processor.EnableTracing(1024)
+	instrument.EnableTracing(1024)
 
 	var received atomic.Int64
 	var checksum atomic.Int64

@@ -157,7 +157,7 @@ func testForwardingConfiguration(t *testing.T, mesh bool) {
 		{Partition: "outside", Methods: []core.MethodConfig{fastWAN()}},
 	}}
 	if mesh {
-		cfg.Dynamic = &NodeConfig{Mesh: true, Fanout: 8}
+		cfg.Dynamic = &NodeConfig{Mesh: true, fanout: 8}
 	}
 	m := newMachine(t, cfg)
 	if mesh {

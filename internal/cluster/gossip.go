@@ -51,20 +51,22 @@ type NodeConfig struct {
 	Forwarder bool
 	// Mesh enables multi-hop route computation over advertised forwarders.
 	Mesh bool
-	// Fanout is how many peers each Step contacts (default 2).
-	Fanout int
 	// Seed fixes peer-sampling randomness; 0 derives it from the context id.
 	Seed int64
 
-	// disableAutoRegister stops the agent from pushing applied records into
-	// the context's peer tables. RunScale sets it for runs that only measure
-	// registry convergence, to skip a million table installs.
+	// Test seams, not options:
+	//   - fanout is how many peers each Step contacts (default 2); only
+	//     this package's tests raise it.
+	//   - disableAutoRegister stops the agent from pushing applied records
+	//     into the context's peer tables. RunScale sets it for runs that only
+	//     measure registry convergence, to skip a million table installs.
+	fanout              int
 	disableAutoRegister bool
 }
 
 func (cfg NodeConfig) withDefaults(id transport.ContextID) NodeConfig {
-	if cfg.Fanout <= 0 {
-		cfg.Fanout = 2
+	if cfg.fanout <= 0 {
+		cfg.fanout = 2
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = int64(id)*0x9e3779b9 + 1
@@ -135,11 +137,19 @@ type spKey struct {
 	ep  uint64
 }
 
-// Attach builds a gossip agent on the context and registers its handlers.
-// The agent is passive until Join/Step/Run are called; the context's polling
-// drives message receipt. Forwarder agents enable frame forwarding
-// immediately, since mesh routes elsewhere may select them as hops.
+// Attach builds a gossip agent, takes the context's core.LayerCluster slot
+// with it, and registers its handlers. The agent is passive until
+// Join/Step/Run are called; the context's polling drives message receipt.
+// Forwarder agents enable frame forwarding immediately, since mesh routes
+// elsewhere may select them as hops.
+//
+// The first Attach on a context wins: every call, concurrent ones included,
+// returns that one agent (cfg is then ignored). A call that lost the attach
+// closes the endpoint it built and registers nothing.
 func Attach(ctx *core.Context, cfg NodeConfig) *Node {
+	if n := NodeOf(ctx); n != nil {
+		return n
+	}
 	cfg = cfg.withDefaults(ctx.ID())
 	n := &Node{
 		ctx:        ctx,
@@ -153,13 +163,7 @@ func Attach(ctx *core.Context, cfg NodeConfig) *Node {
 		lastTables: make(map[transport.ContextID]*transport.Table),
 		sps:        make(map[spKey]*core.Startpoint),
 	}
-	ctx.RegisterHandler(handlerDigest, n.onDigest)
-	ctx.RegisterHandler(handlerDelta, n.onDelta)
-	ctx.RegisterHandler(handlerPush, n.onPush)
 	n.ep = ctx.NewEndpoint()
-	if cfg.Forwarder {
-		ctx.EnableForwarding()
-	}
 	n.self = names.Record{
 		Origin:    ctx.ID(),
 		Seq:       1,
@@ -170,14 +174,22 @@ func Attach(ctx *core.Context, cfg NodeConfig) *Node {
 	}
 	n.selfEnc = encodeTable(n.self.Table)
 	n.reg.Merge(n.self)
-	ctx.SetClusterState(n)
-	ctx.SetClusterView(n.members)
+	if got := ctx.Attach(core.LayerCluster, n).(*Node); got != n {
+		n.ep.Close()
+		return got
+	}
+	ctx.RegisterHandler(handlerDigest, n.onDigest)
+	ctx.RegisterHandler(handlerDelta, n.onDelta)
+	ctx.RegisterHandler(handlerPush, n.onPush)
+	if cfg.Forwarder {
+		ctx.EnableForwarding()
+	}
 	return n
 }
 
 // NodeOf returns the gossip agent attached to the context, or nil.
 func NodeOf(ctx *core.Context) *Node {
-	n, _ := ctx.ClusterState().(*Node)
+	n, _ := ctx.Attached(core.LayerCluster).(*Node)
 	return n
 }
 
@@ -243,7 +255,7 @@ func (n *Node) Leave() {
 	n.reg.Merge(tomb)
 	peers := n.livePeersLocked()
 	n.rng.Shuffle(len(peers), func(i, j int) { peers[i], peers[j] = peers[j], peers[i] })
-	if max := 2 * n.cfg.Fanout; len(peers) > max {
+	if max := 2 * n.cfg.fanout; len(peers) > max {
 		peers = peers[:max]
 	}
 	targets := make([]*core.Startpoint, 0, len(peers))
@@ -287,8 +299,8 @@ func (n *Node) Step() {
 	}
 	peers := n.livePeersLocked()
 	n.rng.Shuffle(len(peers), func(i, j int) { peers[i], peers[j] = peers[j], peers[i] })
-	if len(peers) > n.cfg.Fanout {
-		peers = peers[:n.cfg.Fanout]
+	if len(peers) > n.cfg.fanout {
+		peers = peers[:n.cfg.fanout]
 	}
 	digest, next := n.reg.Digest(n.digestPos, maxDigest)
 	n.digestPos = next
@@ -721,9 +733,10 @@ func (n *Node) onPush(_ *core.Endpoint, b *buffer.Buffer) {
 	}
 }
 
-// members builds the observability membership view: one row per registry
-// record, with the mesh next hop for destinations currently routed.
-func (n *Node) members() []obsv.ClusterMember {
+// ObserveInto fills the snapshot's membership view: one row per registry
+// record, with the mesh next hop for destinations currently routed. The
+// context's Observe calls it through the agent's core.LayerCluster slot.
+func (n *Node) ObserveInto(s *obsv.Snapshot) {
 	snap := n.reg.Snapshot()
 	n.mu.Lock()
 	routed := make(map[transport.ContextID]transport.ContextID, len(n.routed))
@@ -755,7 +768,7 @@ func (n *Node) members() []obsv.ClusterMember {
 		}
 		out = append(out, m)
 	}
-	return out
+	s.Cluster = out
 }
 
 // encodeTable returns a table's deterministic encoding ("" for nil), the

@@ -2,18 +2,22 @@ package cluster
 
 import (
 	"errors"
+	"fmt"
+	"sync"
 	"testing"
+	"time"
 
 	"nexus/internal/buffer"
 	"nexus/internal/core"
 	"nexus/internal/names"
+	"nexus/internal/transport"
 )
 
 // dynMachine boots a dynamic (gossip-membership) machine and settles it.
 func dynMachine(t *testing.T, cfg Config, maxRounds int) *Machine {
 	t.Helper()
 	if cfg.Dynamic == nil {
-		cfg.Dynamic = &NodeConfig{Fanout: 8}
+		cfg.Dynamic = &NodeConfig{fanout: 8}
 	}
 	m, err := New(cfg)
 	if err != nil {
@@ -206,4 +210,54 @@ func tombstoneOf(rec names.Record) names.Record {
 	rec.Tombstone = true
 	rec.Table = nil
 	return rec
+}
+
+// TestConcurrentAttach races eight Attach calls on one context behind a
+// start barrier, 200 times. Every caller must get the same agent, and that
+// agent must be the one serving the context's gossip handlers: a peer's join
+// lands in its registry.
+func TestConcurrentAttach(t *testing.T) {
+	const callers, trials = 8, 200
+	for trial := 0; trial < trials; trial++ {
+		exchange := transport.Params{"exchange": fmt.Sprintf("concurrent-attach-%d", trial)}
+		seed, joiner := newDynCtx(t, exchange), newDynCtx(t, exchange)
+		got := make([]*Node, callers)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for i := range got {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				<-start
+				got[i] = Attach(seed, NodeConfig{})
+			}(i)
+		}
+		close(start)
+		wg.Wait()
+		for i, n := range got {
+			if n != got[0] || n != NodeOf(seed) {
+				t.Fatalf("trial %d: caller %d got agent %p, caller 0 %p, slot %p", trial, i, n, got[0], NodeOf(seed))
+			}
+		}
+		j := Attach(joiner, NodeConfig{})
+		if err := j.Join(got[0].Bootstrap()); err != nil {
+			t.Fatal(err)
+		}
+		joined := func() bool { _, ok := got[0].Registry().Get(joiner.ID()); return ok }
+		if !seed.PollUntil(joined, 5*time.Second) {
+			t.Fatalf("trial %d: the attached agent never saw the join", trial)
+		}
+		seed.Close()
+		joiner.Close()
+	}
+}
+
+// newDynCtx builds a bare context (no agent) on the given inproc exchange.
+func newDynCtx(t *testing.T, params transport.Params) *core.Context {
+	t.Helper()
+	c, err := core.NewContext(core.Options{Methods: []core.MethodConfig{{Name: "inproc", Params: params}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
 }

@@ -31,7 +31,7 @@ func meshConfig() Config {
 			{Partition: "pB", Methods: []core.MethodConfig{fastMPL(), fastWAN()}, Forwarder: true},
 			{Partition: "pB", Methods: []core.MethodConfig{fastMPL()}},
 		},
-		Dynamic: &NodeConfig{Mesh: true, Fanout: 8},
+		Dynamic: &NodeConfig{Mesh: true, fanout: 8},
 	}
 }
 

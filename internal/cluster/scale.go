@@ -90,7 +90,7 @@ type ScaleSpec struct {
 	N int
 	// MaxRounds bounds each convergence phase.
 	MaxRounds int
-	// Node is the per-agent config. Fanout etc. default as usual; peer-table
+	// Node is the per-agent config, defaulted as usual; peer-table
 	// auto-registration is forced off for N > 200 runs, where a million
 	// peer-table installs would measure the allocator, not the protocol.
 	Node NodeConfig

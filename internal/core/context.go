@@ -10,6 +10,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -48,6 +49,76 @@ var (
 	// has not enabled.
 	ErrUnknownMethod = errors.New("core: method not enabled in this context")
 )
+
+// deadlineError is the concrete type behind ErrDeadline: a sentinel that
+// also matches context.DeadlineExceeded under errors.Is, so callers can test
+// against either vocabulary.
+type deadlineError struct{}
+
+func (deadlineError) Error() string { return "core: deadline exceeded" }
+
+func (deadlineError) Is(target error) bool { return target == context.DeadlineExceeded }
+
+// ErrDeadline reports an operation abandoned at its deadline. It unifies the
+// timeout errors across the stack: errors.Is(err, ErrDeadline) and
+// errors.Is(err, context.DeadlineExceeded) both hold for any error wrapping
+// it.
+var ErrDeadline error = deadlineError{}
+
+// Layer names one attachment slot: the place a layer built on core
+// (internal/rpc, internal/cluster) hangs its runtime on a context. Core does
+// not import those layers. It holds each attached value opaquely and reaches
+// it only through two optional methods: Intake (frameIntake) for frames
+// carrying wire.FlagRPC, and ObserveInto (snapshotRows) for Observe's rows.
+type Layer int
+
+const (
+	// LayerRPC holds the request/response runtime (rpc.Enable).
+	LayerRPC Layer = iota
+	// LayerCluster holds the gossip membership agent (cluster.Attach).
+	LayerCluster
+	numLayers
+)
+
+// frameIntake is what the value attached as LayerRPC implements: it receives
+// every delivered frame carrying wire.FlagRPC in place of endpoint/handler
+// dispatch, on the delivery goroutine and under a handler's constraints
+// (the frame's Handler and Payload are borrowed for the call). The frame is
+// passed by value: a pointer would make the poller's stack-decoded frame
+// escape, one more allocation per delivered RSR.
+type frameIntake interface{ Intake(f wire.Frame) }
+
+// snapshotRows is implemented by an attached value that adds rows to
+// Observe's snapshot (the cluster agent's membership table).
+type snapshotRows interface{ ObserveInto(s *obsv.Snapshot) }
+
+// attachment is one taken slot. intake is asserted once, at Attach, so the
+// delivery path pays no type assertion per frame.
+type attachment struct {
+	v      any
+	intake frameIntake
+}
+
+// Attach stores v in layer l's slot unless the slot is taken: the first
+// attach wins, and every caller gets back what the slot holds. A caller that
+// gets back something other than v lost, and must discard v and anything it
+// installed for it.
+func (c *Context) Attach(l Layer, v any) any {
+	a := &attachment{v: v}
+	a.intake, _ = v.(frameIntake)
+	if c.layers[l].CompareAndSwap(nil, a) {
+		return v
+	}
+	return c.layers[l].Load().v
+}
+
+// Attached returns the value in layer l's slot, or nil if none is attached.
+func (c *Context) Attached(l Layer) any {
+	if a := c.layers[l].Load(); a != nil {
+		return a.v
+	}
+	return nil
+}
 
 // HandlerFunc is the code invoked by an incoming remote service request. The
 // endpoint is the link's receiving end (carrying any bound local data); the
@@ -145,6 +216,14 @@ type Options struct {
 	fragTTL    time.Duration
 }
 
+// RPCConfig selects the request/response layer (Options.RPC). The layer
+// itself lives in internal/rpc and is attached by the facade (or by calling
+// rpc.Enable directly); core only carries the switch.
+type RPCConfig struct {
+	// Enabled attaches the RPC runtime to the context at construction.
+	Enabled bool
+}
+
 var nextContextID atomic.Uint64
 
 // Context is an address space participating in multimethod communication.
@@ -179,21 +258,16 @@ type Context struct {
 	cFwdTTL      *metrics.Counter // forward.ttl_exhausted
 	cFwdLoop     *metrics.Counter // forward.loop_dropped
 
-	// rpcIntake receives delivered frames carrying wire.FlagRPC (see
-	// rpc_hook.go); rpcState holds the attached RPC runtime opaquely.
-	rpcIntake atomic.Pointer[RPCIntakeFunc]
-	rpcState  atomic.Value
+	// layers holds what the layers built on core attached (Attach), one
+	// slot per Layer.
+	layers [numLayers]atomic.Pointer[attachment]
 
-	// Cluster-layer hooks (see cluster_hook.go): clusterState holds the
-	// attached membership agent opaquely; clusterView supplies the
-	// membership rows Observe folds into snapshots; peerGen counts peer-
-	// table mutations made through Refresh/RemovePeerTable so lightweight
-	// startpoint links can notice their cached resolution went stale;
-	// relayTTL is the hop budget stamped on mesh-routed frames.
-	clusterState atomic.Value
-	clusterView  atomic.Value // func() []obsv.ClusterMember
-	peerGen      atomic.Uint64
-	relayTTL     byte
+	// peerGen counts peer-table mutations made through
+	// Refresh/RemovePeerTable so lightweight startpoint links can notice
+	// their cached resolution went stale; relayTTL is the hop budget stamped
+	// on mesh-routed frames (forward.go).
+	peerGen  atomic.Uint64
+	relayTTL byte
 
 	// Bulk-data path state (see bulk.go): the payload cap, the receive-side
 	// reassembler, the fragmented-message id generator, the size hint the
@@ -397,7 +471,7 @@ func NewContext(opts Options) (*Context, error) {
 	}
 	c.obs.ids = obsv.NewIDGen(uint64(id)<<32 ^ uint64(time.Now().UnixNano()))
 	if opts.Observe.Trace {
-		c.EnableTracing(opts.Observe.TraceBuffer)
+		c.EnableTracing(0)
 	} else if opts.Observe.Stats {
 		c.EnableStats()
 	}
@@ -730,9 +804,15 @@ func (c *Context) deliver(ms *moduleState, f *wire.Frame) {
 	defer c.gate.exit(parity)
 	if f.HasRPC() {
 		// Request/response traffic routes by its correlation extension, not
-		// by endpoint/handler lookup: the attached RPC runtime (rpc_hook.go)
+		// by endpoint/handler lookup: the runtime attached as LayerRPC
 		// resolves the call and invokes the registered handler itself.
-		c.deliverRPC(f)
+		if a := c.layers[LayerRPC].Load(); a != nil && a.intake != nil {
+			a.intake.Intake(*f)
+			return
+		}
+		c.cDropNoRPC.Inc()
+		c.errlog(fmt.Errorf("core: context %d: rpc frame (call %d kind %d) but no rpc layer attached",
+			c.id, f.RPC.Call, f.RPC.Kind))
 		return
 	}
 	ep := (*c.endpoints.Load())[f.DestEndpoint]

@@ -14,6 +14,7 @@ import (
 	_ "nexus/internal/transport/inproc"
 	_ "nexus/internal/transport/local"
 	_ "nexus/internal/transport/tcp"
+	"nexus/internal/wire"
 )
 
 // newCtx builds a context with the given methods on an isolated inproc
@@ -514,6 +515,72 @@ func TestUnknownHandlerAndEndpointCounted(t *testing.T) {
 		t.Errorf("rsr.dropped.unknown_endpoint = %d, want 1", got)
 	}
 }
+
+// TestRPCFrameWithoutLayer sends an RSR carrying wire.FlagRPC to a context
+// with nothing attached as LayerRPC: it is counted as
+// rsr.dropped.no_rpc_layer, reported once to ErrorLog, and runs no handler.
+// Once a value with an Intake method takes the slot, the same frame reaches
+// it, and a second Attach gets the first value back.
+func TestRPCFrameWithoutLayer(t *testing.T) {
+	tag := "no-rpc-layer"
+	var errs []error
+	var mu sync.Mutex
+	recv, err := NewContext(Options{
+		Methods:  []MethodConfig{{Name: "inproc", Params: transport.Params{"exchange": tag}}},
+		ErrorLog: func(e error) { mu.Lock(); errs = append(errs, e); mu.Unlock() },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recv.Close()
+	send := newCtx(t, tag, "", inprocCfg())
+
+	var ran atomic.Int64
+	recv.RegisterHandler("echo", func(*Endpoint, *buffer.Buffer) { ran.Add(1) })
+	ep := recv.NewEndpoint(WithHandler(func(*Endpoint, *buffer.Buffer) { ran.Add(1) }))
+	sp := transferStartpoint(t, ep.NewStartpoint(), send, false)
+	req := RPCSend{Ext: wire.RPCExt{Call: 7, Kind: wire.RPCRequest}}
+	if err := sp.RSRWithRPC("echo", nil, req); err != nil {
+		t.Fatal(err)
+	}
+	recv.PollUntil(func() bool { mu.Lock(); defer mu.Unlock(); return len(errs) > 0 }, 5*time.Second)
+	recv.PollUntil(func() bool { return false }, 20*time.Millisecond)
+	mu.Lock()
+	if len(errs) != 1 {
+		t.Errorf("errors = %v, want one", errs)
+	}
+	mu.Unlock()
+	if got := recv.Stats().Get("rsr.dropped.no_rpc_layer"); got != 1 {
+		t.Errorf("rsr.dropped.no_rpc_layer = %d, want 1", got)
+	}
+	if ran.Load() != 0 {
+		t.Errorf("endpoint handlers ran %d times, want 0", ran.Load())
+	}
+
+	got := make(chan wire.RPCExt, 1)
+	first := intakeFunc(func(f wire.Frame) { got <- f.RPC })
+	if v := recv.Attach(LayerRPC, first); v == nil {
+		t.Fatal("Attach returned nil")
+	}
+	if v, ok := recv.Attach(LayerRPC, intakeFunc(nil)).(intakeFunc); !ok || v == nil {
+		t.Fatalf("second Attach returned %v, want the first value", v)
+	}
+	if err := sp.RSRWithRPC("echo", nil, req); err != nil {
+		t.Fatal(err)
+	}
+	recv.PollUntil(func() bool { return len(got) > 0 }, 5*time.Second)
+	if len(got) != 1 || (<-got).Call != 7 {
+		t.Fatal("attached intake did not receive the frame")
+	}
+	if n := recv.Stats().Get("rsr.dropped.no_rpc_layer"); n != 1 || ran.Load() != 0 {
+		t.Errorf("after attach: no_rpc_layer = %d, handlers ran %d; want 1, 0", n, ran.Load())
+	}
+}
+
+// intakeFunc adapts a function to the LayerRPC slot's Intake method.
+type intakeFunc func(f wire.Frame)
+
+func (fn intakeFunc) Intake(f wire.Frame) { fn(f) }
 
 func TestSharedCommunicationObjects(t *testing.T) {
 	tag := "shared-conn"

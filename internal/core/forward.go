@@ -10,6 +10,22 @@ import (
 	"nexus/internal/wire"
 )
 
+// DefaultRelayTTL is the hop budget stamped on mesh-routed frames: generous
+// against any plausible route depth, small enough that a routing loop
+// extinguishes within a handful of relays.
+const DefaultRelayTTL = 8
+
+// SetRelayTTL overrides the hop budget stamped on c's mesh-routed frames;
+// values outside 1..255 are ignored. It is a function rather than a method so
+// the facade, which aliases Context, does not expose it: it exists for the
+// cluster layer's tests to build a route longer than the budget, and must be
+// called before c sends anything (the send path reads the budget unlocked).
+func SetRelayTTL(c *Context, ttl int) {
+	if ttl > 0 && ttl < 256 {
+		c.relayTTL = byte(ttl)
+	}
+}
+
 // EnableForwarding turns the context into a forwarding processor: frames that
 // arrive addressed to other contexts are re-sent toward their destination
 // using the first applicable method from the destination's registered peer

@@ -49,10 +49,9 @@ type ObserveConfig struct {
 	Stats bool
 	// Trace enables cross-context RSR tracing (implies Stats): outbound
 	// frames carry a 16-byte trace ID and every instrumented stage appends
-	// an event to the context's ring buffer.
+	// an event to the context's ring buffer (4096 events; EnableTracing
+	// sizes it at runtime).
 	Trace bool
-	// TraceBuffer is the event ring's capacity (default 4096).
-	TraceBuffer int
 }
 
 // latMap maps a method name to its stage histograms; published copy-on-write
@@ -129,8 +128,28 @@ func (c *Context) recordEvent(e obsv.Event) {
 	r.Append(e)
 }
 
-// newTraceID returns a fresh trace/span id.
-func (c *Context) newTraceID() obsv.TraceID { return c.obs.ids.Next() }
+// NewTraceID draws a fresh trace/span id from the context's generator, for
+// outbound RSRs and for layers (internal/rpc) that span several sends under
+// one id.
+func (c *Context) NewTraceID() obsv.TraceID { return c.obs.ids.Next() }
+
+// RecordEvent appends one event to the trace ring if tracing is enabled, and
+// is a no-op otherwise. The recording context and timestamp are filled in.
+func (c *Context) RecordEvent(e obsv.Event) {
+	if c.obs.mode.Load()&obsTrace == 0 {
+		return
+	}
+	c.recordEvent(e)
+}
+
+// RegisterLatencies publishes a stage set under the given name in the
+// context's observability snapshot (Observe), alongside the per-method sets.
+// Registering a name again replaces its set.
+func (c *Context) RegisterLatencies(name string, ss *obsv.StageSet) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.registerStageSet(name, ss)
+}
 
 // registerStageSet publishes a method's StageSet in the copy-on-write
 // method→latency map. Caller holds c.mu.
@@ -260,9 +279,11 @@ func (c *Context) Observe() obsv.Snapshot {
 		s.TraceCapacity = r.Cap()
 		s.TraceTotal = r.Total()
 	}
-	if v := c.clusterView.Load(); v != nil {
-		if fn, ok := v.(func() []obsv.ClusterMember); ok && fn != nil {
-			s.Cluster = fn()
+	for l := range c.layers {
+		if a := c.layers[l].Load(); a != nil {
+			if rows, ok := a.v.(snapshotRows); ok {
+				rows.ObserveInto(&s)
+			}
 		}
 	}
 	return s

@@ -228,11 +228,12 @@ func TestTracePropagation(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			tag := "obs-trace-" + tc.name
 			mk := func() *Context {
-				return observeCtx(t, Options{
+				c := observeCtx(t, Options{
 					Partition: "p0",
 					Methods:   tc.methods(tag),
-					Observe:   ObserveConfig{Trace: true, TraceBuffer: 128},
 				})
+				c.EnableTracing(128)
+				return c
 			}
 			recv, send := mk(), mk()
 			var got atomic.Int64
@@ -340,10 +341,8 @@ func TestTraceSpansForwarder(t *testing.T) {
 
 // TestTraceRingBounded checks the ring keeps only the newest events.
 func TestTraceRingBounded(t *testing.T) {
-	c := observeCtx(t, Options{
-		Methods: []MethodConfig{inprocCfg()},
-		Observe: ObserveConfig{Trace: true, TraceBuffer: 16},
-	})
+	c := observeCtx(t, Options{Methods: []MethodConfig{inprocCfg()}})
+	c.EnableTracing(16)
 	ep := c.NewEndpoint(WithHandler(func(ep *Endpoint, b *buffer.Buffer) {}))
 	sp := ep.NewStartpoint()
 	for i := 0; i < 50; i++ {

@@ -273,7 +273,7 @@ func (sp *Startpoint) send(handler string, b *buffer.Buffer, rs *RPCSend) error 
 		if rs != nil && rs.Trace != (obsv.TraceID{}) {
 			m.ext.Trace = [16]byte(rs.Trace)
 		} else {
-			m.ext.Trace = [16]byte(owner.newTraceID())
+			m.ext.Trace = [16]byte(owner.NewTraceID())
 		}
 		m.flags = wire.FlagTrace
 	}

@@ -357,7 +357,7 @@ func clonePayload(p []byte) (*buffer.Buffer, error) {
 // copy of this reply after a failover retry) or orphans, and are counted but
 // otherwise dropped: this is the duplicate-reply suppression that makes
 // retried requests safe.
-func (r *RPC) handleReply(in *core.RPCInbound) {
+func (r *RPC) handleReply(in *wire.Frame) {
 	if in.RPC.Kind == wire.RPCResponse {
 		// The unary response fast path: one lock acquisition covers the
 		// pending lookup and the completion, and the reply lands in the

@@ -14,6 +14,10 @@
 // credit like any normal-class send; deadlines travel on the wire as
 // absolute unix nanoseconds and cancel server-side work through a standard
 // context.Context.
+//
+// Core does not import this package. Enable stores the runtime in the
+// context's core.LayerRPC attachment slot, and core hands it every delivered
+// frame carrying wire.FlagRPC through its Intake method.
 package rpc
 
 import (
@@ -212,9 +216,11 @@ type RPC struct {
 }
 
 // Enable attaches the RPC runtime to a context: it registers the response
-// endpoint, installs the core intake hook for wire.FlagRPC frames, and
-// publishes itself through the context's RPC state slot. Calling Enable on a
-// context that already has the layer returns the existing runtime.
+// endpoint and takes the context's core.LayerRPC slot, through which core
+// hands it every delivered frame carrying wire.FlagRPC (Intake). The first
+// Enable on a context wins: every call, concurrent ones included, returns
+// that one runtime, and a call that lost the attach closes the response
+// endpoint it built, so the context keeps one.
 func Enable(c *core.Context) *RPC {
 	if r := For(c); r != nil {
 		return r
@@ -247,14 +253,16 @@ func Enable(c *core.Context) *RPC {
 	r.cChunks = st.Counter("rpc.stream.chunks")
 	r.cOrphans = st.Counter("rpc.orphan_frames")
 	r.cBadFrames = st.Counter("rpc.bad_frames")
-	c.SetRPCIntake(r.intake)
-	c.SetRPCState(r)
-	return r
+	got := c.Attach(core.LayerRPC, r).(*RPC)
+	if got != r {
+		r.ep.Close()
+	}
+	return got
 }
 
 // For returns the RPC runtime attached to a context, or nil.
 func For(c *core.Context) *RPC {
-	r, _ := c.RPCState().(*RPC)
+	r, _ := c.Attached(core.LayerRPC).(*RPC)
 	return r
 }
 
@@ -276,10 +284,12 @@ func Register(c *core.Context, method string, h Handler) error {
 	return nil
 }
 
-// intake consumes every delivered frame carrying the wire RPC extension. It
-// runs on the delivery goroutine under handler constraints: the payload is
-// borrowed, so anything retained is copied here.
-func (r *RPC) intake(in core.RPCInbound) {
+// Intake consumes every delivered frame carrying the wire RPC extension; core
+// calls it through the context's LayerRPC slot. It runs on the delivery
+// goroutine under handler constraints: the frame's handler name and payload
+// are borrowed, so anything retained is copied here. The frame comes by value
+// so that the poller's stack-decoded frame does not escape.
+func (r *RPC) Intake(in wire.Frame) {
 	switch in.RPC.Kind {
 	case wire.RPCRequest:
 		r.handleRequest(&in)
@@ -322,7 +332,7 @@ func (r *RPC) routeFor(src uint64, spBytes []byte) (*replyRoute, error) {
 
 // handleRequest serves an inbound RPCRequest. A large request arrives here
 // like a small one: core has already reassembled its fragments.
-func (r *RPC) handleRequest(in *core.RPCInbound) {
+func (r *RPC) handleRequest(in *wire.Frame) {
 	env, err := buffer.Decode(in.Payload)
 	if err != nil {
 		r.cBadFrames.Inc()
@@ -355,7 +365,7 @@ func (r *RPC) handleRequest(in *core.RPCInbound) {
 	if in.RPC.Aux != 0 {
 		deadline = time.Unix(0, int64(in.RPC.Aux))
 	}
-	r.serve(key, method, h, route, reqBytes, deadline, in.Trace)
+	r.serve(key, method, h, route, reqBytes, deadline, obsv.TraceID(in.Trace))
 }
 
 // coarseClock caches the wall clock (unix nanoseconds), advanced whenever
@@ -438,7 +448,7 @@ func (r *RPC) serve(key callKey, method string, h Handler, route *replyRoute,
 
 // handleCancel stops an in-flight inbound call's work: the handler's context
 // fires.
-func (r *RPC) handleCancel(in *core.RPCInbound) {
+func (r *RPC) handleCancel(in *wire.Frame) {
 	key := callKey{src: in.SrcContext, call: in.RPC.Call}
 	r.mu.Lock()
 	sc := r.active[key]

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -286,8 +287,8 @@ func TestDuplicateReplySuppression(t *testing.T) {
 	}
 	// Re-deliver the response intake for the (now completed) call id.
 	rb := strBuf("x!")
-	caller.intake(core.RPCInbound{
-		RPC:     wire.RPCExt{Call: f.pc.id, Kind: wire.RPCResponse},
+	caller.Intake(wire.Frame{
+		Ext:     wire.Ext{RPC: wire.RPCExt{Call: f.pc.id, Kind: wire.RPCResponse}},
 		Payload: rb.Encode(),
 	})
 	if n := callerC.Stats().Get("rpc.replies.duplicate"); n != 1 {
@@ -320,10 +321,10 @@ func TestRetriedRequestSingleCallback(t *testing.T) {
 	env := buffer.New(len(caller.replyEnc) + 32)
 	env.PutBytes(caller.replyEnc)
 	env.PutBytes(strBuf("req").Encode())
-	server.intake(core.RPCInbound{
+	server.Intake(wire.Frame{
 		SrcContext: uint64(callerC.ID()),
 		Handler:    "echo",
-		RPC:        wire.RPCExt{Call: f.pc.id, Kind: wire.RPCRequest},
+		Ext:        wire.Ext{RPC: wire.RPCExt{Call: f.pc.id, Kind: wire.RPCRequest}},
 		Payload:    env.Encode(),
 	})
 	res, err := f.Await()
@@ -622,5 +623,45 @@ func TestRPCLatenciesPublished(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("no rpc:echo/rpc_call latency in snapshot: %+v", snap.Latencies)
+	}
+}
+
+// TestConcurrentEnable races eight Enable calls on one context behind a
+// start barrier, 200 times. Every caller must get the same runtime, and a
+// method registered on the runtime caller 0 got must be served.
+func TestConcurrentEnable(t *testing.T) {
+	const callers, trials = 8, 200
+	for trial := 0; trial < trials; trial++ {
+		c, err := core.NewContext(core.Options{Methods: []core.MethodConfig{{Name: "local"}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([]*RPC, callers)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for i := range got {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				<-start
+				got[i] = Enable(c)
+			}(i)
+		}
+		close(start)
+		wg.Wait()
+		for i, r := range got {
+			if r != got[0] || r != For(c) {
+				t.Fatalf("trial %d: caller %d got runtime %p, caller 0 %p, slot %p", trial, i, r, got[0], For(c))
+			}
+		}
+		got[0].Register("echo", echoHandler)
+		f, err := got[callers-1].Call(c.NewEndpoint().NewStartpoint(), "echo", strBuf("x"), CallOptions{Timeout: 10 * time.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res, err := f.Await(); err != nil || res.String() != "x!" {
+			t.Fatalf("trial %d: Await = (%v, %v)", trial, res, err)
+		}
+		c.Close()
 	}
 }

@@ -284,7 +284,8 @@ var (
 	RegisterRPC = rpc.Register
 	// EnableRPC attaches the RPC layer to an already-built context (for
 	// contexts not constructed through nexus.NewContext, e.g. machine
-	// bootstrap).
+	// bootstrap) and returns it; on a context that has the layer, it returns
+	// the runtime already attached.
 	EnableRPC = rpc.Enable
 	// ErrRPCNotEnabled reports an RPC operation on a context without the
 	// layer attached.
@@ -376,8 +377,9 @@ type (
 
 var (
 	// AttachCluster attaches a gossip membership agent to a context and
-	// returns it; join an existing cluster with its Join, and start
-	// background anti-entropy with Run.
+	// returns it (on a context that has one, the agent already attached);
+	// join an existing cluster with its Join, and start background
+	// anti-entropy with Run.
 	AttachCluster = cluster.Attach
 	// ClusterNodeOf returns the agent attached to a context, or nil.
 	ClusterNodeOf = cluster.NodeOf

@@ -71,12 +71,12 @@ func TestDroppedCounters(t *testing.T) {
 func TestObserveAndDebugHandlerFacade(t *testing.T) {
 	c, err := nexus.NewContext(nexus.Options{
 		Methods: []nexus.MethodConfig{{Name: "inproc"}},
-		Observe: nexus.ObserveConfig{Trace: true, TraceBuffer: 256},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	c.EnableTracing(256)
 
 	var got atomic.Int64
 	ep := c.NewEndpoint(nexus.WithHandler(func(*nexus.Endpoint, *nexus.Buffer) { got.Add(1) }))
