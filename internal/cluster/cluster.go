@@ -24,10 +24,9 @@ import (
 	_ "nexus/internal/simnet"
 	_ "nexus/internal/transport/inproc"
 	_ "nexus/internal/transport/local"
-	_ "nexus/internal/transport/rudp"
 	_ "nexus/internal/transport/secure"
 	_ "nexus/internal/transport/tcp"
-	_ "nexus/internal/transport/udp"
+	_ "nexus/internal/transport/udp" // udp and rudp
 )
 
 // fabricMethods are the method names whose modules take a shared-medium name

@@ -8,7 +8,7 @@ import (
 	"nexus/internal/buffer"
 	"nexus/internal/obsv"
 	"nexus/internal/transport"
-	_ "nexus/internal/transport/rudp"
+	_ "nexus/internal/transport/udp" // registers udp and rudp
 )
 
 // observeCtx builds a context with explicit observability options, registering

@@ -10,7 +10,6 @@ import (
 	"nexus/internal/buffer"
 	"nexus/internal/reactor"
 
-	_ "nexus/internal/transport/rudp"
 	_ "nexus/internal/transport/udp"
 )
 

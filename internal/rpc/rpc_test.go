@@ -16,7 +16,6 @@ import (
 	"nexus/internal/transport"
 	_ "nexus/internal/transport/inproc"
 	_ "nexus/internal/transport/local"
-	_ "nexus/internal/transport/rudp"
 	_ "nexus/internal/transport/secure"
 	_ "nexus/internal/transport/tcp"
 	_ "nexus/internal/transport/udp"

@@ -20,7 +20,6 @@ import (
 	"nexus/internal/transport"
 	"nexus/internal/transport/inproc"
 	"nexus/internal/transport/local"
-	"nexus/internal/transport/rudp"
 	"nexus/internal/transport/secure"
 	"nexus/internal/transport/shm"
 	"nexus/internal/transport/tcp"
@@ -161,9 +160,9 @@ var fixtures = []struct {
 	}},
 	{"rudp", func(t *testing.T) *pair {
 		sink := &collector{}
-		recv := rudp.New(nil)
+		recv := udp.NewReliable(nil)
 		desc := initFixture(t, recv, transport.Env{Context: 1, Sink: sink})
-		send := rudp.New(nil)
+		send := udp.NewReliable(nil)
 		initFixture(t, send, transport.Env{Context: 2, Sink: &collector{}})
 		return &pair{send: send, desc: desc, sink: sink, poll: []transport.Module{recv, send}, reliable: true}
 	}},

@@ -3,7 +3,7 @@
 package rawpoll
 
 import (
-	"net"
+	"net/netip"
 	"runtime"
 	"syscall"
 	"unsafe"
@@ -141,21 +141,26 @@ func (b *BatchReader) recvFD(fd uintptr) bool {
 // borrowed: it aliases the slot buffer and is overwritten by the next Recv.
 func (b *BatchReader) Frame(i int) []byte { return b.bufs[i][:b.hdrs[i].Len] }
 
-// Addr returns slot i's source address from the last Recv (nil for address
-// families the datagram modules do not use).
-func (b *BatchReader) Addr(i int) *net.UDPAddr {
+// Addr returns slot i's source address from the last Recv (the zero
+// AddrPort for address families the datagram modules do not use). It decodes
+// the raw sockaddr in place and allocates nothing.
+func (b *BatchReader) Addr(i int) netip.AddrPort {
 	sa := &b.names[i]
 	switch sa.Family {
 	case syscall.AF_INET:
 		a := (*syscall.RawSockaddrInet4)(unsafe.Pointer(sa))
-		p := (*[2]byte)(unsafe.Pointer(&a.Port))
-		return &net.UDPAddr{IP: append([]byte(nil), a.Addr[:]...), Port: int(p[0])<<8 | int(p[1])}
+		return netip.AddrPortFrom(netip.AddrFrom4(a.Addr), ntohs(a.Port))
 	case syscall.AF_INET6:
-		p := (*[2]byte)(unsafe.Pointer(&sa.Port))
-		return &net.UDPAddr{IP: append([]byte(nil), sa.Addr[:]...), Port: int(p[0])<<8 | int(p[1])}
+		return netip.AddrPortFrom(netip.AddrFrom16(sa.Addr), ntohs(sa.Port))
 	default:
-		return nil
+		return netip.AddrPort{}
 	}
+}
+
+// ntohs decodes a sockaddr port, which the kernel stores in network byte order.
+func ntohs(raw uint16) uint16 {
+	p := (*[2]byte)(unsafe.Pointer(&raw))
+	return uint16(p[0])<<8 | uint16(p[1])
 }
 
 // BatchWriter flushes trains of outbound frames on a connected datagram

@@ -4,7 +4,7 @@ package rawpoll
 
 import (
 	"errors"
-	"net"
+	"net/netip"
 	"syscall"
 )
 
@@ -24,7 +24,7 @@ type BatchReader struct {
 	rd    *Reader
 	bufs  [][]byte
 	lens  []int
-	addrs []*net.UDPAddr
+	addrs []netip.AddrPort
 	count int
 }
 
@@ -39,7 +39,7 @@ func NewBatchReader(c syscall.Conn, slots, bufSize int) (*BatchReader, error) {
 		rd:    rd,
 		bufs:  make([][]byte, slots),
 		lens:  make([]int, slots),
-		addrs: make([]*net.UDPAddr, slots),
+		addrs: make([]netip.AddrPort, slots),
 	}
 	for i := range b.bufs {
 		b.bufs[i] = make([]byte, bufSize)
@@ -66,7 +66,7 @@ func (b *BatchReader) Recv() (int, error) {
 			return 0, err
 		}
 		b.lens[n] = m
-		b.addrs[n] = from
+		b.addrs[n] = from.AddrPort()
 		n++
 	}
 	b.count = n
@@ -80,8 +80,9 @@ func (b *BatchReader) Recv() (int, error) {
 // borrowed: it aliases the slot buffer and is overwritten by the next Recv.
 func (b *BatchReader) Frame(i int) []byte { return b.bufs[i][:b.lens[i]] }
 
-// Addr returns slot i's source address from the last Recv.
-func (b *BatchReader) Addr(i int) *net.UDPAddr { return b.addrs[i] }
+// Addr returns slot i's source address from the last Recv (the zero
+// AddrPort when the source family is not IPv4 or IPv6).
+func (b *BatchReader) Addr(i int) netip.AddrPort { return b.addrs[i] }
 
 // BatchWriter flushes trains of outbound frames on a connected datagram
 // socket. On this platform each frame costs one write(2).

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"net/netip"
 	"testing"
 	"time"
 )
@@ -146,6 +147,31 @@ func TestReadFromDatagram(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("datagram never became readable")
 		}
+	}
+}
+
+// TestBatchReaderAddr checks that a batched receive reports each datagram's
+// source as the sender's address and port.
+func TestBatchReaderAddr(t *testing.T) {
+	sender, receiver := udpPair(t)
+	br, err := NewBatchReader(receiver, 4, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sender.Write([]byte("dgram")); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	n, err := br.Recv()
+	for errors.Is(err, ErrWouldBlock) && time.Now().Before(deadline) {
+		n, err = br.Recv()
+	}
+	if err != nil || n != 1 {
+		t.Fatalf("Recv = %d, %v", n, err)
+	}
+	want := netip.AddrPortFrom(netip.MustParseAddr("127.0.0.1"), uint16(sender.LocalAddr().(*net.UDPAddr).Port))
+	if got := br.Addr(0); got != want {
+		t.Fatalf("Addr(0) = %v, want %v", got, want)
 	}
 }
 

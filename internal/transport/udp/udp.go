@@ -1,20 +1,27 @@
-// Package udp implements the unreliable datagram communication module.
+// Package udp implements the two datagram communication modules: "udp",
+// unreliable datagrams, and "rudp", a reliable go-back-N sliding-window
+// protocol over the same socket code.
 //
 // The paper lists UDP among the specialized protocols that collaborative and
 // streaming applications select for data that tolerates loss (shared-state
 // updates, video frames) in exchange for lower latency and no head-of-line
 // blocking. Each frame travels as one datagram; frames larger than a
-// datagram are rejected rather than fragmented, and delivery is not
-// guaranteed. An optional loss parameter injects deterministic artificial
-// drop for failure-injection tests.
+// datagram are rejected rather than fragmented, and udp does not guarantee
+// delivery. rudp (rudp.go) keeps that framing and address model and adds
+// ordering, deduplication and retransmission, so an application can pick,
+// per link, between fast-and-lossy and reliable-and-windowed with no code
+// changes. An optional loss parameter injects deterministic artificial drop
+// for failure-injection tests.
 //
-// Detection and transmission are syscall-batched: Poll drains a burst of
-// queued datagrams per recvmmsg(2) into persistent receive slots (no copy,
-// no allocation on the steady-state receive path), connections flush frame
-// trains with sendmmsg(2) via the BatchSender capability — collapsing an
+// Both modules embed one socket type: the bound listen socket, its
+// lifecycle, reactor registration and the batched receive loop. Detection
+// and transmission are syscall-batched: Poll drains a burst of queued
+// datagrams per recvmmsg(2) into persistent receive slots (no copy, no
+// allocation on the steady-state receive path), connections flush frame
+// trains with sendmmsg(2) via the BatchSender capability — udp collapses an
 // equal-sized train into a single UDP-GSO sendmsg(2) where the kernel
-// supports it — and the module implements transport.Reactive, so a
-// readiness reactor can take its socket out of the polling rotation
+// supports it — and both modules implement transport.Reactive, so a
+// readiness reactor can take their sockets out of the polling rotation
 // entirely until the kernel reports data.
 package udp
 
@@ -23,6 +30,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"net/netip"
 	"strconv"
 	"sync"
 	"time"
@@ -31,11 +39,11 @@ import (
 	"nexus/internal/transport/rawpoll"
 )
 
-// Name is the method name used in descriptors and resource strings.
+// Name is the unreliable method's name in descriptors and resource strings.
 const Name = "udp"
 
-// MaxDatagram is the largest frame the module will send (a safe UDP payload
-// bound below the 64 KiB datagram limit).
+// MaxDatagram is the largest frame either module will send (a safe UDP
+// payload bound below the 64 KiB datagram limit).
 const MaxDatagram = 60 << 10
 
 // ErrTooLarge reports a frame that does not fit in a single datagram. It
@@ -45,14 +53,16 @@ var ErrTooLarge = fmt.Errorf("udp: frame exceeds datagram size: %w", transport.E
 
 func init() {
 	transport.Register(Name, func(p transport.Params) transport.Module { return New(p) })
+	transport.Register(ReliableName, func(p transport.Params) transport.Module { return NewReliable(p) })
 }
 
 // DefaultRecvBuffer is the socket receive buffer requested at Init. The
 // fragmentation layer above delivers a bulk message as a burst of
 // near-datagram-size frames; the OS default buffer (a couple hundred KiB on
 // Linux) holds only a handful of those, so a poller that is even briefly
-// behind loses most of the burst. Sized to absorb one maximally fragmented
-// 16 MiB-default message window in practice: kernels cap the request at
+// behind loses most of the burst (or, under rudp, churns through
+// drop-and-retransmit). Sized to absorb one maximally fragmented 16
+// MiB-default message window in practice: kernels cap the request at
 // net.core.rmem_max, and the setting is best-effort.
 const DefaultRecvBuffer = 4 << 20
 
@@ -74,8 +84,13 @@ const sendSlots = 16
 // polling loop inside one module's Poll while other methods starve.
 const maxPollDatagrams = 1024
 
-// Module is a UDP communication method instance.
-type Module struct {
+// socket is what both datagram modules share: the parameters they parse
+// alike, the bound listen socket with its batch reader, the reactor
+// registration and the inited/closed lifecycle. The modules embed it and so
+// get Name, Init, Applicable, MaxMessage, AttachReactor, DetachReactor and
+// Close from it.
+type socket struct {
+	name   string
 	listen string
 	loss   float64
 	seed   int64
@@ -92,20 +107,10 @@ type Module struct {
 	closed bool
 }
 
-// New returns an uninitialized UDP module. Recognized parameters:
-//
-//	listen — listen address (default "127.0.0.1:0")
-//	loss   — probability in [0,1] of silently dropping an outbound frame
-//	seed   — RNG seed for deterministic loss injection (default 1)
-//	rcvbuf — requested socket receive buffer in bytes (default 4 MiB;
-//	         0 keeps the OS default)
-//	sndbuf — requested socket send buffer in bytes, applied to outbound
-//	         connections (default 4 MiB; 0 keeps the OS default)
-func New(p transport.Params) *Module {
-	if p == nil {
-		p = transport.Params{}
-	}
-	return &Module{
+// newSocket parses the parameters both modules accept (listed on New).
+func newSocket(name string, p transport.Params) socket {
+	return socket{
+		name:   name,
 		listen: p.Str("listen", "127.0.0.1:0"),
 		loss:   p.Float("loss", 0),
 		seed:   int64(p.Int("seed", 1)),
@@ -115,49 +120,55 @@ func New(p transport.Params) *Module {
 }
 
 // Name implements transport.Module.
-func (m *Module) Name() string { return Name }
+func (s *socket) Name() string { return s.name }
 
-// udpFd returns the fd behind a *net.UDPConn (or -1).
-func udpFd(pc *net.UDPConn) int {
+// socketFd returns the fd behind a *net.UDPConn, or -1 when the runtime
+// does not expose one; AttachReactor then reports ErrNotReactive and the
+// module stays on the polling path.
+func socketFd(pc *net.UDPConn) int {
 	fd := -1
 	rc, err := pc.SyscallConn()
 	if err != nil {
 		return -1
 	}
-	_ = rc.Control(func(f uintptr) { fd = int(f) })
+	if err := rc.Control(func(f uintptr) { fd = int(f) }); err != nil {
+		return -1
+	}
 	return fd
 }
 
 // Init binds the datagram socket.
-func (m *Module) Init(env transport.Env) (*transport.Descriptor, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.inited {
-		return nil, fmt.Errorf("udp: double Init for context %d", env.Context)
+func (s *socket) Init(env transport.Env) (*transport.Descriptor, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.inited {
+		return nil, fmt.Errorf("%s: double Init for context %d", s.name, env.Context)
 	}
-	addr, err := net.ResolveUDPAddr("udp", m.listen)
+	addr, err := net.ResolveUDPAddr("udp", s.listen)
 	if err != nil {
-		return nil, fmt.Errorf("udp: resolve %s: %w", m.listen, err)
+		return nil, fmt.Errorf("%s: resolve %s: %w", s.name, s.listen, err)
 	}
 	pc, err := net.ListenUDP("udp", addr)
 	if err != nil {
-		return nil, fmt.Errorf("udp: listen: %w", err)
+		return nil, fmt.Errorf("%s: listen: %w", s.name, err)
 	}
-	if m.rcvbuf > 0 {
-		_ = pc.SetReadBuffer(m.rcvbuf) // best effort; kernel caps apply
+	if s.rcvbuf > 0 {
+		// Best effort: the kernel caps the request at net.core.rmem_max, and
+		// a smaller buffer costs drops under bursts, not correctness.
+		_ = pc.SetReadBuffer(s.rcvbuf)
 	}
 	br, err := rawpoll.NewBatchReader(pc, recvSlots, 64<<10)
 	if err != nil {
 		pc.Close()
-		return nil, fmt.Errorf("udp: batch reader: %w", err)
+		return nil, fmt.Errorf("%s: batch reader: %w", s.name, err)
 	}
-	m.env = env
-	m.pc = pc
-	m.br = br
-	m.fd = udpFd(pc)
-	m.inited = true
+	s.env = env
+	s.pc = pc
+	s.br = br
+	s.fd = socketFd(pc)
+	s.inited = true
 	return &transport.Descriptor{
-		Method:  Name,
+		Method:  s.name,
 		Context: env.Context,
 		Attrs: map[string]string{
 			"addr":                   pc.LocalAddr().String(),
@@ -167,146 +178,188 @@ func (m *Module) Init(env transport.Env) (*transport.Descriptor, error) {
 }
 
 // MaxMessage implements transport.SizeLimiter: one frame per datagram.
-func (m *Module) MaxMessage() int { return MaxDatagram }
+func (s *socket) MaxMessage() int { return MaxDatagram }
 
-// Applicable reports whether remote advertises a UDP address.
-func (m *Module) Applicable(remote transport.Descriptor) bool {
-	return remote.Method == Name && remote.Attr("addr") != ""
+// Applicable reports whether remote advertises an address for this method.
+func (s *socket) Applicable(remote transport.Descriptor) bool {
+	return remote.Method == s.name && remote.Attr("addr") != ""
 }
 
-// Dial opens an unreliable connection to the remote context.
-func (m *Module) Dial(remote transport.Descriptor) (transport.Conn, error) {
-	m.mu.Lock()
-	inited, closed := m.inited, m.closed
-	m.mu.Unlock()
+// dial opens a connected socket to remote with its send buffer sized and a
+// batch writer bound to it.
+func (s *socket) dial(remote transport.Descriptor) (*net.UDPConn, *rawpoll.BatchWriter, error) {
+	s.mu.Lock()
+	inited, closed := s.inited, s.closed
+	s.mu.Unlock()
 	if !inited {
-		return nil, transport.ErrNotInitialized
+		return nil, nil, transport.ErrNotInitialized
 	}
 	if closed {
-		return nil, transport.ErrClosed
+		return nil, nil, transport.ErrClosed
 	}
-	if !m.Applicable(remote) {
-		return nil, transport.ErrNotApplicable
+	if !s.Applicable(remote) {
+		return nil, nil, transport.ErrNotApplicable
 	}
 	addr, err := net.ResolveUDPAddr("udp", remote.Attr("addr"))
 	if err != nil {
-		return nil, fmt.Errorf("udp: resolve %s: %w", remote.Attr("addr"), err)
+		return nil, nil, fmt.Errorf("%s: resolve %s: %w", s.name, remote.Attr("addr"), err)
 	}
 	c, err := net.DialUDP("udp", nil, addr)
 	if err != nil {
-		return nil, fmt.Errorf("udp: dial %s: %w", addr, err)
+		return nil, nil, fmt.Errorf("%s: dial %s: %w", s.name, addr, err)
 	}
-	if m.sndbuf > 0 {
-		_ = c.SetWriteBuffer(m.sndbuf) // best effort; kernel caps apply
+	if s.sndbuf > 0 {
+		// Best effort, as for rcvbuf: a capped buffer parks the sender on
+		// writability sooner but loses nothing.
+		_ = c.SetWriteBuffer(s.sndbuf)
 	}
 	bw, err := rawpoll.NewBatchWriter(c, sendSlots)
 	if err != nil {
 		c.Close()
-		return nil, fmt.Errorf("udp: batch writer: %w", err)
+		return nil, nil, fmt.Errorf("%s: batch writer: %w", s.name, err)
 	}
-	oc := &conn{c: c, bw: bw, gso: rawpoll.ProbeGSO(c)}
-	if m.loss > 0 {
-		oc.loss = m.loss
-		oc.rng = rand.New(rand.NewSource(m.seed))
+	return c, bw, nil
+}
+
+// lossRNG returns the per-connection loss-injection generator, or nil when
+// loss injection is off.
+func (s *socket) lossRNG() *rand.Rand {
+	if s.loss <= 0 {
+		return nil
 	}
-	return oc, nil
+	return rand.New(rand.NewSource(s.seed))
 }
 
 // AttachReactor implements transport.Reactive: the listen socket joins the
-// reactor's watch set.
-func (m *Module) AttachReactor(r transport.Readiness) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if !m.inited {
+// reactor's watch set. Outbound connections are unaffected.
+func (s *socket) AttachReactor(r transport.Readiness) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.inited {
 		return transport.ErrNotInitialized
 	}
-	if m.closed {
+	if s.closed {
 		return transport.ErrClosed
 	}
-	if m.fd < 0 {
+	if s.fd < 0 {
 		return transport.ErrNotReactive
 	}
-	if err := r.Add(m.fd); err != nil {
+	if err := r.Add(s.fd); err != nil {
 		return err
 	}
-	m.rd = r
+	s.rd = r
 	return nil
 }
 
 // DetachReactor implements transport.Reactive.
-func (m *Module) DetachReactor() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.rd != nil {
-		m.rd.Remove(m.fd)
-		m.rd = nil
+func (s *socket) DetachReactor() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.rd != nil {
+		s.rd.Remove(s.fd)
+		s.rd = nil
 	}
 }
 
-// Poll drains queued datagrams in recvmmsg batches, delivering each frame
-// straight from its receive slot (the sink borrows it for the call), until
-// the socket reports empty or maxPollDatagrams have been delivered.
-func (m *Module) Poll() (int, error) {
-	m.mu.Lock()
-	if !m.inited {
-		m.mu.Unlock()
+// drain receives queued datagrams in recvmmsg batches and hands each to
+// each, which borrows pkt for the call, until the socket reports empty or
+// maxPollDatagrams have been seen. It returns how many it saw; a nil error
+// with seen >= maxPollDatagrams means the pass stopped at the bound with
+// input possibly still queued.
+func (s *socket) drain(each func(pkt []byte, from netip.AddrPort)) (seen int, err error) {
+	s.mu.Lock()
+	if !s.inited {
+		s.mu.Unlock()
 		return 0, transport.ErrNotInitialized
 	}
-	if m.closed {
-		m.mu.Unlock()
+	if s.closed {
+		s.mu.Unlock()
 		return 0, transport.ErrClosed
 	}
-	br, sink := m.br, m.env.Sink
-	m.mu.Unlock()
+	br := s.br
+	s.mu.Unlock()
 
-	delivered := 0
 	for {
 		n, err := br.Recv()
 		for i := 0; i < n; i++ {
-			sink.Deliver(br.Frame(i))
+			each(br.Frame(i), br.Addr(i))
 		}
-		delivered += n
+		seen += n
 		if err != nil {
 			if errors.Is(err, rawpoll.ErrWouldBlock) {
-				return delivered, nil
+				return seen, nil
 			}
-			if m.isClosed() {
-				return delivered, transport.ErrClosed
+			if s.isClosed() {
+				return seen, transport.ErrClosed
 			}
-			return delivered, err
+			return seen, err
 		}
-		if delivered >= maxPollDatagrams {
-			return delivered, nil // bounded pass; the rest waits for the next
+		if seen >= maxPollDatagrams {
+			return seen, nil // bounded pass; the rest waits for the next
 		}
 	}
 }
 
-func (m *Module) isClosed() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.closed
+func (s *socket) isClosed() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.closed
+}
+
+// Close releases the socket. Open connections fail on their next send.
+func (s *socket) Close() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return nil
+	}
+	s.closed = true
+	if s.rd != nil {
+		s.rd.Remove(s.fd) // before close: the OS may reuse the fd number
+		s.rd = nil
+	}
+	if s.pc != nil {
+		return s.pc.Close()
+	}
+	return nil
+}
+
+// Module is a UDP communication method instance.
+type Module struct {
+	socket
+}
+
+// New returns an uninitialized UDP module. Recognized parameters, which
+// rudp accepts too:
+//
+//	listen — listen address (default "127.0.0.1:0")
+//	loss   — probability in [0,1] of silently dropping an outbound frame
+//	seed   — RNG seed for deterministic loss injection (default 1)
+//	rcvbuf — requested socket receive buffer in bytes (default 4 MiB;
+//	         0 keeps the OS default)
+//	sndbuf — requested socket send buffer in bytes, applied to outbound
+//	         connections (default 4 MiB; 0 keeps the OS default)
+func New(p transport.Params) *Module {
+	return &Module{socket: newSocket(Name, p)}
+}
+
+// Dial opens an unreliable connection to the remote context.
+func (m *Module) Dial(remote transport.Descriptor) (transport.Conn, error) {
+	c, bw, err := m.dial(remote)
+	if err != nil {
+		return nil, err
+	}
+	return &conn{c: c, bw: bw, gso: rawpoll.ProbeGSO(c), loss: m.loss, rng: m.lossRNG()}, nil
+}
+
+// Poll drains queued datagrams, delivering each frame straight from its
+// receive slot (the sink borrows it for the call).
+func (m *Module) Poll() (int, error) {
+	return m.drain(func(pkt []byte, _ netip.AddrPort) { m.env.Sink.Deliver(pkt) })
 }
 
 // PollCostHint implements transport.CostHinter.
 func (m *Module) PollCostHint() time.Duration { return 50 * time.Microsecond }
-
-// Close releases the socket.
-func (m *Module) Close() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return nil
-	}
-	m.closed = true
-	if m.rd != nil {
-		m.rd.Remove(m.fd) // before close: the OS may reuse the fd number
-		m.rd = nil
-	}
-	if m.pc != nil {
-		return m.pc.Close()
-	}
-	return nil
-}
 
 type conn struct {
 	mu   sync.Mutex
@@ -316,7 +369,7 @@ type conn struct {
 	gbuf []byte // GSO coalescing buffer, allocated on first use
 	kept [][]byte
 	loss float64
-	rng  *rand.Rand
+	rng  *rand.Rand // nil unless loss injection is on
 }
 
 func (c *conn) Send(frame []byte) error {

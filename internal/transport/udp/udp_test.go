@@ -27,9 +27,16 @@ func (c *collect) count() int {
 	return len(c.frames)
 }
 
-func initModule(t *testing.T, p transport.Params, ctx transport.ContextID, sink transport.Sink) (*Module, transport.Descriptor) {
+func (c *collect) frame(i int) []byte {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.frames[i]
+}
+
+// initOn initializes m as context ctx delivering to sink and closes it when
+// the test ends.
+func initOn[M transport.Module](t *testing.T, m M, ctx transport.ContextID, sink transport.Sink) (M, transport.Descriptor) {
 	t.Helper()
-	m := New(p)
 	d, err := m.Init(transport.Env{Context: ctx, Sink: sink})
 	if err != nil {
 		t.Fatal(err)
@@ -38,10 +45,19 @@ func initModule(t *testing.T, p transport.Params, ctx transport.ContextID, sink 
 	return m, *d
 }
 
+// methods lists both datagram modules for the tests that hold for each.
+var methods = []struct {
+	name, other string
+	new         func(transport.Params) transport.Module
+}{
+	{Name, ReliableName, func(p transport.Params) transport.Module { return New(p) }},
+	{ReliableName, Name, func(p transport.Params) transport.Module { return NewReliable(p) }},
+}
+
 func TestSendPollRoundTrip(t *testing.T) {
 	sink := &collect{}
-	recv, d := initModule(t, nil, 1, sink)
-	send, _ := initModule(t, nil, 2, &collect{})
+	recv, d := initOn(t, New(nil), 1, sink)
+	send, _ := initOn(t, New(nil), 2, &collect{})
 
 	c, err := send.Dial(d)
 	if err != nil {
@@ -72,23 +88,27 @@ func TestSendPollRoundTrip(t *testing.T) {
 }
 
 func TestOversizeFrameRejected(t *testing.T) {
-	recv, d := initModule(t, nil, 1, &collect{})
-	_ = recv
-	send, _ := initModule(t, nil, 2, &collect{})
-	c, err := send.Dial(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.Send(make([]byte, MaxDatagram+1)); !errors.Is(err, ErrTooLarge) {
-		t.Errorf("oversize Send err = %v, want ErrTooLarge", err)
+	for _, mt := range methods {
+		t.Run(mt.name, func(t *testing.T) {
+			_, d := initOn(t, mt.new(nil), 1, &collect{})
+			send, _ := initOn(t, mt.new(nil), 2, &collect{})
+			c, err := send.Dial(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			err = c.Send(make([]byte, MaxDatagram+1))
+			if !errors.Is(err, ErrTooLarge) || !errors.Is(err, transport.ErrTooLarge) {
+				t.Errorf("oversize Send err = %v, want ErrTooLarge", err)
+			}
+		})
 	}
 }
 
 func TestLossInjection(t *testing.T) {
 	sink := &collect{}
-	recv, d := initModule(t, nil, 1, sink)
-	send, _ := initModule(t, transport.Params{"loss": "0.5", "seed": "7"}, 2, &collect{})
+	recv, d := initOn(t, New(nil), 1, sink)
+	send, _ := initOn(t, New(transport.Params{"loss": "0.5", "seed": "7"}), 2, &collect{})
 	c, err := send.Dial(d)
 	if err != nil {
 		t.Fatal(err)
@@ -116,7 +136,7 @@ func TestLossInjection(t *testing.T) {
 		t.Errorf("with 50%% loss received %d/%d datagrams; want strictly between", got, n)
 	}
 	// Deterministic: a second identical sender drops the same pattern.
-	send2, _ := initModule(t, transport.Params{"loss": "0.5", "seed": "7"}, 3, &collect{})
+	send2, _ := initOn(t, New(transport.Params{"loss": "0.5", "seed": "7"}), 3, &collect{})
 	c2, err := send2.Dial(d)
 	if err != nil {
 		t.Fatal(err)
@@ -146,42 +166,70 @@ func TestLossInjection(t *testing.T) {
 }
 
 func TestApplicable(t *testing.T) {
-	m := New(nil)
-	if !m.Applicable(transport.Descriptor{Method: Name, Attrs: map[string]string{"addr": "127.0.0.1:1"}}) {
-		t.Error("valid descriptor not applicable")
-	}
-	if m.Applicable(transport.Descriptor{Method: "tcp", Attrs: map[string]string{"addr": "x"}}) {
-		t.Error("wrong method applicable")
-	}
-	if m.Applicable(transport.Descriptor{Method: Name}) {
-		t.Error("missing addr applicable")
+	for _, mt := range methods {
+		t.Run(mt.name, func(t *testing.T) {
+			m := mt.new(nil)
+			rows := []struct {
+				desc string
+				d    transport.Descriptor
+				want bool
+			}{
+				{"valid descriptor", transport.Descriptor{Method: mt.name, Attrs: map[string]string{"addr": "127.0.0.1:1"}}, true},
+				{"tcp descriptor", transport.Descriptor{Method: "tcp", Attrs: map[string]string{"addr": "x"}}, false},
+				{mt.other + " descriptor", transport.Descriptor{Method: mt.other, Attrs: map[string]string{"addr": "x"}}, false},
+				{"missing addr", transport.Descriptor{Method: mt.name}, false},
+			}
+			for _, r := range rows {
+				if got := m.Applicable(r.d); got != r.want {
+					t.Errorf("%s: Applicable = %v, want %v", r.desc, got, r.want)
+				}
+			}
+		})
 	}
 }
 
 func TestLifecycleErrors(t *testing.T) {
-	m := New(nil)
-	if _, err := m.Poll(); !errors.Is(err, transport.ErrNotInitialized) {
-		t.Errorf("Poll before Init: %v", err)
-	}
-	if _, err := m.Init(transport.Env{Context: 1, Sink: &collect{}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Init(transport.Env{Context: 1, Sink: &collect{}}); err == nil {
-		t.Error("double Init succeeded")
-	}
-	if err := m.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Poll(); !errors.Is(err, transport.ErrClosed) {
-		t.Errorf("Poll after Close: %v", err)
-	}
-	if err := m.Close(); err != nil {
-		t.Errorf("double Close: %v", err)
+	for _, mt := range methods {
+		t.Run(mt.name, func(t *testing.T) {
+			m := mt.new(nil)
+			peer := transport.Descriptor{Method: mt.name, Attrs: map[string]string{"addr": "127.0.0.1:1"}}
+			if _, err := m.Poll(); !errors.Is(err, transport.ErrNotInitialized) {
+				t.Errorf("Poll before Init: %v", err)
+			}
+			if _, err := m.Dial(peer); !errors.Is(err, transport.ErrNotInitialized) {
+				t.Errorf("Dial before Init: %v", err)
+			}
+			if _, err := m.Init(transport.Env{Context: 1, Sink: &collect{}}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := m.Init(transport.Env{Context: 1, Sink: &collect{}}); err == nil {
+				t.Error("double Init succeeded")
+			}
+			if err := m.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := m.Poll(); !errors.Is(err, transport.ErrClosed) {
+				t.Errorf("Poll after Close: %v", err)
+			}
+			if _, err := m.Dial(peer); !errors.Is(err, transport.ErrClosed) {
+				t.Errorf("Dial after Close: %v", err)
+			}
+			if err := m.Close(); err != nil {
+				t.Errorf("double Close: %v", err)
+			}
+			if _, err := m.Poll(); !errors.Is(err, transport.ErrClosed) {
+				t.Errorf("Poll after double Close: %v", err)
+			}
+		})
 	}
 }
 
 func TestRegisteredInDefaultRegistry(t *testing.T) {
-	if !transport.Default.Has(Name) {
-		t.Fatal("udp module not registered")
+	for _, mt := range methods {
+		t.Run(mt.name, func(t *testing.T) {
+			if !transport.Default.Has(mt.name) {
+				t.Fatalf("%s module not registered", mt.name)
+			}
+		})
 	}
 }

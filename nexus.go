@@ -56,11 +56,10 @@ import (
 	_ "nexus/internal/simnet"
 	_ "nexus/internal/transport/inproc"
 	_ "nexus/internal/transport/local"
-	_ "nexus/internal/transport/rudp"
 	_ "nexus/internal/transport/secure"
 	_ "nexus/internal/transport/shm"
 	_ "nexus/internal/transport/tcp"
-	_ "nexus/internal/transport/udp"
+	_ "nexus/internal/transport/udp" // udp and rudp
 )
 
 // Core communication types (internal/core).
