@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -105,8 +106,9 @@ type Node struct {
 	mu         sync.Mutex
 	rng        *rand.Rand
 	self       names.Record
-	selfEnc    []byte // last advertised-table encoding published under self.Seq
-	appliedGen uint64 // registry generation applyRegistry last ran at
+	selfEnc    []byte                // last advertised-table encoding published under self.Seq
+	peerBuf    []transport.ContextID // livePeersLocked's reused origin list
+	appliedGen uint64                // registry generation applyRegistry last ran at
 	applied    map[transport.ContextID]appliedState
 	digestPos  int // rotating digest window cursor
 	probeTick  int
@@ -223,9 +225,9 @@ func (n *Node) Join(seedTable *transport.Table, seedEP uint64) error {
 	sp := n.startpointLocked(seed, seedEP, seedTable)
 	digest, next := n.reg.Digest(n.digestPos, maxDigest)
 	n.digestPos = next
-	self := n.self
+	self, selfLen := n.self, len(n.selfEnc)
 	n.mu.Unlock()
-	err := n.sendDigest(sp, self, digest)
+	err := n.sendDigest(sp, self, selfLen, digest)
 	n.noteSend(seed, err)
 	if err != nil {
 		return fmt.Errorf("cluster: join via context %d: %w", seed, err)
@@ -253,11 +255,7 @@ func (n *Node) Leave() {
 	}
 	tomb := n.self
 	n.reg.Merge(tomb)
-	peers := n.livePeersLocked()
-	n.rng.Shuffle(len(peers), func(i, j int) { peers[i], peers[j] = peers[j], peers[i] })
-	if max := 2 * n.cfg.fanout; len(peers) > max {
-		peers = peers[:max]
-	}
+	peers := n.livePeersLocked(2 * n.cfg.fanout)
 	targets := make([]*core.Startpoint, 0, len(peers))
 	for _, p := range peers {
 		targets = append(targets, n.startpointLocked(p.Origin, p.GossipEP, p.Table))
@@ -297,14 +295,10 @@ func (n *Node) Step() {
 		origin transport.ContextID
 		probe  bool
 	}
-	peers := n.livePeersLocked()
-	n.rng.Shuffle(len(peers), func(i, j int) { peers[i], peers[j] = peers[j], peers[i] })
-	if len(peers) > n.cfg.fanout {
-		peers = peers[:n.cfg.fanout]
-	}
+	peers := n.livePeersLocked(n.cfg.fanout)
 	digest, next := n.reg.Digest(n.digestPos, maxDigest)
 	n.digestPos = next
-	self := n.self
+	self, selfLen := n.self, len(n.selfEnc)
 	targets := make([]dst, 0, len(peers)+1)
 	for _, p := range peers {
 		targets = append(targets, dst{sp: n.startpointLocked(p.Origin, p.GossipEP, p.Table), origin: p.Origin})
@@ -319,12 +313,10 @@ func (n *Node) Step() {
 	// left to damage.
 	n.probeTick++
 	if n.probeTick%probeEvery == 0 {
-		var tombs []names.Record
-		for _, rec := range n.reg.Snapshot() {
-			if rec.Tombstone && rec.Origin != n.self.Origin && rec.GossipEP != 0 {
-				tombs = append(tombs, rec)
-			}
-		}
+		tombs := n.reg.Tombstones()
+		tombs = slices.DeleteFunc(tombs, func(rec names.Record) bool {
+			return rec.Origin == n.self.Origin || rec.GossipEP == 0
+		})
 		if len(tombs) > 0 {
 			p := tombs[n.rng.Intn(len(tombs))]
 			if t := n.lastTables[p.Origin]; t != nil {
@@ -335,7 +327,7 @@ func (n *Node) Step() {
 	}
 	n.mu.Unlock()
 	for _, t := range targets {
-		err := n.sendDigest(t.sp, self, digest)
+		err := n.sendDigest(t.sp, self, selfLen, digest)
 		if t.probe {
 			if err != nil {
 				n.invalidateStartpoint(t.origin)
@@ -490,12 +482,22 @@ func (n *Node) closeSPsLocked(origin transport.ContextID) {
 	}
 }
 
-// livePeersLocked lists live records other than self.
-func (n *Node) livePeersLocked() []names.Record {
-	live := n.reg.Live()
-	out := live[:0]
-	for _, rec := range live {
-		if rec.Origin != n.self.Origin {
+// livePeersLocked shuffles the live peers other than self and returns the
+// records of the first max of them. The shuffle runs over every live peer,
+// in origin order, so the RNG draws the same numbers as a shuffle of the
+// records themselves; only the origins are gathered, into a buffer the node
+// reuses, and only the chosen records are read.
+func (n *Node) livePeersLocked(max int) []names.Record {
+	origins := n.reg.LiveOrigins(n.peerBuf[:0])
+	n.peerBuf = origins
+	peers := slices.DeleteFunc(origins, func(o transport.ContextID) bool { return o == n.self.Origin })
+	n.rng.Shuffle(len(peers), func(i, j int) { peers[i], peers[j] = peers[j], peers[i] })
+	if len(peers) > max {
+		peers = peers[:max]
+	}
+	out := make([]names.Record, 0, len(peers))
+	for _, o := range peers {
+		if rec, ok := n.reg.Get(o); ok && !rec.Tombstone {
 			out = append(out, rec)
 		}
 	}
@@ -513,7 +515,7 @@ func (n *Node) startpointLocked(ctx transport.ContextID, ep uint64, table *trans
 		return sp
 	}
 	var bind *transport.Table
-	if n.ctx.PeerTable(ctx) == nil {
+	if !n.ctx.HasPeerTable(ctx) {
 		bind = table
 	}
 	sp := n.ctx.NewStartpointTo(ctx, ep, bind)
@@ -591,8 +593,12 @@ func (n *Node) noteSend(origin transport.ContextID, err error) {
 }
 
 // sendDigest ships one digest message: [from][fromEP][self record][digest].
-func (n *Node) sendDigest(sp *core.Startpoint, self names.Record, d names.Digest) error {
-	b := buffer.New(256 + 24*len(d.Entries))
+// selfLen is the encoded size of self's table, so the buffer is sized to the
+// whole message: 16 B of ids, a 4 B batch count, the record's 29 fixed
+// bytes, its partition and table, the digest's 20 fixed bytes and 24 B per
+// entry.
+func (n *Node) sendDigest(sp *core.Startpoint, self names.Record, selfLen int, d names.Digest) error {
+	b := buffer.New(69 + len(self.Partition) + selfLen + 24*len(d.Entries))
 	b.PutUint64(uint64(self.Origin))
 	b.PutUint64(self.GossipEP)
 	names.EncodeRecords(b, []names.Record{self})

@@ -673,14 +673,17 @@ func (c *Context) UnregisterHandler(name string) {
 
 // RegisterPeerTable records another context's descriptor table, used to
 // resolve lightweight startpoints (which travel without tables) and to route
-// forwarded frames.
+// forwarded frames. The context keeps t itself, shared with the links that
+// resolve through it (and, under gossip, with the registry record it came
+// from): do not modify a table after passing it in. PeerTable returns a copy
+// to edit.
 func (c *Context) RegisterPeerTable(t *transport.Table) {
 	if t.Len() == 0 {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.peerTables[t.Entries[0].Context] = t.Clone()
+	c.peerTables[t.Entries[0].Context] = t
 }
 
 // RefreshPeerTable registers or replaces a peer's descriptor table at
@@ -689,13 +692,14 @@ func (c *Context) RegisterPeerTable(t *transport.Table) {
 // health generation moves so published send snapshots go stale and re-run
 // selection. This is the hook gossip-driven descriptor distribution rides —
 // a method added or removed on a live peer propagates into every local
-// link's next send through the same mechanism a circuit trip uses.
+// link's next send through the same mechanism a circuit trip uses. As with
+// RegisterPeerTable, the context keeps t itself: do not modify it afterwards.
 func (c *Context) RefreshPeerTable(t *transport.Table) {
 	if t.Len() == 0 {
 		return
 	}
 	c.mu.Lock()
-	c.peerTables[t.Entries[0].Context] = t.Clone()
+	c.peerTables[t.Entries[0].Context] = t
 	c.mu.Unlock()
 	c.peerGen.Add(1)
 	c.health.bump()
@@ -715,14 +719,25 @@ func (c *Context) RemovePeerTable(id transport.ContextID) {
 	}
 }
 
-// PeerTable returns the registered table for a context, or nil.
+// PeerTable returns a copy of the registered table for a context, or nil.
 func (c *Context) PeerTable(id transport.ContextID) *transport.Table {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if t, ok := c.peerTables[id]; ok {
+	if t := c.peerTable(id); t != nil {
 		return t.Clone()
 	}
 	return nil
+}
+
+// HasPeerTable reports whether a table is registered for a context.
+func (c *Context) HasPeerTable(id transport.ContextID) bool {
+	return c.peerTable(id) != nil
+}
+
+// peerTable returns the registered table for a context itself, or nil. The
+// table is shared: callers read it and never modify it.
+func (c *Context) peerTable(id transport.ContextID) *transport.Table {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.peerTables[id]
 }
 
 // dispatch decodes an inbound frame and routes it to a handler (or onward,

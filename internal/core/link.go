@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -51,6 +52,10 @@ type link struct {
 	// ErrNoTable if the peer left.
 	fromPeer bool
 	peerGen  uint64
+	// shared marks a table this link does not own: the context's published
+	// peer table, or a filtered view whose descriptors are that table's. It
+	// is read, never edited; ownTable copies it before a caller may edit.
+	shared bool
 	// manual pins a method chosen via SetMethod: health transitions do not
 	// re-select it (send failures with failover enabled still do).
 	manual bool
@@ -160,39 +165,50 @@ func (l *link) method() string {
 }
 
 // liveTable returns the link's descriptor table (nil for a lightweight link
-// that has not resolved one yet).
+// that has not resolved one yet), for reading only.
 func (l *link) liveTable() *transport.Table {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.table
 }
 
+// ownTable returns the link's descriptor table for the caller to edit: a
+// table resolved from the context's peer tables is first replaced by the
+// link's own copy, so an edit steers this link's selection and nothing else.
+func (l *link) ownTable() *transport.Table {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.shared {
+		l.table, l.shared = l.table.Clone(), false
+	}
+	return l.table
+}
+
 // resolveLocked returns the link's descriptor table, falling back to the
-// owning context's registered peer tables for lightweight links.
+// owning context's registered peer tables for lightweight links. The peer
+// table is shared, not copied: the link reads it and never edits it.
 func (l *link) resolveLocked(c *Context) (*transport.Table, error) {
 	if l.table != nil {
 		return l.table, nil
 	}
 	pg := c.peerGen.Load()
-	pt := c.PeerTable(l.context)
+	pt := c.peerTable(l.context)
 	if pt == nil {
 		return nil, fmt.Errorf("core: context %d: %w", l.context, ErrNoTable)
 	}
 	if l.exclude != 0 {
 		// Route entries name their next hop in the relay attribute; direct
-		// entries (no attribute) are always kept.
-		kept := pt.Entries[:0]
-		for _, e := range pt.Entries {
-			if relayHop(e) != l.exclude {
-				kept = append(kept, e)
-			}
-		}
+		// entries (no attribute) are always kept. The kept entries go into a
+		// new slice: the peer table itself is never filtered in place.
+		kept := slices.DeleteFunc(slices.Clone(pt.Entries), func(e transport.Descriptor) bool {
+			return relayHop(e) == l.exclude
+		})
 		if len(kept) == 0 {
 			return nil, fmt.Errorf("core: context %d via %d: %w", l.context, l.exclude, errRouteLoop)
 		}
-		pt.Entries = kept
+		pt = &transport.Table{Entries: kept}
 	}
-	l.table, l.fromPeer, l.peerGen = pt, true, pg
+	l.table, l.fromPeer, l.shared, l.peerGen = pt, true, true, pg
 	return pt, nil
 }
 
@@ -306,7 +322,7 @@ func (l *link) ensure(c *Context, tid obsv.TraceID) (*binding, error) {
 		// drop the cached table and binding so selection re-resolves against
 		// the current set. A removed peer now fails with ErrNoTable instead of
 		// sending on stale descriptors.
-		l.table, l.fromPeer = nil, false
+		l.table, l.fromPeer, l.shared = nil, false, false
 		l.unbindLocked(c)
 	}
 	b := l.cur.Load()

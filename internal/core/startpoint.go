@@ -143,25 +143,27 @@ func (sp *Startpoint) hasTargetLocked(ctx transport.ContextID, ep uint64) bool {
 
 // Table returns the descriptor table for the startpoint's single target
 // (panics on multicast startpoints — address those per target via TableFor).
-// The returned table is live: reordering it changes subsequent automatic
-// selection, which is the paper's manual-control mechanism.
+// The returned table is the link's own: reordering it changes subsequent
+// automatic selection, which is the paper's manual-control mechanism. A
+// table the link resolved from the context's peer tables is copied first,
+// so the edit reaches this link only.
 func (sp *Startpoint) Table() *transport.Table {
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
 	if len(sp.targets) != 1 {
 		panic("core: Table on multi-target startpoint; use TableFor")
 	}
-	return sp.targets[0].liveTable()
+	return sp.targets[0].ownTable()
 }
 
-// TableFor returns the live descriptor table for the link to the given
-// context, or nil if no such link (or no table) exists.
+// TableFor returns the descriptor table for the link to the given context,
+// the link's own as Table's is, or nil if no such link (or no table) exists.
 func (sp *Startpoint) TableFor(ctx transport.ContextID) *transport.Table {
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
 	for _, t := range sp.targets {
 		if t.context == ctx {
-			return t.liveTable()
+			return t.ownTable()
 		}
 	}
 	return nil

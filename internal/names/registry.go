@@ -99,6 +99,21 @@ func decodeRecord(b *buffer.Buffer) (Record, error) {
 	return r, nil
 }
 
+// equal reports whether two records are identical: equal exactly when their
+// canonical encodings are, so Merge can turn a re-delivery away without
+// encoding either. A nil table differs from an empty one (the encoding flags
+// its presence).
+func (r Record) equal(o Record) bool {
+	if r.Origin != o.Origin || r.Seq != o.Seq || r.Tombstone != o.Tombstone ||
+		r.Forwarder != o.Forwarder || r.Partition != o.Partition || r.GossipEP != o.GossipEP {
+		return false
+	}
+	if r.Table == nil || o.Table == nil {
+		return r.Table == o.Table
+	}
+	return r.Table == o.Table || r.Table.Equal(o.Table)
+}
+
 // canonical returns the record's canonical encoding.
 func (r Record) canonical() []byte {
 	b := buffer.New(128)
@@ -208,16 +223,16 @@ func DecodeRecords(b *buffer.Buffer) ([]Record, error) {
 	return out, nil
 }
 
-// stored is a registry entry with its canonical encoding and content hash
-// cached at merge time, so digest rounds, tie-breaks and the gossip agent's
-// fold of applied changes never re-encode: at thousand-context scale a
-// bounded digest touches hundreds of records per round, and recomputing FNV
-// over a re-encoded table each time would dominate the round's cost. gen is
-// the registry generation the entry was written at, which is how
-// ChangedSince finds what moved without a change log.
+// stored is a registry entry with its content hash cached at merge time, so
+// digest rounds and the gossip agent's fold of applied changes never
+// re-encode: at thousand-context scale a bounded digest touches hundreds of
+// records per round, and recomputing FNV over a re-encoded table each time
+// would dominate the round's cost. The encoding itself is not kept: only a
+// same-version divergence, which Merge settles by comparing bytes, needs it
+// again. gen is the registry generation the entry was written at, which is
+// how ChangedSince finds what moved without a change log.
 type stored struct {
 	rec  Record
-	enc  []byte
 	hash uint64
 	gen  uint64
 }
@@ -255,12 +270,13 @@ func NewRegistry() *Registry {
 // live record; and two same-kind records at the same Seq are ordered by
 // their canonical encodings, so every registry picks the same winner.
 func (r *Registry) Merge(rec Record) bool {
-	// A version older than the one held loses whatever its content, so gossip
-	// re-deliveries are turned away before they cost an encoding.
+	// A version older than the one held, or an identical re-delivery, loses
+	// whatever its content, so gossip's repeats are turned away before they
+	// cost an encoding.
 	r.mu.RLock()
 	cur, ok := r.recs[rec.Origin]
 	r.mu.RUnlock()
-	if ok && rec.Seq < cur.rec.Seq {
+	if ok && loses(rec, cur.rec) {
 		return false
 	}
 	enc := rec.canonical()
@@ -271,17 +287,13 @@ func (r *Registry) Merge(rec Record) bool {
 	defer r.mu.Unlock()
 	cur, ok = r.recs[rec.Origin]
 	if ok {
-		switch {
-		case rec.Seq < cur.rec.Seq:
+		if loses(rec, cur.rec) {
 			return false
-		case rec.Seq == cur.rec.Seq:
-			if rec.Tombstone != cur.rec.Tombstone {
-				if !rec.Tombstone {
-					return false
-				}
-			} else if bytes.Compare(enc, cur.enc) <= 0 {
-				return false
-			}
+		}
+		// Same version and kind, different content: the held record is
+		// encoded only now, for the byte tie-break.
+		if rec.Seq == cur.rec.Seq && rec.Tombstone == cur.rec.Tombstone && bytes.Compare(enc, cur.rec.canonical()) <= 0 {
+			return false
 		}
 		r.fp ^= fpMix(rec.Origin, cur.rec.Seq, cur.hash)
 	} else {
@@ -289,9 +301,23 @@ func (r *Registry) Merge(rec Record) bool {
 		r.order = slices.Insert(r.order, i, rec.Origin)
 	}
 	r.gen++
-	r.recs[rec.Origin] = stored{rec: rec, enc: enc, hash: hash, gen: r.gen}
+	r.recs[rec.Origin] = stored{rec: rec, hash: hash, gen: r.gen}
 	r.fp ^= fpMix(rec.Origin, rec.Seq, hash)
 	return true
+}
+
+// loses reports whether rec loses to the held record cur without comparing
+// encodings: it is older, a live record against a tombstone of the same
+// version, or identical to it.
+func loses(rec, cur Record) bool {
+	switch {
+	case rec.Seq != cur.Seq:
+		return rec.Seq < cur.Seq
+	case rec.Tombstone != cur.Tombstone:
+		return !rec.Tombstone
+	default:
+		return rec.equal(cur)
+	}
 }
 
 // MergeAll folds a batch in and reports how many records were applied.
@@ -333,27 +359,39 @@ func (r *Registry) Len() int {
 }
 
 // Live returns every non-tombstone record, sorted by origin.
-func (r *Registry) Live() []Record {
+func (r *Registry) Live() []Record { return r.records(false, true) }
+
+// Tombstones returns every tombstone record, sorted by origin.
+func (r *Registry) Tombstones() []Record { return r.records(true, false) }
+
+// Snapshot returns every record, tombstones included, sorted by origin.
+func (r *Registry) Snapshot() []Record { return r.records(true, true) }
+
+// records returns the records of the kinds asked for, sorted by origin.
+func (r *Registry) records(tombstones, live bool) []Record {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	out := make([]Record, 0, len(r.order))
+	var out []Record
 	for _, o := range r.order {
-		if s := r.recs[o]; !s.rec.Tombstone {
+		if s := r.recs[o]; s.rec.Tombstone && tombstones || !s.rec.Tombstone && live {
 			out = append(out, s.rec)
 		}
 	}
 	return out
 }
 
-// Snapshot returns every record, tombstones included, sorted by origin.
-func (r *Registry) Snapshot() []Record {
+// LiveOrigins appends the origin of every non-tombstone record to dst, in
+// ascending order, and returns the extended slice. A caller that samples a
+// few live peers per round reuses dst and copies no records.
+func (r *Registry) LiveOrigins(dst []transport.ContextID) []transport.ContextID {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	out := make([]Record, 0, len(r.order))
 	for _, o := range r.order {
-		out = append(out, r.recs[o].rec)
+		if !r.recs[o].rec.Tombstone {
+			dst = append(dst, o)
+		}
 	}
-	return out
+	return dst
 }
 
 // ChangedSince returns, sorted by origin, every record applied after

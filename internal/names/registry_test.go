@@ -282,6 +282,72 @@ func TestStaleMergeAllocs(t *testing.T) {
 	}
 }
 
+// TestDuplicateMergeAllocs pins that an identical re-delivery — a freshly
+// decoded copy of the record held — is turned away by field comparison,
+// before either record is encoded.
+func TestDuplicateMergeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	r := NewRegistry()
+	r.Merge(Record{Origin: 1, Seq: 5, Partition: "p", Table: tbl("mpl", 1, map[string]string{"addr": "a"})})
+	dup := Record{Origin: 1, Seq: 5, Partition: "p", Table: tbl("mpl", 1, map[string]string{"addr": "a"})}
+	if avg := testing.AllocsPerRun(100, func() { r.Merge(dup) }); avg != 0 {
+		t.Errorf("an identical Merge re-delivery allocates %.1f times, want 0", avg)
+	}
+}
+
+// TestRecordEqualMatchesCanonical pins the agreement Merge's duplicate check
+// rests on: two records are equal exactly when their canonical encodings
+// are, over every pair drawn from records that differ in one field at a
+// time, in attribute keys against empty values, and in a nil table against
+// an empty one.
+func TestRecordEqualMatchesCanonical(t *testing.T) {
+	attrs := func(kv ...string) map[string]string {
+		m := map[string]string{}
+		for i := 0; i+1 < len(kv); i += 2 {
+			m[kv[i]] = kv[i+1]
+		}
+		return m
+	}
+	base := Record{Origin: 1, Seq: 2, Partition: "p", GossipEP: 3, Table: tbl("mpl", 1, attrs("a", "1"))}
+	with := func(f func(*Record)) Record {
+		r := base
+		f(&r)
+		return r
+	}
+	recs := []Record{
+		base,
+		with(func(r *Record) { r.Table = tbl("mpl", 1, attrs("a", "1")) }),
+		with(func(r *Record) { r.Origin = 2 }),
+		with(func(r *Record) { r.Seq = 3 }),
+		with(func(r *Record) { r.Tombstone = true }),
+		with(func(r *Record) { r.Forwarder = true }),
+		with(func(r *Record) { r.Partition = "q" }),
+		with(func(r *Record) { r.GossipEP = 4 }),
+		with(func(r *Record) { r.Table = nil }),
+		with(func(r *Record) { r.Table = &transport.Table{} }),
+		with(func(r *Record) { r.Table = &transport.Table{Entries: []transport.Descriptor{}} }),
+		with(func(r *Record) { r.Table = tbl("tcp", 1, attrs("a", "1")) }),
+		with(func(r *Record) { r.Table = tbl("mpl", 2, attrs("a", "1")) }),
+		with(func(r *Record) { r.Table = tbl("mpl", 1, attrs("a", "")) }),
+		with(func(r *Record) { r.Table = tbl("mpl", 1, attrs("b", "")) }),
+		with(func(r *Record) { r.Table = tbl("mpl", 1, attrs("a", "1", "b", "")) }),
+		with(func(r *Record) { r.Table = tbl("mpl", 1, nil) }),
+		with(func(r *Record) { r.Table = tbl("mpl", 1, attrs()) }),
+		with(func(r *Record) {
+			r.Table = transport.NewTable(base.Table.Entries[0], base.Table.Entries[0])
+		}),
+	}
+	for i, a := range recs {
+		for j, b := range recs {
+			if got, want := a.equal(b), bytes.Equal(a.canonical(), b.canonical()); got != want {
+				t.Errorf("records %d and %d: equal = %v, canonical bytes equal = %v", i, j, got, want)
+			}
+		}
+	}
+}
+
 // TestDigestAllocs pins a full digest to its entries slice: no origin list,
 // no sort.
 func TestDigestAllocs(t *testing.T) {

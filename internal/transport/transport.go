@@ -98,13 +98,15 @@ func (d Descriptor) Clone() Descriptor {
 	return c
 }
 
-// Equal reports whether two descriptors are identical.
+// Equal reports whether two descriptors are identical: equal exactly when
+// their canonical encodings (Table.Encode) are. A nil and an empty attribute
+// map are equal, as they encode alike.
 func (d Descriptor) Equal(o Descriptor) bool {
 	if d.Method != o.Method || d.Context != o.Context || len(d.Attrs) != len(o.Attrs) {
 		return false
 	}
 	for k, v := range d.Attrs {
-		if o.Attrs[k] != v {
+		if ov, ok := o.Attrs[k]; !ok || ov != v {
 			return false
 		}
 	}

@@ -25,22 +25,40 @@ func TestDescriptorCloneIndependent(t *testing.T) {
 	}
 }
 
+// TestDescriptorEqual pins Equal to canonical-byte equality, in both
+// directions: an attribute missing on one side is not the same as an empty
+// value, while a nil and an empty map encode (and compare) alike.
 func TestDescriptorEqual(t *testing.T) {
+	enc := func(d Descriptor) string {
+		b := buffer.New(64)
+		NewTable(d).Encode(b)
+		return string(b.Bytes())
+	}
 	a := td("tcp", 1, map[string]string{"x": "1"})
 	cases := []struct {
-		b    Descriptor
+		a, b Descriptor
 		want bool
 	}{
-		{td("tcp", 1, map[string]string{"x": "1"}), true},
-		{td("udp", 1, map[string]string{"x": "1"}), false},
-		{td("tcp", 2, map[string]string{"x": "1"}), false},
-		{td("tcp", 1, map[string]string{"x": "2"}), false},
-		{td("tcp", 1, map[string]string{"x": "1", "y": "2"}), false},
-		{td("tcp", 1, nil), false},
+		{a, td("tcp", 1, map[string]string{"x": "1"}), true},
+		{a, td("udp", 1, map[string]string{"x": "1"}), false},
+		{a, td("tcp", 2, map[string]string{"x": "1"}), false},
+		{a, td("tcp", 1, map[string]string{"x": "2"}), false},
+		{a, td("tcp", 1, map[string]string{"x": "1", "y": "2"}), false},
+		{a, td("tcp", 1, nil), false},
+		{td("tcp", 1, map[string]string{"a": ""}), td("tcp", 1, map[string]string{"b": ""}), false},
+		{td("tcp", 1, map[string]string{"a": "", "b": "1"}), td("tcp", 1, map[string]string{"b": "1", "c": ""}), false},
+		{td("tcp", 1, map[string]string{"a": ""}), td("tcp", 1, map[string]string{"a": ""}), true},
+		{td("tcp", 1, nil), td("tcp", 1, map[string]string{}), true},
+		{td("tcp", 1, nil), td("tcp", 1, map[string]string{"a": ""}), false},
 	}
 	for i, c := range cases {
-		if got := a.Equal(c.b); got != c.want {
-			t.Errorf("case %d: Equal = %v, want %v", i, got, c.want)
+		for _, pair := range [][2]Descriptor{{c.a, c.b}, {c.b, c.a}} {
+			if got := pair[0].Equal(pair[1]); got != c.want {
+				t.Errorf("case %d: %v.Equal(%v) = %v, want %v", i, pair[0], pair[1], got, c.want)
+			}
+		}
+		if same := enc(c.a) == enc(c.b); same != c.want {
+			t.Errorf("case %d: encodings equal = %v, want %v", i, same, c.want)
 		}
 	}
 }
