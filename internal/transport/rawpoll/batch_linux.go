@@ -55,54 +55,68 @@ var sysSendmmsg = func() uintptr {
 }()
 
 // BatchReader drains multiple datagrams per syscall via recvmmsg(2). It owns
-// a fixed set of receive slots — persistent buffers plus the iovec/msghdr
+// a set of receive slots — persistent buffers plus the iovec/msghdr
 // scaffolding recvmmsg fills — so steady-state receives perform no
-// allocation: callers borrow Frame(i) until the next Recv call. Like Reader,
-// it binds its recvmmsg callback once and is not safe for concurrent use.
+// allocation: callers borrow Frame(i) until the next Recv call. Only the
+// live slots have buffers. The reader starts with one and doubles the live
+// count, up to Slots(), whenever a Recv fills them all, so an idle socket
+// holds one buffer and a bursty one grows to its burst. Like Reader, it binds
+// its recvmmsg callback once and is not safe for concurrent use.
 type BatchReader struct {
-	rc    syscall.RawConn
-	recv  func(fd uintptr) bool
-	bufs  [][]byte
-	hdrs  []mmsghdr
-	iovs  []syscall.Iovec
-	names []syscall.RawSockaddrInet6
-	count int
-	err   error // the last recvmmsg's result, set by recvFD
+	rc      syscall.RawConn
+	recv    func(fd uintptr) bool
+	bufs    [][]byte
+	hdrs    []mmsghdr
+	iovs    []syscall.Iovec
+	names   []syscall.RawSockaddrInet6
+	bufSize int
+	live    int // slots with a buffer; recvmmsg fills at most this many
+	count   int
+	err     error // the last recvmmsg's result, set by recvFD
 }
 
 // NewBatchReader prepares batched non-blocking receives on c with the given
-// number of slots, each able to hold one datagram of up to bufSize bytes.
+// slot capacity, each slot able to hold one datagram of up to bufSize bytes.
 func NewBatchReader(c syscall.Conn, slots, bufSize int) (*BatchReader, error) {
 	rc, err := c.SyscallConn()
 	if err != nil {
 		return nil, err
 	}
 	b := &BatchReader{
-		rc:    rc,
-		bufs:  make([][]byte, slots),
-		hdrs:  make([]mmsghdr, slots),
-		iovs:  make([]syscall.Iovec, slots),
-		names: make([]syscall.RawSockaddrInet6, slots),
+		rc:      rc,
+		bufs:    make([][]byte, slots),
+		hdrs:    make([]mmsghdr, slots),
+		iovs:    make([]syscall.Iovec, slots),
+		names:   make([]syscall.RawSockaddrInet6, slots),
+		bufSize: bufSize,
 	}
 	b.recv = b.recvFD
 	for i := 0; i < slots; i++ {
-		b.bufs[i] = make([]byte, bufSize)
-		b.iovs[i].Base = &b.bufs[i][0]
-		b.iovs[i].SetLen(bufSize)
 		b.hdrs[i].Hdr.Iov = &b.iovs[i]
 		b.hdrs[i].Hdr.Iovlen = 1
 		b.hdrs[i].Hdr.Name = (*byte)(unsafe.Pointer(&b.names[i]))
-		b.hdrs[i].Hdr.Namelen = syscall.SizeofSockaddrInet6
 	}
+	b.grow(1)
 	return b, nil
+}
+
+// grow gives slots [live, n) their buffers and makes them live.
+func (b *BatchReader) grow(n int) {
+	for i := b.live; i < n; i++ {
+		b.bufs[i] = make([]byte, b.bufSize)
+		b.iovs[i].Base = &b.bufs[i][0]
+		b.iovs[i].SetLen(b.bufSize)
+	}
+	b.live = n
 }
 
 // Slots reports the batch capacity.
 func (b *BatchReader) Slots() int { return len(b.bufs) }
 
-// Recv performs one non-blocking recvmmsg, filling up to Slots() datagrams.
+// Recv performs one non-blocking recvmmsg, filling up to the live slots.
 // It returns the number received, or (0, ErrWouldBlock) when the socket has
-// nothing queued. The filled slots are valid until the next Recv.
+// nothing queued. The filled slots are valid until the next Recv; a Recv
+// that fills every live slot doubles them, up to Slots(), for the next.
 func (b *BatchReader) Recv() (int, error) {
 	b.count = 0
 	if err := b.rc.Read(b.recv); err != nil {
@@ -110,6 +124,9 @@ func (b *BatchReader) Recv() (int, error) {
 	}
 	err := b.err
 	b.err = nil
+	if b.count == b.live && b.live < len(b.bufs) {
+		b.grow(min(2*b.live, len(b.bufs)))
+	}
 	return b.count, err
 }
 
@@ -117,11 +134,11 @@ func (b *BatchReader) recvFD(fd uintptr) bool {
 	for {
 		// The kernel overwrites Namelen with each datagram's actual
 		// source-address length; reset before reuse.
-		for i := range b.hdrs {
+		for i := range b.hdrs[:b.live] {
 			b.hdrs[i].Hdr.Namelen = syscall.SizeofSockaddrInet6
 		}
 		r1, _, e := syscall.Syscall6(syscall.SYS_RECVMMSG, fd,
-			uintptr(unsafe.Pointer(&b.hdrs[0])), uintptr(len(b.hdrs)),
+			uintptr(unsafe.Pointer(&b.hdrs[0])), uintptr(b.live),
 			syscall.MSG_DONTWAIT, 0, 0)
 		switch {
 		case e == syscall.EINTR:

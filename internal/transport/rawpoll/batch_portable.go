@@ -19,42 +19,54 @@ var ErrGSOUnsupported = errors.New("rawpoll: UDP GSO not supported on this platf
 
 // BatchReader drains multiple datagrams per Recv call. On this platform each
 // datagram costs one recvfrom(2); the call-level API still lets modules
-// amortize their own per-pass overhead.
+// amortize their own per-pass overhead. Like the Linux reader, it starts with
+// one live slot and doubles the live count, up to Slots(), whenever a Recv
+// fills them all.
 type BatchReader struct {
-	rd    *Reader
-	bufs  [][]byte
-	lens  []int
-	addrs []netip.AddrPort
-	count int
+	rd      *Reader
+	bufs    [][]byte
+	lens    []int
+	addrs   []netip.AddrPort
+	bufSize int
+	live    int // slots with a buffer; Recv fills at most this many
+	count   int
 }
 
 // NewBatchReader prepares batched non-blocking receives on c with the given
-// number of slots, each able to hold one datagram of up to bufSize bytes.
+// slot capacity, each slot able to hold one datagram of up to bufSize bytes.
 func NewBatchReader(c syscall.Conn, slots, bufSize int) (*BatchReader, error) {
 	rd, err := NewReader(c)
 	if err != nil {
 		return nil, err
 	}
 	b := &BatchReader{
-		rd:    rd,
-		bufs:  make([][]byte, slots),
-		lens:  make([]int, slots),
-		addrs: make([]netip.AddrPort, slots),
+		rd:      rd,
+		bufs:    make([][]byte, slots),
+		lens:    make([]int, slots),
+		addrs:   make([]netip.AddrPort, slots),
+		bufSize: bufSize,
 	}
-	for i := range b.bufs {
-		b.bufs[i] = make([]byte, bufSize)
-	}
+	b.grow(1)
 	return b, nil
+}
+
+// grow gives slots [live, n) their buffers and makes them live.
+func (b *BatchReader) grow(n int) {
+	for i := b.live; i < n; i++ {
+		b.bufs[i] = make([]byte, b.bufSize)
+	}
+	b.live = n
 }
 
 // Slots reports the batch capacity.
 func (b *BatchReader) Slots() int { return len(b.bufs) }
 
-// Recv fills up to Slots() datagrams with non-blocking reads. It returns the
+// Recv fills up to the live slots with non-blocking reads. It returns the
 // number received, or (0, ErrWouldBlock) when the socket has nothing queued.
+// A Recv that fills every live slot doubles them, up to Slots(), for the next.
 func (b *BatchReader) Recv() (int, error) {
 	n := 0
-	for n < len(b.bufs) {
+	for n < b.live {
 		m, from, err := b.rd.ReadFrom(b.bufs[n])
 		if err != nil {
 			if errors.Is(err, ErrWouldBlock) {
@@ -70,6 +82,9 @@ func (b *BatchReader) Recv() (int, error) {
 		n++
 	}
 	b.count = n
+	if n == b.live && b.live < len(b.bufs) {
+		b.grow(min(2*b.live, len(b.bufs)))
+	}
 	if n == 0 {
 		return 0, ErrWouldBlock
 	}

@@ -175,6 +175,86 @@ func TestBatchReaderAddr(t *testing.T) {
 	}
 }
 
+// TestBatchReaderGrowsWithBursts checks that a reader starts with one live
+// slot, doubles the live count only when a Recv fills every live slot,
+// stops at Slots(), and reports each datagram's bytes and source correctly
+// across a growth step.
+func TestBatchReaderGrowsWithBursts(t *testing.T) {
+	a, receiver := udpPair(t)
+	b, err := net.DialUDP("udp", nil, receiver.LocalAddr().(*net.UDPAddr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	senders := []*net.UDPConn{a, b}
+	br, err := NewBatchReader(receiver, 6, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if br.live != 1 || br.Slots() != 6 {
+		t.Fatalf("new reader: %d live of %d slots, want 1 of 6", br.live, br.Slots())
+	}
+	seq := 0
+	// burst sends n datagrams, alternating senders, and checks that one Recv
+	// returns want of them in order and leaves live slots afterwards.
+	burst := func(n, want, live int) {
+		t.Helper()
+		first := seq
+		for i := 0; i < n; i++ {
+			if _, err := senders[seq%2].Write([]byte{byte(seq), 'g'}); err != nil {
+				t.Fatal(err)
+			}
+			seq++
+		}
+		deadline := time.Now().Add(2 * time.Second)
+		got, err := br.Recv()
+		for errors.Is(err, ErrWouldBlock) && time.Now().Before(deadline) {
+			got, err = br.Recv()
+		}
+		if err != nil || got != want {
+			t.Fatalf("Recv after %d datagrams = %d, %v; want %d", n, got, err, want)
+		}
+		if br.live != live {
+			t.Fatalf("%d live slots after a batch of %d, want %d", br.live, got, live)
+		}
+		for i := 0; i < got; i++ {
+			k := first + i
+			if f := br.Frame(i); len(f) != 2 || f[0] != byte(k) {
+				t.Fatalf("slot %d holds %v, want datagram %d", i, f, k)
+			}
+			from := senders[k%2].LocalAddr().(*net.UDPAddr)
+			if want := netip.AddrPortFrom(netip.MustParseAddr("127.0.0.1"), uint16(from.Port)); br.Addr(i) != want {
+				t.Fatalf("slot %d from %v, want %v", i, br.Addr(i), want)
+			}
+		}
+		// Drain what this batch left queued; a partial batch never grows.
+		for rest := n - got; rest > 0; {
+			m, err := br.Recv()
+			if err != nil && (!errors.Is(err, ErrWouldBlock) || time.Now().After(deadline)) {
+				t.Fatalf("draining %d queued datagrams: %v", rest, err)
+			}
+			for i := 0; i < m; i++ {
+				if f := br.Frame(i); len(f) != 2 || f[0] != byte(seq-rest+i) {
+					t.Fatalf("queued slot %d holds %v, want datagram %d", i, f, seq-rest+i)
+				}
+			}
+			rest -= m
+		}
+	}
+	burst(1, 1, 2) // a full batch of one doubles to two
+	burst(1, 1, 2) // a half batch does not grow
+	burst(3, 2, 4) // full: 2 → 4, and the queued third still arrives
+	burst(3, 3, 4) // partial
+	burst(8, 4, 6) // full: 4 → 6, capped at Slots()
+	burst(6, 6, 6) // full at capacity: no further growth
+	if br.live != br.Slots() {
+		t.Fatalf("%d live slots, want %d", br.live, br.Slots())
+	}
+	if _, err := br.Recv(); !errors.Is(err, ErrWouldBlock) {
+		t.Fatalf("Recv on a drained socket: %v", err)
+	}
+}
+
 func TestReadFromEmptyWouldBlock(t *testing.T) {
 	_, receiver := udpPair(t)
 	rd, err := NewReader(receiver)

@@ -1,8 +1,10 @@
 package shm
 
 import (
+	"bytes"
 	"encoding/binary"
 	"strings"
+	"sync/atomic"
 	"testing"
 )
 
@@ -46,6 +48,153 @@ func FuzzRingDrain(f *testing.F) {
 		_, _ = rings[0].tryPush([]byte("probe"))
 	})
 }
+
+// FuzzRingPushDrain drives one producer and one consumer through a 256 KiB
+// ring — large enough to rewind — with the fuzzer choosing the interleaving
+// of pushes and drains and every record size. Each op byte is:
+//
+//	0b00xxxxxx  push a frame of xxxxxx bytes
+//	0b01xxxxxx  push a frame of the next two bytes' size (0..65535, so
+//	            records on both sides of minRingSize)
+//	0b10xxxxxx  push a frame of the next three bytes' size, mod maxMsg+1
+//	0b11xxxxxx  drain at most xxxxxx&15 frames (0 = all)
+//
+// Checked against a FIFO model: frames arrive in order with their bytes; a
+// push onto an empty ring never fails; an empty ring accepts a maxMsg frame
+// wherever head points; and while every push finds the ring empty with a
+// record of at most minRingSize, no byte of the region past minRingSize plus
+// the largest such record is ever written.
+func FuzzRingPushDrain(f *testing.F) {
+	const (
+		ringSize = 256 << 10
+		sentinel = 0xA5
+	)
+	maxMsg := maxMessageFor(ringSize)
+	echo := func(size, n int) []byte { // n push/drain pairs of one size
+		var ops []byte
+		for i := 0; i < n; i++ {
+			ops = append(ops, 0x40, byte(size), byte(size>>8), 0xC0)
+		}
+		return ops
+	}
+	f.Add(echo(20000, 8))
+	f.Add(echo(minRingSize-4, 4)) // need == minRingSize: rewinds
+	f.Add(echo(minRingSize-3, 4)) // need > minRingSize: never rewinds
+	f.Add(append(echo(1000, 70), 0x3F, 0x3F, 0x40, 0xFF, 0xFF, 0xC1, 0xC0))
+	f.Add([]byte{0x80, 0xF8, 0xFF, 0x01, 0x80, 0xF8, 0xFF, 0x01, 0xC1, 0xC0})
+
+	// Frame k is pat[k%251:][:size]: consecutive frames differ, and no
+	// frame byte equals the sentinel the unwritten region is filled with.
+	pat := make([]byte, maxMsg+251)
+	for i := range pat {
+		if pat[i] = byte(i % 251); pat[i] == sentinel {
+			pat[i] = 251
+		}
+	}
+	frameOf := func(k, size int) []byte { return pat[k%251:][:size] }
+	blank := bytes.Repeat([]byte{sentinel}, ringSize)
+	mem := make([]byte, segSizeFor(ringSize))
+	probeData := make([]byte, ringSize)
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		clear(mem[:hdrSize])
+		initSegment(mem, ringSize, 1)
+		rings := ringsOf(mem, ringSize)
+		r := &rings[0]
+		copy(r.data, blank)
+		var queue []int // sizes of pushed, undelivered frames
+		pushed, delivered := 0, 0
+		sink := sinkFunc(func(got []byte) {
+			if len(queue) == 0 {
+				t.Fatalf("drain delivered frame %d, none pushed", delivered)
+			}
+			if !bytes.Equal(got, frameOf(delivered, queue[0])) {
+				t.Fatalf("frame %d: %d bytes, want %d, or corrupted", delivered, len(got), queue[0])
+			}
+			queue = queue[1:]
+			delivered++
+		})
+		// probeMax pushes a maxMsg frame through a copy of the ring's
+		// cursors, over scratch data, so the real ring is left untouched.
+		probeMax := func() {
+			var head, tail atomic.Uint64
+			head.Store(r.head.Load())
+			tail.Store(r.tail.Load())
+			probe := ring{ringHdr: ringHdr{head: &head, tail: &tail}, data: probeData, size: r.size, mask: r.mask}
+			if ok, err := probe.tryPush(pat[:maxMsg]); !ok || err != nil {
+				t.Fatalf("empty ring at %d rejected a %d-byte frame (ok=%v err=%v)",
+					r.head.Load()&r.mask, maxMsg, ok, err)
+			}
+		}
+		steady, maxNeed := true, 0
+		checkBound := func() {
+			bound := minRingSize + maxNeed
+			if !bytes.Equal(r.data[bound:], blank[bound:]) {
+				t.Fatalf("bytes past the steady echo bound %d were written", bound)
+			}
+		}
+		probeMax()
+		for i := 0; i < len(ops); i++ {
+			op := ops[i]
+			size := int(op & 0x3F)
+			switch op >> 6 {
+			case 1:
+				if i+2 >= len(ops) {
+					return
+				}
+				size = int(binary.LittleEndian.Uint16(ops[i+1:]))
+				i += 2
+			case 2:
+				if i+3 >= len(ops) {
+					return
+				}
+				size = int(uint32(ops[i+1])|uint32(ops[i+2])<<8|uint32(ops[i+3])<<16) % (maxMsg + 1)
+				i += 3
+			case 3:
+				if _, err := r.drain(sink, maxMsg, int(op&15)); err != nil {
+					t.Fatalf("drain: %v", err)
+				}
+				if len(queue) == 0 {
+					probeMax()
+				}
+				continue
+			}
+			need := recordAlign + align4(size)
+			empty := len(queue) == 0
+			if steady && (!empty || need > minRingSize) {
+				checkBound()
+				steady = false
+			}
+			ok, err := r.tryPush(frameOf(pushed, size))
+			if err != nil {
+				t.Fatalf("push: %v", err)
+			}
+			if !ok {
+				if empty {
+					t.Fatalf("empty ring at %d rejected a %d-byte frame", r.head.Load()&r.mask, size)
+				}
+				continue
+			}
+			queue = append(queue, size)
+			pushed++
+			if steady {
+				maxNeed = max(maxNeed, need)
+			}
+		}
+		if _, err := r.drain(sink, maxMsg, 0); err != nil {
+			t.Fatalf("final drain: %v", err)
+		}
+		if len(queue) != 0 {
+			t.Fatalf("%d frames never delivered", len(queue))
+		}
+		if steady {
+			checkBound()
+		}
+	})
+}
+
+type sinkFunc func([]byte)
+
+func (f sinkFunc) Deliver(frame []byte) { f(frame) }
 
 type boundedSink struct {
 	t      *testing.T

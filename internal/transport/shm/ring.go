@@ -23,6 +23,12 @@ import (
 // 4-aligned, so the marker itself always fits. maxMessageFor keeps one
 // record ≤ half the ring, so an empty ring always accepts a maximum frame
 // even in the worst wrap case — the producer cannot deadlock against itself.
+//
+// The producer also wraps early, with the same marker, when it finds the
+// ring empty past minRingSize and the record is at most minRingSize: a
+// request/reply exchange then keeps reusing the first minRingSize plus one
+// record of the region, and the pages beyond are never touched. The
+// consumer cannot tell an early wrap from a forced one.
 
 // wrapMarker in a length slot means "rest of the region is padding".
 const wrapMarker = ^uint32(0)
@@ -69,14 +75,17 @@ func (r *ring) tryPush(frame []byte) (bool, error) {
 	}
 	pos := h & r.mask
 	rem := r.size - pos
+	// An early wrap has need <= minRingSize <= pos, so marker plus record
+	// fit in the empty ring.
+	wrap := rem < need || (used == 0 && pos >= minRingSize && need <= minRingSize)
 	total := need
-	if rem < need {
+	if wrap {
 		total += rem // wrap marker consumes the remainder
 	}
 	if r.size-used < total {
 		return false, nil
 	}
-	if rem < need {
+	if wrap {
 		binary.LittleEndian.PutUint32(r.data[pos:], wrapMarker)
 		h += rem
 		pos = 0

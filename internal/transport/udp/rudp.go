@@ -55,7 +55,7 @@ type Reliable struct {
 
 	// Guarded by socket.mu.
 	streams map[streamKey]*recvStream
-	rng     *mrand.Rand // ACK loss injection
+	rng     *mrand.Rand // nil unless ACK loss injection is on
 
 	ackPkt [headerLen]byte // ACK scratch: Poll is never concurrent with itself
 }
@@ -86,7 +86,9 @@ func NewReliable(p transport.Params) *Reliable {
 		ackLoss: p.Float("ack_loss", 0),
 		streams: make(map[streamKey]*recvStream),
 	}
-	m.rng = mrand.New(mrand.NewSource(m.seed))
+	if m.ackLoss > 0 {
+		m.rng = mrand.New(mrand.NewSource(m.seed))
+	}
 	return m
 }
 

@@ -73,7 +73,8 @@ const DefaultRecvBuffer = 4 << 20
 // headroom the receive path already requests.
 const DefaultSendBuffer = 4 << 20
 
-// recvSlots is the Poll batch width: datagrams drained per recvmmsg call.
+// recvSlots is the Poll batch capacity: the most datagrams one recvmmsg call
+// drains, reached once bursts have grown the reader's live slots to it.
 const recvSlots = 16
 
 // sendSlots is the per-connection batch width: frames per sendmmsg call.
