@@ -14,7 +14,7 @@ import (
 )
 
 // streamPair returns a raw client socket and the inConn reading its accepted
-// peer, with no module around them.
+// peer, with no module around them: the inConn has a read buffer of its own.
 func streamPair(t testing.TB) (net.Conn, *inConn) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -41,7 +41,7 @@ func streamPair(t testing.TB) (net.Conn, *inConn) {
 		t.Fatal("accept failed")
 	}
 	t.Cleanup(func() { client.Close(); server.Close() })
-	return client, &inConn{c: server}
+	return client, &inConn{c: server, rb: &readBuf{}}
 }
 
 // encodeStream length-prefixes each frame, as outConn does.
@@ -230,7 +230,7 @@ func TestLargeFrameReceiveAllocs(t *testing.T) {
 
 // FuzzStreamReader feeds an arbitrary byte stream through the poll-mode
 // reader, written in chunks whose sizes come from cuts, each chunk consumed
-// before the next is written, with a scratch of 4–67 bytes so that the
+// before the next is written, with a read buffer of 4–67 bytes so that the
 // landing-buffer path runs on small inputs. The oracle is wire.ReadFrame over
 // the same bytes: the reader delivers exactly the frames it returns, and the
 // connection is poisoned exactly when it returns ErrOversize.
@@ -239,7 +239,7 @@ func FuzzStreamReader(f *testing.F) {
 	f.Add(encodeStream(pattern(200, 1), nil, []byte("tail")), []byte{3, 50, 7}, uint8(0))
 	f.Add(append(encodeStream([]byte("ok")), 0xff, 0xff, 0xff, 0xff, 1), []byte{1}, uint8(60))
 	f.Add(encodeStream(pattern(300, 2))[:150], []byte{9}, uint8(30))
-	f.Fuzz(func(t *testing.T, stream, cuts []byte, scratch uint8) {
+	f.Fuzz(func(t *testing.T, stream, cuts []byte, size uint8) {
 		var want [][]byte
 		var oerr error
 		for r := bytes.NewReader(stream); oerr == nil; {
@@ -250,7 +250,7 @@ func FuzzStreamReader(f *testing.F) {
 		}
 
 		client, ic := streamPair(t)
-		ic.scratch = make([]byte, 4+int(scratch)%64)
+		ic.rb = &readBuf{size: 4 + int(size)%64}
 		sink := &collect{}
 		consumed := func() int {
 			n := ic.have
@@ -290,6 +290,145 @@ func FuzzStreamReader(f *testing.F) {
 		}
 		if poisoned := ic.dead(); poisoned != errors.Is(oerr, wire.ErrOversize) {
 			t.Fatalf("poisoned = %v, but ReadFrame ended with %v", poisoned, oerr)
+		}
+	})
+}
+
+// TestPartialFrameHoldsReadBuffer: a connection whose turn ends inside a
+// small frame keeps the buffer it was lent, without a copy, and the next
+// borrower gets another; once the frame completes the connection holds no
+// buffer and its own is idle again.
+func TestPartialFrameHoldsReadBuffer(t *testing.T) {
+	client, ic := streamPair(t)
+	_, other := streamPair(t)
+	rb := &readBuf{}
+	ic.rb, other.rb = rb, rb
+	sink := &collect{}
+	frame := encodeStream(pattern(100, 3))
+
+	if _, err := client.Write(frame[:50]); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); ic.have < 50; ic.poll(sink) {
+		if time.Now().After(deadline) || ic.dead() {
+			t.Fatalf("read %d of the 50 bytes written", ic.have)
+		}
+	}
+	if ic.buf == nil || rb.idle != nil {
+		t.Fatalf("mid-frame: conn holds %d B, module idle %d B; want the conn to hold the only buffer", len(ic.buf), len(rb.idle))
+	}
+	held := &ic.buf[0]
+	other.poll(sink)
+	if other.buf != nil || rb.idle == nil || &rb.idle[0] == held {
+		t.Fatal("a second conn's idle turn must take a fresh buffer and give it back")
+	}
+
+	if _, err := client.Write(frame[50:]); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); len(sink.snapshot()) < 1; ic.poll(sink) {
+		if time.Now().After(deadline) || ic.dead() {
+			t.Fatal("frame not delivered")
+		}
+	}
+	if got := sink.snapshot()[0]; !bytes.Equal(got, frame[4:]) {
+		t.Fatal("frame corrupted across the kept buffer")
+	}
+	if ic.buf != nil || ic.have != 0 {
+		t.Fatalf("frame complete: conn still holds %d B (have %d)", len(ic.buf), ic.have)
+	}
+	if rb.idle == nil {
+		t.Fatal("module holds no idle buffer after every conn gave its back")
+	}
+}
+
+// FuzzInterleavedStreams runs two poll-mode connections over one shared
+// read buffer of 4–67 bytes. Each cut picks the connection that writes next
+// (its low bit) and the chunk's size; after a write both connections are
+// polled until the writer's bytes are consumed, so buffers are lent, kept
+// across partial frames and given back in every order. The oracle is
+// wire.ReadFrame over each connection's stream on its own: each connection
+// delivers exactly its own frames and is poisoned exactly when ReadFrame
+// returns ErrOversize.
+func FuzzInterleavedStreams(f *testing.F) {
+	f.Add(encodeStream([]byte("a"), pattern(40, 1)), encodeStream(pattern(30, 2), []byte("bc")), []byte{6, 7, 10, 3, 60, 41}, uint8(12))
+	f.Add(encodeStream(pattern(200, 3), nil), encodeStream([]byte("tail")), []byte{0, 1, 2, 3, 100}, uint8(30))
+	f.Add(append(encodeStream([]byte("ok")), 0xff, 0xff, 0xff, 0xff, 1), encodeStream(pattern(9, 4)), []byte{1, 2}, uint8(60))
+	f.Fuzz(func(t *testing.T, a, b, cuts []byte, size uint8) {
+		rb := &readBuf{size: 4 + int(size)%64}
+		type side struct {
+			stream []byte
+			want   [][]byte
+			oerr   error
+			client net.Conn
+			ic     *inConn
+			sink   *collect
+			off    int
+		}
+		var sides [2]*side
+		for i, stream := range [][]byte{a, b} {
+			s := &side{stream: stream, sink: &collect{}}
+			for r := bytes.NewReader(stream); s.oerr == nil; {
+				var fr []byte
+				if fr, s.oerr = wire.ReadFrame(r); s.oerr == nil {
+					s.want = append(s.want, fr)
+				}
+			}
+			s.client, s.ic = streamPair(t)
+			s.ic.rb = rb
+			sides[i] = s
+		}
+		consumed := func(s *side) int {
+			n := s.ic.have
+			for _, f := range s.sink.snapshot() {
+				n += 4 + len(f)
+			}
+			if s.ic.frame != nil {
+				n += 4 + s.ic.landed
+			}
+			return n
+		}
+		if len(cuts) == 0 {
+			cuts = []byte{0xfe, 0xff}
+		}
+		done := func(s *side) bool { return s.off == len(s.stream) || s.ic.dead() }
+		for i := 0; ; i++ {
+			cut := cuts[i%len(cuts)]
+			s := sides[cut&1]
+			if done(s) {
+				s = sides[1-cut&1]
+			}
+			if done(s) {
+				break
+			}
+			end := min(s.off+1+int(cut>>1), len(s.stream))
+			if _, err := s.client.Write(s.stream[s.off:end]); err != nil {
+				t.Fatal(err)
+			}
+			s.off = end
+			for deadline := time.Now().Add(5 * time.Second); consumed(s) < s.off && !s.ic.dead(); {
+				for _, p := range sides {
+					p.ic.poll(p.sink)
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("reader consumed %d of %d bytes written", consumed(s), s.off)
+				}
+			}
+		}
+
+		for i, s := range sides {
+			got := s.sink.snapshot()
+			if len(got) != len(s.want) {
+				t.Fatalf("conn %d delivered %d frames, ReadFrame %d (then %v)", i, len(got), len(s.want), s.oerr)
+			}
+			for j := range s.want {
+				if !bytes.Equal(got[j], s.want[j]) {
+					t.Fatalf("conn %d: frame %d differs from ReadFrame's", i, j)
+				}
+			}
+			if poisoned := s.ic.dead(); poisoned != errors.Is(s.oerr, wire.ErrOversize) {
+				t.Fatalf("conn %d: poisoned = %v, but ReadFrame ended with %v", i, poisoned, s.oerr)
+			}
 		}
 	})
 }

@@ -16,6 +16,7 @@
 package tcp
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -57,6 +58,13 @@ type Module struct {
 	closed   bool
 	acceptWG sync.WaitGroup
 	readWG   sync.WaitGroup
+
+	// passMu serializes poll passes. Core already runs one pass at a time,
+	// but the module contract lets anyone call Poll at any time, and the
+	// pass owns buf and conns.
+	passMu sync.Mutex
+	buf    readBuf
+	conns  []*inConn // per-pass snapshot of inbound, cleared after the pass
 }
 
 // New returns an uninitialized TCP module. Recognized parameters:
@@ -118,7 +126,7 @@ func (m *Module) acceptLoop(ln net.Listener) {
 			return // listener closed
 		}
 		m.tune(c)
-		ic := &inConn{c: c}
+		ic := &inConn{c: c, rb: &m.buf}
 		m.mu.Lock()
 		if m.closed {
 			m.mu.Unlock()
@@ -146,6 +154,9 @@ func (m *Module) tune(c net.Conn) {
 	if !ok {
 		return
 	}
+	// Best effort, all three: a refused option costs latency (Nagle) or
+	// throughput (a capped kernel buffer), never a frame, and a socket that
+	// is already broken fails its first read or write instead.
 	_ = tc.SetNoDelay(m.nodelay)
 	if m.sndbuf > 0 {
 		_ = tc.SetWriteBuffer(m.sndbuf)
@@ -223,6 +234,8 @@ func (m *Module) Dial(remote transport.Descriptor) (transport.Conn, error) {
 // rule 1), so pollers keep probing instead of treating the pass as idle. In
 // blocking mode Poll returns immediately.
 func (m *Module) Poll() (int, error) {
+	m.passMu.Lock()
+	defer m.passMu.Unlock()
 	m.mu.Lock()
 	if !m.inited {
 		m.mu.Unlock()
@@ -236,14 +249,13 @@ func (m *Module) Poll() (int, error) {
 		m.mu.Unlock()
 		return 0, nil
 	}
-	conns := make([]*inConn, len(m.inbound))
-	copy(conns, m.inbound)
+	m.conns = append(m.conns[:0], m.inbound...)
 	sink := m.env.Sink
 	m.mu.Unlock()
 
 	total := 0
 	anyDead := false
-	for _, ic := range conns {
+	for _, ic := range m.conns {
 		n, progressed := ic.poll(sink)
 		if n == 0 && progressed {
 			n = 1 // mid-frame: bytes consumed, remainder en route
@@ -253,6 +265,7 @@ func (m *Module) Poll() (int, error) {
 			anyDead = true
 		}
 	}
+	clear(m.conns) // the snapshot must not keep reaped connections alive
 	if anyDead {
 		m.reap()
 	}
@@ -407,18 +420,51 @@ func (m *Module) Close() error {
 	return nil
 }
 
+// readBufSize is the length of the read buffer a poll pass lends to each
+// inbound connection in turn.
+const readBufSize = 64 << 10
+
+// readBuf is a module's read buffer between connections. A poll pass lends
+// it to each connection it reads; a connection that ends its turn inside a
+// frame small enough for the buffer keeps it, and the next borrower gets a
+// fresh one from bufpool. Only the pass that holds the module's passMu uses
+// it.
+type readBuf struct {
+	size int    // buffer length; 0 means readBufSize (a test seam)
+	idle []byte // the buffer no connection holds, nil until first lent
+}
+
+func (rb *readBuf) lend() []byte {
+	if b := rb.idle; b != nil {
+		rb.idle = nil
+		return b
+	}
+	return bufpool.Get(cmp.Or(rb.size, readBufSize))
+}
+
+func (rb *readBuf) giveBack(b []byte) {
+	if rb.idle == nil {
+		rb.idle = b
+	} else {
+		bufpool.Put(b)
+	}
+}
+
 // inConn is an inbound connection with incremental frame-reassembly state for
 // poll mode. Every byte is read once, into the memory it is delivered from:
-// frames that fit in scratch are delivered straight from it, and a larger
-// frame is read directly into its own pooled landing buffer.
+// frames that fit in the read buffer are delivered straight from it, and a
+// larger frame is read directly into its own pooled landing buffer. At rest
+// a connection holds a read buffer only while it is inside such a small
+// frame.
 type inConn struct {
-	c net.Conn
+	c  net.Conn
+	rb *readBuf // the module's
 
 	mu      sync.Mutex
 	rd      *rawpoll.Reader
-	scratch []byte // read buffer; scratch[:have] is the start of an incomplete frame
+	buf     []byte // lent read buffer; buf[:have] is the start of an incomplete frame
 	have    int
-	frame   []byte // landing buffer of a frame larger than scratch, nil when none
+	frame   []byte // landing buffer of a frame larger than buf, nil when none
 	landed  int    // bytes of frame read so far
 	fd      int
 	watched bool
@@ -455,8 +501,7 @@ func (ic *inConn) watch(r transport.Readiness) {
 		return
 	}
 	fd := -1
-	_ = rc.Control(func(f uintptr) { fd = int(f) })
-	if fd < 0 || r.Add(fd) != nil {
+	if rc.Control(func(f uintptr) { fd = int(f) }) != nil || fd < 0 || r.Add(fd) != nil {
 		return
 	}
 	ic.fd = fd
@@ -474,21 +519,19 @@ func (ic *inConn) unwatch(r transport.Readiness) {
 	}
 }
 
-// maxPollReads bounds one poll pass per connection: reads of up to 64 KiB
-// into scratch, or of up to the remainder of a large frame.
+// maxPollReads bounds one poll pass per connection: reads of up to the read
+// buffer's 64 KiB, or of up to the remainder of a large frame.
 const maxPollReads = 16
 
 // poll reads the connection until the socket reports empty or the per-pass
 // bound is reached, and delivers every frame completed so far. It also
-// reports whether any bytes were consumed.
+// reports whether any bytes were consumed. It borrows the read buffer for
+// the turn and gives it back unless the turn ends inside a small frame.
 func (ic *inConn) poll(sink transport.Sink) (int, bool) {
 	ic.mu.Lock()
 	defer ic.mu.Unlock()
 	if ic.isDead {
 		return 0, false
-	}
-	if ic.scratch == nil {
-		ic.scratch = make([]byte, 64<<10)
 	}
 	if ic.rd == nil {
 		sc, ok := ic.c.(syscall.Conn)
@@ -503,10 +546,13 @@ func (ic *inConn) poll(sink transport.Sink) (int, bool) {
 		}
 		ic.rd = rd
 	}
+	if ic.buf == nil {
+		ic.buf = ic.rb.lend()
+	}
 	delivered := 0
 	progressed := false
 	for reads := 0; reads < maxPollReads; reads++ {
-		dst := ic.scratch[ic.have:]
+		dst := ic.buf[ic.have:]
 		if ic.frame != nil {
 			dst = ic.frame[ic.landed:]
 		}
@@ -535,21 +581,28 @@ func (ic *inConn) poll(sink transport.Sink) (int, bool) {
 			break
 		}
 	}
-	if ic.isDead && ic.frame != nil {
-		bufpool.Put(ic.frame)
-		ic.frame = nil
+	if ic.isDead {
+		ic.have = 0
+		if ic.frame != nil {
+			bufpool.Put(ic.frame)
+			ic.frame = nil
+		}
+	}
+	if ic.have == 0 {
+		ic.rb.giveBack(ic.buf)
+		ic.buf = nil
 	}
 	return delivered, progressed
 }
 
-// parse consumes scratch[:end]. Every whole frame is delivered straight from
-// scratch; a frame too large for scratch gets its landing buffer as soon as
-// its length prefix has passed the MaxFrameLen check, with the bytes already
+// parse consumes buf[:end]. Every whole frame is delivered straight from
+// buf; a frame too large for buf gets its landing buffer as soon as its
+// length prefix has passed the MaxFrameLen check, with the bytes already
 // read copied in; an incomplete smaller frame is moved to the front.
 func (ic *inConn) parse(sink transport.Sink, end int) int {
 	delivered, off := 0, 0
 	for end-off >= 4 {
-		b := ic.scratch[off:end]
+		b := ic.buf[off:end]
 		size := int(binary.BigEndian.Uint32(b))
 		if size > wire.MaxFrameLen() {
 			// The old clamp (MaxPayload plus hand-picked slack) undercounted
@@ -559,7 +612,7 @@ func (ic *inConn) parse(sink transport.Sink, end int) int {
 			ic.isDead = true
 			return delivered
 		}
-		if 4+size > len(ic.scratch) {
+		if 4+size > len(ic.buf) {
 			ic.frame = bufpool.Get(size)
 			ic.landed = copy(ic.frame, b[4:])
 			ic.have = 0
@@ -572,7 +625,7 @@ func (ic *inConn) parse(sink transport.Sink, end int) int {
 		off += 4 + size
 		delivered++
 	}
-	ic.have = copy(ic.scratch, ic.scratch[off:end])
+	ic.have = copy(ic.buf, ic.buf[off:end])
 	return delivered
 }
 

@@ -3,7 +3,10 @@ package tcp
 import (
 	"bytes"
 	"errors"
+	"net"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -271,11 +274,12 @@ func (nopReadiness) Remove(int)    {}
 // TestPollBoundHoldsWhenAttached pins transport.Reactive rule 1 on the
 // attached module: with more than maxPollReads reads' worth pending on one
 // connection, a Poll stops at the bound, reports the frames it delivered, and
-// later Polls finish the job. A 64 B scratch makes one read at most two of the
-// train's 32 B frames, so no Poll may deliver more than 2·maxPollReads.
+// later Polls finish the job. A 64 B read buffer makes one read at most two
+// of the train's 32 B frames, so no Poll may deliver more than 2·maxPollReads.
 func TestPollBoundHoldsWhenAttached(t *testing.T) {
 	sink := &collect{}
 	recv, d := initModule(t, nil, 1, sink)
+	recv.buf.size = 64 // before the first Poll, which builds the buffer
 	send, _ := initModule(t, nil, 2, &collect{})
 	if err := recv.AttachReactor(nopReadiness{}); err != nil {
 		t.Fatal(err)
@@ -289,12 +293,6 @@ func TestPollBoundHoldsWhenAttached(t *testing.T) {
 		t.Fatal(err)
 	}
 	pollUntil(t, recv, func() bool { return len(sink.snapshot()) == 1 })
-	recv.mu.Lock()
-	ic := recv.inbound[0]
-	recv.mu.Unlock()
-	ic.mu.Lock()
-	ic.scratch = make([]byte, 64)
-	ic.mu.Unlock()
 
 	const frames, perPoll = 1000, 2 * maxPollReads
 	for i := 0; i < frames; i++ {
@@ -326,6 +324,78 @@ func TestPollBoundHoldsWhenAttached(t *testing.T) {
 	for i, got := range sink.snapshot()[1:] {
 		if !bytes.Equal(got, bytes.Repeat([]byte{byte(i)}, 28)) {
 			t.Fatalf("frame %d corrupted across bounded passes", i)
+		}
+	}
+}
+
+// TestConcurrentPolls runs four goroutines calling Poll on one module while
+// two connections stream frames of 1–200 B through a 64 B read buffer, so
+// passes lend the buffer, connections keep it across partial frames and
+// large frames take landing buffers, all under contention for the pass.
+// Every frame must arrive intact and in its connection's order.
+func TestConcurrentPolls(t *testing.T) {
+	sink := &collect{}
+	recv, d := initModule(t, nil, 1, sink)
+	recv.buf.size = 64
+	const perConn = 300
+	var want [2][][]byte
+	for s := range want {
+		var stream []byte
+		for i := 0; i < perConn; i++ {
+			f := append([]byte{byte(s)}, pattern((i*13)%200, i)...)
+			want[s] = append(want[s], f)
+			stream = append(stream, encodeStream(f)...)
+		}
+		c, err := net.Dial("tcp", d.Attr("addr"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		go func() {
+			for off := 0; off < len(stream); off += 37 {
+				if _, err := c.Write(stream[off:min(off+37, len(stream))]); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for i := 0; i < 3; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !stop.Load() {
+				if _, err := recv.Poll(); err != nil {
+					t.Error(err)
+					return
+				}
+				runtime.Gosched()
+			}
+		}()
+	}
+	for deadline := time.Now().Add(10 * time.Second); len(sink.snapshot()) < 2*perConn && time.Now().Before(deadline); {
+		if _, err := recv.Poll(); err != nil {
+			t.Error(err)
+			break
+		}
+		runtime.Gosched()
+	}
+	stop.Store(true)
+	wg.Wait()
+	var got [2][][]byte
+	for _, f := range sink.snapshot() {
+		got[f[0]] = append(got[f[0]], f)
+	}
+	for s := range want {
+		if len(got[s]) != perConn {
+			t.Fatalf("conn %d: %d of %d frames delivered", s, len(got[s]), perConn)
+		}
+		for i := range want[s] {
+			if !bytes.Equal(got[s][i], want[s][i]) {
+				t.Fatalf("conn %d: frame %d corrupted or out of order", s, i)
+			}
 		}
 	}
 }
