@@ -195,9 +195,16 @@ func (b *Buffer) Clone() *Buffer {
 	return c
 }
 
+// grow extends the packed bytes by n and returns them for the caller to
+// overwrite in full. When they fit the capacity only the length changes, so
+// a put into a sized buffer writes no pointer (and pays no GC write barrier).
 func (b *Buffer) grow(n int) []byte {
 	l := len(b.data)
-	b.data = append(b.data, make([]byte, n)...)
+	if n <= cap(b.data)-l {
+		b.data = b.data[:l+n]
+	} else {
+		b.data = append(b.data, make([]byte, n)...)
+	}
 	return b.data[l : l+n]
 }
 

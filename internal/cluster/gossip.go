@@ -105,8 +105,7 @@ type Node struct {
 
 	mu         sync.Mutex
 	rng        *rand.Rand
-	self       names.Record
-	selfEnc    []byte                // last advertised-table encoding published under self.Seq
+	self       names.Record          // its table is sealed (NewTable), so a digest copies it
 	peerBuf    []transport.ContextID // livePeersLocked's reused origin list
 	appliedGen uint64                // registry generation applyRegistry last ran at
 	applied    map[transport.ContextID]appliedState
@@ -172,9 +171,8 @@ func Attach(ctx *core.Context, cfg NodeConfig) *Node {
 		Forwarder: cfg.Forwarder,
 		Partition: ctx.Partition(),
 		GossipEP:  n.ep.ID(),
-		Table:     ctx.AdvertisedTable(),
+		Table:     transport.NewTable(ctx.AdvertisedTable().Entries...),
 	}
-	n.selfEnc = encodeTable(n.self.Table)
 	n.reg.Merge(n.self)
 	if got := ctx.Attach(core.LayerCluster, n).(*Node); got != n {
 		n.ep.Close()
@@ -225,9 +223,9 @@ func (n *Node) Join(seedTable *transport.Table, seedEP uint64) error {
 	sp := n.startpointLocked(seed, seedEP, seedTable)
 	digest, next := n.reg.Digest(n.digestPos, maxDigest)
 	n.digestPos = next
-	self, selfLen := n.self, len(n.selfEnc)
+	self := n.self
 	n.mu.Unlock()
-	err := n.sendDigest(sp, self, selfLen, digest)
+	err := n.sendDigest(sp, self, digest)
 	n.noteSend(seed, err)
 	if err != nil {
 		return fmt.Errorf("cluster: join via context %d: %w", seed, err)
@@ -261,11 +259,12 @@ func (n *Node) Leave() {
 		targets = append(targets, n.startpointLocked(p.Origin, p.GossipEP, p.Table))
 	}
 	n.mu.Unlock()
+	tombs := []names.Record{tomb}
 	for _, sp := range targets {
-		b := buffer.New(128)
+		b := buffer.New(16 + recordsLen(tombs))
 		b.PutUint64(uint64(tomb.Origin))
 		b.PutUint64(tomb.GossipEP)
-		names.EncodeRecords(b, []names.Record{tomb})
+		names.EncodeRecords(b, tombs)
 		_ = sp.RSR(handlerPush, b)
 	}
 	n.ctx.Stats().Counter("cluster.leave").Inc()
@@ -298,7 +297,7 @@ func (n *Node) Step() {
 	peers := n.livePeersLocked(n.cfg.fanout)
 	digest, next := n.reg.Digest(n.digestPos, maxDigest)
 	n.digestPos = next
-	self, selfLen := n.self, len(n.selfEnc)
+	self := n.self
 	targets := make([]dst, 0, len(peers)+1)
 	for _, p := range peers {
 		targets = append(targets, dst{sp: n.startpointLocked(p.Origin, p.GossipEP, p.Table), origin: p.Origin})
@@ -327,7 +326,7 @@ func (n *Node) Step() {
 	}
 	n.mu.Unlock()
 	for _, t := range targets {
-		err := n.sendDigest(t.sp, self, selfLen, digest)
+		err := n.sendDigest(t.sp, self, digest)
 		if t.probe {
 			if err != nil {
 				n.invalidateStartpoint(t.origin)
@@ -395,20 +394,17 @@ func (n *Node) refreshSelfLocked() {
 	if cur, ok := n.reg.Get(n.self.Origin); ok && (cur.Tombstone || cur.Seq > n.self.Seq) {
 		n.self.Seq = cur.Seq + 1
 		n.self.Tombstone = false
-		n.self.Table = n.ctx.AdvertisedTable()
-		n.selfEnc = encodeTable(n.self.Table)
+		n.self.Table = transport.NewTable(n.ctx.AdvertisedTable().Entries...)
 		n.reg.Merge(n.self)
 		n.ctx.Stats().Counter("cluster.self.rejoin").Inc()
 		return
 	}
 	t := n.ctx.AdvertisedTable()
-	enc := encodeTable(t)
-	if string(enc) == string(n.selfEnc) {
+	if t.Equal(n.self.Table) {
 		return
 	}
 	n.self.Seq++
-	n.self.Table = t
-	n.selfEnc = enc
+	n.self.Table = transport.NewTable(t.Entries...)
 	n.reg.Merge(n.self)
 	n.ctx.Stats().Counter("cluster.self.refresh").Inc()
 }
@@ -593,15 +589,14 @@ func (n *Node) noteSend(origin transport.ContextID, err error) {
 }
 
 // sendDigest ships one digest message: [from][fromEP][self record][digest].
-// selfLen is the encoded size of self's table, so the buffer is sized to the
-// whole message: 16 B of ids, a 4 B batch count, the record's 29 fixed
-// bytes, its partition and table, the digest's 20 fixed bytes and 24 B per
-// entry.
-func (n *Node) sendDigest(sp *core.Startpoint, self names.Record, selfLen int, d names.Digest) error {
-	b := buffer.New(69 + len(self.Partition) + selfLen + 24*len(d.Entries))
+// The buffer is sized to the whole message: 16 B of ids, the record batch,
+// the digest's 20 fixed bytes and 24 B per entry.
+func (n *Node) sendDigest(sp *core.Startpoint, self names.Record, d names.Digest) error {
+	recs := []names.Record{self}
+	b := buffer.New(16 + recordsLen(recs) + 20 + 24*len(d.Entries))
 	b.PutUint64(uint64(self.Origin))
 	b.PutUint64(self.GossipEP)
-	names.EncodeRecords(b, []names.Record{self})
+	names.EncodeRecords(b, recs)
 	d.Encode(b)
 	err := sp.RSR(handlerDigest, b)
 	if err == nil {
@@ -659,7 +654,7 @@ func (n *Node) onDigest(_ *core.Endpoint, b *buffer.Buffer) {
 	n.mu.Lock()
 	self := n.self
 	n.mu.Unlock()
-	out := buffer.New(256)
+	out := buffer.New(16 + recordsLen(delta) + 4 + 8*len(wants))
 	out.PutUint64(uint64(self.Origin))
 	out.PutUint64(self.GossipEP)
 	names.EncodeRecords(out, delta)
@@ -712,7 +707,7 @@ func (n *Node) onDelta(_ *core.Endpoint, b *buffer.Buffer) {
 	n.mu.Lock()
 	self := n.self
 	n.mu.Unlock()
-	out := buffer.New(256)
+	out := buffer.New(16 + recordsLen(answer))
 	out.PutUint64(uint64(self.Origin))
 	out.PutUint64(self.GossipEP)
 	names.EncodeRecords(out, answer)
@@ -777,13 +772,15 @@ func (n *Node) ObserveInto(s *obsv.Snapshot) {
 	s.Cluster = out
 }
 
-// encodeTable returns a table's deterministic encoding ("" for nil), the
-// change probe refreshSelf compares across Steps.
-func encodeTable(t *transport.Table) []byte {
-	if t == nil {
-		return nil
+// recordsLen is the size names.EncodeRecords packs recs into: a 4 B count,
+// then per record 29 fixed bytes, its partition and its table.
+func recordsLen(recs []names.Record) int {
+	n := 4
+	for _, r := range recs {
+		n += 29 + len(r.Partition)
+		if r.Table != nil {
+			n += r.Table.EncodedLen()
+		}
 	}
-	b := buffer.New(128)
-	t.Encode(b)
-	return b.Bytes()
+	return n
 }

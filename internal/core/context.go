@@ -14,7 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -630,9 +629,10 @@ func (c *Context) AdvertisedTable() *transport.Table {
 // forwarding setups to advertise a forwarder's address in place of the
 // context's own, and by users exercising manual method control.
 func (c *Context) SetAdvertisedTable(t *transport.Table) {
+	sealed := transport.NewTable(t.Entries...)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.advertised = t.Clone()
+	c.advertised = sealed
 }
 
 // RegisterHandler installs a handler under the given name. Incoming RSRs
@@ -934,30 +934,18 @@ func (c *Context) Close() error {
 }
 
 // connKey identifies a shareable communication object: same method, same
-// remote context, same descriptor attributes.
+// remote context, same descriptor attributes. enc is the descriptor's
+// canonical encoding, attributes included.
 type connKey struct {
 	method string
 	ctx    transport.ContextID
-	attrs  string
+	enc    string
 }
 
 func keyFor(d transport.Descriptor) connKey {
-	if len(d.Attrs) == 0 {
-		return connKey{method: d.Method, ctx: d.Context}
-	}
-	keys := make([]string, 0, len(d.Attrs))
-	for k := range d.Attrs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var sb strings.Builder
-	for _, k := range keys {
-		sb.WriteString(k)
-		sb.WriteByte('=')
-		sb.WriteString(d.Attrs[k])
-		sb.WriteByte(';')
-	}
-	return connKey{method: d.Method, ctx: d.Context, attrs: sb.String()}
+	b := buffer.New(64)
+	(&transport.Table{Entries: []transport.Descriptor{d}}).Encode(b)
+	return connKey{method: d.Method, ctx: d.Context, enc: string(b.Bytes())}
 }
 
 // sharedConn is a reference-counted communication object shared among

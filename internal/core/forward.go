@@ -116,9 +116,6 @@ func NewRelayRoute(dest, relay transport.ContextID, relayTable *transport.Table,
 	for _, e := range relayTable.Entries {
 		ne := e.Clone()
 		ne.Context = dest
-		if ne.Attrs == nil {
-			ne.Attrs = make(map[string]string, 2)
-		}
 		ne.Attrs[transport.AttrRelay] = rid
 		if maxMsg > 0 {
 			if cur := ne.MaxMessage(); cur == 0 || maxMsg < cur {

@@ -25,11 +25,22 @@ func FirstApplicable(c *Context, table *transport.Table) (transport.Descriptor, 
 			continue
 		}
 		if ms.module.Applicable(d) {
-			return d.Clone(), nil
+			return detach(d), nil
 		}
 	}
 	return transport.Descriptor{}, fmt.Errorf("%w (table %v, local methods %v)",
 		ErrNoApplicableMethod, table, methodNamesLocked(c))
+}
+
+// detach returns a copy of a table entry that later edits to the table
+// cannot reach. A sealed descriptor (Attrs nil) is already one: its
+// attribute block is immutable. Only a descriptor built with an Attrs map is
+// cloned.
+func detach(d transport.Descriptor) transport.Descriptor {
+	if d.Attrs == nil {
+		return d
+	}
+	return d.Clone()
 }
 
 // PreferOrder returns a selector that tries the named methods first, in the
@@ -45,7 +56,7 @@ func PreferOrder(methods ...string) Selector {
 			}
 			if d, found := table.Find(name); found && ms.module.Applicable(d) {
 				c.mu.RUnlock()
-				return d.Clone(), nil
+				return detach(d), nil
 			}
 		}
 		c.mu.RUnlock()
@@ -80,7 +91,7 @@ func CheapestPoll(c *Context, table *transport.Table) (transport.Descriptor, err
 		return transport.Descriptor{}, fmt.Errorf("%w (table %v, local methods %v)",
 			ErrNoApplicableMethod, table, methodNamesLocked(c))
 	}
-	return table.Entries[best].Clone(), nil
+	return detach(table.Entries[best]), nil
 }
 
 // FastestObserved selects, among applicable methods, the one with the lowest
@@ -104,7 +115,7 @@ func FastestObserved(c *Context, table *transport.Table) (transport.Descriptor, 
 		}
 	}
 	if best >= 0 {
-		d := table.Entries[best].Clone()
+		d := detach(table.Entries[best])
 		c.mu.RUnlock()
 		return d, nil
 	}

@@ -51,9 +51,10 @@ type Record struct {
 	Table *transport.Table
 }
 
-// encode packs the record canonically: fixed field order, and the table's
-// own deterministic attribute ordering. Equal records encode identically, so
-// the encoding doubles as the tie-break comparand and the digest hash input.
+// encode packs the record: fixed field order, and the table's own canonical
+// layout. Equal records encode identically in a buffer of one byte order, so
+// canonical, which fixes the order, doubles as the tie-break comparand and
+// the digest hash input.
 func (r Record) encode(b *buffer.Buffer) {
 	b.PutUint64(uint64(r.Origin))
 	b.PutUint64(r.Seq)
@@ -82,6 +83,9 @@ func decodeRecord(b *buffer.Buffer) (Record, error) {
 		Seq:    b.Uint64(),
 	}
 	flags := b.Byte()
+	if flags&^7 != 0 {
+		return r, fmt.Errorf("names: decoding record: unknown flags %#x", flags)
+	}
 	r.Tombstone = flags&1 != 0
 	r.Forwarder = flags&2 != 0
 	r.Partition = b.String()
@@ -114,9 +118,11 @@ func (r Record) equal(o Record) bool {
 	return r.Table == o.Table || r.Table.Equal(o.Table)
 }
 
-// canonical returns the record's canonical encoding.
+// canonical returns the record's canonical encoding. It is little-endian
+// whatever the host's byte order, so contexts on hosts of either order hash
+// a record alike and break a tie the same way.
 func (r Record) canonical() []byte {
-	b := buffer.New(128)
+	b := buffer.NewFormat(buffer.LittleEndian, 128)
 	r.encode(b)
 	return b.Bytes()
 }

@@ -524,3 +524,102 @@ func FuzzDeltaFor(f *testing.F) {
 		}
 	})
 }
+
+// TestRecordHashIgnoresHostByteOrder pins a record's digest hash to its
+// content: a context on a big-endian host must hash a record as one on a
+// little-endian host does, or every digest entry between the two reads as
+// diverged and Merge's byte tie-break can pick different winners.
+func TestRecordHashIgnoresHostByteOrder(t *testing.T) {
+	rec := Record{Origin: 7, Seq: 3, Forwarder: true, Partition: "p", GossipEP: 9,
+		Table: tbl("mpl", 7, map[string]string{"partition": "p", "fabric": "f"})}
+	hash := func() uint64 {
+		r := NewRegistry()
+		r.Merge(rec)
+		d, _ := r.Digest(0, 0)
+		return d.Entries[0].Hash
+	}
+	native := buffer.NativeFormat
+	defer func() { buffer.NativeFormat = native }()
+	want := hash()
+	for _, f := range []buffer.Format{buffer.LittleEndian, buffer.BigEndian} {
+		buffer.NativeFormat = f
+		if got := hash(); got != want {
+			t.Errorf("with %v buffers the record hashes to %x, natively %x", f, got, want)
+		}
+	}
+}
+
+// minRecordBytes is the smallest encoded record: two uint64s, the flags, an
+// empty partition's length prefix and a uint64.
+const minRecordBytes = 8 + 8 + 1 + 4 + 8
+
+// FuzzDecodeRecords checks that a record batch from a hostile peer never
+// panics or allocates beyond what its bytes could encode, and that whatever
+// DecodeRecords accepts re-encodes to the bytes it was decoded from.
+func FuzzDecodeRecords(f *testing.F) {
+	recs := []Record{
+		{Origin: 1, Seq: 7, Forwarder: true, Partition: "p0", GossipEP: 3,
+			Table: tbl("mpl", 1, map[string]string{"addr": "9", "fabric": "f"})},
+		{Origin: 2, Seq: 1, Tombstone: true, Partition: "p1"},
+	}
+	for _, fm := range []buffer.Format{buffer.LittleEndian, buffer.BigEndian} {
+		b := buffer.NewFormat(fm, 256)
+		EncodeRecords(b, recs)
+		f.Add(b.Encode())
+	}
+	f.Add([]byte{0, 0xFF, 0xFF, 0xFF, 0xFF}) // a hostile count
+	unknown := buffer.NewFormat(buffer.LittleEndian, 64)
+	EncodeRecords(unknown, recs[1:])
+	unknown.Bytes()[4+16] |= 8 // a flag bit no decoder knows
+	f.Add(unknown.Encode())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		b, err := buffer.FromBytes(data)
+		if err != nil {
+			return
+		}
+		got, err := DecodeRecords(b)
+		if err != nil {
+			return
+		}
+		if cap(got)*minRecordBytes > len(data) {
+			t.Fatalf("decoded %d records (capacity %d) from %d bytes", len(got), cap(got), len(data))
+		}
+		used := data[1 : len(data)-b.Remaining()]
+		re := buffer.NewFormat(b.Format(), len(used))
+		EncodeRecords(re, got)
+		if !bytes.Equal(re.Bytes(), used) {
+			t.Fatalf("re-encoding differs:\n got %x\nwant %x", re.Bytes(), used)
+		}
+	})
+}
+
+// FuzzDecodeDigest is FuzzDecodeRecords for digests: a 24-byte entry per
+// entry decoded, and an exact round trip.
+func FuzzDecodeDigest(f *testing.F) {
+	d := Digest{Lo: 3, Hi: 1, Entries: []DigestEntry{{Origin: 5, Seq: 2, Hash: 0xfeed}, {Origin: 1, Seq: 9, Hash: 1}}}
+	for _, fm := range []buffer.Format{buffer.LittleEndian, buffer.BigEndian} {
+		b := buffer.NewFormat(fm, 128)
+		d.Encode(b)
+		f.Add(b.Encode())
+	}
+	f.Add(append(make([]byte, 17), 0xFF, 0xFF, 0xFF, 0xFF)) // a hostile count
+	f.Fuzz(func(t *testing.T, data []byte) {
+		b, err := buffer.FromBytes(data)
+		if err != nil {
+			return
+		}
+		got, err := DecodeDigest(b)
+		if err != nil {
+			return
+		}
+		if cap(got.Entries)*24 > len(data) {
+			t.Fatalf("decoded %d entries (capacity %d) from %d bytes", len(got.Entries), cap(got.Entries), len(data))
+		}
+		used := data[1 : len(data)-b.Remaining()]
+		re := buffer.NewFormat(b.Format(), len(used))
+		got.Encode(re)
+		if !bytes.Equal(re.Bytes(), used) {
+			t.Fatalf("re-encoding differs:\n got %x\nwant %x", re.Bytes(), used)
+		}
+	})
+}

@@ -130,9 +130,6 @@ func (m *Module) Init(env transport.Env) (*transport.Descriptor, error) {
 	}
 	sd := d.Clone()
 	sd.Method = Name
-	if sd.Attrs == nil {
-		sd.Attrs = map[string]string{}
-	}
 	sd.Attrs["inner"] = m.innerName
 	// A size-limited inner method advertises its limit; the encryption
 	// envelope eats part of it, so re-advertise the effective bound.

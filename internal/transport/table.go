@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"strings"
@@ -17,12 +18,18 @@ type Table struct {
 	Entries []Descriptor
 }
 
-// NewTable returns a table over the given descriptors, in order.
+// NewTable returns a table over copies of the given descriptors, in order,
+// with each one's attributes sealed.
 func NewTable(entries ...Descriptor) *Table {
-	return &Table{Entries: entries}
+	t := &Table{Entries: make([]Descriptor, len(entries))}
+	for i, e := range entries {
+		t.Entries[i] = e.sealed()
+	}
+	return t
 }
 
-// Clone returns a deep copy of the table.
+// Clone returns a deep copy of the table whose descriptors the caller may
+// edit: each has its own Attrs map (Descriptor.Clone).
 func (t *Table) Clone() *Table {
 	c := &Table{Entries: make([]Descriptor, len(t.Entries))}
 	for i, e := range t.Entries {
@@ -45,8 +52,9 @@ func (t *Table) Find(method string) (Descriptor, bool) {
 	return Descriptor{}, false
 }
 
-// Add appends a descriptor to the end of the table (lowest preference).
-func (t *Table) Add(d Descriptor) { t.Entries = append(t.Entries, d) }
+// Add appends a descriptor to the end of the table (lowest preference), with
+// its attributes sealed.
+func (t *Table) Add(d Descriptor) { t.Entries = append(t.Entries, d.sealed()) }
 
 // Remove deletes every descriptor for the named method, reporting whether any
 // was removed.
@@ -116,70 +124,53 @@ func (t *Table) String() string {
 // representation that travels with a startpoint: for wide-area links the few
 // tens of bytes are insignificant, and tightly coupled configurations can
 // omit the table entirely (see core's lightweight startpoints).
+//
+// The layout is a version byte and a uvarint entry count, then per entry
+// the method name (uvarint length and bytes), the context as a uvarint, and
+// the attribute block (attrs.go). It does not depend on the buffer's byte
+// order, and it is canonical: equal tables encode identically. A sealed
+// descriptor's block is copied as it is; only an entry whose Attrs map is
+// set is sealed (and its keys sorted) on the way.
 func (t *Table) Encode(b *buffer.Buffer) {
-	b.PutUint16(uint16(len(t.Entries)))
+	b.PutByte(tableVersion)
+	putUvarint(b, uint64(len(t.Entries)))
 	for _, e := range t.Entries {
-		b.PutString(e.Method)
-		b.PutUint64(uint64(e.Context))
-		b.PutUint16(uint16(len(e.Attrs)))
-		// Deterministic attribute order keeps encodings comparable.
-		keys := make([]string, 0, len(e.Attrs))
-		for k := range e.Attrs {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			b.PutString(k)
-			b.PutString(e.Attrs[k])
-		}
+		putUvarint(b, uint64(len(e.Method)))
+		b.PutRaw([]byte(e.Method))
+		putUvarint(b, uint64(e.Context))
+		b.PutRaw([]byte(e.block()))
 	}
 }
 
-// Minimum encoded sizes, used to validate hostile length fields before any
-// allocation sized by them: an entry is at least a 4-byte string length
-// prefix + an 8-byte context + a 2-byte attribute count; an attribute is at
-// least two 4-byte string length prefixes.
-const (
-	minEntryBytes = 4 + 8 + 2
-	minAttrBytes  = 4 + 4
-)
+// EncodedLen reports the number of bytes Encode packs.
+func (t *Table) EncodedLen() int {
+	n := 1 + uvarintLen(uint64(len(t.Entries)))
+	for _, e := range t.Entries {
+		n += uvarintLen(uint64(len(e.Method))) + len(e.Method) + uvarintLen(uint64(e.Context)) + len(e.block())
+	}
+	return n
+}
 
-// DecodeTable unpacks a table encoded with Encode. Length fields are checked
-// against the bytes actually remaining in the buffer, so a hostile or
-// truncated encoding fails cleanly instead of panicking or over-allocating.
+func putUvarint(b *buffer.Buffer, v uint64) {
+	var tmp [binary.MaxVarintLen64]byte
+	b.PutRaw(binary.AppendUvarint(tmp[:0], v))
+}
+
+// DecodeTable unpacks a table encoded with Encode. The bytes are validated
+// before anything is allocated by them, so a hostile or truncated encoding
+// fails cleanly instead of panicking or over-allocating. A decoded table is
+// three allocations whatever its size: the Table, its Entries, and one
+// string holding the table's bytes, of which every method name and
+// attribute block is a substring.
 func DecodeTable(b *buffer.Buffer) (*Table, error) {
-	n := int(b.Uint16())
-	if err := b.Err(); err != nil {
+	rest := b.Bytes()[b.Len()-b.Remaining():]
+	n, err := walkTable(rest, nil)
+	if err != nil {
 		return nil, fmt.Errorf("transport: decoding table: %w", err)
 	}
-	if n*minEntryBytes > b.Remaining() {
-		return nil, fmt.Errorf("transport: decoding table: %d entries cannot fit in %d bytes", n, b.Remaining())
-	}
-	t := &Table{Entries: make([]Descriptor, 0, n)}
-	for i := 0; i < n; i++ {
-		d := Descriptor{
-			Method:  b.String(),
-			Context: ContextID(b.Uint64()),
-		}
-		na := int(b.Uint16())
-		if err := b.Err(); err != nil {
-			return nil, fmt.Errorf("transport: decoding table entry %d: %w", i, err)
-		}
-		if na*minAttrBytes > b.Remaining() {
-			return nil, fmt.Errorf("transport: decoding table entry %d: %d attrs cannot fit in %d bytes", i, na, b.Remaining())
-		}
-		if na > 0 {
-			d.Attrs = make(map[string]string, na)
-			for j := 0; j < na; j++ {
-				k := b.String()
-				v := b.String()
-				d.Attrs[k] = v
-			}
-		}
-		if err := b.Err(); err != nil {
-			return nil, fmt.Errorf("transport: decoding table entry %d attrs: %w", i, err)
-		}
-		t.Entries = append(t.Entries, d)
+	t := &Table{}
+	if _, err := walkTable(string(b.Raw(n)), t); err != nil {
+		panic("transport: a validated table failed to decode: " + err.Error())
 	}
 	return t, nil
 }

@@ -18,7 +18,9 @@ package transport
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"strconv"
+	"strings"
 	"time"
 )
 
@@ -27,20 +29,56 @@ import (
 type ContextID uint64
 
 // Descriptor describes how a specific context can be reached via a specific
-// communication method. Attrs are method-specific: a TCP descriptor carries a
-// listen address, an MPL descriptor a partition name and node number, and so
-// on. Descriptors are value types and are safe to copy.
+// communication method. Its attributes are method-specific: a TCP descriptor
+// carries a listen address, an MPL descriptor a partition name and node
+// number, and so on.
+//
+// Code that builds a descriptor sets Attrs. A table holds its descriptors
+// sealed instead: NewTable, Table.Add and DecodeTable keep each one's
+// attributes as one immutable canonical block, and leave Attrs nil. Read
+// attributes with Attr, whichever form a descriptor is in, and edit them on
+// a Clone, which always has an Attrs map. Descriptors are value types and
+// are safe to copy.
 type Descriptor struct {
 	// Method is the module name, e.g. "tcp".
 	Method string
 	// Context is the context the descriptor reaches.
 	Context ContextID
-	// Attrs holds method-specific reachability attributes.
+	// Attrs holds method-specific reachability attributes. When it is
+	// non-nil it takes precedence over a sealed block.
 	Attrs map[string]string
+	// attrs is the sealed attribute block (attrs.go), read when Attrs is nil.
+	attrs string
 }
 
 // Attr returns the named attribute, or "" if absent.
-func (d Descriptor) Attr(key string) string { return d.Attrs[key] }
+func (d Descriptor) Attr(key string) string {
+	if d.Attrs != nil {
+		return d.Attrs[key]
+	}
+	return blockAttr(d.attrs, key)
+}
+
+// block returns the attribute block Encode writes for the descriptor,
+// sealing Attrs if it is set.
+func (d Descriptor) block() string {
+	b := d.attrs
+	if d.Attrs != nil {
+		b = sealAttrs(d.Attrs)
+	}
+	if b == "" {
+		return emptyBlock
+	}
+	return b
+}
+
+// sealed returns the descriptor with its attributes sealed into a block.
+func (d Descriptor) sealed() Descriptor {
+	if d.Attrs != nil {
+		d.attrs, d.Attrs = sealAttrs(d.Attrs), nil
+	}
+	return d
+}
 
 // AttrMaxMessage is the descriptor attribute advertising the largest frame
 // the method accepts on this link, in bytes. Size-aware selection reads it to
@@ -61,7 +99,7 @@ const AttrCost = "cost_ns"
 // Cost reports the descriptor's advertised cost estimate in nanoseconds
 // (0 when absent or malformed).
 func (d Descriptor) Cost() int64 {
-	a := d.Attrs[AttrCost]
+	a := d.Attr(AttrCost)
 	if a == "" {
 		return 0
 	}
@@ -75,7 +113,7 @@ func (d Descriptor) Cost() int64 {
 // MaxMessage reports the descriptor's advertised frame-size limit in bytes
 // (0 when absent or malformed, meaning "no advertised limit").
 func (d Descriptor) MaxMessage() int {
-	a := d.Attrs[AttrMaxMessage]
+	a := d.Attr(AttrMaxMessage)
 	if a == "" {
 		return 0
 	}
@@ -86,14 +124,20 @@ func (d Descriptor) MaxMessage() int {
 	return n
 }
 
-// Clone returns a deep copy of the descriptor.
+// Clone returns a deep copy of the descriptor that the caller may edit: its
+// Attrs is a fresh map, never nil, whichever form d is in.
 func (d Descriptor) Clone() Descriptor {
 	c := Descriptor{Method: d.Method, Context: d.Context}
 	if d.Attrs != nil {
-		c.Attrs = make(map[string]string, len(d.Attrs))
-		for k, v := range d.Attrs {
-			c.Attrs[k] = v
-		}
+		c.Attrs = maps.Clone(d.Attrs)
+		return c
+	}
+	n, pairs := blockPairs(d.attrs)
+	c.Attrs = make(map[string]string, n)
+	for i := 0; i < n; i++ {
+		var k, v string
+		k, v, pairs = nextPair(pairs)
+		c.Attrs[k] = v
 	}
 	return c
 }
@@ -102,19 +146,39 @@ func (d Descriptor) Clone() Descriptor {
 // their canonical encodings (Table.Encode) are. A nil and an empty attribute
 // map are equal, as they encode alike.
 func (d Descriptor) Equal(o Descriptor) bool {
-	if d.Method != o.Method || d.Context != o.Context || len(d.Attrs) != len(o.Attrs) {
+	if d.Method != o.Method || d.Context != o.Context {
 		return false
 	}
-	for k, v := range d.Attrs {
-		if ov, ok := o.Attrs[k]; !ok || ov != v {
-			return false
-		}
+	switch {
+	case d.Attrs == nil && o.Attrs == nil:
+		return d.attrs == o.attrs
+	case d.Attrs == nil:
+		return blockMatches(d.attrs, o.Attrs)
+	case o.Attrs == nil:
+		return blockMatches(o.attrs, d.Attrs)
+	default:
+		return maps.Equal(d.Attrs, o.Attrs)
 	}
-	return true
 }
 
+// String formats the descriptor as method->ctxN followed by its attributes
+// in key order, map[k:v ...].
 func (d Descriptor) String() string {
-	return fmt.Sprintf("%s->ctx%d%v", d.Method, d.Context, d.Attrs)
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "%s->ctx%dmap[", d.Method, d.Context)
+	n, pairs := blockPairs(d.block())
+	for i := 0; i < n; i++ {
+		var k, v string
+		k, v, pairs = nextPair(pairs)
+		if i > 0 {
+			sb.WriteByte(' ')
+		}
+		sb.WriteString(k)
+		sb.WriteByte(':')
+		sb.WriteString(v)
+	}
+	sb.WriteByte(']')
+	return sb.String()
 }
 
 // Sink receives inbound frames delivered by a module. Frames are opaque to
