@@ -4,16 +4,12 @@ import (
 	"time"
 )
 
-// AdaptiveConfig tunes StartAdaptiveSkipPoll.
-type AdaptiveConfig struct {
-	// Interval is how often skip_poll values are re-evaluated (default
-	// 10 ms).
-	Interval time.Duration
-	// MaxSkip caps how far an idle method is throttled (default 1024).
-	MaxSkip int
-}
-
 const (
+	// adaptiveInterval is how often StartAdaptiveSkipPoll re-evaluates
+	// skip_poll values.
+	adaptiveInterval = 10 * time.Millisecond
+	// adaptiveMaxSkip caps how far an idle method is throttled.
+	adaptiveMaxSkip = 1024
 	// adaptiveGrow multiplies an idle method's skip each interval.
 	adaptiveGrow = 2
 	// adaptiveMinCostRatio exempts cheap methods: a method is only throttled
@@ -22,22 +18,12 @@ const (
 	adaptiveMinCostRatio = 4
 )
 
-func (c AdaptiveConfig) withDefaults() AdaptiveConfig {
-	if c.Interval <= 0 {
-		c.Interval = 10 * time.Millisecond
-	}
-	if c.MaxSkip < 1 {
-		c.MaxSkip = 1024
-	}
-	return c
-}
-
 // StartAdaptiveSkipPoll launches the paper's §6 future-work refinement:
-// dynamic adjustment of skip_poll values from observed traffic. Every
-// interval, each expensive method that delivered frames since the last check
-// snaps back to skip 1 (traffic is flowing; detection latency matters);
-// methods that stayed idle are throttled geometrically up to MaxSkip (their
-// polls are pure overhead). Cheap methods are left alone.
+// dynamic adjustment of skip_poll values from observed traffic. Every 10 ms,
+// each expensive method that delivered frames since the last check snaps
+// back to skip 1 (traffic is flowing; detection latency matters); methods
+// that stayed idle are throttled geometrically up to skip 1024 (their polls
+// are pure overhead). Cheap methods are left alone.
 //
 // Methods whose skip_poll was set manually (SetSkipPoll) are pinned and left
 // alone; UnpinSkipPoll hands them back to the tuner.
@@ -45,14 +31,19 @@ func (c AdaptiveConfig) withDefaults() AdaptiveConfig {
 // It returns a stop function that blocks until the tuner exits. The tuner
 // only adjusts skip values; it does not poll — pair it with StartPoller or
 // an application polling loop.
-func (c *Context) StartAdaptiveSkipPoll(cfg AdaptiveConfig) (stop func()) {
-	cfg = cfg.withDefaults()
+func (c *Context) StartAdaptiveSkipPoll() (stop func()) {
+	return c.startAdaptive(adaptiveInterval, adaptiveMaxSkip)
+}
+
+// startAdaptive runs the tuner every interval with cap maxSkip; tests reach
+// values other than the constants through it.
+func (c *Context) startAdaptive(interval time.Duration, maxSkip int) (stop func()) {
 	done := make(chan struct{})
 	exited := make(chan struct{})
 	go func() {
 		defer close(exited)
 		lastFrames := make(map[string]uint64)
-		ticker := time.NewTicker(cfg.Interval)
+		ticker := time.NewTicker(interval)
 		defer ticker.Stop()
 		for {
 			select {
@@ -60,7 +51,7 @@ func (c *Context) StartAdaptiveSkipPoll(cfg AdaptiveConfig) (stop func()) {
 				return
 			case <-ticker.C:
 			}
-			c.adaptOnce(cfg, lastFrames)
+			c.adaptOnce(maxSkip, lastFrames)
 		}
 	}()
 	return func() {
@@ -69,9 +60,9 @@ func (c *Context) StartAdaptiveSkipPoll(cfg AdaptiveConfig) (stop func()) {
 	}
 }
 
-// adaptOnce performs one adaptation round (exposed for deterministic tests).
-func (c *Context) adaptOnce(cfg AdaptiveConfig, lastFrames map[string]uint64) {
-	cfg = cfg.withDefaults()
+// adaptOnce performs one adaptation round, throttling idle methods up to
+// maxSkip (exposed for deterministic tests).
+func (c *Context) adaptOnce(maxSkip int, lastFrames map[string]uint64) {
 	c.mu.RLock()
 	mods := make([]*moduleState, len(c.modules))
 	copy(mods, c.modules)
@@ -93,9 +84,6 @@ func (c *Context) adaptOnce(cfg AdaptiveConfig, lastFrames map[string]uint64) {
 		}
 	}
 	for _, ms := range mods {
-		if ms.blocking {
-			continue
-		}
 		cost, hinted := costs[ms]
 		if !hinted || minCost == 0 || cost < minCost*adaptiveMinCostRatio {
 			continue // cheap method: always polled eagerly
@@ -108,16 +96,16 @@ func (c *Context) adaptOnce(cfg AdaptiveConfig, lastFrames map[string]uint64) {
 		case frames > prev:
 			// Traffic observed: poll eagerly again.
 			if cur != 1 {
-				_ = c.applySkipPoll(ms.name, 1, false)
+				ms.setSkipPoll(&c.pollMu, 1, false)
 			}
 		default:
 			// Idle: back off geometrically.
 			next := cur * adaptiveGrow
-			if next > cfg.MaxSkip {
-				next = cfg.MaxSkip
+			if next > maxSkip {
+				next = maxSkip
 			}
 			if next != cur {
-				_ = c.applySkipPoll(ms.name, next, false)
+				ms.setSkipPoll(&c.pollMu, next, false)
 			}
 		}
 	}

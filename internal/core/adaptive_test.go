@@ -21,9 +21,8 @@ func adaptCtx(t *testing.T, tag string) *Context {
 func TestAdaptiveBacksOffIdleMethod(t *testing.T) {
 	c := adaptCtx(t, "adapt-idle")
 	last := make(map[string]uint64)
-	cfg := AdaptiveConfig{MaxSkip: 64}
 	for i := 0; i < 10; i++ {
-		c.adaptOnce(cfg, last)
+		c.adaptOnce(64, last)
 	}
 	if got := c.SkipPoll("wan"); got != 64 {
 		t.Errorf("idle wan skip = %d, want capped at 64", got)
@@ -40,9 +39,8 @@ func TestAdaptiveSnapsBackOnTraffic(t *testing.T) {
 	send := adaptCtx(t, tag)
 
 	last := make(map[string]uint64)
-	cfg := AdaptiveConfig{MaxSkip: 64}
 	for i := 0; i < 10; i++ {
-		recv.adaptOnce(cfg, last)
+		recv.adaptOnce(64, last)
 	}
 	if got := recv.SkipPoll("wan"); got != 64 {
 		t.Fatalf("precondition: wan skip = %d", got)
@@ -66,12 +64,12 @@ func TestAdaptiveSnapsBackOnTraffic(t *testing.T) {
 	if hits.Load() != 1 {
 		t.Fatal("wan RSR not delivered")
 	}
-	recv.adaptOnce(cfg, last)
+	recv.adaptOnce(64, last)
 	if got := recv.SkipPoll("wan"); got != 1 {
 		t.Errorf("wan skip after traffic = %d, want 1", got)
 	}
 	// Idle again: backs off again.
-	recv.adaptOnce(cfg, last)
+	recv.adaptOnce(64, last)
 	if got := recv.SkipPoll("wan"); got <= 1 {
 		t.Errorf("wan skip after renewed idleness = %d, want > 1", got)
 	}
@@ -86,9 +84,8 @@ func TestAdaptivePinning(t *testing.T) {
 		t.Fatal(err)
 	}
 	last := make(map[string]uint64)
-	cfg := AdaptiveConfig{MaxSkip: 64}
 	for i := 0; i < 10; i++ {
-		c.adaptOnce(cfg, last)
+		c.adaptOnce(64, last)
 	}
 	if got := c.SkipPoll("wan"); got != 7 {
 		t.Errorf("pinned wan skip after tuner rounds = %d, want 7", got)
@@ -115,7 +112,7 @@ func TestAdaptivePinning(t *testing.T) {
 	if err := c.UnpinSkipPoll("wan"); err != nil {
 		t.Fatal(err)
 	}
-	c.adaptOnce(cfg, last)
+	c.adaptOnce(64, last)
 	if got := c.SkipPoll("wan"); got != 14 {
 		t.Errorf("unpinned wan skip after one idle round = %d, want 14", got)
 	}
@@ -126,7 +123,7 @@ func TestAdaptivePinning(t *testing.T) {
 
 func TestAdaptiveBackgroundTuner(t *testing.T) {
 	c := adaptCtx(t, "adapt-bg")
-	stop := c.StartAdaptiveSkipPoll(AdaptiveConfig{Interval: time.Millisecond, MaxSkip: 32})
+	stop := c.startAdaptive(time.Millisecond, 32)
 	deadline := time.Now().Add(5 * time.Second)
 	for c.SkipPoll("wan") != 32 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)

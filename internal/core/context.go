@@ -134,9 +134,6 @@ type MethodConfig struct {
 	// pass). This is the paper's skip_poll parameter. A value above 1 is
 	// pinned exactly as if set by Context.SetSkipPoll.
 	SkipPoll int
-	// Blocking starts the module in blocking-detection mode if it supports
-	// it (transport.Blocker); the polling loop then skips it.
-	Blocking bool
 }
 
 // Options configures a new context.
@@ -178,13 +175,6 @@ type Options struct {
 	// zero value leaves it off: sends are never charged against credit and
 	// the context advertises no windows.
 	Flow FlowConfig
-	// DisableReactor keeps every module on the portable polling path even
-	// where the platform offers a readiness reactor (Linux epoll). By
-	// default, modules implementing transport.Reactive register their
-	// sockets with a context-wide reactor and are polled only when the
-	// kernel reports inbound data — an idle poll pass then costs zero
-	// syscalls for those methods.
-	DisableReactor bool
 	// RPC configures the request/response layer built on top of RSR. Core
 	// only carries the switch; the layer itself (internal/rpc) is attached by
 	// the facade when Enabled is set, or by calling rpc.Enable directly.
@@ -208,11 +198,16 @@ type Options struct {
 	//     larger one fails with an error matching transport.ErrTooLarge.
 	//   - health and fragTTL shorten the health registry's thresholds and
 	//     backoffs and the reassembler's stale-partial TTL.
-	registry   *transport.Registry
-	dispatch   dispatchConfig
-	maxMessage int
-	health     healthConfig
-	fragTTL    time.Duration
+	//   - disableReactor keeps every module on the portable polling path
+	//     where the platform offers a readiness reactor (Linux epoll), so a
+	//     test can compare the two detection paths or read the modules'
+	//     static poll-cost hints.
+	registry       *transport.Registry
+	dispatch       dispatchConfig
+	maxMessage     int
+	health         healthConfig
+	fragTTL        time.Duration
+	disableReactor bool
 }
 
 // RPCConfig selects the request/response layer (Options.RPC). The layer
@@ -309,7 +304,7 @@ type Context struct {
 	// branch is the entire cost.
 	obs obsvState
 
-	// rx is the readiness reactor (nil off-Linux, when DisableReactor is
+	// rx is the readiness reactor (nil off-Linux, when disableReactor is
 	// set, or when construction failed); ready is the bitmap its waiter
 	// goroutine sets — bit i belongs to the i-th reactive module — and the
 	// polling loop consumes with one atomic swap per pass. nextReadyBit is
@@ -334,10 +329,9 @@ type Context struct {
 }
 
 type moduleState struct {
-	name     string
-	module   transport.Module
-	desc     *transport.Descriptor
-	blocking bool
+	name   string
+	module transport.Module
+	desc   *transport.Descriptor
 
 	// reactive marks a module on readiness-driven detection; readyBit is its
 	// bit in the context's readiness bitmap. Both are set before the module
@@ -540,18 +534,6 @@ func (c *Context) enableMethod(reg *transport.Registry, mc MethodConfig) error {
 		return fmt.Errorf("core: enabling method %q: %w", mc.Name, err)
 	}
 	ms.desc = desc
-	if mc.Blocking {
-		b, ok := mod.(transport.Blocker)
-		if !ok {
-			mod.Close()
-			return fmt.Errorf("core: method %q does not support blocking detection", mc.Name)
-		}
-		if err := b.StartBlocking(); err != nil {
-			mod.Close()
-			return fmt.Errorf("core: starting blocking detection for %q: %w", mc.Name, err)
-		}
-		ms.blocking = true
-	}
 	// Offer the reactor (no-op without one, or when the module declines);
 	// before registration, so ms.reactive is published with the module.
 	c.attachReactive(ms)
@@ -777,8 +759,9 @@ func (c *Context) dispatch(ms *moduleState, frame []byte) {
 	c.cBytesRecv.Add(uint64(len(frame)))
 	if c.obs.mode.Load()&obsTrace != 0 && f.HasTrace() && ms != nil {
 		// Poll-stage trace event: detection latency, measured from the start
-		// of the module Poll call that surfaced this frame. Blocking-mode
-		// modules deliver outside a poll pass and report zero.
+		// of the module Poll call that surfaced this frame. A module that
+		// delivers outside a poll pass (local, on the sender's goroutine)
+		// reports zero.
 		now := time.Now()
 		var det time.Duration
 		if start := ms.pollStart.Load(); start != 0 {

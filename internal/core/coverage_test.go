@@ -24,15 +24,6 @@ func TestNewContextDuplicateMethod(t *testing.T) {
 	}
 }
 
-func TestNewContextBlockingOnNonBlocker(t *testing.T) {
-	_, err := NewContext(Options{Methods: []MethodConfig{
-		{Name: "inproc", Blocking: true, Params: transport.Params{"exchange": "cov-blk"}},
-	}})
-	if err == nil || !strings.Contains(err.Error(), "blocking") {
-		t.Fatalf("Blocking on non-Blocker: %v", err)
-	}
-}
-
 func TestPollUntilTimesOut(t *testing.T) {
 	c := newCtx(t, "cov-timeout", "", inprocCfg())
 	start := time.Now()

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"sync"
 	"time"
 
 	"nexus/internal/obsv"
@@ -11,9 +12,9 @@ import (
 
 // Poll performs one pass of the unified polling function: it iterates over
 // the context's communication modules in order and invokes each module's
-// method-specific poll — except modules in blocking mode (detected by their
-// own goroutines) and modules whose skip_poll countdown has not expired. It
-// returns the number of frames delivered.
+// method-specific poll, except modules whose skip_poll countdown has not
+// expired or, on the reactor path, that report no readiness. It returns the
+// number of frames delivered.
 //
 // skip_poll semantics follow the paper: with skip_poll k, the module is
 // checked on every k-th pass, so an expensive, infrequently used method
@@ -88,9 +89,6 @@ func (c *Context) pollPassLocked() int {
 	}
 	total := 0
 	for _, ms := range mods {
-		if ms.blocking {
-			continue
-		}
 		// A skip_poll value set by hand (SetSkipPoll, MethodConfig.SkipPoll)
 		// takes a reactive module off readiness-driven detection: it is then
 		// probed on every k-th pass like any other module, until
@@ -244,7 +242,12 @@ func (c *Context) PollUntil(pred func() bool, timeout time.Duration) bool {
 // (AutoSkipPoll, StartAdaptiveSkipPoll) will not overwrite it until
 // UnpinSkipPoll releases the method back to them.
 func (c *Context) SetSkipPoll(method string, k int) error {
-	return c.applySkipPoll(method, k, true)
+	ms := c.moduleFor(method)
+	if ms == nil {
+		return fmt.Errorf("core: %w: %q", ErrUnknownMethod, method)
+	}
+	ms.setSkipPoll(&c.pollMu, k, true)
+	return nil
 }
 
 // UnpinSkipPoll releases a method pinned by SetSkipPoll back to automatic
@@ -266,31 +269,28 @@ func (c *Context) UnpinSkipPoll(method string) error {
 	return nil
 }
 
-// applySkipPoll is the shared skip_poll writer. pin=true (SetSkipPoll) marks
-// the module as manually controlled; pin=false (the automatic tuners) is a
-// no-op on pinned modules, so a manual choice survives a running tuner.
-func (c *Context) applySkipPoll(method string, k int, pin bool) error {
+// setSkipPoll is the shared skip_poll writer; pollMu is the owning context's,
+// which guards skip, countdown and pinned. pin=true (SetSkipPoll) marks the
+// module as manually controlled; pin=false (the automatic tuners) is a no-op
+// on pinned modules, so a manual choice survives a running tuner. k < 1 is
+// treated as 1.
+func (ms *moduleState) setSkipPoll(pollMu *sync.Mutex, k int, pin bool) {
 	if k < 1 {
 		k = 1
 	}
-	ms := c.moduleFor(method)
-	if ms == nil {
-		return fmt.Errorf("core: %w: %q", ErrUnknownMethod, method)
-	}
-	c.pollMu.Lock()
+	pollMu.Lock()
 	if pin {
 		ms.pinned = true
 	} else if ms.pinned {
-		c.pollMu.Unlock()
-		return nil
+		pollMu.Unlock()
+		return
 	}
 	ms.skip = k
 	if ms.countdown >= k {
 		ms.countdown = k - 1
 	}
-	c.pollMu.Unlock()
+	pollMu.Unlock()
 	ms.skipAtomic.Store(int64(k))
-	return nil
 }
 
 // SkipPoll reports the current skip_poll value for a method (0 if unknown).
@@ -330,31 +330,8 @@ func (c *Context) AutoSkipPoll() {
 	}
 	for ms, cost := range costs {
 		k := int(cost / minCost)
-		if k < 1 {
-			k = 1
-		}
-		_ = c.applySkipPoll(ms.name, k, false)
+		ms.setSkipPoll(&c.pollMu, k, false)
 	}
-}
-
-// StartBlocking switches a method to blocking detection (a dedicated
-// goroutine instead of polling), if its module supports it.
-func (c *Context) StartBlocking(method string) error {
-	ms := c.moduleFor(method)
-	if ms == nil {
-		return fmt.Errorf("core: %w: %q", ErrUnknownMethod, method)
-	}
-	b, ok := ms.module.(transport.Blocker)
-	if !ok {
-		return fmt.Errorf("core: method %q does not support blocking detection", method)
-	}
-	if err := b.StartBlocking(); err != nil {
-		return err
-	}
-	c.pollMu.Lock()
-	ms.blocking = true
-	c.pollMu.Unlock()
-	return nil
 }
 
 // StartPoller launches a background goroutine that polls continuously,
@@ -435,8 +412,6 @@ type MethodInfo struct {
 	// Pinned reports whether the skip_poll value was set manually
 	// (SetSkipPoll) and is therefore off-limits to automatic tuners.
 	Pinned bool
-	// Blocking reports whether the method uses blocking detection.
-	Blocking bool
 	// Reactive reports whether the method's sockets are watched by the
 	// context's reactor. Unless Pinned, the polling loop then touches it only
 	// when the kernel reports inbound data.
@@ -474,7 +449,6 @@ func (c *Context) Methods() []MethodInfo {
 			Name:     ms.name,
 			SkipPoll: ms.skip,
 			Pinned:   ms.pinned,
-			Blocking: ms.blocking,
 			Reactive: ms.reactive,
 			Polls:    ms.polls.Load(),
 			Frames:   ms.frames.Load(),

@@ -102,66 +102,6 @@ func TestAutoSkipPoll(t *testing.T) {
 	}
 }
 
-func TestBlockingMethodSkippedByPoller(t *testing.T) {
-	// A method in blocking mode must not be polled.
-	recv, err := NewContext(Options{
-		Methods: []MethodConfig{{Name: "tcp", Blocking: true}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer recv.Close()
-	for i := 0; i < 10; i++ {
-		recv.Poll()
-	}
-	if got := recv.Stats().Get("poll.tcp"); got != 0 {
-		t.Errorf("blocking tcp polled %d times", got)
-	}
-	// And delivery still works, with no polling at all.
-	send, err := NewContext(Options{Methods: []MethodConfig{{Name: "tcp"}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer send.Close()
-	var hits atomic.Int64
-	ep := recv.NewEndpoint(WithHandler(func(*Endpoint, *buffer.Buffer) { hits.Add(1) }))
-	sp := transferStartpoint(t, ep.NewStartpoint(), send, false)
-	if err := sp.RSR("", nil); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for hits.Load() == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if hits.Load() != 1 {
-		t.Fatal("blocking-mode tcp never delivered")
-	}
-}
-
-func TestStartBlockingUpgrade(t *testing.T) {
-	recv, err := NewContext(Options{Methods: []MethodConfig{{Name: "tcp"}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer recv.Close()
-	if err := recv.StartBlocking("tcp"); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		recv.Poll()
-	}
-	if got := recv.Stats().Get("poll.tcp"); got != 0 {
-		t.Errorf("tcp polled %d times after StartBlocking", got)
-	}
-	if err := recv.StartBlocking("inprocX"); !errors.Is(err, ErrUnknownMethod) {
-		t.Errorf("StartBlocking(unknown) = %v", err)
-	}
-	c2 := newCtx(t, "blk-up", "", inprocCfg())
-	if err := c2.StartBlocking("inproc"); err == nil {
-		t.Error("StartBlocking on non-Blocker module succeeded")
-	}
-}
-
 func TestMethodsEnquiry(t *testing.T) {
 	tag := "enquiry"
 	c := newCtx(t, tag, "p0", fastMPL(tag))

@@ -35,7 +35,7 @@ func atomicOr(v *atomic.Uint64, bits uint64) {
 // limits, exotic kernels) leaves every module on the polling path rather than
 // failing the context.
 func newReactor(opts Options) *reactor.Reactor {
-	if opts.DisableReactor || !reactor.Supported() {
+	if opts.disableReactor || !reactor.Supported() {
 		return nil
 	}
 	r, err := reactor.New()
@@ -140,7 +140,7 @@ func (r *moduleReadiness) resume() {
 // portable polling path. Called before the module joins c.modules, so the
 // reactive flag is published by the same lock that publishes the module.
 func (c *Context) attachReactive(ms *moduleState) {
-	if c.rx == nil || ms.blocking {
+	if c.rx == nil {
 		return
 	}
 	rm, ok := ms.module.(transport.Reactive)
@@ -169,7 +169,7 @@ func (c *Context) attachReactive(ms *moduleState) {
 }
 
 // ReactorActive reports whether this context runs a readiness reactor (Linux,
-// not disabled via Options.DisableReactor, and construction succeeded).
+// not disabled by the options' test seam, and construction succeeded).
 func (c *Context) ReactorActive() bool { return c.rx != nil }
 
 // ReactiveMethods reports the names of methods currently on readiness-driven

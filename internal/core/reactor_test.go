@@ -9,13 +9,15 @@ import (
 
 	"nexus/internal/buffer"
 	"nexus/internal/reactor"
+	"nexus/internal/transport"
+	"nexus/internal/transport/shm"
 
 	_ "nexus/internal/transport/udp"
 )
 
 // TestReactorActivation checks the default-on/opt-out matrix: where the
 // platform has a reactor, socket-backed methods come up reactive and
-// DisableReactor forces them back to polling; off-Linux everything is
+// disableReactor forces them back to polling; off-Linux everything is
 // poll-based and the same options still construct fine.
 func TestReactorActivation(t *testing.T) {
 	ctx, err := NewContext(Options{
@@ -43,18 +45,18 @@ func TestReactorActivation(t *testing.T) {
 
 	off, err := NewContext(Options{
 		Methods:        []MethodConfig{{Name: "tcp"}, {Name: "udp"}},
-		DisableReactor: true,
+		disableReactor: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer off.Close()
 	if off.ReactorActive() {
-		t.Fatal("ReactorActive() with DisableReactor set")
+		t.Fatal("ReactorActive() with disableReactor set")
 	}
 	for _, mi := range off.Methods() {
 		if mi.Reactive {
-			t.Errorf("method %s reactive despite DisableReactor", mi.Name)
+			t.Errorf("method %s reactive despite disableReactor", mi.Name)
 		}
 	}
 }
@@ -154,7 +156,7 @@ func reactorRoundTrip(t *testing.T, method string, disable bool, count int) {
 	t.Helper()
 	recv, err := NewContext(Options{
 		Methods:        []MethodConfig{{Name: method}},
-		DisableReactor: disable,
+		disableReactor: disable,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -162,7 +164,7 @@ func reactorRoundTrip(t *testing.T, method string, disable bool, count int) {
 	defer recv.Close()
 	send, err := NewContext(Options{
 		Methods:        []MethodConfig{{Name: method}},
-		DisableReactor: disable,
+		disableReactor: disable,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -345,5 +347,55 @@ func TestReactorAddFailureIsCounted(t *testing.T) {
 	rd.mu.Unlock()
 	if kept {
 		t.Error("resume kept an fd the kernel refused")
+	}
+}
+
+// TestShmWinsCheapestPoll lists tcp ahead of shm in the table, then asks the
+// cost-based selector to choose: shm's microsecond poll hint must beat tcp's
+// hundred-microsecond readiness scan, exactly how the paper's "fastest
+// mechanism the link supports" rule is meant to fall out of measurements
+// rather than table order. The reactor is disabled because reactor-attached
+// methods all report the same near-zero idle cost (ties break by table
+// order); on the portable polling path the per-method hints differentiate.
+func TestShmWinsCheapestPoll(t *testing.T) {
+	if !shm.Supported() {
+		t.Skip("shm transport requires linux")
+	}
+	mk := func() *Context {
+		c, err := NewContext(Options{
+			Methods: []MethodConfig{
+				{Name: "tcp"},
+				{Name: "shm", Params: transport.Params{"dir": t.TempDir()}},
+			},
+			Selector:       CheapestPoll,
+			disableReactor: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		return c
+	}
+	server := mk()
+	client := mk()
+
+	var hits atomic.Int64
+	server.RegisterHandler("h", func(*Endpoint, *buffer.Buffer) { hits.Add(1) })
+	ep := server.NewEndpoint()
+	sp, err := TransferStartpoint(ep.NewStartpoint(), client)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sp.SelectMethod(); err != nil {
+		t.Fatal(err)
+	}
+	if m := sp.Method(); m != "shm" {
+		t.Fatalf("CheapestPoll selected %q, want shm", m)
+	}
+	if err := sp.RSR("h", nil); err != nil {
+		t.Fatal(err)
+	}
+	if !server.PollUntil(func() bool { return hits.Load() == 1 }, 5*time.Second) {
+		t.Fatal("RSR not delivered")
 	}
 }

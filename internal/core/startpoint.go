@@ -491,6 +491,10 @@ func (sp *Startpoint) encode(b *buffer.Buffer, withTables bool) {
 	}
 }
 
+// minTargetBytes is the smallest encoded startpoint target: context,
+// endpoint and the has-table flag.
+const minTargetBytes = 8 + 8 + 1
+
 // DecodeStartpoint rebuilds a startpoint from a buffer in this context.
 // Copying a startpoint this way creates fresh communication links: method
 // selection runs anew here, against this context's modules, when the
@@ -500,18 +504,23 @@ func (c *Context) DecodeStartpoint(b *buffer.Buffer) (*Startpoint, error) {
 	if err := b.Err(); err != nil {
 		return nil, fmt.Errorf("core: decoding startpoint: %w", err)
 	}
-	sp := &Startpoint{owner: c}
+	// The count is the peer's word; the input bounds what it can hold.
+	sp := &Startpoint{owner: c, targets: make([]*link, 0, min(n, b.Remaining()/minTargetBytes))}
 	for i := 0; i < n; i++ {
 		t := &link{
 			context:  transport.ContextID(b.Uint64()),
 			endpoint: b.Uint64(),
 		}
-		if b.Bool() {
+		switch flag := b.Byte(); flag {
+		case 0:
+		case 1:
 			table, err := transport.DecodeTable(b)
 			if err != nil {
 				return nil, fmt.Errorf("core: decoding startpoint target %d: %w", i, err)
 			}
 			t.table = table
+		default:
+			return nil, fmt.Errorf("core: decoding startpoint target %d: bad table flag %#x", i, flag)
 		}
 		if err := b.Err(); err != nil {
 			return nil, fmt.Errorf("core: decoding startpoint target %d: %w", i, err)

@@ -328,14 +328,15 @@ func TestAdaptiveTunerOnIdleWideArea(t *testing.T) {
 	}
 	defer m.Close()
 	node := m.Context(0)
-	stop := node.StartAdaptiveSkipPoll(core.AdaptiveConfig{Interval: time.Millisecond, MaxSkip: 128})
+	stop := node.StartAdaptiveSkipPoll()
 	defer stop()
 
+	const maxSkip = 1024 // the tuner's cap
 	deadline := time.Now().Add(5 * time.Second)
-	for node.SkipPoll("wan") != 128 && time.Now().Before(deadline) {
+	for node.SkipPoll("wan") != maxSkip && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if got := node.SkipPoll("wan"); got != 128 {
+	if got := node.SkipPoll("wan"); got != maxSkip {
 		t.Fatalf("idle wan not throttled: skip = %d", got)
 	}
 
@@ -350,10 +351,10 @@ func TestAdaptiveTunerOnIdleWideArea(t *testing.T) {
 		t.Fatal(err)
 	}
 	deadline = time.Now().Add(5 * time.Second)
-	for node.SkipPoll("wan") == 128 && time.Now().Before(deadline) {
+	for node.SkipPoll("wan") == maxSkip && time.Now().Before(deadline) {
 		node.Poll()
 	}
-	if got := node.SkipPoll("wan"); got >= 128 {
+	if got := node.SkipPoll("wan"); got >= maxSkip {
 		t.Errorf("wan skip after traffic = %d, want reduced", got)
 	}
 	if hits.Load() == 0 {

@@ -12,9 +12,10 @@
 //
 //	mpl:skip_poll=1,tcp:skip_poll=20:sndbuf=262144,udp:loss=0.01
 //
-// The reserved parameter keys are interpreted by the core rather than the
-// module: "skip_poll" (polling frequency divisor) and "blocking" (use
-// blocking detection). Everything else is passed to the module.
+// The reserved parameter key "skip_poll" (polling frequency divisor) is
+// interpreted by the core rather than the module. Everything else is passed
+// to the module. The key "blocking" is rejected: blocking detection was
+// removed, and every method is detected by the polling loop.
 //
 // A database maps context selectors to specs:
 //
@@ -83,11 +84,7 @@ func parseEntry(entry string) (core.MethodConfig, error) {
 			}
 			mc.SkipPoll = n
 		case "blocking":
-			b, err := strconv.ParseBool(v)
-			if err != nil {
-				return core.MethodConfig{}, fmt.Errorf("resource: bad blocking %q in %q", v, entry)
-			}
-			mc.Blocking = b
+			return core.MethodConfig{}, fmt.Errorf("resource: key blocking in %q: blocking detection was removed; every method is detected by the polling loop", entry)
 		default:
 			mc.Params[k] = v
 		}
@@ -105,9 +102,6 @@ func FormatSpec(methods []core.MethodConfig) string {
 		sb.WriteString(mc.Name)
 		if mc.SkipPoll > 1 {
 			fmt.Fprintf(&sb, ":skip_poll=%d", mc.SkipPoll)
-		}
-		if mc.Blocking {
-			sb.WriteString(":blocking=true")
 		}
 		keys := make([]string, 0, len(mc.Params))
 		for k := range mc.Params {

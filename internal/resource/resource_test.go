@@ -11,14 +11,14 @@ import (
 )
 
 func TestParseSpecBasic(t *testing.T) {
-	got, err := ParseSpec("mpl,tcp:skip_poll=20:sndbuf=262144,udp:loss=0.01:blocking=true")
+	got, err := ParseSpec("mpl,tcp:skip_poll=20:sndbuf=262144,udp:loss=0.01")
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := []core.MethodConfig{
 		{Name: "mpl", Params: transport.Params{}},
 		{Name: "tcp", SkipPoll: 20, Params: transport.Params{"sndbuf": "262144"}},
-		{Name: "udp", Blocking: true, Params: transport.Params{"loss": "0.01"}},
+		{Name: "udp", Params: transport.Params{"loss": "0.01"}},
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("ParseSpec:\n got %+v\nwant %+v", got, want)
@@ -40,11 +40,13 @@ func TestParseSpecWhitespaceAndEmpty(t *testing.T) {
 
 func TestParseSpecErrors(t *testing.T) {
 	bad := []string{
-		":x=1",                 // empty name
-		"tcp:novalue",          // malformed kv
-		"tcp:skip_poll=zero",   // bad skip_poll
-		"tcp:skip_poll=0",      // skip_poll < 1
-		"tcp:blocking=perhaps", // bad bool
+		":x=1",                       // empty name
+		"tcp:novalue",                // malformed kv
+		"tcp:skip_poll=zero",         // bad skip_poll
+		"tcp:skip_poll=0",            // skip_poll < 1
+		"tcp:blocking=perhaps",       // blocking detection is removed
+		"udp:blocking=true:loss=0.5", // ... whatever the value
+		"tcp:blocking=false",
 	}
 	for _, s := range bad {
 		if _, err := ParseSpec(s); err == nil {
@@ -53,10 +55,19 @@ func TestParseSpecErrors(t *testing.T) {
 	}
 }
 
+// TestParseSpecRejectsBlocking: a spec that selected blocking detection must
+// fail and say why, not parse into a method that is then never polled.
+func TestParseSpecRejectsBlocking(t *testing.T) {
+	_, err := ParseSpec("mpl,tcp:blocking=true")
+	if err == nil || !strings.Contains(err.Error(), "blocking detection was removed") {
+		t.Fatalf("ParseSpec(blocking=true) = %v, want the removal named", err)
+	}
+}
+
 func TestFormatSpecRoundTrip(t *testing.T) {
 	specs := []string{
 		"mpl,tcp:skip_poll=20:sndbuf=262144",
-		"udp:blocking=true:loss=0.5",
+		"udp:loss=0.5",
 		"local",
 	}
 	for _, s := range specs {

@@ -3,16 +3,14 @@
 // TCP is the paper's "expensive but universal" method: it reaches any
 // context with IP connectivity, but detecting inbound traffic requires a
 // select-like readiness scan whose cost dwarfs that of specialized methods.
-// This module reproduces both detection strategies discussed in the paper:
-//
-//   - poll mode (default): Poll performs a non-blocking readiness check on
-//     every inbound connection (a read with an immediate deadline — the Go
-//     equivalent of select). The per-poll cost grows with connection count
-//     and is orders of magnitude more expensive than an inproc poll, which is
-//     exactly the asymmetry that motivates skip_poll.
-//   - blocking mode: a goroutine per connection blocks in read and delivers
-//     frames directly to the sink (the paper's AIX 4.1 blocking-thread
-//     refinement); Poll then has nothing to do.
+// Poll performs a non-blocking read on every inbound connection (the
+// zero-timeout select(2) analogue). Its cost grows with connection count and
+// is orders of magnitude above an inproc poll, which is exactly the
+// asymmetry that motivates skip_poll. Where the context runs a readiness
+// reactor (Linux), AttachReactor hands the connections' fds to it, and the
+// polling loop probes the module only when the kernel reports data: the
+// reactor's one waiter goroutine is the paper's blocked detection thread,
+// for every socket-backed method at once.
 package tcp
 
 import (
@@ -46,7 +44,6 @@ type Module struct {
 	sndbuf     int
 	rcvbuf     int
 	maxPending int
-	blocking   bool
 
 	mu       sync.Mutex
 	env      transport.Env
@@ -57,7 +54,6 @@ type Module struct {
 	inited   bool
 	closed   bool
 	acceptWG sync.WaitGroup
-	readWG   sync.WaitGroup
 
 	// passMu serializes poll passes. Core already runs one pass at a time,
 	// but the module contract lets anyone call Poll at any time, and the
@@ -76,7 +72,10 @@ type Module struct {
 //	maxpending — per-connection cap on data frames queued behind an
 //	             in-flight write, in bytes (default 8 MiB; -1 = unbounded).
 //	             Control-class frames are never bounded.
-//	mode       — "poll" (default) or "block"
+//
+// Init rejects a "mode" other than "poll": the blocking-reader mode is
+// removed, and a context that relied on it would otherwise never poll for
+// its frames.
 func New(p transport.Params) *Module {
 	if p == nil {
 		p = transport.Params{}
@@ -88,7 +87,6 @@ func New(p transport.Params) *Module {
 		sndbuf:     p.Int("sndbuf", 0),
 		rcvbuf:     p.Int("rcvbuf", 0),
 		maxPending: p.Int("maxpending", 8<<20),
-		blocking:   p.Str("mode", "poll") == "block",
 	}
 }
 
@@ -101,6 +99,9 @@ func (m *Module) Init(env transport.Env) (*transport.Descriptor, error) {
 	defer m.mu.Unlock()
 	if m.inited {
 		return nil, fmt.Errorf("tcp: double Init for context %d", env.Context)
+	}
+	if mode := m.params.Str("mode", "poll"); mode != "poll" {
+		return nil, fmt.Errorf("tcp: mode %q: blocking-reader mode was removed; inbound frames are detected by the polling loop", mode)
 	}
 	ln, err := net.Listen("tcp", m.listen)
 	if err != nil {
@@ -140,12 +141,7 @@ func (m *Module) acceptLoop(ln net.Listener) {
 			// not lost.
 			ic.watch(m.rdy)
 		}
-		blocking, sink := m.blocking, m.env.Sink
 		m.mu.Unlock()
-		if blocking {
-			m.readWG.Add(1)
-			go m.blockingReader(ic, sink)
-		}
 	}
 }
 
@@ -163,20 +159,6 @@ func (m *Module) tune(c net.Conn) {
 	}
 	if m.rcvbuf > 0 {
 		_ = tc.SetReadBuffer(m.rcvbuf)
-	}
-}
-
-func (m *Module) blockingReader(ic *inConn, sink transport.Sink) {
-	defer m.readWG.Done()
-	sr := wire.NewStreamReader(ic.c)
-	for {
-		frame, err := sr.Next()
-		if err != nil {
-			ic.markDead()
-			return
-		}
-		sink.Deliver(frame)
-		bufpool.Put(frame) // Deliver borrows; the frame is ours to recycle
 	}
 }
 
@@ -231,8 +213,7 @@ func (m *Module) Dial(remote transport.Descriptor) (transport.Conn, error) {
 // monopolize the polling loop. A connection that consumed bytes without
 // completing a frame — a large frame still streaming in, or a pass that
 // stopped at the bound — counts as one unit of activity (transport.Reactive,
-// rule 1), so pollers keep probing instead of treating the pass as idle. In
-// blocking mode Poll returns immediately.
+// rule 1), so pollers keep probing instead of treating the pass as idle.
 func (m *Module) Poll() (int, error) {
 	m.passMu.Lock()
 	defer m.passMu.Unlock()
@@ -244,10 +225,6 @@ func (m *Module) Poll() (int, error) {
 	if m.closed {
 		m.mu.Unlock()
 		return 0, transport.ErrClosed
-	}
-	if m.blocking {
-		m.mu.Unlock()
-		return 0, nil
 	}
 	m.conns = append(m.conns[:0], m.inbound...)
 	sink := m.env.Sink
@@ -292,8 +269,7 @@ func (m *Module) reap() {
 // AttachReactor implements transport.Reactive: every inbound connection's fd
 // joins the reactor's watch set (the accept loop keeps the set current). The
 // listener itself needs no registration — accepts happen on a dedicated
-// blocked goroutine. Blocking mode reports ErrNotReactive: detection already
-// costs no polling there.
+// blocked goroutine.
 func (m *Module) AttachReactor(r transport.Readiness) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -302,9 +278,6 @@ func (m *Module) AttachReactor(r transport.Readiness) error {
 	}
 	if m.closed {
 		return transport.ErrClosed
-	}
-	if m.blocking {
-		return transport.ErrNotReactive
 	}
 	for _, ic := range m.inbound {
 		ic.watch(r)
@@ -351,39 +324,6 @@ func (m *Module) TransportStats() map[string]uint64 {
 // order of a system call per connection, far above an in-memory queue check.
 func (m *Module) PollCostHint() time.Duration { return 100 * time.Microsecond }
 
-// StartBlocking implements transport.Blocker: switches inbound detection to
-// per-connection blocked reader goroutines. Connections accepted so far get
-// readers; subsequent accepts start theirs automatically.
-func (m *Module) StartBlocking() error {
-	m.mu.Lock()
-	if !m.inited {
-		m.mu.Unlock()
-		return transport.ErrNotInitialized
-	}
-	if m.blocking {
-		m.mu.Unlock()
-		return nil
-	}
-	m.blocking = true
-	conns := make([]*inConn, len(m.inbound))
-	copy(conns, m.inbound)
-	sink := m.env.Sink
-	m.mu.Unlock()
-	for _, ic := range conns {
-		m.readWG.Add(1)
-		go m.blockingReader(ic, sink)
-	}
-	return nil
-}
-
-// StopBlocking implements transport.Blocker. Readers exit when their
-// connections close; new inbound connections go back to poll mode.
-func (m *Module) StopBlocking() {
-	m.mu.Lock()
-	m.blocking = false
-	m.mu.Unlock()
-}
-
 // Close shuts the listener and all inbound connections down.
 func (m *Module) Close() error {
 	m.mu.Lock()
@@ -416,7 +356,6 @@ func (m *Module) Close() error {
 		oc.tearDown()
 	}
 	m.acceptWG.Wait()
-	m.readWG.Wait()
 	return nil
 }
 
@@ -469,12 +408,6 @@ type inConn struct {
 	fd      int
 	watched bool
 	isDead  bool
-}
-
-func (ic *inConn) markDead() {
-	ic.mu.Lock()
-	ic.isDead = true
-	ic.mu.Unlock()
 }
 
 func (ic *inConn) dead() bool {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -84,64 +85,20 @@ func TestSendPollRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBlockingMode(t *testing.T) {
-	sink := &collect{}
-	recv, d := initModule(t, transport.Params{"mode": "block"}, 1, sink)
-	send, _ := initModule(t, nil, 2, &collect{})
-
-	c, err := send.Dial(d)
-	if err != nil {
-		t.Fatal(err)
+// TestInitRejectsBlockMode: the blocking-reader mode is removed, and a
+// module asked for it must refuse to start rather than silently wait for a
+// Poll its context may never make.
+func TestInitRejectsBlockMode(t *testing.T) {
+	m := New(transport.Params{"mode": "block"})
+	if _, err := m.Init(transport.Env{Context: 1, Sink: &collect{}}); err == nil || !strings.Contains(err.Error(), "blocking-reader mode was removed") {
+		t.Fatalf("Init(mode=block) = %v, want the removal named", err)
 	}
-	defer c.Close()
-	if err := c.Send([]byte("via-blocked-thread")); err != nil {
-		t.Fatal(err)
+	m.Close()
+	m = New(transport.Params{"mode": "poll"})
+	if _, err := m.Init(transport.Env{Context: 1, Sink: &collect{}}); err != nil {
+		t.Fatalf("Init(mode=poll) = %v", err)
 	}
-	// In blocking mode the frame arrives with no Poll at all.
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) && len(sink.snapshot()) == 0 {
-		time.Sleep(time.Millisecond)
-	}
-	got := sink.snapshot()
-	if len(got) != 1 || string(got[0]) != "via-blocked-thread" {
-		t.Fatalf("blocking delivery got %q", got)
-	}
-	// Poll is a no-op but must not error.
-	if n, err := recv.Poll(); n != 0 || err != nil {
-		t.Errorf("Poll in blocking mode = %d, %v", n, err)
-	}
-}
-
-func TestStartBlockingUpgradesExistingConns(t *testing.T) {
-	sink := &collect{}
-	recv, d := initModule(t, nil, 1, sink)
-	send, _ := initModule(t, nil, 2, &collect{})
-
-	c, err := send.Dial(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.Send([]byte("one")); err != nil {
-		t.Fatal(err)
-	}
-	pollUntil(t, recv, func() bool { return len(sink.snapshot()) == 1 })
-
-	if err := recv.StartBlocking(); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Send([]byte("two")); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) && len(sink.snapshot()) < 2 {
-		time.Sleep(time.Millisecond)
-	}
-	got := sink.snapshot()
-	if len(got) != 2 || string(got[1]) != "two" {
-		t.Fatalf("after StartBlocking got %q", got)
-	}
-	recv.StopBlocking()
+	m.Close()
 }
 
 func TestPartialFrameReassembly(t *testing.T) {

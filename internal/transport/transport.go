@@ -11,8 +11,8 @@
 // encodes selection preference ("fastest first").
 //
 // In the original Nexus the module interface was a C function table; in Go it
-// is simply an interface, with optional capabilities (blocking detection,
-// poll-cost hints) discovered by interface assertion.
+// is simply an interface, with optional capabilities (readiness-driven
+// detection, poll-cost hints) discovered by interface assertion.
 package transport
 
 import (
@@ -188,8 +188,8 @@ type Sink interface {
 	// borrows the slice for the duration of the call and must not retain it
 	// afterwards: the delivering module may recycle the frame's storage
 	// (bufpool) the moment Deliver returns. Deliver must be safe for
-	// concurrent use: a blocking-mode module calls it from its own
-	// goroutine.
+	// concurrent use: local delivers on the sender's goroutine, beside
+	// whichever goroutine is running the polling loop.
 	Deliver(frame []byte)
 }
 
@@ -264,15 +264,6 @@ type Module interface {
 	Poll() (int, error)
 	// Close shuts the module down and releases its resources.
 	Close() error
-}
-
-// Blocker is an optional capability: a module that can detect inbound
-// communication with a blocked thread instead of polling (the paper's AIX 4.1
-// refinement). StartBlocking launches the module's own detection goroutine;
-// after it returns, the polling loop may skip this module entirely.
-type Blocker interface {
-	StartBlocking() error
-	StopBlocking()
 }
 
 // Readiness is the registration surface a readiness reactor offers a

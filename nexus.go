@@ -11,7 +11,8 @@
 // per link, automatically or manually, from the communication descriptor
 // table that travels with every startpoint; detection of incoming traffic
 // across all enabled methods is unified in one polling loop with per-method
-// skip_poll control, blocking-thread detection, and forwarding.
+// skip_poll control, readiness-driven detection of socket-backed methods
+// (Linux epoll), and forwarding.
 //
 // This package is the public facade: it re-exports the core API
 // (internal/core), the typed buffers (internal/buffer), the transport

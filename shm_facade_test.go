@@ -74,53 +74,6 @@ func TestShmSelectedForSameHostPeer(t *testing.T) {
 	}
 }
 
-// TestShmWinsCheapestPoll lists tcp ahead of shm in the table, then asks the
-// cost-based selector to choose: shm's microsecond poll hint must beat tcp's
-// hundred-microsecond readiness scan, exactly how the paper's "fastest
-// mechanism the link supports" rule is meant to fall out of measurements
-// rather than table order. The reactor is disabled because reactor-attached
-// methods all report the same near-zero idle cost (ties break by table
-// order); on the portable polling path the per-method hints differentiate.
-func TestShmWinsCheapestPoll(t *testing.T) {
-	if !shm.Supported() {
-		t.Skip("shm transport requires linux")
-	}
-	mk := func() *nexus.Context {
-		c, err := nexus.NewContext(nexus.Options{
-			Methods:        shmMethods(t, "tcp", "shm"),
-			Selector:       nexus.CheapestPoll,
-			DisableReactor: true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { c.Close() })
-		return c
-	}
-	server := mk()
-	client := mk()
-
-	var hits atomic.Int64
-	server.RegisterHandler("h", func(*nexus.Endpoint, *nexus.Buffer) { hits.Add(1) })
-	ep := server.NewEndpoint()
-	sp, err := nexus.TransferStartpoint(ep.NewStartpoint(), client)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sp.SelectMethod(); err != nil {
-		t.Fatal(err)
-	}
-	if m := sp.Method(); m != "shm" {
-		t.Fatalf("CheapestPoll selected %q, want shm", m)
-	}
-	if err := sp.RSR("h", nil); err != nil {
-		t.Fatal(err)
-	}
-	if !server.PollUntil(func() bool { return hits.Load() == 1 }, 5*time.Second) {
-		t.Fatal("RSR not delivered")
-	}
-}
-
 // TestShmBulkThroughCore pushes a payload far beyond one ring message limit
 // through the facade: the core must fragment it over shm and reassemble it
 // on the far side.
