@@ -221,11 +221,10 @@ func (n *Node) Join(seedTable *transport.Table, seedEP uint64) error {
 		return fmt.Errorf("cluster: node %d has left", n.ctx.ID())
 	}
 	sp := n.startpointLocked(seed, seedEP, seedTable)
-	digest, next := n.reg.Digest(n.digestPos, maxDigest)
-	n.digestPos = next
-	self := n.self
+	msg := n.digestMsgLocked()
 	n.mu.Unlock()
-	err := n.sendDigest(sp, self, digest)
+	err := n.sendDigest(sp, msg)
+	digestMsgs.Put(msg)
 	n.noteSend(seed, err)
 	if err != nil {
 		return fmt.Errorf("cluster: join via context %d: %w", seed, err)
@@ -259,12 +258,13 @@ func (n *Node) Leave() {
 		targets = append(targets, n.startpointLocked(p.Origin, p.GossipEP, p.Table))
 	}
 	n.mu.Unlock()
+	// One message serves every target: RSR copies the buffer it sends.
 	tombs := []names.Record{tomb}
+	b := buffer.New(16 + recordsLen(tombs))
+	b.PutUint64(uint64(tomb.Origin))
+	b.PutUint64(tomb.GossipEP)
+	names.EncodeRecords(b, tombs)
 	for _, sp := range targets {
-		b := buffer.New(16 + recordsLen(tombs))
-		b.PutUint64(uint64(tomb.Origin))
-		b.PutUint64(tomb.GossipEP)
-		names.EncodeRecords(b, tombs)
 		_ = sp.RSR(handlerPush, b)
 	}
 	n.ctx.Stats().Counter("cluster.leave").Inc()
@@ -295,9 +295,7 @@ func (n *Node) Step() {
 		probe  bool
 	}
 	peers := n.livePeersLocked(n.cfg.fanout)
-	digest, next := n.reg.Digest(n.digestPos, maxDigest)
-	n.digestPos = next
-	self := n.self
+	msg := n.digestMsgLocked()
 	targets := make([]dst, 0, len(peers)+1)
 	for _, p := range peers {
 		targets = append(targets, dst{sp: n.startpointLocked(p.Origin, p.GossipEP, p.Table), origin: p.Origin})
@@ -326,7 +324,7 @@ func (n *Node) Step() {
 	}
 	n.mu.Unlock()
 	for _, t := range targets {
-		err := n.sendDigest(t.sp, self, digest)
+		err := n.sendDigest(t.sp, msg)
 		if t.probe {
 			if err != nil {
 				n.invalidateStartpoint(t.origin)
@@ -335,6 +333,7 @@ func (n *Node) Step() {
 			n.noteSend(t.origin, err)
 		}
 	}
+	digestMsgs.Put(msg)
 	// Send outcomes are fresh failure-detector evidence (suspects set or
 	// cleared); fold them into mesh routes now rather than a round later —
 	// this is what lets a route heal in the same round its relay's death
@@ -588,17 +587,33 @@ func (n *Node) noteSend(origin transport.ContextID, err error) {
 	}
 }
 
-// sendDigest ships one digest message: [from][fromEP][self record][digest].
-// The buffer is sized to the whole message: 16 B of ids, the record batch,
-// the digest's 20 fixed bytes and 24 B per entry.
-func (n *Node) sendDigest(sp *core.Startpoint, self names.Record, d names.Digest) error {
-	recs := []names.Record{self}
-	b := buffer.New(16 + recordsLen(recs) + 20 + 24*len(d.Entries))
-	b.PutUint64(uint64(self.Origin))
-	b.PutUint64(self.GossipEP)
+// digestMsgs recycles digest messages: RSR copies the buffer it sends, so a
+// round's message is free again once its sends have returned.
+var digestMsgs sync.Pool
+
+// digestMsgLocked builds a round's digest message — [from][fromEP][self
+// record][digest], the digest packed straight from the registry at the
+// rotating window cursor — and advances the cursor. One message serves every
+// target of the round; the caller hands it back to digestMsgs after the
+// sends. A new buffer is sized to the whole message: 16 B of ids, the record
+// batch, the digest's 20 fixed bytes and 24 B per entry.
+func (n *Node) digestMsgLocked() *buffer.Buffer {
+	recs := []names.Record{n.self}
+	b, _ := digestMsgs.Get().(*buffer.Buffer)
+	if b == nil {
+		b = buffer.New(16 + recordsLen(recs) + 20 + 24*min(n.reg.Len(), maxDigest))
+	}
+	b.Reset()
+	b.PutUint64(uint64(n.self.Origin))
+	b.PutUint64(n.self.GossipEP)
 	names.EncodeRecords(b, recs)
-	d.Encode(b)
-	err := sp.RSR(handlerDigest, b)
+	n.digestPos = n.reg.AppendDigest(b, n.digestPos, maxDigest)
+	return b
+}
+
+// sendDigest ships one digest message built by digestMsgLocked.
+func (n *Node) sendDigest(sp *core.Startpoint, msg *buffer.Buffer) error {
+	err := sp.RSR(handlerDigest, msg)
 	if err == nil {
 		n.ctx.Stats().Counter("cluster.digest.tx").Inc()
 	}
@@ -614,6 +629,11 @@ func (n *Node) replyTo(from transport.ContextID, fromEP uint64, senderTable *tra
 	return n.startpointLocked(from, fromEP, senderTable)
 }
 
+// digestScratch holds the digests onDigest decodes into. Each handler call
+// takes its own, so concurrent deliveries on a threaded context never share
+// one, and an honest digest lands in storage an earlier one left behind.
+var digestScratch = sync.Pool{New: func() any { return new(names.Digest) }}
+
 // onDigest answers a digest with the delta the sender lacks and a want-list
 // push request for what we lack (rolled into the same delta message).
 func (n *Node) onDigest(_ *core.Endpoint, b *buffer.Buffer) {
@@ -624,8 +644,9 @@ func (n *Node) onDigest(_ *core.Endpoint, b *buffer.Buffer) {
 		n.ctx.Stats().Counter("cluster.decode.errors").Inc()
 		return
 	}
-	digest, err := names.DecodeDigest(b)
-	if err != nil {
+	digest := digestScratch.Get().(*names.Digest)
+	defer digestScratch.Put(digest)
+	if err := digest.Decode(b); err != nil {
 		n.ctx.Stats().Counter("cluster.decode.errors").Inc()
 		return
 	}
@@ -637,7 +658,7 @@ func (n *Node) onDigest(_ *core.Endpoint, b *buffer.Buffer) {
 		}
 	}
 	n.reg.MergeAll(recs)
-	delta, wants := n.reg.DeltaFor(digest, maxDelta)
+	delta, wants := n.reg.DeltaFor(*digest, maxDelta)
 	// Never ship the sender its own record back: it is the authority on it
 	// (and during a leave push race, echoing it would be pure noise).
 	trimmed := delta[:0]
@@ -772,15 +793,12 @@ func (n *Node) ObserveInto(s *obsv.Snapshot) {
 	s.Cluster = out
 }
 
-// recordsLen is the size names.EncodeRecords packs recs into: a 4 B count,
-// then per record 29 fixed bytes, its partition and its table.
+// recordsLen is the size names.EncodeRecords packs recs into: a 4 B count
+// and the records.
 func recordsLen(recs []names.Record) int {
 	n := 4
 	for _, r := range recs {
-		n += 29 + len(r.Partition)
-		if r.Table != nil {
-			n += r.Table.EncodedLen()
-		}
+		n += r.EncodedLen()
 	}
 	return n
 }

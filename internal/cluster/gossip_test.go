@@ -252,6 +252,64 @@ func TestConcurrentAttach(t *testing.T) {
 	}
 }
 
+// TestConcurrentDigests delivers digests from two senders to one agent on a
+// threaded context, from two goroutines at once. Dispatch lanes serialize the
+// frames of one endpoint, so the goroutines call the handler directly, as two
+// lanes would: each call must judge its own digest, never one a concurrent
+// call decoded (the race detector flags shared scratch), and every sender
+// must end up with its records wanted and merged.
+func TestConcurrentDigests(t *testing.T) {
+	exchange := transport.Params{"exchange": "concurrent-digests"}
+	tc, err := core.NewContext(core.Options{Threaded: true, Methods: []core.MethodConfig{{Name: "inproc", Params: exchange}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tc.Close()
+	target := Attach(tc, NodeConfig{})
+	var senders [2]*Node
+	want := 1
+	for i := range senders {
+		c := newDynCtx(t, exchange)
+		defer c.Close()
+		// The sender can answer the target without a gossip round of its own.
+		c.RefreshPeerTable(tc.AdvertisedTable())
+		senders[i] = Attach(c, NodeConfig{})
+		// Records the target lacks, a different number per sender, so the
+		// two digests differ in length and in what they make the target want.
+		for o := 0; o < 20*(i+1); o++ {
+			senders[i].reg.Merge(names.Record{Origin: transport.ContextID(1_000_000*(i+1) + o), Seq: 1, Partition: "x"})
+		}
+		want += senders[i].reg.Len()
+	}
+	var wg sync.WaitGroup
+	for _, s := range senders {
+		wg.Add(1)
+		go func(s *Node) {
+			defer wg.Done()
+			for r := 0; r < 200; r++ {
+				s.mu.Lock()
+				msg := s.digestMsgLocked()
+				s.mu.Unlock()
+				target.onDigest(nil, msg)
+			}
+		}(s)
+	}
+	wg.Wait()
+	if errs := tc.Stats().Counter("cluster.decode.errors").Load(); errs != 0 {
+		t.Fatalf("%d digests failed to decode", errs)
+	}
+	// The senders answer the target's want-lists with pushes.
+	merged := func() bool {
+		for _, s := range senders {
+			s.ctx.Poll()
+		}
+		return target.reg.Len() == want
+	}
+	if !tc.PollUntil(merged, 5*time.Second) {
+		t.Fatalf("target holds %d records, want %d", target.reg.Len(), want)
+	}
+}
+
 // newDynCtx builds a bare context (no agent) on the given inproc exchange.
 func newDynCtx(t *testing.T, params transport.Params) *core.Context {
 	t.Helper()

@@ -125,9 +125,14 @@ func (m *outMsg) trace() obsv.TraceID { return obsv.TraceID(m.ext.Trace) }
 var errRouteLoop = errors.New("core: only route points back at the previous hop")
 
 // relayHop reports the next-hop relay context a descriptor routes through
-// (0 for a direct descriptor).
+// (0 for a direct descriptor). A direct descriptor has no relay attribute
+// and is answered without parsing, which would allocate an error each bind.
 func relayHop(d transport.Descriptor) uint64 {
-	v, _ := strconv.ParseUint(d.Attr(transport.AttrRelay), 10, 64)
+	s := d.Attr(transport.AttrRelay)
+	if s == "" {
+		return 0
+	}
+	v, _ := strconv.ParseUint(s, 10, 64)
 	return v
 }
 

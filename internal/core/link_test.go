@@ -267,3 +267,26 @@ func TestLinkSupervisionParity(t *testing.T) {
 		})
 	}
 }
+
+// TestRelayHop pins how a descriptor's relay attribute reads: a relayed
+// descriptor names its hop, a direct one reads 0 without allocating (every
+// bind asks), and a malformed value reads 0.
+func TestRelayHop(t *testing.T) {
+	relayed := transport.NewTable(transport.Descriptor{Method: "tcp", Context: 1, Attrs: map[string]string{transport.AttrRelay: "77"}})
+	direct := transport.NewTable(transport.Descriptor{Method: "tcp", Context: 1, Attrs: map[string]string{"addr": "127.0.0.1:1"}})
+	bad := transport.NewTable(transport.Descriptor{Method: "tcp", Context: 1, Attrs: map[string]string{transport.AttrRelay: "x7"}})
+	if got := relayHop(relayed.Entries[0]); got != 77 {
+		t.Errorf("relayed descriptor hop = %d, want 77", got)
+	}
+	if got := relayHop(bad.Entries[0]); got != 0 {
+		t.Errorf("malformed relay attribute reads %d, want 0", got)
+	}
+	d := direct.Entries[0]
+	if avg := testing.AllocsPerRun(100, func() {
+		if relayHop(d) != 0 {
+			t.Fatal("direct descriptor has a relay hop")
+		}
+	}); avg != 0 {
+		t.Errorf("relayHop of a direct descriptor allocates %.1f times, want 0", avg)
+	}
+}

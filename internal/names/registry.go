@@ -118,11 +118,21 @@ func (r Record) equal(o Record) bool {
 	return r.Table == o.Table || r.Table.Equal(o.Table)
 }
 
+// EncodedLen is the size of the record's encoding: 29 fixed bytes, its
+// partition and its table.
+func (r Record) EncodedLen() int {
+	n := 29 + len(r.Partition)
+	if r.Table != nil {
+		n += r.Table.EncodedLen()
+	}
+	return n
+}
+
 // canonical returns the record's canonical encoding. It is little-endian
 // whatever the host's byte order, so contexts on hosts of either order hash
 // a record alike and break a tie the same way.
 func (r Record) canonical() []byte {
-	b := buffer.NewFormat(buffer.LittleEndian, 128)
+	b := buffer.NewFormat(buffer.LittleEndian, r.EncodedLen())
 	r.encode(b)
 	return b.Bytes()
 }
@@ -169,32 +179,42 @@ func (d Digest) Encode(b *buffer.Buffer) {
 	}
 }
 
-// DecodeDigest unpacks a digest, validating the count against the bytes
-// actually present.
+// DecodeDigest unpacks a digest into fresh storage.
 func DecodeDigest(b *buffer.Buffer) (Digest, error) {
-	d := Digest{
-		Lo: transport.ContextID(b.Uint64()),
-		Hi: transport.ContextID(b.Uint64()),
-	}
+	var d Digest
+	err := d.Decode(b)
+	return d, err
+}
+
+// Decode unpacks a digest into d, validating the count against the bytes
+// actually present. The entries land in d.Entries' storage when it has room
+// for them, so a receiver that keeps a Digest as scratch decodes a digest no
+// longer than the last without allocating.
+func (d *Digest) Decode(b *buffer.Buffer) error {
+	d.Lo = transport.ContextID(b.Uint64())
+	d.Hi = transport.ContextID(b.Uint64())
 	n := int(b.Uint32())
 	if err := b.Err(); err != nil {
-		return d, fmt.Errorf("names: decoding digest: %w", err)
+		return fmt.Errorf("names: decoding digest: %w", err)
 	}
 	if n > maxDigestEntries || n*24 > b.Remaining() {
-		return d, fmt.Errorf("names: digest count %d cannot fit in %d bytes", n, b.Remaining())
+		return fmt.Errorf("names: digest count %d cannot fit in %d bytes", n, b.Remaining())
 	}
-	d.Entries = make([]DigestEntry, 0, n)
-	for i := 0; i < n; i++ {
-		d.Entries = append(d.Entries, DigestEntry{
+	if cap(d.Entries) < n {
+		d.Entries = make([]DigestEntry, n)
+	}
+	d.Entries = d.Entries[:n]
+	for i := range d.Entries {
+		d.Entries[i] = DigestEntry{
 			Origin: transport.ContextID(b.Uint64()),
 			Seq:    b.Uint64(),
 			Hash:   b.Uint64(),
-		})
+		}
 	}
 	if err := b.Err(); err != nil {
-		return d, fmt.Errorf("names: decoding digest entries: %w", err)
+		return fmt.Errorf("names: decoding digest entries: %w", err)
 	}
-	return d, nil
+	return nil
 }
 
 // EncodeRecords packs a record batch.
@@ -243,6 +263,22 @@ type stored struct {
 	gen  uint64
 }
 
+// search returns the index of origin's entry in s, which ascends by origin,
+// or the index it would be inserted at. It is slices.BinarySearchFunc
+// written out, so that it inlines: it runs for every record merged.
+func search(s []stored, origin transport.ContextID) (int, bool) {
+	i, j := 0, len(s)
+	for i < j {
+		h := int(uint(i+j) >> 1)
+		if s[h].rec.Origin < origin {
+			i = h + 1
+		} else {
+			j = h
+		}
+	}
+	return i, i < len(s) && s[i].rec.Origin == origin
+}
+
 // fpMix folds one record's identity into the registry fingerprint. XOR of
 // per-record mixes makes the fingerprint order-independent and incrementally
 // maintainable under replacement.
@@ -252,23 +288,21 @@ func fpMix(origin transport.ContextID, seq, hash uint64) uint64 {
 
 // Registry is the versioned membership/descriptor table a gossip agent
 // maintains: one Record per origin, merged under the deterministic order
-// described above. order holds every origin in ascending order; Merge
+// described above. The records live in one slice sorted by origin; Merge
 // inserts an origin the first time it sees one, and nothing removes one,
-// because a departed origin keeps its tombstone. Every origin-ordered read
-// (Live, Snapshot, ChangedSince, Digest, DeltaFor) is therefore a walk of
-// order, never a sort. All methods are safe for concurrent use.
+// because a departed origin keeps its tombstone. A lookup is a binary
+// search, and every origin-ordered read (Live, Snapshot, ChangedSince,
+// Digest, DeltaFor) is a walk of contiguous memory, never a sort or a hash
+// lookup. All methods are safe for concurrent use.
 type Registry struct {
-	mu    sync.RWMutex
-	recs  map[transport.ContextID]stored
-	order []transport.ContextID
-	gen   uint64 // bumped on every applied change; stamps stored.gen
-	fp    uint64 // order-independent content fingerprint (Fingerprint)
+	mu  sync.RWMutex
+	s   []stored // ascending by origin
+	gen uint64   // bumped on every applied change; stamps stored.gen
+	fp  uint64   // order-independent content fingerprint (Fingerprint)
 }
 
 // NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{recs: make(map[transport.ContextID]stored)}
-}
+func NewRegistry() *Registry { return &Registry{} }
 
 // Merge folds one record in and reports whether it changed the table. The
 // outcome is independent of delivery order, duplication, and interleaving
@@ -276,40 +310,7 @@ func NewRegistry() *Registry {
 // live record; and two same-kind records at the same Seq are ordered by
 // their canonical encodings, so every registry picks the same winner.
 func (r *Registry) Merge(rec Record) bool {
-	// A version older than the one held, or an identical re-delivery, loses
-	// whatever its content, so gossip's repeats are turned away before they
-	// cost an encoding.
-	r.mu.RLock()
-	cur, ok := r.recs[rec.Origin]
-	r.mu.RUnlock()
-	if ok && loses(rec, cur.rec) {
-		return false
-	}
-	enc := rec.canonical()
-	h := fnv.New64a()
-	h.Write(enc)
-	hash := h.Sum64()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	cur, ok = r.recs[rec.Origin]
-	if ok {
-		if loses(rec, cur.rec) {
-			return false
-		}
-		// Same version and kind, different content: the held record is
-		// encoded only now, for the byte tie-break.
-		if rec.Seq == cur.rec.Seq && rec.Tombstone == cur.rec.Tombstone && bytes.Compare(enc, cur.rec.canonical()) <= 0 {
-			return false
-		}
-		r.fp ^= fpMix(rec.Origin, cur.rec.Seq, cur.hash)
-	} else {
-		i, _ := slices.BinarySearch(r.order, rec.Origin)
-		r.order = slices.Insert(r.order, i, rec.Origin)
-	}
-	r.gen++
-	r.recs[rec.Origin] = stored{rec: rec, hash: hash, gen: r.gen}
-	r.fp ^= fpMix(rec.Origin, rec.Seq, hash)
-	return true
+	return r.MergeAll([]Record{rec}) == 1
 }
 
 // loses reports whether rec loses to the held record cur without comparing
@@ -326,23 +327,90 @@ func loses(rec, cur Record) bool {
 	}
 }
 
-// MergeAll folds a batch in and reports how many records were applied.
+// MergeAll folds a batch in, record by record as Merge would, and reports
+// how many records were applied. Origins new to the registry are gathered in
+// order and merged into the slice in one pass (insert), not inserted one by
+// one.
 func (r *Registry) MergeAll(recs []Record) int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	applied := 0
+	var fresh []stored // origins r.s lacks, ascending
 	for _, rec := range recs {
-		if r.Merge(rec) {
+		held := r.s
+		i, ok := search(held, rec.Origin)
+		if !ok {
+			held = fresh
+			if i, ok = search(held, rec.Origin); !ok {
+				if fresh == nil {
+					fresh = make([]stored, 0, len(recs))
+				}
+				fresh = slices.Insert(fresh, i, stored{})
+				held = fresh
+			}
+		}
+		if r.apply(&held[i], rec, ok) {
 			applied++
 		}
 	}
+	r.insert(fresh)
 	return applied
+}
+
+// apply writes rec over cur — the entry held for rec's origin when held is
+// set, a new one otherwise — if rec wins, keeping the fingerprint and the
+// generation current.
+func (r *Registry) apply(cur *stored, rec Record, held bool) bool {
+	// A repeat — an older version, or an identical re-delivery — loses
+	// whatever its content, so gossip's repeats are turned away before they
+	// cost an encoding.
+	if held && loses(rec, cur.rec) {
+		return false
+	}
+	enc := rec.canonical()
+	if held {
+		// Same version and kind, different content: the held record is
+		// encoded only now, for the byte tie-break.
+		if rec.Seq == cur.rec.Seq && rec.Tombstone == cur.rec.Tombstone && bytes.Compare(enc, cur.rec.canonical()) <= 0 {
+			return false
+		}
+		r.fp ^= fpMix(cur.rec.Origin, cur.rec.Seq, cur.hash)
+	}
+	h := fnv.New64a()
+	h.Write(enc)
+	r.gen++
+	*cur = stored{rec: rec, hash: h.Sum64(), gen: r.gen}
+	r.fp ^= fpMix(rec.Origin, rec.Seq, cur.hash)
+	return true
+}
+
+// insert merges fresh, ascending origins that r.s lacks, into r.s from the
+// back, so every held record moves once however many origins arrive.
+func (r *Registry) insert(fresh []stored) {
+	if len(fresh) == 0 {
+		return
+	}
+	i := len(r.s) - 1
+	r.s = slices.Grow(r.s, len(fresh))[:len(r.s)+len(fresh)]
+	for j, k := len(fresh)-1, len(r.s)-1; j >= 0; k-- {
+		if i >= 0 && r.s[i].rec.Origin > fresh[j].rec.Origin {
+			r.s[k] = r.s[i]
+			i--
+		} else {
+			r.s[k] = fresh[j]
+			j--
+		}
+	}
 }
 
 // Get returns the record for an origin.
 func (r *Registry) Get(origin transport.ContextID) (Record, bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	s, ok := r.recs[origin]
-	return s.rec, ok
+	if i, ok := search(r.s, origin); ok {
+		return r.s[i].rec, true
+	}
+	return Record{}, false
 }
 
 // Fingerprint returns an order-independent digest of the registry's full
@@ -361,7 +429,7 @@ func (r *Registry) Fingerprint() uint64 {
 func (r *Registry) Len() int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return len(r.recs)
+	return len(r.s)
 }
 
 // Live returns every non-tombstone record, sorted by origin.
@@ -378,9 +446,9 @@ func (r *Registry) records(tombstones, live bool) []Record {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	var out []Record
-	for _, o := range r.order {
-		if s := r.recs[o]; s.rec.Tombstone && tombstones || !s.rec.Tombstone && live {
-			out = append(out, s.rec)
+	for i := range r.s {
+		if rec := &r.s[i].rec; rec.Tombstone && tombstones || !rec.Tombstone && live {
+			out = append(out, *rec)
 		}
 	}
 	return out
@@ -392,9 +460,9 @@ func (r *Registry) records(tombstones, live bool) []Record {
 func (r *Registry) LiveOrigins(dst []transport.ContextID) []transport.ContextID {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	for _, o := range r.order {
-		if !r.recs[o].rec.Tombstone {
-			dst = append(dst, o)
+	for i := range r.s {
+		if rec := &r.s[i].rec; !rec.Tombstone {
+			dst = append(dst, rec.Origin)
 		}
 	}
 	return dst
@@ -412,8 +480,8 @@ func (r *Registry) ChangedSince(gen uint64) (recs []Record, hashes []uint64, now
 	if gen == r.gen {
 		return nil, nil, gen
 	}
-	for _, o := range r.order {
-		if s := r.recs[o]; s.gen > gen {
+	for i := range r.s {
+		if s := &r.s[i]; s.gen > gen {
 			recs = append(recs, s.rec)
 			hashes = append(hashes, s.hash)
 		}
@@ -436,39 +504,66 @@ func (r *Registry) Equal(o *Registry) bool {
 	return true
 }
 
+// window picks what a digest of at most limit records starting at rotation
+// index start covers: its bounds, the records it lists — head then tail, so
+// the entries ascend even when the window wraps past the highest origin —
+// and the index the next round starts at. When the whole table fits, the
+// window spans the full keyspace, so the receiver knows the entry list is
+// exhaustive; otherwise it tightly brackets the included origins
+// (circularly) and successive rounds sweep the table. This is what keeps
+// gossip rounds bounded at thousand-context scale: a round's digest never
+// exceeds limit entries no matter how large the cluster grows.
+func (r *Registry) window(start, limit int) (lo, hi transport.ContextID, head, tail []stored, next int) {
+	n := len(r.s)
+	if limit <= 0 || limit >= n {
+		return 0, math.MaxUint64, nil, r.s, 0
+	}
+	start %= n
+	end := start + limit
+	if end <= n {
+		return r.s[start].rec.Origin, r.s[end-1].rec.Origin, nil, r.s[start:end], end % n
+	}
+	end -= n
+	return r.s[start].rec.Origin, r.s[end-1].rec.Origin, r.s[:end], r.s[start:], end
+}
+
 // Digest summarizes up to limit records starting at the given rotation index
-// into the registry's sorted origin list, and returns the index where the
-// next round should start. When the whole table fits, the window spans the
-// full keyspace so the receiver knows the entry list is exhaustive;
-// otherwise the window tightly brackets the included origins (circularly)
-// and successive rounds sweep the table. This is what keeps gossip rounds
-// bounded at thousand-context scale: a round's digest never exceeds limit
-// entries no matter how large the cluster grows.
+// into the registry's origin order (see window), and returns the index where
+// the next round should start.
 func (r *Registry) Digest(start, limit int) (Digest, int) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	n := len(r.order)
-	if n == 0 {
-		return Digest{Lo: 0, Hi: math.MaxUint64}, 0
+	lo, hi, head, tail, next := r.window(start, limit)
+	d := Digest{Lo: lo, Hi: hi, Entries: make([]DigestEntry, 0, len(head)+len(tail))}
+	for _, part := range [2][]stored{head, tail} {
+		for i := range part {
+			s := &part[i]
+			d.Entries = append(d.Entries, DigestEntry{Origin: s.rec.Origin, Seq: s.rec.Seq, Hash: s.hash})
+		}
 	}
-	full := limit <= 0 || limit >= n
-	if full {
-		start, limit = 0, n
+	return d, next
+}
+
+// AppendDigest packs the digest Digest(start, limit) would return into b,
+// exactly as Digest.Encode packs it, straight from the registry with no
+// entry slice in between, and returns the index where the next round should
+// start.
+func (r *Registry) AppendDigest(b *buffer.Buffer, start, limit int) (next int) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	lo, hi, head, tail, next := r.window(start, limit)
+	b.PutUint64(uint64(lo))
+	b.PutUint64(uint64(hi))
+	b.PutUint32(uint32(len(head) + len(tail)))
+	for _, part := range [2][]stored{head, tail} {
+		for i := range part {
+			s := &part[i]
+			b.PutUint64(uint64(s.rec.Origin))
+			b.PutUint64(s.rec.Seq)
+			b.PutUint64(s.hash)
+		}
 	}
-	start %= n
-	d := Digest{Entries: make([]DigestEntry, 0, limit)}
-	for i := 0; i < limit; i++ {
-		o := r.order[(start+i)%n]
-		s := r.recs[o]
-		d.Entries = append(d.Entries, DigestEntry{Origin: o, Seq: s.rec.Seq, Hash: s.hash})
-	}
-	if full {
-		d.Lo, d.Hi = 0, math.MaxUint64
-		return d, 0
-	}
-	d.Lo = d.Entries[0].Origin
-	d.Hi = d.Entries[limit-1].Origin
-	return d, (start + limit) % n
+	return next
 }
 
 // DeltaFor computes the responder half of a push-pull round: the records we
@@ -477,11 +572,12 @@ func (r *Registry) Digest(start, limit int) (Digest, int) {
 // lowest origins first), plus the ascending origins where the digest is
 // ahead of us — the want-list the requester answers with a push.
 //
-// It walks our origin order and the digest's entries side by side. Digest
-// emits entries in origin order except across a wrapped window, and a
-// decoded digest is not checked, so out-of-order entries are walked from a
-// stably sorted copy. An origin listed more than once is judged by its last
-// entry, and each of its entries ahead of us is wanted.
+// It walks our records and the digest's entries side by side. Digest and
+// AppendDigest emit entries in ascending origin order, wrapped windows
+// included, but a decoded digest is not checked, so out-of-order entries are
+// walked from a stably sorted copy. An origin listed more than once is
+// judged by its last entry, and each of its entries ahead of us is wanted.
+// A digest that agrees with the registry costs no allocation.
 func (r *Registry) DeltaFor(d Digest, maxDelta int) (delta []Record, wants []transport.ContextID) {
 	es := d.Entries
 	byOrigin := func(a, b DigestEntry) int { return cmp.Compare(a.Origin, b.Origin) }
@@ -492,7 +588,9 @@ func (r *Registry) DeltaFor(d Digest, maxDelta int) (delta []Record, wants []tra
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	i := 0
-	for _, o := range r.order {
+	for k := range r.s {
+		s := &r.s[k]
+		o := s.rec.Origin
 		for ; i < len(es) && es[i].Origin < o; i++ {
 			wants = append(wants, es[i].Origin) // an origin we do not hold
 		}
@@ -500,7 +598,6 @@ func (r *Registry) DeltaFor(d Digest, maxDelta int) (delta []Record, wants []tra
 		for j < len(es) && es[j].Origin == o {
 			j++
 		}
-		s := r.recs[o]
 		for _, e := range es[i:j] {
 			if e.Seq > s.rec.Seq {
 				wants = append(wants, o)
@@ -532,8 +629,8 @@ func (r *Registry) RecordsFor(origins []transport.ContextID, max int) []Record {
 	out := make([]Record, 0, len(origins))
 	r.mu.RLock()
 	for _, o := range origins {
-		if s, ok := r.recs[o]; ok {
-			out = append(out, s.rec)
+		if i, ok := search(r.s, o); ok {
+			out = append(out, r.s[i].rec)
 			if max > 0 && len(out) == max {
 				break
 			}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"hash/fnv"
 	"math"
+	"math/rand"
 	"slices"
 	"sort"
 	"testing"
@@ -348,8 +349,8 @@ func TestRecordEqualMatchesCanonical(t *testing.T) {
 	}
 }
 
-// TestDigestAllocs pins a full digest to its entries slice: no origin list,
-// no sort.
+// TestDigestAllocs pins a round's digest to the bytes of its message:
+// encoding a 400-record digest into a buffer sized for it allocates nothing.
 func TestDigestAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under -race")
@@ -358,8 +359,134 @@ func TestDigestAllocs(t *testing.T) {
 	for o := uint64(1); o <= 400; o++ {
 		r.Merge(Record{Origin: transport.ContextID(o), Seq: 1, Table: tbl("mpl", o, nil)})
 	}
-	if avg := testing.AllocsPerRun(100, func() { r.Digest(0, 0) }); avg != 1 {
-		t.Errorf("Digest(0, 0) over 400 records allocates %.1f times, want 1", avg)
+	b := buffer.New(20 + 24*400)
+	if avg := testing.AllocsPerRun(100, func() { b.Reset(); r.AppendDigest(b, 0, 0) }); avg != 0 {
+		t.Errorf("AppendDigest(0, 0) over 400 records allocates %.1f times, want 0", avg)
+	}
+}
+
+// TestDecodeDigestAllocs pins that a receiver's digest scratch, once large
+// enough, takes the next digest without allocating.
+func TestDecodeDigestAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	r := NewRegistry()
+	for o := uint64(1); o <= 400; o++ {
+		r.Merge(Record{Origin: transport.ContextID(o), Seq: 1, Table: tbl("mpl", o, nil)})
+	}
+	b := buffer.New(20 + 24*400)
+	r.AppendDigest(b, 0, 0)
+	var d Digest
+	if avg := testing.AllocsPerRun(100, func() {
+		b.Rewind()
+		if err := d.Decode(b); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Errorf("decoding a 400-entry digest into scratch allocates %.1f times, want 0", avg)
+	}
+	if len(d.Entries) != 400 {
+		t.Fatalf("decoded %d entries, want 400", len(d.Entries))
+	}
+}
+
+// TestDeltaForInSyncAllocs pins that a digest agreeing with the registry —
+// whole, bounded, or wrapped past the highest origin — is judged without
+// allocating: it yields no delta and no wants, and is never copied to sort.
+func TestDeltaForInSyncAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	ours, theirs := NewRegistry(), NewRegistry()
+	for o := uint64(1); o <= 400; o++ {
+		rec := Record{Origin: transport.ContextID(o), Seq: 1, Table: tbl("mpl", o, nil)}
+		ours.Merge(rec)
+		theirs.Merge(rec)
+	}
+	for _, w := range []struct{ start, limit int }{{0, 0}, {10, 100}, {350, 100}} {
+		d, _ := theirs.Digest(w.start, w.limit)
+		avg := testing.AllocsPerRun(100, func() {
+			if delta, wants := ours.DeltaFor(d, 64); len(delta) != 0 || len(wants) != 0 {
+				t.Fatalf("in-sync digest gave %d records and %d wants", len(delta), len(wants))
+			}
+		})
+		if avg != 0 {
+			t.Errorf("DeltaFor of an in-sync Digest(%d, %d) allocates %.1f times, want 0", w.start, w.limit, avg)
+		}
+	}
+}
+
+// TestDigestWrappedWindow pins a window that wraps past the highest origin:
+// its entries ascend, its bounds still name the first and last origin of the
+// rotation, AppendDigest packs exactly what Digest.Encode does, and the
+// decoded digest is the same.
+func TestDigestWrappedWindow(t *testing.T) {
+	r := NewRegistry()
+	for o := uint64(1); o <= 10; o++ {
+		r.Merge(Record{Origin: transport.ContextID(o * 10), Seq: o, Table: tbl("mpl", o, nil)})
+	}
+	d, next := r.Digest(8, 4) // records 8, 9, 0 and 1 of the rotation
+	if next != 2 || d.Lo != 90 || d.Hi != 20 {
+		t.Fatalf("wrapped window [%d,%d] next %d, want [90,20] next 2", d.Lo, d.Hi, next)
+	}
+	var origins []transport.ContextID
+	for _, e := range d.Entries {
+		origins = append(origins, e.Origin)
+		if !d.covers(e.Origin) {
+			t.Errorf("window [%d,%d] does not cover its entry %d", d.Lo, d.Hi, e.Origin)
+		}
+	}
+	if want := []transport.ContextID{10, 20, 90, 100}; !slices.Equal(origins, want) {
+		t.Fatalf("wrapped entries %v, want %v", origins, want)
+	}
+	enc := buffer.New(128)
+	d.Encode(enc)
+	app := buffer.New(128)
+	if n := r.AppendDigest(app, 8, 4); n != next {
+		t.Errorf("AppendDigest returned next %d, Digest %d", n, next)
+	}
+	if !bytes.Equal(app.Bytes(), enc.Bytes()) {
+		t.Fatalf("AppendDigest packed %x, Digest.Encode %x", app.Bytes(), enc.Bytes())
+	}
+	got, err := DecodeDigest(app)
+	if err != nil || got.Lo != d.Lo || got.Hi != d.Hi || !slices.Equal(got.Entries, d.Entries) {
+		t.Fatalf("round trip gave %+v (%v), want %+v", got, err, d)
+	}
+}
+
+// TestMergeAllMatchesMerge holds a batch merge — new origins gathered and
+// inserted in one pass — to merging the same records one at a time: the
+// same count applied, the same records, fingerprint and generation.
+func TestMergeAllMatchesMerge(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 500; trial++ {
+		var held, batch []Record
+		for i := rng.Intn(8); i > 0; i-- {
+			held = append(held, fuzzRecord(byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256))))
+		}
+		for i := rng.Intn(24); i > 0; i-- {
+			batch = append(batch, fuzzRecord(byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256))))
+		}
+		one, all := NewRegistry(), NewRegistry()
+		for _, rec := range held {
+			one.Merge(rec)
+			all.Merge(rec)
+		}
+		applied := 0
+		for _, rec := range batch {
+			if one.Merge(rec) {
+				applied++
+			}
+		}
+		if got := all.MergeAll(batch); got != applied {
+			t.Fatalf("trial %d: MergeAll applied %d, Merge one by one %d", trial, got, applied)
+		}
+		_, _, genOne := one.ChangedSince(0)
+		_, _, genAll := all.ChangedSince(0)
+		if !one.Equal(all) || one.Fingerprint() != all.Fingerprint() || genOne != genAll {
+			t.Fatalf("trial %d: batch and one-by-one merges differ:\n%+v\n%+v", trial, all.Snapshot(), one.Snapshot())
+		}
 	}
 }
 
@@ -435,6 +562,13 @@ func FuzzGossipMerge(f *testing.F) {
 	})
 }
 
+// recordHash is the content hash a registry caches for a record it holds.
+func recordHash(rec Record) uint64 {
+	h := fnv.New64a()
+	h.Write(rec.canonical())
+	return h.Sum64()
+}
+
 // deltaForMap is the map-based DeltaFor the merge-walk replaced, kept as the
 // reference FuzzDeltaFor compares against: a map of the digest's entries
 // (the last entry per origin wins), a pass over every record held, and two
@@ -444,27 +578,26 @@ func deltaForMap(r *Registry, d Digest, maxDelta int) (delta []Record, wants []t
 	for _, e := range d.Entries {
 		known[e.Origin] = e
 	}
-	r.mu.RLock()
-	for o, s := range r.recs {
+	for _, rec := range r.Snapshot() {
+		o := rec.Origin
 		if !d.covers(o) {
 			continue
 		}
 		e, ok := known[o]
 		switch {
-		case !ok, e.Seq < s.rec.Seq:
-			delta = append(delta, s.rec)
-		case e.Seq == s.rec.Seq && e.Hash != s.hash:
-			delta = append(delta, s.rec)
+		case !ok, e.Seq < rec.Seq:
+			delta = append(delta, rec)
+		case e.Seq == rec.Seq && e.Hash != recordHash(rec):
+			delta = append(delta, rec)
 			wants = append(wants, o)
 		}
 	}
 	for _, e := range d.Entries {
-		s, ok := r.recs[e.Origin]
-		if !ok || s.rec.Seq < e.Seq {
+		rec, ok := r.Get(e.Origin)
+		if !ok || rec.Seq < e.Seq {
 			wants = append(wants, e.Origin)
 		}
 	}
-	r.mu.RUnlock()
 	sort.Slice(delta, func(i, j int) bool { return delta[i].Origin < delta[j].Origin })
 	if maxDelta > 0 && len(delta) > maxDelta {
 		delta = delta[:maxDelta]
@@ -475,11 +608,14 @@ func deltaForMap(r *Registry, d Digest, maxDelta int) (delta []Record, wants []t
 
 // FuzzDeltaFor holds the merge-walk DeltaFor to deltaForMap on random
 // registries and digests, including digests whose entries are out of order,
-// repeat an origin, or sit in a wrapped (Lo > Hi) window.
+// repeat an origin, or sit in a wrapped (Lo > Hi) window. Every digest is
+// judged twice: as built, and after Encode and a Decode into scratch that
+// held the previous digest, which must not change the verdict.
 func FuzzDeltaFor(f *testing.F) {
 	f.Add([]byte{0, 1, 1, 1, 2, 0, 2, 1, 2}, []byte{2, 1, 0, 0, 2, 1, 0, 3, 5, 9, 4, 3}, uint8(2), uint8(7), uint8(0))
 	f.Add([]byte{0, 3, 1, 4, 1, 2, 6, 2, 3, 7, 0, 0}, []byte{7, 0, 1, 8, 3, 2, 0, 1, 3, 4, 6, 4}, uint8(6), uint8(2), uint8(1))
 	f.Add([]byte{1, 1, 1}, []byte{}, uint8(0), uint8(math.MaxUint8), uint8(3))
+	scratch := Digest{Entries: []DigestEntry{{Origin: 99, Seq: 99, Hash: 99}}}
 	f.Fuzz(func(t *testing.T, held, digest []byte, lo, hi, maxDelta uint8) {
 		r := NewRegistry()
 		for i := 0; i+2 < len(held) && i < 3*64; i += 3 {
@@ -496,10 +632,10 @@ func FuzzDeltaFor(f *testing.F) {
 		// hash too, so agreeing and same-version divergent entries both occur.
 		for i := 0; i+2 < len(digest) && len(d.Entries) < 64; i += 3 {
 			e := DigestEntry{Origin: transport.ContextID(digest[i]%10 + 1), Seq: uint64(digest[i+1] % 8), Hash: uint64(digest[i+2])}
-			if s, ok := r.recs[e.Origin]; ok && digest[i+2]%2 == 1 {
-				e.Seq = s.rec.Seq
+			if rec, ok := r.Get(e.Origin); ok && digest[i+2]%2 == 1 {
+				e.Seq = rec.Seq
 				if digest[i+2]%4 == 1 {
-					e.Hash = s.hash
+					e.Hash = recordHash(rec)
 				}
 			}
 			d.Entries = append(d.Entries, e)
@@ -507,19 +643,29 @@ func FuzzDeltaFor(f *testing.F) {
 		in := slices.Clone(d.Entries)
 		limit := int(maxDelta % 8)
 		wantDelta, wantWants := deltaForMap(r, d, limit)
-		gotDelta, gotWants := r.DeltaFor(d, limit)
-		if !slices.Equal(d.Entries, in) {
-			t.Fatal("DeltaFor reordered the caller's digest entries")
+		b := buffer.New(20 + 24*len(d.Entries))
+		d.Encode(b)
+		if err := scratch.Decode(b); err != nil {
+			t.Fatalf("decoding an encoded digest: %v", err)
 		}
-		if !slices.Equal(gotWants, wantWants) {
-			t.Fatalf("wants = %v, reference %v (digest %+v)", gotWants, wantWants, d)
-		}
-		if len(gotDelta) != len(wantDelta) {
-			t.Fatalf("delta of %d records, reference %d (digest %+v)", len(gotDelta), len(wantDelta), d)
-		}
-		for i := range gotDelta {
-			if !bytes.Equal(gotDelta[i].canonical(), wantDelta[i].canonical()) {
-				t.Fatalf("delta[%d] = %+v, reference %+v", i, gotDelta[i], wantDelta[i])
+		for _, got := range []Digest{d, scratch} {
+			gotDelta, gotWants := r.DeltaFor(got, limit)
+			if !slices.Equal(got.Entries, in) {
+				t.Fatal("DeltaFor reordered the caller's digest entries, or the digest did not round-trip")
+			}
+			if got.Lo != d.Lo || got.Hi != d.Hi {
+				t.Fatalf("window [%d,%d] decoded as [%d,%d]", d.Lo, d.Hi, got.Lo, got.Hi)
+			}
+			if !slices.Equal(gotWants, wantWants) {
+				t.Fatalf("wants = %v, reference %v (digest %+v)", gotWants, wantWants, got)
+			}
+			if len(gotDelta) != len(wantDelta) {
+				t.Fatalf("delta of %d records, reference %d (digest %+v)", len(gotDelta), len(wantDelta), got)
+			}
+			for i := range gotDelta {
+				if !bytes.Equal(gotDelta[i].canonical(), wantDelta[i].canonical()) {
+					t.Fatalf("delta[%d] = %+v, reference %+v", i, gotDelta[i], wantDelta[i])
+				}
 			}
 		}
 	})

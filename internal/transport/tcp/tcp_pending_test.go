@@ -1,6 +1,7 @@
 package tcp
 
 import (
+	"bufio"
 	"net"
 	"testing"
 	"time"
@@ -93,9 +94,9 @@ func TestPendingDataCapAndControlPriority(t *testing.T) {
 
 	// Drain the pipe and record arrival order.
 	var order []byte
-	sr := wire.NewStreamReader(server)
+	br := bufio.NewReader(server)
 	for len(order) < 4 {
-		frame, err := sr.Next()
+		frame, err := wire.ReadFrame(br)
 		if err != nil {
 			t.Fatalf("reading frame %d: %v", len(order), err)
 		}

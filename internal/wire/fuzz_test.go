@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"testing"
 )
@@ -83,9 +84,9 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 1, 2, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		sr := NewStreamReader(bytes.NewReader(data))
+		br := bufio.NewReader(bytes.NewReader(data))
 		for i := 0; i < 4; i++ {
-			frame, err := sr.Next()
+			frame, err := ReadFrame(br)
 			if err != nil {
 				return
 			}

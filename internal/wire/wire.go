@@ -10,7 +10,6 @@
 package wire
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -635,10 +634,11 @@ func DecodeInto(f *Frame, p []byte) error {
 	return nil
 }
 
-// ReadFrame reads one length-prefixed encoded frame from a stream transport.
-// The returned slice is backed by pooled storage: a caller that fully
-// controls the frame's lifetime (e.g. a blocking reader that delivers and
-// moves on) should hand it back with bufpool.Put; a caller that retains the
+// ReadFrame reads one length-prefixed encoded frame from a stream, blocking
+// until the whole frame has arrived: the reference framing the tests and
+// fuzzers hold tcp's poll-mode reassembly to. The returned slice is backed
+// by pooled storage: a caller that is done with the frame once it has
+// decoded it may hand it back with bufpool.Put; a caller that retains the
 // frame simply keeps it and lets the garbage collector reclaim it.
 func ReadFrame(r io.Reader) ([]byte, error) {
 	var hdr [4]byte
@@ -655,21 +655,4 @@ func ReadFrame(r io.Reader) ([]byte, error) {
 		return nil, err
 	}
 	return p, nil
-}
-
-// StreamReader incrementally reads length-prefixed frames from a buffered
-// stream, for use by poll-driven stream transports.
-type StreamReader struct {
-	br *bufio.Reader
-}
-
-// NewStreamReader wraps r.
-func NewStreamReader(r io.Reader) *StreamReader {
-	return &StreamReader{br: bufio.NewReader(r)}
-}
-
-// Next reads the next frame. It blocks until a full frame arrives, the
-// stream errors, or EOF.
-func (s *StreamReader) Next() ([]byte, error) {
-	return ReadFrame(s.br)
 }

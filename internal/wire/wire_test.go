@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -112,9 +113,9 @@ func TestStreamWriteRead(t *testing.T) {
 	for _, f := range frames {
 		buf.Write(prefixed(f))
 	}
-	sr := NewStreamReader(&buf)
+	br := bufio.NewReader(&buf)
 	for i, want := range frames {
-		got, err := sr.Next()
+		got, err := ReadFrame(br)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
@@ -122,7 +123,7 @@ func TestStreamWriteRead(t *testing.T) {
 			t.Errorf("frame %d mismatch", i)
 		}
 	}
-	if _, err := sr.Next(); err != io.EOF {
+	if _, err := ReadFrame(br); err != io.EOF {
 		t.Errorf("after all frames: %v, want EOF", err)
 	}
 }
