@@ -21,9 +21,10 @@ import (
 // (names.Registry) by anti-entropy over ordinary Control-class RSRs. The
 // protocol is push-pull in three messages:
 //
-//	cluster.digest — a bounded, rotating-window summary of the sender's
-//	                 registry, plus the sender's own record (so one digest
-//	                 is also a join announcement);
+//	cluster.digest — the sender's own record, which names the sender and
+//	                 addresses the reply (so one digest is also a join
+//	                 announcement), then a bounded, rotating-window summary
+//	                 of the sender's registry;
 //	cluster.delta  — the records the responder holds that the digest lacks,
 //	                 plus a want-list of origins where the digest was ahead;
 //	cluster.push   — the records answering a want-list.
@@ -45,7 +46,7 @@ const (
 )
 
 // NodeConfig tunes a gossip agent. The zero value is usable: fanout 2,
-// bounded digests and deltas, auto-registration on.
+// bounded digests and deltas.
 type NodeConfig struct {
 	// Forwarder advertises this context as a relay (and enables forwarding),
 	// so mesh routes may pass through it.
@@ -55,14 +56,9 @@ type NodeConfig struct {
 	// Seed fixes peer-sampling randomness; 0 derives it from the context id.
 	Seed int64
 
-	// Test seams, not options:
-	//   - fanout is how many peers each Step contacts (default 2); only
-	//     this package's tests raise it.
-	//   - disableAutoRegister stops the agent from pushing applied records
-	//     into the context's peer tables. RunScale sets it for runs that only
-	//     measure registry convergence, to skip a million table installs.
-	fanout              int
-	disableAutoRegister bool
+	// fanout is how many peers each Step contacts (default 2). It is a test
+	// seam, not an option: only this package's tests raise it.
+	fanout int
 }
 
 func (cfg NodeConfig) withDefaults(id transport.ContextID) NodeConfig {
@@ -82,8 +78,8 @@ const (
 	maxDelta  = 64
 )
 
-// Failure detector thresholds: suspectAfter consecutive failed sends to a
-// peer mark it suspect (routed around), and suspectAfter*deadAfterFactor
+// Failure detector thresholds: a peer with suspectAfter or more consecutive
+// failed sends is suspect (routed around), and suspectAfter*deadAfterFactor
 // declare it dead and publish a third-party tombstone.
 const (
 	suspectAfter    = 1
@@ -108,11 +104,9 @@ type Node struct {
 	self       names.Record          // its table is sealed (NewTable), so a digest copies it
 	peerBuf    []transport.ContextID // livePeersLocked's reused origin list
 	appliedGen uint64                // registry generation applyRegistry last ran at
-	applied    map[transport.ContextID]appliedState
-	digestPos  int // rotating digest window cursor
+	digestPos  int                   // rotating digest window cursor
 	probeTick  int
-	failures   map[transport.ContextID]int
-	suspects   map[transport.ContextID]bool
+	failures   map[transport.ContextID]int        // consecutive failed sends
 	routed     map[transport.ContextID]routeState // mesh.go
 	// lastTables keeps each peer's most recent live table even after a
 	// tombstone (which carries none), so resurrection probes can still
@@ -123,14 +117,6 @@ type Node struct {
 	routesDirty bool
 	closed      bool
 	stopRun     chan struct{}
-}
-
-// appliedState remembers what version of a peer's record has been pushed into
-// the context's peer tables, so an unchanged record costs nothing to re-apply.
-type appliedState struct {
-	seq       uint64
-	hash      uint64
-	tombstone bool
 }
 
 type spKey struct {
@@ -157,9 +143,7 @@ func Attach(ctx *core.Context, cfg NodeConfig) *Node {
 		cfg:        cfg,
 		reg:        names.NewRegistry(),
 		rng:        rand.New(rand.NewSource(cfg.Seed)),
-		applied:    make(map[transport.ContextID]appliedState),
 		failures:   make(map[transport.ContextID]int),
-		suspects:   make(map[transport.ContextID]bool),
 		routed:     make(map[transport.ContextID]routeState),
 		lastTables: make(map[transport.ContextID]*transport.Table),
 		sps:        make(map[spKey]*core.Startpoint),
@@ -260,12 +244,12 @@ func (n *Node) Leave() {
 	n.mu.Unlock()
 	// One message serves every target: RSR copies the buffer it sends.
 	tombs := []names.Record{tomb}
-	b := buffer.New(16 + recordsLen(tombs))
-	b.PutUint64(uint64(tomb.Origin))
-	b.PutUint64(tomb.GossipEP)
+	b := buffer.New(recordsLen(tombs))
 	names.EncodeRecords(b, tombs)
 	for _, sp := range targets {
-		_ = sp.RSR(handlerPush, b)
+		if sp.RSR(handlerPush, b) != nil {
+			n.ctx.Stats().Counter("cluster.leave.unsent").Inc()
+		}
 	}
 	n.ctx.Stats().Counter("cluster.leave").Inc()
 }
@@ -334,10 +318,10 @@ func (n *Node) Step() {
 		}
 	}
 	digestMsgs.Put(msg)
-	// Send outcomes are fresh failure-detector evidence (suspects set or
-	// cleared); fold them into mesh routes now rather than a round later —
-	// this is what lets a route heal in the same round its relay's death
-	// (or resurrection) was observed.
+	// Send outcomes are fresh failure-detector evidence (failure counts
+	// raised or cleared); fold them into mesh routes now rather than a round
+	// later — this is what lets a route heal in the same round its relay's
+	// death (or resurrection) was observed.
 	n.mu.Lock()
 	if n.cfg.Mesh && n.routesDirty && !n.closed {
 		n.routesDirty = false
@@ -413,45 +397,26 @@ func (n *Node) refreshSelfLocked() {
 // generation, so in-flight startpoints re-select), tombstones remove it (so
 // subsequent sends fail fast with ErrNoTable instead of using a stale
 // descriptor), and any change marks mesh routes for recomputation. Only the
-// records applied since the last fold are read, with their cached hashes.
+// records applied since the last fold are read, and every one of them is
+// folded: the registry's generation moves only when a merge changes a record.
 func (n *Node) applyRegistryLocked() {
-	recs, hashes, gen := n.reg.ChangedSince(n.appliedGen)
+	recs, gen := n.reg.ChangedSince(n.appliedGen)
 	n.appliedGen = gen
-	for i, rec := range recs {
+	for _, rec := range recs {
 		if rec.Origin == n.self.Origin {
 			continue
 		}
-		prev, seen := n.applied[rec.Origin]
+		n.dropPeerLocked(rec.Origin)
+		n.routesDirty = true
 		if rec.Tombstone {
-			if seen && prev.tombstone {
-				continue
-			}
-			n.applied[rec.Origin] = appliedState{seq: rec.Seq, tombstone: true}
-			if !n.cfg.disableAutoRegister {
-				n.ctx.RemovePeerTable(rec.Origin)
-			}
-			n.dropPeerLocked(rec.Origin)
-			n.routesDirty = true
+			n.ctx.RemovePeerTable(rec.Origin)
 			n.ctx.Stats().Counter("cluster.applied.tombstone").Inc()
 			continue
 		}
-		h := hashes[i]
-		if seen && !prev.tombstone && prev.seq == rec.Seq && prev.hash == h {
-			continue
-		}
-		n.applied[rec.Origin] = appliedState{seq: rec.Seq, hash: h}
 		if rec.Table != nil {
 			n.lastTables[rec.Origin] = rec.Table
-		}
-		delete(n.failures, rec.Origin)
-		delete(n.suspects, rec.Origin)
-		// Cached gossip startpoints to this peer rebind on next use, so a
-		// bootstrap-era binding cannot outlive the table it was built from.
-		n.closeSPsLocked(rec.Origin)
-		if !n.cfg.disableAutoRegister && rec.Table != nil {
 			n.ctx.RefreshPeerTable(rec.Table)
 		}
-		n.routesDirty = true
 		n.ctx.Stats().Counter("cluster.applied.record").Inc()
 	}
 	if n.cfg.Mesh && n.routesDirty {
@@ -460,10 +425,12 @@ func (n *Node) applyRegistryLocked() {
 	}
 }
 
-// dropPeerLocked forgets per-peer send state for a departed origin.
+// dropPeerLocked forgets per-peer send state for an origin whose record
+// changed: its failure count, and its cached gossip startpoints, which rebind
+// on next use so a bootstrap-era binding cannot outlive the table it was
+// built from.
 func (n *Node) dropPeerLocked(origin transport.ContextID) {
 	delete(n.failures, origin)
-	delete(n.suspects, origin)
 	n.closeSPsLocked(origin)
 }
 
@@ -541,16 +508,15 @@ func (n *Node) invalidateStartpoint(ctx transport.ContextID) {
 	}
 }
 
-// noteSend is the failure detector: consecutive send failures first mark the
+// noteSend is the failure detector: consecutive send failures first make the
 // peer suspect (mesh routes avoid it), then declare it dead with a
 // third-party tombstone at one past its last version — the no-clock analogue
 // of a crash notice. Any success clears the slate.
 func (n *Node) noteSend(origin transport.ContextID, err error) {
 	if err == nil {
 		n.mu.Lock()
-		if n.failures[origin] != 0 || n.suspects[origin] {
+		if n.failures[origin] != 0 {
 			delete(n.failures, origin)
-			delete(n.suspects, origin)
 			n.routesDirty = true
 		}
 		n.mu.Unlock()
@@ -560,8 +526,7 @@ func (n *Node) noteSend(origin transport.ContextID, err error) {
 	n.mu.Lock()
 	n.failures[origin]++
 	f := n.failures[origin]
-	if f >= suspectAfter && !n.suspects[origin] {
-		n.suspects[origin] = true
+	if f == suspectAfter {
 		n.routesDirty = true
 		n.ctx.Stats().Counter("cluster.peer.suspect").Inc()
 	}
@@ -591,21 +556,20 @@ func (n *Node) noteSend(origin transport.ContextID, err error) {
 // round's message is free again once its sends have returned.
 var digestMsgs sync.Pool
 
-// digestMsgLocked builds a round's digest message — [from][fromEP][self
-// record][digest], the digest packed straight from the registry at the
-// rotating window cursor — and advances the cursor. One message serves every
+// digestMsgLocked builds a round's digest message — [self record][digest],
+// the digest packed straight from the registry at the rotating window cursor
+// — and advances the cursor. The self record names the sender and its gossip
+// endpoint, so the message needs no other header. One message serves every
 // target of the round; the caller hands it back to digestMsgs after the
-// sends. A new buffer is sized to the whole message: 16 B of ids, the record
-// batch, the digest's 20 fixed bytes and 24 B per entry.
+// sends. A new buffer is sized to the whole message: the record batch, the
+// digest's 20 fixed bytes and 24 B per entry.
 func (n *Node) digestMsgLocked() *buffer.Buffer {
 	recs := []names.Record{n.self}
 	b, _ := digestMsgs.Get().(*buffer.Buffer)
 	if b == nil {
-		b = buffer.New(16 + recordsLen(recs) + 20 + 24*min(n.reg.Len(), maxDigest))
+		b = buffer.New(recordsLen(recs) + 20 + 24*min(n.reg.Len(), maxDigest))
 	}
 	b.Reset()
-	b.PutUint64(uint64(n.self.Origin))
-	b.PutUint64(n.self.GossipEP)
 	names.EncodeRecords(b, recs)
 	n.digestPos = n.reg.AppendDigest(b, n.digestPos, maxDigest)
 	return b
@@ -635,12 +599,12 @@ func (n *Node) replyTo(from transport.ContextID, fromEP uint64, senderTable *tra
 var digestScratch = sync.Pool{New: func() any { return new(names.Digest) }}
 
 // onDigest answers a digest with the delta the sender lacks and a want-list
-// push request for what we lack (rolled into the same delta message).
+// push request for what we lack (rolled into the same delta message). The
+// digest's first record is the sender's own: its origin, gossip endpoint and
+// table address the reply.
 func (n *Node) onDigest(_ *core.Endpoint, b *buffer.Buffer) {
-	from := transport.ContextID(b.Uint64())
-	fromEP := b.Uint64()
 	recs, err := names.DecodeRecords(b)
-	if err != nil || b.Err() != nil {
+	if err != nil || b.Err() != nil || len(recs) == 0 {
 		n.ctx.Stats().Counter("cluster.decode.errors").Inc()
 		return
 	}
@@ -651,12 +615,8 @@ func (n *Node) onDigest(_ *core.Endpoint, b *buffer.Buffer) {
 		return
 	}
 	n.ctx.Stats().Counter("cluster.digest.rx").Inc()
-	var senderTable *transport.Table
-	for _, r := range recs {
-		if r.Origin == from {
-			senderTable = r.Table
-		}
-	}
+	sender := recs[0]
+	from := sender.Origin
 	n.reg.MergeAll(recs)
 	delta, wants := n.reg.DeltaFor(*digest, maxDelta)
 	// Never ship the sender its own record back: it is the authority on it
@@ -671,7 +631,7 @@ func (n *Node) onDigest(_ *core.Endpoint, b *buffer.Buffer) {
 	if len(delta) == 0 && len(wants) == 0 {
 		return
 	}
-	sp := n.replyTo(from, fromEP, senderTable)
+	sp := n.replyTo(from, sender.GossipEP, sender.Table)
 	n.mu.Lock()
 	self := n.self
 	n.mu.Unlock()
@@ -725,12 +685,7 @@ func (n *Node) onDelta(_ *core.Endpoint, b *buffer.Buffer) {
 		return
 	}
 	sp := n.replyTo(from, fromEP, nil)
-	n.mu.Lock()
-	self := n.self
-	n.mu.Unlock()
-	out := buffer.New(16 + recordsLen(answer))
-	out.PutUint64(uint64(self.Origin))
-	out.PutUint64(self.GossipEP)
+	out := buffer.New(recordsLen(answer))
 	names.EncodeRecords(out, answer)
 	err = sp.RSR(handlerPush, out)
 	n.noteSend(from, err)
@@ -742,8 +697,6 @@ func (n *Node) onDelta(_ *core.Endpoint, b *buffer.Buffer) {
 // onPush merges an unsolicited record batch (want-list answers, leave
 // notices, join relays).
 func (n *Node) onPush(_ *core.Endpoint, b *buffer.Buffer) {
-	_ = b.Uint64() // from
-	_ = b.Uint64() // fromEP
 	recs, err := names.DecodeRecords(b)
 	if err != nil || b.Err() != nil {
 		n.ctx.Stats().Counter("cluster.decode.errors").Inc()

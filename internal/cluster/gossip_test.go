@@ -310,6 +310,23 @@ func TestConcurrentDigests(t *testing.T) {
 	}
 }
 
+// TestDigestWithoutSenderRecord pins that a digest names its sender only by
+// its first record: one that carries no records has no one to answer, and is
+// counted as a decode error rather than judged.
+func TestDigestWithoutSenderRecord(t *testing.T) {
+	c := newDynCtx(t, transport.Params{"exchange": "digest-no-sender"})
+	defer c.Close()
+	n := Attach(c, NodeConfig{})
+	b := buffer.New(64)
+	names.EncodeRecords(b, nil)
+	n.reg.AppendDigest(b, 0, maxDigest)
+	n.onDigest(nil, b)
+	st := c.Stats()
+	if errs, rx := st.Get("cluster.decode.errors"), st.Get("cluster.digest.rx"); errs != 1 || rx != 0 {
+		t.Fatalf("decode.errors = %d, digest.rx = %d; want 1 and 0", errs, rx)
+	}
+}
+
 // newDynCtx builds a bare context (no agent) on the given inproc exchange.
 func newDynCtx(t *testing.T, params transport.Params) *core.Context {
 	t.Helper()

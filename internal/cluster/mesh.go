@@ -175,7 +175,7 @@ func (n *Node) recomputeRoutesLocked() {
 		}
 		un := nodes[u]
 		// Only self and healthy forwarders extend paths.
-		if u != 0 && (!un.rec.Forwarder || n.suspects[un.rec.Origin]) {
+		if u != 0 && (!un.rec.Forwarder || n.failures[un.rec.Origin] >= suspectAfter) {
 			continue
 		}
 		for v := range nodes {
@@ -208,7 +208,7 @@ func (n *Node) recomputeRoutesLocked() {
 			// startpoints drop the routed binding).
 			if _, had := n.routed[dest]; had {
 				delete(n.routed, dest)
-				if !n.cfg.disableAutoRegister && nodes[v].table != nil {
+				if nodes[v].table != nil {
 					n.ctx.RefreshPeerTable(nodes[v].table)
 				}
 				n.ctx.Stats().Counter("cluster.routes.removed").Inc()
@@ -220,9 +220,7 @@ func (n *Node) recomputeRoutesLocked() {
 			// stale route so senders fail fast instead of spraying a dead hop.
 			if _, had := n.routed[dest]; had {
 				delete(n.routed, dest)
-				if !n.cfg.disableAutoRegister {
-					n.ctx.RemovePeerTable(dest)
-				}
+				n.ctx.RemovePeerTable(dest)
 				n.ctx.Stats().Counter("cluster.routes.removed").Inc()
 			}
 			continue
@@ -235,10 +233,6 @@ func (n *Node) recomputeRoutesLocked() {
 		via := nodes[hop].rec
 		cur, had := n.routed[dest]
 		if had && cur.via == via.Origin && cur.viaSeq == via.Seq {
-			continue
-		}
-		if n.cfg.disableAutoRegister {
-			n.routed[dest] = routeState{via: via.Origin, viaSeq: via.Seq}
 			continue
 		}
 		route := core.NewRelayRoute(dest, via.Origin, via.Table, bottleneck[v])

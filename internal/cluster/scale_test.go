@@ -80,3 +80,26 @@ func TestClusterScaleConvergence(t *testing.T) {
 		t.Errorf("post-churn members = %d, want %d", phases[1].Members, want)
 	}
 }
+
+// TestClusterScaleChurnRounds pins the exact rounds of the configuration the
+// repository benchmark's cluster_churn workload runs: 200 contexts, churn and
+// partition-heal. Gossip is deterministic here (seeded peer sampling,
+// zero-latency fabric, rounds driven in order), so the counts repeat run to
+// run, and a protocol change that moves them shows up as a failing test
+// rather than only as a benchmark row. The bounds of checkBounds stay loose;
+// these do not.
+func TestClusterScaleChurnRounds(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the same counts hold under -race, where the run costs about 8 s; the plain build pins them")
+	}
+	phases := runScalePhases(t, ScaleSpec{N: 200, Churn: true})
+	want := map[string]int{"join": 6, "churn": 5, "partition-heal": 6}
+	if len(phases) != len(want) {
+		t.Fatalf("got %d phases, want %d", len(phases), len(want))
+	}
+	for _, p := range phases {
+		if p.Rounds != want[p.Name] {
+			t.Errorf("phase %s took %d rounds, want exactly %d", p.Name, p.Rounds, want[p.Name])
+		}
+	}
+}

@@ -164,9 +164,6 @@ type Options struct {
 	// Nexus operation is performed". Default true; set DisablePollOnRSR to
 	// turn it off.
 	DisablePollOnRSR bool
-	// ErrorLog receives asynchronous delivery errors (unknown handler,
-	// undeliverable forward). Defaults to counting them silently.
-	ErrorLog func(error)
 	// Observe configures the observability subsystem (latency histograms,
 	// RSR tracing). The zero value leaves it off — the default, and the
 	// configuration the hot-path overhead contract is written against.
@@ -191,6 +188,10 @@ type Options struct {
 	// what every other context runs with.
 	//   - registry resolves method names in place of transport.Default, so a
 	//     test can substitute fake modules.
+	//   - errorLog receives the errors no caller is there to return to (an
+	//     unknown handler or endpoint, an undeliverable forward, a poll or
+	//     reactor-registration failure), so a test can collect them. Unset,
+	//     each is counted in errors.dropped.
 	//   - dispatch sizes the threaded engine's lanes and queues.
 	//   - maxMessage lowers the per-RSR payload cap (frag.DefaultMaxMessage,
 	//     16 MiB). A payload up to the cap is accepted on every link,
@@ -203,6 +204,7 @@ type Options struct {
 	//     test can compare the two detection paths or read the modules'
 	//     static poll-cost hints.
 	registry       *transport.Registry
+	errorLog       func(error)
 	dispatch       dispatchConfig
 	maxMessage     int
 	health         healthConfig
@@ -468,7 +470,7 @@ func NewContext(opts Options) (*Context, error) {
 	} else if opts.Observe.Stats {
 		c.EnableStats()
 	}
-	c.errlog = opts.ErrorLog
+	c.errlog = opts.errorLog
 	if c.errlog == nil {
 		dropped := c.stats.Counter("errors.dropped")
 		c.errlog = func(error) { dropped.Inc() }

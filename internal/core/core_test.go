@@ -472,7 +472,7 @@ func TestUnknownHandlerAndEndpointCounted(t *testing.T) {
 	var mu sync.Mutex
 	recv, err := NewContext(Options{
 		Methods:  []MethodConfig{{Name: "inproc", Params: transport.Params{"exchange": tag}}},
-		ErrorLog: func(e error) { mu.Lock(); errs = append(errs, e); mu.Unlock() },
+		errorLog: func(e error) { mu.Lock(); errs = append(errs, e); mu.Unlock() },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -518,7 +518,7 @@ func TestUnknownHandlerAndEndpointCounted(t *testing.T) {
 
 // TestRPCFrameWithoutLayer sends an RSR carrying wire.FlagRPC to a context
 // with nothing attached as LayerRPC: it is counted as
-// rsr.dropped.no_rpc_layer, reported once to ErrorLog, and runs no handler.
+// rsr.dropped.no_rpc_layer, reported once to errorLog, and runs no handler.
 // Once a value with an Intake method takes the slot, the same frame reaches
 // it, and a second Attach gets the first value back.
 func TestRPCFrameWithoutLayer(t *testing.T) {
@@ -527,7 +527,7 @@ func TestRPCFrameWithoutLayer(t *testing.T) {
 	var mu sync.Mutex
 	recv, err := NewContext(Options{
 		Methods:  []MethodConfig{{Name: "inproc", Params: transport.Params{"exchange": tag}}},
-		ErrorLog: func(e error) { mu.Lock(); errs = append(errs, e); mu.Unlock() },
+		errorLog: func(e error) { mu.Lock(); errs = append(errs, e); mu.Unlock() },
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -113,7 +113,7 @@ func TestUnregisterHandlerDrains(t *testing.T) {
 			c, err := NewContext(Options{
 				Threaded: threaded,
 				dispatch: dispatchConfig{lanes: 4, queueDepth: 64},
-				ErrorLog: func(error) {}, // unknown-handler drops after removal are expected
+				errorLog: func(error) {}, // unknown-handler drops after removal are expected
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -200,7 +200,7 @@ func TestConcurrentRegistration(t *testing.T) {
 				Methods:   tc.methods(tag),
 				Threaded:  true,
 				dispatch:  dispatchConfig{lanes: 4, queueDepth: 64},
-				ErrorLog:  func(error) {}, // churn makes unknown drops routine
+				errorLog:  func(error) {}, // churn makes unknown drops routine
 			})
 			if err != nil {
 				t.Fatal(err)

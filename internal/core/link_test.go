@@ -119,7 +119,7 @@ func frameFor(dest transport.ContextID) []byte {
 // connection cache.
 func TestForwarderReleasesFailedRoute(t *testing.T) {
 	const dest = transport.ContextID(7001)
-	fwd, mods := scriptCtx(t, Options{ErrorLog: func(error) {}}, "a")
+	fwd, mods := scriptCtx(t, Options{errorLog: func(error) {}}, "a")
 	a := mods[0]
 	fwd.EnableForwarding()
 	fwd.RegisterPeerTable(scriptTable(dest, "a"))
@@ -179,7 +179,7 @@ func TestLinkSupervisionParity(t *testing.T) {
 			sp.SetFailover(true)
 			return func() error { return sp.RSR("h", nil) }
 		}},
-		{name: "forwarder", opts: Options{ErrorLog: func(error) {}}, setup: func(c *Context) func() error {
+		{name: "forwarder", opts: Options{errorLog: func(error) {}}, setup: func(c *Context) func() error {
 			c.EnableForwarding()
 			c.RegisterPeerTable(scriptTable(dest, "a", "b"))
 			return func() error {

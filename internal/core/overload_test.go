@@ -63,7 +63,7 @@ func newOverloadRig(tb testing.TB, tag string, nSenders int, spinFor time.Durati
 		Threaded:  true,
 		dispatch:  dispatchConfig{lanes: 2, queueDepth: 64},
 		Flow:      fc,
-		ErrorLog:  func(error) {}, // shed bulk frames are logged; expected here
+		errorLog:  func(error) {}, // shed bulk frames are logged; expected here
 	})
 	if err != nil {
 		tb.Fatal(err)

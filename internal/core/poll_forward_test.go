@@ -209,7 +209,7 @@ func TestForwardingDisabledDrops(t *testing.T) {
 		Methods: []MethodConfig{
 			{Name: "wan", Params: transport.Params{"fabric": tag, "latency": "0", "poll_cost": "0", "bandwidth": "0"}},
 		},
-		ErrorLog: func(error) { errCount.Add(1) },
+		errorLog: func(error) { errCount.Add(1) },
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -306,7 +306,7 @@ func TestReactorAddFailureIsCounted(t *testing.T) {
 	var logged []error
 	ctx, err := NewContext(Options{
 		Methods:  []MethodConfig{{Name: "tcp"}},
-		ErrorLog: func(err error) { logged = append(logged, err) },
+		errorLog: func(err error) { logged = append(logged, err) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -327,7 +327,7 @@ func TestReactorAddFailureIsCounted(t *testing.T) {
 		t.Errorf("reactor.add_failed = %d, want 1", got)
 	}
 	if len(logged) != 1 || !strings.Contains(logged[0].Error(), "watching tcp fd") {
-		t.Errorf("ErrorLog got %v, want one registration failure", logged)
+		t.Errorf("errorLog got %v, want one registration failure", logged)
 	}
 
 	// While suspended an Add only joins the set; the kernel sees it on resume.
@@ -340,7 +340,7 @@ func TestReactorAddFailureIsCounted(t *testing.T) {
 		t.Errorf("reactor.add_failed = %d after a failed resume, want 2", got)
 	}
 	if len(logged) != 2 || !strings.Contains(logged[1].Error(), "watching tcp fd") {
-		t.Errorf("ErrorLog got %v, want a second registration failure", logged)
+		t.Errorf("errorLog got %v, want a second registration failure", logged)
 	}
 	rd.mu.Lock()
 	_, kept := rd.fds[closedFD]

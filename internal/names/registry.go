@@ -250,13 +250,13 @@ func DecodeRecords(b *buffer.Buffer) ([]Record, error) {
 }
 
 // stored is a registry entry with its content hash cached at merge time, so
-// digest rounds and the gossip agent's fold of applied changes never
-// re-encode: at thousand-context scale a bounded digest touches hundreds of
-// records per round, and recomputing FNV over a re-encoded table each time
-// would dominate the round's cost. The encoding itself is not kept: only a
-// same-version divergence, which Merge settles by comparing bytes, needs it
-// again. gen is the registry generation the entry was written at, which is
-// how ChangedSince finds what moved without a change log.
+// digest rounds never re-encode: at thousand-context scale a bounded digest
+// touches hundreds of records per round, and recomputing FNV over a
+// re-encoded table each time would dominate the round's cost. The encoding
+// itself is not kept: only a same-version divergence, which Merge settles by
+// comparing bytes, needs it again. gen is the registry generation the entry
+// was written at, which is how ChangedSince finds what moved without a
+// change log.
 type stored struct {
 	rec  Record
 	hash uint64
@@ -469,24 +469,23 @@ func (r *Registry) LiveOrigins(dst []transport.ContextID) []transport.ContextID 
 }
 
 // ChangedSince returns, sorted by origin, every record applied after
-// generation gen together with its cached content hash, and the generation
-// to pass next time; it moves exactly when a Merge applies. Starting from 0
-// returns every record. A poller that folds registry changes into other
-// state thereby pays for what moved, not for the table, and compares
-// content without re-encoding it.
-func (r *Registry) ChangedSince(gen uint64) (recs []Record, hashes []uint64, now uint64) {
+// generation gen, and the generation to pass next time; it moves exactly
+// when a Merge applies, that is when a record's content changes. Starting
+// from 0 returns every record. A poller that folds registry changes into
+// other state thereby pays for what moved, not for the table, and needs no
+// memory of its own of what it folded last time.
+func (r *Registry) ChangedSince(gen uint64) (recs []Record, now uint64) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	if gen == r.gen {
-		return nil, nil, gen
+		return nil, gen
 	}
 	for i := range r.s {
 		if s := &r.s[i]; s.gen > gen {
 			recs = append(recs, s.rec)
-			hashes = append(hashes, s.hash)
 		}
 	}
-	return recs, hashes, r.gen
+	return recs, r.gen
 }
 
 // Equal reports whether two registries hold identical records — the

@@ -24,11 +24,11 @@ func TestRegistryMergeVersions(t *testing.T) {
 	if !r.Merge(Record{Origin: 1, Seq: 1, Table: tbl("mpl", 1, nil)}) {
 		t.Fatal("first record not applied")
 	}
-	_, _, g := r.ChangedSince(0)
+	_, g := r.ChangedSince(0)
 	if r.Merge(Record{Origin: 1, Seq: 1, Table: tbl("mpl", 1, nil)}) {
 		t.Error("duplicate record applied")
 	}
-	if _, _, now := r.ChangedSince(g); now != g {
+	if _, now := r.ChangedSince(g); now != g {
 		t.Error("generation moved on a no-op merge")
 	}
 	if r.Merge(Record{Origin: 1, Seq: 0, Table: tbl("wan", 1, nil)}) {
@@ -223,8 +223,9 @@ func TestDeltaForPushPull(t *testing.T) {
 }
 
 // TestChangedSince pins what the gossip agent folds each round: the records
-// applied after a generation, in origin order, each with the FNV hash of its
-// canonical encoding. Merges that lose change nothing; tombstones count.
+// applied after a generation, in origin order, each as the registry now holds
+// it. Merges that lose change nothing, so the agent folds every record it is
+// handed; tombstones count.
 func TestChangedSince(t *testing.T) {
 	r := NewRegistry()
 	for _, o := range []uint64{5, 1, 3} {
@@ -232,16 +233,14 @@ func TestChangedSince(t *testing.T) {
 	}
 	check := func(since uint64, want ...transport.ContextID) ([]Record, uint64) {
 		t.Helper()
-		recs, hashes, now := r.ChangedSince(since)
-		if len(recs) != len(want) || len(hashes) != len(want) {
-			t.Fatalf("ChangedSince(%d) = %d records, %d hashes; want origins %v", since, len(recs), len(hashes), want)
+		recs, now := r.ChangedSince(since)
+		if len(recs) != len(want) {
+			t.Fatalf("ChangedSince(%d) = %d records; want origins %v", since, len(recs), want)
 		}
 		for i, rec := range recs {
-			h := fnv.New64a()
-			h.Write(rec.canonical())
-			if rec.Origin != want[i] || hashes[i] != h.Sum64() {
-				t.Errorf("ChangedSince(%d)[%d] = origin %d hash %x, want origin %d hash %x",
-					since, i, rec.Origin, hashes[i], want[i], h.Sum64())
+			held, _ := r.Get(rec.Origin)
+			if rec.Origin != want[i] || !rec.equal(held) {
+				t.Errorf("ChangedSince(%d)[%d] = %+v, want origin %d as held (%+v)", since, i, rec, want[i], held)
 			}
 		}
 		return recs, now
@@ -482,8 +481,8 @@ func TestMergeAllMatchesMerge(t *testing.T) {
 		if got := all.MergeAll(batch); got != applied {
 			t.Fatalf("trial %d: MergeAll applied %d, Merge one by one %d", trial, got, applied)
 		}
-		_, _, genOne := one.ChangedSince(0)
-		_, _, genAll := all.ChangedSince(0)
+		_, genOne := one.ChangedSince(0)
+		_, genAll := all.ChangedSince(0)
 		if !one.Equal(all) || one.Fingerprint() != all.Fingerprint() || genOne != genAll {
 			t.Fatalf("trial %d: batch and one-by-one merges differ:\n%+v\n%+v", trial, all.Snapshot(), one.Snapshot())
 		}

@@ -1,5 +1,8 @@
-// Package secure implements a security-enhanced communication module: an
-// AES-GCM encryption layer wrapped around any other registered method.
+// Package secure is a composition demo: a communication module that wraps any
+// other registered method in AES-GCM under a static key, pre-shared through
+// the "key" parameter. It is not a secure channel. There is no key exchange
+// and no rekeying, and open accepts a replayed frame: a frame sealed once
+// authenticates every time it is delivered.
 //
 // The paper's §2 lists security as a method-selection axis: "control
 // information might be encrypted outside a site, but not within". Because
@@ -218,7 +221,8 @@ func (m *Module) seal(plain []byte) []byte {
 	return m.aead.Seal(out, nonce[:], plain, nil)
 }
 
-// open reverses seal.
+// open reverses seal. It keeps no record of the nonces it has seen, so a
+// replayed frame opens again.
 func (m *Module) open(frame []byte) ([]byte, error) {
 	if len(frame) < 12+m.aead.Overhead() {
 		return nil, ErrDecrypt

@@ -17,8 +17,7 @@ import (
 func TestDroppedCounters(t *testing.T) {
 	mk := func() *nexus.Context {
 		c, err := nexus.NewContext(nexus.Options{
-			Methods:  []nexus.MethodConfig{{Name: "inproc"}},
-			ErrorLog: func(error) {}, // drops are the point of this test
+			Methods: []nexus.MethodConfig{{Name: "inproc"}},
 		})
 		if err != nil {
 			t.Fatal(err)
