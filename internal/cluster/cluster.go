@@ -29,16 +29,6 @@ import (
 	_ "nexus/internal/transport/udp" // udp and rudp
 )
 
-// fabricMethods are the method names whose modules take a shared-medium name
-// parameter; the machine tag is injected so distinct machines are isolated.
-var fabricMethods = map[string]string{
-	"inproc": "exchange",
-	"mpl":    "fabric",
-	"myri":   "fabric",
-	"atm":    "fabric",
-	"wan":    "fabric",
-}
-
 // NodeSpec describes one context of the machine.
 type NodeSpec struct {
 	// Partition names the node's partition.
@@ -148,22 +138,17 @@ func New(cfg Config) (*Machine, error) {
 	return m, nil
 }
 
-// injectTag scopes fabric/exchange parameters to the machine.
+// injectTag scopes each method's shared medium — the "exchange" or "fabric"
+// parameter its module declares — to the machine, so distinct machines are
+// isolated, unless the method's parameters already name one.
 func injectTag(methods []core.MethodConfig, tag string) []core.MethodConfig {
 	out := make([]core.MethodConfig, len(methods))
 	for i, mc := range methods {
 		out[i] = mc
-		if key, ok := fabricMethods[mc.Name]; ok {
-			p := mc.Params
-			if p == nil {
-				p = transport.Params{}
-			} else {
-				p = p.Clone()
+		for _, d := range transport.Default.Params(mc.Name) {
+			if _, set := mc.Params[d.Key]; !set && (d.Key == "exchange" || d.Key == "fabric") {
+				out[i].Params = mc.Params.Merge(transport.Params{d.Key: tag})
 			}
-			if _, set := p[key]; !set {
-				p[key] = tag
-			}
-			out[i].Params = p
 		}
 	}
 	return out

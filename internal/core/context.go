@@ -130,9 +130,9 @@ type MethodConfig struct {
 	Name string
 	// Params configures the module instance.
 	Params transport.Params
-	// SkipPoll polls this method only every k-th pass (default 1: every
-	// pass). This is the paper's skip_poll parameter. A value above 1 is
-	// pinned exactly as if set by Context.SetSkipPoll.
+	// SkipPoll polls this method only every k-th pass (0 or 1: every
+	// pass; negative is an error). This is the paper's skip_poll parameter.
+	// A value above 1 is pinned exactly as if set by Context.SetSkipPoll.
 	SkipPoll int
 }
 
@@ -501,9 +501,10 @@ func hasMethod(configs []MethodConfig, name string) bool {
 }
 
 func (c *Context) enableMethod(reg *transport.Registry, mc MethodConfig) error {
-	if mc.SkipPoll < 1 {
-		mc.SkipPoll = 1
+	if mc.SkipPoll < 0 {
+		return fmt.Errorf("%w: %s: skip_poll=%d: want >= 0", transport.ErrBadParam, mc.Name, mc.SkipPoll)
 	}
+	mc.SkipPoll = max(mc.SkipPoll, 1)
 	mod, err := reg.New(mc.Name, mc.Params)
 	if err != nil {
 		return err

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -673,20 +674,16 @@ func TestFailoverToNextMethod(t *testing.T) {
 			t.Fatal(err)
 		}
 		_ = base
-		reg.Register(f, func(p transport.Params) transport.Module {
-			m, err := transport.Default.New(f, p)
-			if err != nil {
-				panic(err)
-			}
-			return m
+		reg.Register(f, transport.Default.Params(f), func(v transport.Values) (transport.Module, error) {
+			return transport.Default.New(f, v.Params)
 		})
 	}
-	reg.Register("flaky", func(p transport.Params) transport.Module {
+	reg.Register("flaky", nil, func(transport.Values) (transport.Module, error) {
 		inner, err := transport.Default.New("inproc", transport.Params{"exchange": tag + "-flaky"})
 		if err != nil {
-			panic(err)
+			return nil, err
 		}
-		return &flakyModule{inner: inner, fails: fails}
+		return &flakyModule{inner: inner, fails: fails}, nil
 	})
 
 	mk := func() *Context {
@@ -814,5 +811,23 @@ func TestConcurrentBidirectionalTraffic(t *testing.T) {
 	}
 	if aGot.Load() != senders*per || bGot.Load() != senders*per {
 		t.Errorf("delivered a=%d b=%d, want %d each", aGot.Load(), bGot.Load(), senders*per)
+	}
+}
+
+// TestNegativeSkipPollRejected: a negative MethodConfig.SkipPoll is an error
+// naming skip_poll, not a silent 1, while 0 still means every pass.
+func TestNegativeSkipPollRejected(t *testing.T) {
+	p := transport.Params{"exchange": "negative-skip-poll"}
+	_, err := NewContext(Options{Methods: []MethodConfig{{Name: "inproc", SkipPoll: -3, Params: p}}})
+	if !errors.Is(err, transport.ErrBadParam) || !strings.Contains(err.Error(), "skip_poll") {
+		t.Fatalf("SkipPoll -3: NewContext = %v, want a bad parameter naming skip_poll", err)
+	}
+	c, err := NewContext(Options{Methods: []MethodConfig{{Name: "inproc", SkipPoll: 0, Params: p}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if got := c.SkipPoll("inproc"); got != 1 {
+		t.Errorf("SkipPoll 0: skip_poll = %d, want 1", got)
 	}
 }

@@ -101,13 +101,9 @@ func (nullConn) Close() error      { return nil }
 // full-send mutex).
 func BenchmarkSendContention(b *testing.B) {
 	reg := transport.NewRegistry()
-	reg.Register("null", func(transport.Params) transport.Module { return nullModule{} })
-	reg.Register("local", func(p transport.Params) transport.Module {
-		m, err := transport.Default.New("local", p)
-		if err != nil {
-			panic(err)
-		}
-		return m
+	reg.Register("null", nil, func(transport.Values) (transport.Module, error) { return nullModule{}, nil })
+	reg.Register("local", transport.Default.Params("local"), func(v transport.Values) (transport.Module, error) {
+		return transport.Default.New("local", v.Params)
 	})
 	mk := func() *Context {
 		c, err := NewContext(Options{registry: reg, Methods: []MethodConfig{{Name: "null"}}})

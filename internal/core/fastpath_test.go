@@ -122,13 +122,9 @@ func (c *recordConn) Close() error   { return nil }
 func TestMulticastEncodesOnce(t *testing.T) {
 	rec := &recordModule{}
 	reg := transport.NewRegistry()
-	reg.Register("rec", func(transport.Params) transport.Module { return rec })
-	reg.Register("local", func(p transport.Params) transport.Module {
-		m, err := transport.Default.New("local", p)
-		if err != nil {
-			panic(err)
-		}
-		return m
+	reg.Register("rec", nil, func(transport.Values) (transport.Module, error) { return rec, nil })
+	reg.Register("local", transport.Default.Params("local"), func(v transport.Values) (transport.Module, error) {
+		return transport.Default.New("local", v.Params)
 	})
 
 	mk := func() *Context {

@@ -169,21 +169,17 @@ func TestPollErrorsDisableModule(t *testing.T) {
 	reg := transport.NewRegistry()
 	for _, name := range []string{"local", "inproc"} {
 		name := name
-		reg.Register(name, func(p transport.Params) transport.Module {
-			m, err := transport.Default.New(name, p)
-			if err != nil {
-				panic(err)
-			}
-			return m
+		reg.Register(name, transport.Default.Params(name), func(v transport.Values) (transport.Module, error) {
+			return transport.Default.New(name, v.Params)
 		})
 	}
 	pollFails := make(chan error, 64)
-	reg.Register("badpoll", func(p transport.Params) transport.Module {
+	reg.Register("badpoll", nil, func(transport.Values) (transport.Module, error) {
 		inner, err := transport.Default.New("inproc", transport.Params{"exchange": tag + "-bad"})
 		if err != nil {
-			panic(err)
+			return nil, err
 		}
-		return &badPollModule{Module: inner, errs: pollFails}
+		return &badPollModule{Module: inner, errs: pollFails}, nil
 	})
 	c, err := NewContext(Options{
 		registry: reg,

@@ -70,18 +70,14 @@ func (c *scriptConn) Close() error   { c.closes.Add(1); return nil }
 func scriptCtx(t *testing.T, opts Options, names ...string) (*Context, []*scriptModule) {
 	t.Helper()
 	reg := transport.NewRegistry()
-	reg.Register("local", func(p transport.Params) transport.Module {
-		m, err := transport.Default.New("local", p)
-		if err != nil {
-			panic(err)
-		}
-		return m
+	reg.Register("local", transport.Default.Params("local"), func(v transport.Values) (transport.Module, error) {
+		return transport.Default.New("local", v.Params)
 	})
 	mods := make([]*scriptModule, len(names))
 	for i, name := range names {
 		m := &scriptModule{name: name}
 		mods[i] = m
-		reg.Register(name, func(transport.Params) transport.Module { return m })
+		reg.Register(name, nil, func(transport.Values) (transport.Module, error) { return m, nil })
 		opts.Methods = append(opts.Methods, MethodConfig{Name: name})
 	}
 	opts.registry = reg

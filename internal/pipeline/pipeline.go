@@ -268,11 +268,10 @@ func Run(m *cluster.Machine, cfg Config) (Stats, error) {
 		if src.Poll() == 0 {
 			runtime.Gosched()
 		}
-		for id, d := range collected {
+		for id := range collected {
 			if a, ok := outstanding[id]; ok {
 				inFlight[a.worker]--
 				delete(outstanding, id)
-				_ = d
 			}
 		}
 		// Reassign tiles stuck past the deadline (dead or slow worker).

@@ -14,8 +14,8 @@
 //
 // The reserved parameter key "skip_poll" (polling frequency divisor) is
 // interpreted by the core rather than the module. Everything else is passed
-// to the module. The key "blocking" is rejected: blocking detection was
-// removed, and every method is detected by the polling loop.
+// to the module, after a check against the parameters the registered modules
+// declare (transport.Registry.Parse).
 //
 // A database maps context selectors to specs:
 //
@@ -32,6 +32,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -42,9 +43,6 @@ import (
 // ParseSpec parses a method spec string into core method configurations.
 func ParseSpec(spec string) ([]core.MethodConfig, error) {
 	var out []core.MethodConfig
-	if strings.TrimSpace(spec) == "" {
-		return out, nil
-	}
 	for _, entry := range strings.Split(spec, ",") {
 		entry = strings.TrimSpace(entry)
 		if entry == "" {
@@ -80,14 +78,15 @@ func parseEntry(entry string) (core.MethodConfig, error) {
 		case "skip_poll":
 			n, err := strconv.Atoi(v)
 			if err != nil || n < 1 {
-				return core.MethodConfig{}, fmt.Errorf("resource: bad skip_poll %q in %q", v, entry)
+				return core.MethodConfig{}, fmt.Errorf("resource: %q: %w: %s: skip_poll=%q: want >= 1", entry, transport.ErrBadParam, name, v)
 			}
 			mc.SkipPoll = n
-		case "blocking":
-			return core.MethodConfig{}, fmt.Errorf("resource: key blocking in %q: blocking detection was removed; every method is detected by the polling loop", entry)
 		default:
 			mc.Params[k] = v
 		}
+	}
+	if _, err := transport.Default.Parse(name, mc.Params); err != nil {
+		return core.MethodConfig{}, fmt.Errorf("resource: %q: %w", entry, err)
 	}
 	return mc, nil
 }
@@ -107,20 +106,12 @@ func FormatSpec(methods []core.MethodConfig) string {
 		for k := range mc.Params {
 			keys = append(keys, k)
 		}
-		sortStrings(keys)
+		slices.Sort(keys)
 		for _, k := range keys {
 			fmt.Fprintf(&sb, ":%s=%s", k, mc.Params[k])
 		}
 	}
 	return sb.String()
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // Database holds method specs keyed by context selectors.

@@ -1,13 +1,18 @@
 package resource
 
 import (
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"nexus/internal/core"
+	_ "nexus/internal/simnet"
 	"nexus/internal/transport"
+	_ "nexus/internal/transport/inproc"
+	_ "nexus/internal/transport/tcp"
+	_ "nexus/internal/transport/udp"
 )
 
 func TestParseSpecBasic(t *testing.T) {
@@ -44,9 +49,14 @@ func TestParseSpecErrors(t *testing.T) {
 		"tcp:novalue",                // malformed kv
 		"tcp:skip_poll=zero",         // bad skip_poll
 		"tcp:skip_poll=0",            // skip_poll < 1
-		"tcp:blocking=perhaps",       // blocking detection is removed
+		"tcp:blocking=perhaps",       // no registered method declares blocking
 		"udp:blocking=true:loss=0.5", // ... whatever the value
 		"tcp:blocking=false",
+		"tcp:skip_pol=20",     // a misspelled key
+		"tcp:nodelay=maybe",   // a malformed value
+		"udp:loss=1.5",        // an out-of-range value
+		"mpl:latency=-1ms",    // ... of another kind
+		"unregistered:sndbuf", // malformed kv, before any check
 	}
 	for _, s := range bad {
 		if _, err := ParseSpec(s); err == nil {
@@ -56,11 +66,23 @@ func TestParseSpecErrors(t *testing.T) {
 }
 
 // TestParseSpecRejectsBlocking: a spec that selected blocking detection must
-// fail and say why, not parse into a method that is then never polled.
+// fail by the key's name, since no registered method declares it; so must
+// the misspellings that once built a context which ignored them.
 func TestParseSpecRejectsBlocking(t *testing.T) {
-	_, err := ParseSpec("mpl,tcp:blocking=true")
-	if err == nil || !strings.Contains(err.Error(), "blocking detection was removed") {
-		t.Fatalf("ParseSpec(blocking=true) = %v, want the removal named", err)
+	for spec, keys := range map[string][]string{
+		"mpl,tcp:blocking=true":         {"blocking"},
+		"tcp:skip_pol=20:nodelya=false": {"skip_pol", "nodelya"},
+	} {
+		_, err := ParseSpec(spec)
+		if !errors.Is(err, transport.ErrBadParam) {
+			t.Errorf("ParseSpec(%q) = %v, want ErrBadParam", spec, err)
+			continue
+		}
+		for _, k := range keys {
+			if !strings.Contains(err.Error(), k) {
+				t.Errorf("ParseSpec(%q) = %v, want %s named", spec, err, k)
+			}
+		}
 	}
 }
 
@@ -106,19 +128,7 @@ func TestPropertyFormatParseRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		// SkipPoll 1 is a fixpoint wrinkle: FormatSpec omits it, ParseSpec
-		// leaves zero. Normalize both sides to compare.
-		norm := func(in []core.MethodConfig) []core.MethodConfig {
-			o := make([]core.MethodConfig, len(in))
-			for i, mc := range in {
-				if mc.SkipPoll <= 1 {
-					mc.SkipPoll = 0
-				}
-				o[i] = mc
-			}
-			return o
-		}
-		return reflect.DeepEqual(norm(methods), norm(out))
+		return reflect.DeepEqual(everyPass(methods), everyPass(out))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

@@ -76,23 +76,13 @@ type Config struct {
 	// time, not PollCost): 10 runs the fabric 10x faster than modelled,
 	// letting long experiments finish quickly while preserving ratios.
 	TimeScale float64
-	// PollBatch bounds frames delivered per Poll (default 32).
+	// PollBatch bounds frames delivered per Poll.
 	PollBatch int
 	// MaxMessage caps the frame size Send accepts (0 = unlimited). Real
 	// mid-90s fabrics had MTUs; setting one makes the simulated method
 	// size-limited exactly like udp/rudp, which is how fragmentation and
 	// size-aware selection are exercised deterministically in tests.
 	MaxMessage int
-}
-
-func (c Config) withParams(p transport.Params) Config {
-	c.Latency = p.Duration("latency", c.Latency)
-	c.BytesPerSec = p.Float("bandwidth", c.BytesPerSec)
-	c.PollCost = p.Duration("poll_cost", c.PollCost)
-	c.TimeScale = p.Float("time_scale", c.TimeScale)
-	c.PollBatch = p.Int("poll_batch", c.PollBatch)
-	c.MaxMessage = p.Int("max_message", c.MaxMessage)
-	return c
 }
 
 // Defaults for the registered methods. Latencies and bandwidths follow the
@@ -108,10 +98,23 @@ var (
 
 func init() {
 	for _, def := range []Config{MPLDefaults, MyriDefaults, ATMDefaults, WANDefaults} {
-		def := def
-		transport.Register(def.Method, func(p transport.Params) transport.Module {
-			fab := GetOrCreateFabric(p.Str("fabric", "default") + "/" + def.Method)
-			return New(fab, def.withParams(p))
+		transport.Register(def.Method, []transport.Param{
+			{Key: "fabric", Default: "default", Doc: "name of the process-wide fabric to join"},
+			{Key: "latency", Default: def.Latency, Min: 0, Doc: "one-way wire latency"},
+			{Key: "bandwidth", Default: def.BytesPerSec, Min: 0, Doc: "link bandwidth in bytes/s (0 = infinite)"},
+			{Key: "poll_cost", Default: def.PollCost, Min: 0, Doc: "busy-wait charged to every Poll"},
+			{Key: "time_scale", Default: def.TimeScale, Min: 0.001, Doc: "divisor of the modelled delays (not of poll_cost)"},
+			{Key: "poll_batch", Default: def.PollBatch, Min: 1, Doc: "most frames delivered per Poll"},
+			{Key: "max_message", Default: def.MaxMessage, Min: 0, Doc: "largest frame Send accepts (0 = unlimited)"},
+		}, func(v transport.Values) (transport.Module, error) {
+			c := def
+			c.Latency = v.Duration("latency")
+			c.BytesPerSec = v.Float("bandwidth")
+			c.PollCost = v.Duration("poll_cost")
+			c.TimeScale = v.Float("time_scale")
+			c.PollBatch = v.Int("poll_batch")
+			c.MaxMessage = v.Int("max_message")
+			return New(GetOrCreateFabric(v.Str("fabric")+"/"+def.Method), c), nil
 		})
 	}
 }
@@ -235,16 +238,9 @@ type Module struct {
 	closed bool
 }
 
-// New returns an uninitialized module for the fabric with the given config.
-func New(f *Fabric, cfg Config) *Module {
-	if cfg.TimeScale <= 0 {
-		cfg.TimeScale = 1
-	}
-	if cfg.PollBatch <= 0 {
-		cfg.PollBatch = 32
-	}
-	return &Module{fabric: f, cfg: cfg}
-}
+// New returns an uninitialized module for the fabric with the given config,
+// whose TimeScale and PollBatch must be positive.
+func New(f *Fabric, cfg Config) *Module { return &Module{fabric: f, cfg: cfg} }
 
 // Name implements transport.Module.
 func (m *Module) Name() string { return m.cfg.Method }

@@ -120,6 +120,28 @@ func initFixture(t *testing.T, m transport.Module, env transport.Env) transport.
 
 const secureTestKey = "000102030405060708090a0b0c0d0e0f" // 16-byte AES key, both ends
 
+// values checks p against the method's declaration, as the registry does
+// before calling the factory.
+func values(t *testing.T, method string, p transport.Params) transport.Values {
+	t.Helper()
+	v, err := transport.Default.Parse(method, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
+// newModule builds a module of the named method through the registry, as a
+// context does.
+func newModule(t *testing.T, method string, p transport.Params) transport.Module {
+	t.Helper()
+	m, err := transport.Default.New(method, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 // fixtures builds one conformance pair per transport. Each call builds
 // fresh modules on isolated media (unique inproc exchange, fresh simnet
 // fabric, OS-assigned ports), so tests cannot observe each other.
@@ -130,9 +152,9 @@ var fixtures = []struct {
 	{"inproc", func(t *testing.T) *pair {
 		ex := inproc.NewExchange("conformance-" + t.Name())
 		sink := &collector{}
-		recv := inproc.New(ex, nil)
+		recv := inproc.New(ex, values(t, inproc.Name, nil))
 		desc := initFixture(t, recv, transport.Env{Context: 1, Process: "p", Sink: sink})
-		send := inproc.New(ex, nil)
+		send := inproc.New(ex, values(t, inproc.Name, nil))
 		initFixture(t, send, transport.Env{Context: 2, Process: "p", Sink: &collector{}})
 		return &pair{send: send, desc: desc, sink: sink, poll: []transport.Module{recv}, reliable: true}
 	}},
@@ -144,37 +166,37 @@ var fixtures = []struct {
 	}},
 	{"tcp", func(t *testing.T) *pair {
 		sink := &collector{}
-		recv := tcp.New(nil)
+		recv := newModule(t, tcp.Name, nil)
 		desc := initFixture(t, recv, transport.Env{Context: 1, Sink: sink})
-		send := tcp.New(nil)
+		send := newModule(t, tcp.Name, nil)
 		initFixture(t, send, transport.Env{Context: 2, Sink: &collector{}})
 		return &pair{send: send, desc: desc, sink: sink, poll: []transport.Module{recv}, reliable: true}
 	}},
 	{"udp", func(t *testing.T) *pair {
 		sink := &collector{}
-		recv := udp.New(nil)
+		recv := newModule(t, udp.Name, nil)
 		desc := initFixture(t, recv, transport.Env{Context: 1, Sink: sink})
-		send := udp.New(nil)
+		send := newModule(t, udp.Name, nil)
 		initFixture(t, send, transport.Env{Context: 2, Sink: &collector{}})
 		return &pair{send: send, desc: desc, sink: sink, poll: []transport.Module{recv}, reliable: false}
 	}},
 	{"rudp", func(t *testing.T) *pair {
 		sink := &collector{}
-		recv := udp.NewReliable(nil)
+		recv := newModule(t, udp.ReliableName, nil)
 		desc := initFixture(t, recv, transport.Env{Context: 1, Sink: sink})
-		send := udp.NewReliable(nil)
+		send := newModule(t, udp.ReliableName, nil)
 		initFixture(t, send, transport.Env{Context: 2, Sink: &collector{}})
 		return &pair{send: send, desc: desc, sink: sink, poll: []transport.Module{recv, send}, reliable: true}
 	}},
 	{"secure", func(t *testing.T) *pair {
 		params := transport.Params{"key": secureTestKey, "inner": "tcp"}
 		sink := &collector{}
-		recv, err := secure.New(transport.Default, params)
+		recv, err := secure.New(transport.Default, values(t, secure.Name, params))
 		if err != nil {
 			t.Fatal(err)
 		}
 		desc := initFixture(t, recv, transport.Env{Context: 1, Sink: sink})
-		send, err := secure.New(transport.Default, params)
+		send, err := secure.New(transport.Default, values(t, secure.Name, params))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,9 +208,9 @@ var fixtures = []struct {
 			t.Skip("shm transport requires linux mmap/FIFO support")
 		}
 		sink := &collector{}
-		recv := shm.New(transport.Params{"dir": t.TempDir()})
+		recv := shm.New(values(t, shm.Name, transport.Params{"dir": t.TempDir()}))
 		desc := initFixture(t, recv, transport.Env{Context: 1, Sink: sink})
-		send := shm.New(transport.Params{"dir": t.TempDir()})
+		send := shm.New(values(t, shm.Name, transport.Params{"dir": t.TempDir()}))
 		initFixture(t, send, transport.Env{Context: 2, Sink: &collector{}})
 		// Both modules poll: the receiver drains accepted segments, the
 		// sender drains the reverse rings of segments it dialed.
@@ -196,7 +218,7 @@ var fixtures = []struct {
 	}},
 	{"simnet", func(t *testing.T) *pair {
 		fab := simnet.NewFabric("conformance-" + t.Name())
-		cfg := simnet.Config{Method: "sim", Scope: simnet.ScopeGlobal, MaxMessage: 32 << 10}
+		cfg := simnet.Config{Method: "sim", Scope: simnet.ScopeGlobal, TimeScale: 1, PollBatch: 32, MaxMessage: 32 << 10}
 		sink := &collector{}
 		recv := simnet.New(fab, cfg)
 		desc := initFixture(t, recv, transport.Env{Context: 1, Sink: sink})

@@ -23,8 +23,12 @@ import (
 const Name = "inproc"
 
 func init() {
-	transport.Register(Name, func(p transport.Params) transport.Module {
-		return New(GetOrCreateExchange(p.Str("exchange", "default")), p)
+	transport.Register(Name, []transport.Param{
+		{Key: "exchange", Default: "default", Doc: "name of the process-wide exchange to join"},
+		{Key: "poll_batch", Default: 32, Min: 1, Doc: "most frames delivered per Poll"},
+		{Key: "poll_cost", Default: time.Duration(0), Min: 0, Doc: "artificial busy-wait per Poll, for polling experiments"},
+	}, func(v transport.Values) (transport.Module, error) {
+		return New(GetOrCreateExchange(v.Str("exchange")), v), nil
 	})
 }
 
@@ -137,16 +141,13 @@ type Module struct {
 	inited    bool
 }
 
-// New returns an uninitialized module on the given exchange. Recognized
-// parameters:
-//
-//	poll_batch — max frames delivered per Poll (default 32)
-//	poll_cost  — artificial per-poll busy-wait, for polling experiments
-func New(e *Exchange, p transport.Params) *Module {
+// New returns an uninitialized module on the given exchange, from its
+// checked parameters v.
+func New(e *Exchange, v transport.Values) *Module {
 	return &Module{
 		exchange:  e,
-		pollBatch: p.Int("poll_batch", 32),
-		pollCost:  p.Duration("poll_cost", 0),
+		pollBatch: v.Int("poll_batch"),
+		pollCost:  v.Duration("poll_cost"),
 	}
 }
 

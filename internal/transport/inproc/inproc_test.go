@@ -27,11 +27,21 @@ func (c *collect) count() int {
 	return len(c.frames)
 }
 
+// values checks p against the module's declaration, as the registry does
+// before calling the factory.
+func values(p transport.Params) transport.Values {
+	v, err := transport.Default.Parse(Name, p)
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
 func pair(t *testing.T, ex *Exchange) (a, b *Module, da, db transport.Descriptor, sa, sb *collect) {
 	t.Helper()
 	sa, sb = &collect{}, &collect{}
-	a = New(ex, nil)
-	b = New(ex, nil)
+	a = New(ex, values(nil))
+	b = New(ex, values(nil))
 	pda, err := a.Init(transport.Env{Context: 1, Process: "p", Sink: sa})
 	if err != nil {
 		t.Fatal(err)
@@ -81,12 +91,12 @@ func TestSendPollRoundTrip(t *testing.T) {
 func TestPollBatchLimit(t *testing.T) {
 	ex := NewExchange("t2")
 	sink := &collect{}
-	recv := New(ex, transport.Params{"poll_batch": "3"})
+	recv := New(ex, values(transport.Params{"poll_batch": "3"}))
 	d, err := recv.Init(transport.Env{Context: 9, Process: "p", Sink: sink})
 	if err != nil {
 		t.Fatal(err)
 	}
-	send := New(ex, nil)
+	send := New(ex, values(nil))
 	if _, err := send.Init(transport.Env{Context: 10, Process: "p", Sink: &collect{}}); err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +148,7 @@ func TestApplicability(t *testing.T) {
 
 func TestDoubleInitRejected(t *testing.T) {
 	ex := NewExchange("t4")
-	m := New(ex, nil)
+	m := New(ex, values(nil))
 	env := transport.Env{Context: 1, Process: "p", Sink: &collect{}}
 	if _, err := m.Init(env); err != nil {
 		t.Fatal(err)
@@ -147,7 +157,7 @@ func TestDoubleInitRejected(t *testing.T) {
 		t.Error("second Init succeeded")
 	}
 	// A second module for the same context on the same exchange must fail.
-	m2 := New(ex, nil)
+	m2 := New(ex, values(nil))
 	if _, err := m2.Init(env); err == nil {
 		t.Error("duplicate context registration succeeded")
 	}
@@ -171,14 +181,14 @@ func TestSendToClosedContext(t *testing.T) {
 		t.Errorf("double Close: %v", err)
 	}
 	// The context id can be reused after Close.
-	b2 := New(ex, nil)
+	b2 := New(ex, values(nil))
 	if _, err := b2.Init(transport.Env{Context: 2, Process: "p", Sink: &collect{}}); err != nil {
 		t.Errorf("re-Init after Close: %v", err)
 	}
 }
 
 func TestUninitializedOps(t *testing.T) {
-	m := New(NewExchange("t6"), nil)
+	m := New(NewExchange("t6"), values(nil))
 	if _, err := m.Poll(); !errors.Is(err, transport.ErrNotInitialized) {
 		t.Errorf("Poll err = %v", err)
 	}
@@ -198,7 +208,7 @@ func TestConcurrentSenders(t *testing.T) {
 		go func(id int) {
 			defer wg.Done()
 			// Each sender gets its own module/context like a real machine.
-			m := New(ex, nil)
+			m := New(ex, values(nil))
 			if _, err := m.Init(transport.Env{Context: transport.ContextID(100 + id), Process: "p", Sink: &collect{}}); err != nil {
 				t.Error(err)
 				return
@@ -238,7 +248,7 @@ func TestConcurrentSenders(t *testing.T) {
 }
 
 func TestPollCostHint(t *testing.T) {
-	m := New(NewExchange("t8"), transport.Params{"poll_cost": "50us"})
+	m := New(NewExchange("t8"), values(transport.Params{"poll_cost": "50us"}))
 	var _ transport.CostHinter = m
 	if got := m.PollCostHint(); got != 50*time.Microsecond {
 		t.Errorf("PollCostHint = %v", got)
@@ -247,7 +257,7 @@ func TestPollCostHint(t *testing.T) {
 
 func TestPollCostSlowsPoll(t *testing.T) {
 	ex := NewExchange("t9")
-	m := New(ex, transport.Params{"poll_cost": "200us"})
+	m := New(ex, values(transport.Params{"poll_cost": "200us"}))
 	if _, err := m.Init(transport.Env{Context: 1, Process: "p", Sink: &collect{}}); err != nil {
 		t.Fatal(err)
 	}

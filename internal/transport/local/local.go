@@ -17,7 +17,7 @@ import (
 const Name = "local"
 
 func init() {
-	transport.Register(Name, func(p transport.Params) transport.Module { return New() })
+	transport.Register(Name, nil, func(transport.Values) (transport.Module, error) { return New(), nil })
 }
 
 // Module is the intracontext communication method.

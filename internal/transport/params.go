@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"time"
@@ -10,62 +11,10 @@ import (
 // a TCP method or a loss rate for an unreliable method. The paper requires
 // that programmers be able to "manage low-level behavior by specifying values
 // for important parameters"; Params is the vehicle, populated from the
-// resource database, command-line flags, or program calls.
+// resource database, command-line flags, or program calls. Each method
+// declares the keys it reads (Param), and Registry.Parse checks a set against
+// that declaration before the method's factory sees it.
 type Params map[string]string
-
-// Get returns the raw value and whether it is present.
-func (p Params) Get(key string) (string, bool) {
-	v, ok := p[key]
-	return v, ok
-}
-
-// Str returns the value for key, or def if absent.
-func (p Params) Str(key, def string) string {
-	if v, ok := p[key]; ok {
-		return v
-	}
-	return def
-}
-
-// Int returns the integer value for key, or def if absent or malformed.
-func (p Params) Int(key string, def int) int {
-	if v, ok := p[key]; ok {
-		if n, err := strconv.Atoi(v); err == nil {
-			return n
-		}
-	}
-	return def
-}
-
-// Float returns the float value for key, or def if absent or malformed.
-func (p Params) Float(key string, def float64) float64 {
-	if v, ok := p[key]; ok {
-		if f, err := strconv.ParseFloat(v, 64); err == nil {
-			return f
-		}
-	}
-	return def
-}
-
-// Bool returns the boolean value for key, or def if absent or malformed.
-func (p Params) Bool(key string, def bool) bool {
-	if v, ok := p[key]; ok {
-		if b, err := strconv.ParseBool(v); err == nil {
-			return b
-		}
-	}
-	return def
-}
-
-// Duration returns the duration value for key, or def if absent or malformed.
-func (p Params) Duration(key string, def time.Duration) time.Duration {
-	if v, ok := p[key]; ok {
-		if d, err := time.ParseDuration(v); err == nil {
-			return d
-		}
-	}
-	return def
-}
 
 // Clone returns a copy of the parameter set.
 func (p Params) Clone() Params {
@@ -85,4 +34,67 @@ func (p Params) Merge(o Params) Params {
 	return c
 }
 
-func (p Params) String() string { return fmt.Sprintf("%v", map[string]string(p)) }
+// ErrBadParam reports a parameter set that a method cannot run with: a
+// malformed or out-of-range value, or a key that no registered method
+// declares. The wrapping error names the method, the key and the value.
+var ErrBadParam = errors.New("transport: bad parameter")
+
+// Param declares one parameter of a method. The type of Default is the
+// parameter's kind: string, int, float64, bool or time.Duration. Min and Max,
+// when set, bound a numeric value inclusively.
+type Param struct {
+	Key               string
+	Default, Min, Max any
+	Doc               string
+}
+
+// parse reads s as a value of the declared kind within the declared bounds.
+func (d Param) parse(s string) (v any, err error) {
+	switch d.Default.(type) {
+	case string:
+		return s, nil
+	case int:
+		v, err = strconv.Atoi(s)
+	case float64:
+		v, err = strconv.ParseFloat(s, 64)
+	case bool:
+		v, err = strconv.ParseBool(s)
+	case time.Duration:
+		v, err = time.ParseDuration(s)
+	}
+	switch {
+	case err != nil:
+		return nil, fmt.Errorf("want %T", d.Default)
+	case d.Min != nil && !(num(v) >= num(d.Min)):
+		return nil, fmt.Errorf("want >= %v", d.Min)
+	case d.Max != nil && !(num(v) <= num(d.Max)):
+		return nil, fmt.Errorf("want <= %v", d.Max)
+	}
+	return v, nil
+}
+
+// num is a numeric value as bounds compare it.
+func num(v any) float64 {
+	switch v := v.(type) {
+	case int:
+		return float64(v)
+	case time.Duration:
+		return float64(v)
+	}
+	return v.(float64)
+}
+
+// Values is a parameter set checked against one method's declaration: a value
+// of the declared kind for every key it declares, the default where the set
+// has none. Reading an undeclared key, or as another kind, panics.
+type Values struct {
+	Params Params // the set as given, for a module that hands it on (secure)
+	vals   map[string]any
+}
+
+// Str, Int, Float, Bool and Duration return a declared parameter of that kind.
+func (v Values) Str(key string) string             { return v.vals[key].(string) }
+func (v Values) Int(key string) int                { return v.vals[key].(int) }
+func (v Values) Float(key string) float64          { return v.vals[key].(float64) }
+func (v Values) Bool(key string) bool              { return v.vals[key].(bool) }
+func (v Values) Duration(key string) time.Duration { return v.vals[key].(time.Duration) }

@@ -34,33 +34,18 @@ const Name = "secure"
 // Errors returned by the secure module.
 var (
 	// ErrNoKey reports a missing or malformed key parameter.
-	ErrNoKey = errors.New("secure: parameter \"key\" must be 16, 24, or 32 hex-encoded bytes")
+	ErrNoKey = fmt.Errorf("%w: secure: key must be 16, 24, or 32 hex-encoded bytes", transport.ErrBadParam)
 	// ErrDecrypt reports an inbound frame that failed authentication.
 	ErrDecrypt = errors.New("secure: frame failed authenticated decryption")
 )
 
 func init() {
-	transport.Register(Name, func(p transport.Params) transport.Module {
-		m, err := New(transport.Default, p)
-		if err != nil {
-			return &brokenModule{err: err}
-		}
-		return m
-	})
+	// The inner method reads its own parameters from the same set.
+	transport.Register(Name, []transport.Param{
+		{Key: "key", Default: "", Doc: "hex-encoded 16/24/32-byte AES key shared by both ends (required)"},
+		{Key: "inner", Default: "tcp", Doc: "the wrapped method"},
+	}, func(v transport.Values) (transport.Module, error) { return New(transport.Default, v) })
 }
-
-// brokenModule surfaces a construction error at Init time, since factories
-// cannot fail.
-type brokenModule struct{ err error }
-
-func (b *brokenModule) Name() string                                      { return Name }
-func (b *brokenModule) Init(transport.Env) (*transport.Descriptor, error) { return nil, b.err }
-func (b *brokenModule) Applicable(transport.Descriptor) bool              { return false }
-func (b *brokenModule) Dial(transport.Descriptor) (transport.Conn, error) {
-	return nil, b.err
-}
-func (b *brokenModule) Poll() (int, error) { return 0, b.err }
-func (b *brokenModule) Close() error       { return nil }
 
 // Module wraps an inner communication method with authenticated encryption.
 type Module struct {
@@ -72,17 +57,10 @@ type Module struct {
 	dropped   atomic.Uint64
 }
 
-// New builds a secure module. Recognized parameters:
-//
-//	key   — hex-encoded 16/24/32-byte AES key, shared by both ends (required)
-//	inner — the wrapped method (default "tcp"); its own parameters are
-//	        passed through from the same parameter set
-func New(reg *transport.Registry, p transport.Params) (*Module, error) {
-	keyHex, ok := p.Get("key")
-	if !ok {
-		return nil, ErrNoKey
-	}
-	key, err := hex.DecodeString(keyHex)
+// New builds a secure module from its checked parameters v, over an inner
+// method from reg configured by the same set. A failed build is a nil module.
+func New(reg *transport.Registry, v transport.Values) (transport.Module, error) {
+	key, err := hex.DecodeString(v.Str("key"))
 	if err != nil || (len(key) != 16 && len(key) != 24 && len(key) != 32) {
 		return nil, ErrNoKey
 	}
@@ -94,8 +72,8 @@ func New(reg *transport.Registry, p transport.Params) (*Module, error) {
 	if err != nil {
 		return nil, fmt.Errorf("secure: %w", err)
 	}
-	innerName := p.Str("inner", "tcp")
-	inner, err := reg.New(innerName, p)
+	innerName := v.Str("inner")
+	inner, err := reg.New(innerName, v.Params)
 	if err != nil {
 		return nil, fmt.Errorf("secure: inner method: %w", err)
 	}

@@ -39,11 +39,11 @@ func newSecure(t *testing.T, params transport.Params) *Module {
 	if _, ok := params["key"]; !ok {
 		params["key"] = testKey
 	}
-	m, err := New(transport.Default, params)
+	m, err := transport.Default.New(Name, params)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return m
+	return m.(*Module)
 }
 
 func TestEncryptedRoundTrip(t *testing.T) {
@@ -195,17 +195,10 @@ func TestBadKeyParameters(t *testing.T) {
 		{"key": "00ff"},           // wrong length
 		{"key": testKey + "0011"}, // 18 bytes
 	} {
-		if _, err := New(transport.Default, params); !errors.Is(err, ErrNoKey) {
-			t.Errorf("params %v: err = %v, want ErrNoKey", params, err)
+		m, err := transport.Default.New(Name, params)
+		if !errors.Is(err, ErrNoKey) || !errors.Is(err, transport.ErrBadParam) {
+			t.Errorf("params %v: New = %v, %v; want ErrNoKey, a bad parameter", params, m, err)
 		}
-	}
-	// Factory path surfaces the error at Init.
-	m, err := transport.Default.New(Name, transport.Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Init(transport.Env{Context: 1, Sink: &collect{}}); !errors.Is(err, ErrNoKey) {
-		t.Errorf("broken module Init = %v", err)
 	}
 }
 

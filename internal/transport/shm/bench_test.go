@@ -37,7 +37,7 @@ func benchPair(b *testing.B, params transport.Params) (a, c *Module, aSink, cSin
 		for k, v := range params {
 			p[k] = v
 		}
-		m := New(p)
+		m := New(values(p))
 		desc, err := m.Init(transport.Env{Context: ctx, Sink: sink})
 		if err != nil {
 			b.Fatalf("Init: %v", err)

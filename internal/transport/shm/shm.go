@@ -47,13 +47,22 @@
 // poisons only that segment, never the module.
 package shm
 
-import "nexus/internal/transport"
+import (
+	"time"
+
+	"nexus/internal/transport"
+)
 
 // Name is the method name used in descriptors and resource strings.
 const Name = "shm"
 
 func init() {
-	transport.Register(Name, func(p transport.Params) transport.Module { return New(p) })
+	transport.Register(Name, []transport.Param{
+		{Key: "ring", Default: DefaultRingSize, Min: minRingSize, Max: maxRingSize, Doc: "per-direction ring bytes, rounded to a power of two (the message limit is ring/2-8)"},
+		{Key: "send_timeout", Default: 5 * time.Second, Min: 0, Doc: "bound on a Send blocked by a full ring"},
+		{Key: "dir", Default: "", Doc: "base directory for the segment directory (empty: /dev/shm when present, else the OS temp dir)"},
+		{Key: "stale_after", Default: 10 * time.Minute, Min: 0, Doc: "age before the Init sweep removes an orphaned sibling segment directory"},
+	}, func(v transport.Values) (transport.Module, error) { return New(v), nil })
 }
 
 // DefaultRingSize is the per-direction ring capacity. Two rings plus one

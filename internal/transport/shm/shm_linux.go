@@ -25,14 +25,8 @@ func Supported() bool { return true }
 // It wraps transport.ErrTooLarge like every size-limited module's error.
 var ErrTooLarge = fmt.Errorf("shm: frame exceeds ring message limit: %w", transport.ErrTooLarge)
 
-// Tunables (see New for the parameter names).
+// Limits.
 const (
-	// DefaultSendTimeout bounds how long a Send waits on a full ring whose
-	// consumer is alive but not draining.
-	DefaultSendTimeout = 5 * time.Second
-	// DefaultStaleAfter is how old an orphaned sibling segment directory
-	// must be before the Init sweep removes it.
-	DefaultStaleAfter = 10 * time.Minute
 	// carryLimit bounds the partial-line buffer for the control FIFO; a
 	// writer streaming garbage without newlines is cut off here.
 	carryLimit = 64 << 10
@@ -94,24 +88,14 @@ type Module struct {
 	swept     atomic.Uint64
 }
 
-// New returns an uninitialized shared-memory module. Recognized parameters:
-//
-//	ring         — per-direction ring bytes, rounded to a power of two
-//	               (default 4 MiB; the message limit is ring/2-8)
-//	send_timeout — bound on a Send blocked by a full ring (default 5s)
-//	dir          — base directory for the segment directory
-//	               (default /dev/shm when present, else the OS temp dir)
-//	stale_after  — age before the Init sweep removes orphaned sibling
-//	               segment directories (default 10m)
-func New(p transport.Params) *Module {
-	if p == nil {
-		p = transport.Params{}
-	}
+// New returns an uninitialized shared-memory module from its checked
+// parameters v.
+func New(v transport.Values) *Module {
 	return &Module{
-		ringSize:   ringSizeFor(p.Int("ring", DefaultRingSize)),
-		sendTO:     p.Duration("send_timeout", DefaultSendTimeout),
-		baseDir:    p.Str("dir", ""),
-		staleAfter: p.Duration("stale_after", DefaultStaleAfter),
+		ringSize:   ringSizeFor(v.Int("ring")),
+		sendTO:     v.Duration("send_timeout"),
+		baseDir:    v.Str("dir"),
+		staleAfter: v.Duration("stale_after"),
 		rfd:        -1,
 		wfd:        -1,
 	}

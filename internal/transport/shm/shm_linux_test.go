@@ -33,18 +33,28 @@ func newPair(t *testing.T, recvParams, sendParams transport.Params) (*Module, *M
 		sendParams["dir"] = t.TempDir()
 	}
 	sink := &sinkFrames{}
-	recv := New(recvParams)
+	recv := New(values(recvParams))
 	desc, err := recv.Init(transport.Env{Context: 1, Sink: sink})
 	if err != nil {
 		t.Fatalf("recv Init: %v", err)
 	}
 	t.Cleanup(func() { recv.Close() })
-	send := New(sendParams)
+	send := New(values(sendParams))
 	if _, err := send.Init(transport.Env{Context: 2, Sink: &sinkFrames{}}); err != nil {
 		t.Fatalf("send Init: %v", err)
 	}
 	t.Cleanup(func() { send.Close() })
 	return recv, send, *desc, sink
+}
+
+// values checks p against the module's declaration, as the registry does
+// before calling the factory.
+func values(p transport.Params) transport.Values {
+	v, err := transport.Default.Parse(Name, p)
+	if err != nil {
+		panic(err)
+	}
+	return v
 }
 
 func pollUntil(t *testing.T, m *Module, sink *sinkFrames, want int) {
@@ -119,14 +129,14 @@ func TestBatchSendSingleDoorbell(t *testing.T) {
 // consuming must raise an edge: a dialed segment's reverse ring starts armed.
 func TestReverseRingReuse(t *testing.T) {
 	aSink := &sinkFrames{}
-	a := New(transport.Params{"dir": t.TempDir()})
+	a := New(values(transport.Params{"dir": t.TempDir()}))
 	aDesc, err := a.Init(transport.Env{Context: 1, Sink: aSink})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
 	bSink := &sinkFrames{}
-	b := New(transport.Params{"dir": t.TempDir()})
+	b := New(values(transport.Params{"dir": t.TempDir()}))
 	bDesc, err := b.Init(transport.Env{Context: 2, Sink: bSink})
 	if err != nil {
 		t.Fatal(err)
@@ -476,7 +486,7 @@ func TestStaleSweep(t *testing.T) {
 	base := t.TempDir()
 
 	// A live module whose directory merely looks old.
-	live := New(transport.Params{"dir": base})
+	live := New(values(transport.Params{"dir": base}))
 	if _, err := live.Init(transport.Env{Context: 1, Sink: &sinkFrames{}}); err != nil {
 		t.Fatal(err)
 	}
@@ -503,7 +513,7 @@ func TestStaleSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m := New(transport.Params{"dir": base})
+	m := New(values(transport.Params{"dir": base}))
 	if _, err := m.Init(transport.Env{Context: 2, Sink: &sinkFrames{}}); err != nil {
 		t.Fatal(err)
 	}
@@ -529,7 +539,7 @@ func TestStaleSweep(t *testing.T) {
 // paper's intra-node case.
 func TestCrossProcessRoundTrip(t *testing.T) {
 	sink := &sinkFrames{}
-	recv := New(transport.Params{"dir": t.TempDir()})
+	recv := New(values(transport.Params{"dir": t.TempDir()}))
 	desc, err := recv.Init(transport.Env{Context: 1, Sink: sink})
 	if err != nil {
 		t.Fatal(err)
@@ -565,7 +575,7 @@ func TestHelperShmChildSend(t *testing.T) {
 	if err := json.Unmarshal([]byte(dj), &desc); err != nil {
 		t.Fatal(err)
 	}
-	m := New(nil)
+	m := New(values(nil))
 	if _, err := m.Init(transport.Env{Context: 99, Sink: &sinkFrames{}}); err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,7 @@ func Supported() bool { return false }
 type Module struct{}
 
 // New returns the stub module; parameters are ignored.
-func New(p transport.Params) *Module { return &Module{} }
+func New(transport.Values) *Module { return &Module{} }
 
 // Name implements transport.Module.
 func (m *Module) Name() string { return Name }

@@ -33,12 +33,20 @@ import (
 const Name = "tcp"
 
 func init() {
-	transport.Register(Name, func(p transport.Params) transport.Module { return New(p) })
+	transport.Register(Name, []transport.Param{
+		{Key: "listen", Default: "127.0.0.1:0", Doc: "listen address"},
+		{Key: "nodelay", Default: true, Doc: "set TCP_NODELAY on connections"},
+		{Key: "sndbuf", Default: 0, Min: 0, Doc: "socket send buffer in bytes (0 = OS default)"},
+		{Key: "rcvbuf", Default: 0, Min: 0, Doc: "socket receive buffer in bytes (0 = OS default)"},
+		{Key: "maxpending", Default: 8 << 20, Min: -1, Doc: "per-connection cap in bytes on data frames queued behind an in-flight write (-1 = unbounded; control frames are never bounded)"},
+	}, func(v transport.Values) (transport.Module, error) {
+		return &Module{listen: v.Str("listen"), nodelay: v.Bool("nodelay"), sndbuf: v.Int("sndbuf"),
+			rcvbuf: v.Int("rcvbuf"), maxPending: v.Int("maxpending")}, nil
+	})
 }
 
 // Module is a TCP communication method instance.
 type Module struct {
-	params     transport.Params
 	listen     string
 	nodelay    bool
 	sndbuf     int
@@ -63,33 +71,6 @@ type Module struct {
 	conns  []*inConn // per-pass snapshot of inbound, cleared after the pass
 }
 
-// New returns an uninitialized TCP module. Recognized parameters:
-//
-//	listen     — listen address (default "127.0.0.1:0")
-//	nodelay    — set TCP_NODELAY on connections (default true)
-//	sndbuf     — socket send buffer size in bytes (0 = OS default)
-//	rcvbuf     — socket receive buffer size in bytes (0 = OS default)
-//	maxpending — per-connection cap on data frames queued behind an
-//	             in-flight write, in bytes (default 8 MiB; -1 = unbounded).
-//	             Control-class frames are never bounded.
-//
-// Init rejects a "mode" other than "poll": the blocking-reader mode is
-// removed, and a context that relied on it would otherwise never poll for
-// its frames.
-func New(p transport.Params) *Module {
-	if p == nil {
-		p = transport.Params{}
-	}
-	return &Module{
-		params:     p,
-		listen:     p.Str("listen", "127.0.0.1:0"),
-		nodelay:    p.Bool("nodelay", true),
-		sndbuf:     p.Int("sndbuf", 0),
-		rcvbuf:     p.Int("rcvbuf", 0),
-		maxPending: p.Int("maxpending", 8<<20),
-	}
-}
-
 // Name implements transport.Module.
 func (m *Module) Name() string { return Name }
 
@@ -99,9 +80,6 @@ func (m *Module) Init(env transport.Env) (*transport.Descriptor, error) {
 	defer m.mu.Unlock()
 	if m.inited {
 		return nil, fmt.Errorf("tcp: double Init for context %d", env.Context)
-	}
-	if mode := m.params.Str("mode", "poll"); mode != "poll" {
-		return nil, fmt.Errorf("tcp: mode %q: blocking-reader mode was removed; inbound frames are detected by the polling loop", mode)
 	}
 	ln, err := net.Listen("tcp", m.listen)
 	if err != nil {

@@ -33,9 +33,18 @@ func (c *collect) snapshot() [][]byte {
 	return out
 }
 
+// newModule builds a module through the registry, as a context does.
+func newModule(p transport.Params) *Module {
+	m, err := transport.Default.New(Name, p)
+	if err != nil {
+		panic(err)
+	}
+	return m.(*Module)
+}
+
 func initModule(t *testing.T, p transport.Params, ctx transport.ContextID, sink transport.Sink) (*Module, transport.Descriptor) {
 	t.Helper()
-	m := New(p)
+	m := newModule(p)
 	d, err := m.Init(transport.Env{Context: ctx, Sink: sink})
 	if err != nil {
 		t.Fatal(err)
@@ -85,20 +94,17 @@ func TestSendPollRoundTrip(t *testing.T) {
 	}
 }
 
-// TestInitRejectsBlockMode: the blocking-reader mode is removed, and a
-// module asked for it must refuse to start rather than silently wait for a
-// Poll its context may never make.
+// TestInitRejectsBlockMode: the blocking-reader mode is removed and tcp
+// declares no "mode" key, so a module asked for any mode must refuse to be
+// built, naming the key, rather than silently wait for a Poll its context
+// may never make.
 func TestInitRejectsBlockMode(t *testing.T) {
-	m := New(transport.Params{"mode": "block"})
-	if _, err := m.Init(transport.Env{Context: 1, Sink: &collect{}}); err == nil || !strings.Contains(err.Error(), "blocking-reader mode was removed") {
-		t.Fatalf("Init(mode=block) = %v, want the removal named", err)
+	for _, mode := range []string{"block", "poll"} {
+		m, err := transport.Default.New(Name, transport.Params{"mode": mode})
+		if !errors.Is(err, transport.ErrBadParam) || !strings.Contains(err.Error(), "mode") {
+			t.Errorf("New(mode=%s) = %v, %v; want a bad parameter naming mode", mode, m, err)
+		}
 	}
-	m.Close()
-	m = New(transport.Params{"mode": "poll"})
-	if _, err := m.Init(transport.Env{Context: 1, Sink: &collect{}}); err != nil {
-		t.Fatalf("Init(mode=poll) = %v", err)
-	}
-	m.Close()
 }
 
 func TestPartialFrameReassembly(t *testing.T) {
@@ -140,7 +146,7 @@ func TestPartialFrameReassembly(t *testing.T) {
 }
 
 func TestApplicable(t *testing.T) {
-	m := New(nil)
+	m := newModule(nil)
 	if m.Applicable(transport.Descriptor{Method: Name}) {
 		t.Error("descriptor without addr applicable")
 	}
@@ -153,7 +159,7 @@ func TestApplicable(t *testing.T) {
 }
 
 func TestLifecycleErrors(t *testing.T) {
-	m := New(nil)
+	m := newModule(nil)
 	if _, err := m.Poll(); !errors.Is(err, transport.ErrNotInitialized) {
 		t.Errorf("Poll before Init: %v", err)
 	}
@@ -206,7 +212,7 @@ func TestPeerDisconnectReaped(t *testing.T) {
 }
 
 func TestPollCostHint(t *testing.T) {
-	var m transport.Module = New(nil)
+	var m transport.Module = newModule(nil)
 	h, ok := m.(transport.CostHinter)
 	if !ok {
 		t.Fatal("tcp module should hint poll cost")

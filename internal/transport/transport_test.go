@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -172,6 +173,8 @@ func TestPropertyTableRoundTrip(t *testing.T) {
 	}
 }
 
+// TestParams: a set checked against a declaration reads every kind; its one
+// malformed value fails the whole set, by name.
 func TestParams(t *testing.T) {
 	p := Params{
 		"n":    "42",
@@ -181,29 +184,46 @@ func TestParams(t *testing.T) {
 		"s":    "hello",
 		"badn": "xyz",
 	}
-	if got := p.Int("n", 0); got != 42 {
+	r := NewRegistry()
+	r.Register("m", []Param{
+		{Key: "n", Default: 0},
+		{Key: "badn", Default: 7},
+		{Key: "missing", Default: 9},
+		{Key: "f", Default: 0.0},
+		{Key: "b", Default: false},
+		{Key: "d", Default: time.Duration(0)},
+		{Key: "s", Default: ""},
+	}, nil)
+	_, err := r.Parse("m", p)
+	mustFail(t, err, "m", "badn", "xyz")
+	delete(p, "badn")
+	v, err := r.Parse("m", p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := v.Int("n"); got != 42 {
 		t.Errorf("Int = %d", got)
 	}
-	if got := p.Int("badn", 7); got != 7 {
-		t.Errorf("Int(malformed) = %d, want default", got)
+	if got := v.Int("badn"); got != 7 {
+		t.Errorf("Int(absent badn) = %d, want default", got)
 	}
-	if got := p.Int("missing", 9); got != 9 {
+	if got := v.Int("missing"); got != 9 {
 		t.Errorf("Int(missing) = %d, want default", got)
 	}
-	if got := p.Float("f", 0); got != 2.5 {
+	if got := v.Float("f"); got != 2.5 {
 		t.Errorf("Float = %v", got)
 	}
-	if got := p.Bool("b", false); !got {
+	if got := v.Bool("b"); !got {
 		t.Error("Bool = false")
 	}
-	if got := p.Duration("d", 0); got != 150*time.Millisecond {
+	if got := v.Duration("d"); got != 150*time.Millisecond {
 		t.Errorf("Duration = %v", got)
 	}
-	if got := p.Str("s", ""); got != "hello" {
+	if got := v.Str("s"); got != "hello" {
 		t.Errorf("Str = %q", got)
 	}
-	if _, ok := p.Get("missing"); ok {
-		t.Error("Get(missing) ok = true")
+	if _, ok := p["missing"]; ok {
+		t.Error("p[missing] present")
 	}
 }
 
@@ -234,8 +254,8 @@ func TestRegistry(t *testing.T) {
 	if r.Has("x") {
 		t.Error("empty registry Has(x)")
 	}
-	r.Register("x", func(Params) Module { return &fakeModule{name: "x"} })
-	r.Register("a", func(Params) Module { return &fakeModule{name: "a"} })
+	r.Register("x", nil, func(Values) (Module, error) { return &fakeModule{name: "x"}, nil })
+	r.Register("a", nil, func(Values) (Module, error) { return nil, errors.New("a: no") })
 	if !r.Has("x") {
 		t.Error("Has(x) = false after Register")
 	}
@@ -245,6 +265,12 @@ func TestRegistry(t *testing.T) {
 	}
 	if _, err := r.New("missing", nil); err == nil {
 		t.Error("New(missing) succeeded")
+	}
+	if _, err := r.New("x", Params{"k": "v"}); !errors.Is(err, ErrBadParam) {
+		t.Errorf("New(x, undeclared key) = %v, want ErrBadParam", err)
+	}
+	if m, err := r.New("a", nil); m != nil || err == nil || err.Error() != "a: no" {
+		t.Errorf("New(a) = %v, %v, want the factory's error", m, err)
 	}
 	if got := r.Names(); !reflect.DeepEqual(got, []string{"a", "x"}) {
 		t.Errorf("Names = %v", got)

@@ -70,28 +70,6 @@ type recvStream struct {
 	expect uint32 // next in-order sequence number
 }
 
-// NewReliable returns an uninitialized rudp module. Besides New's parameters
-// (loss drops outbound DATA datagrams), it recognizes:
-//
-//	window   — sliding-window size in frames (default 32)
-//	rto      — retransmission timeout (default 20ms)
-//	retries  — attempts per frame before ErrSendTimeout (default 50)
-//	ack_loss — outbound ACK loss probability, for failure injection
-func NewReliable(p transport.Params) *Reliable {
-	m := &Reliable{
-		socket:  newSocket(ReliableName, p),
-		window:  p.Int("window", 32),
-		rto:     p.Duration("rto", 20*time.Millisecond),
-		retries: p.Int("retries", 50),
-		ackLoss: p.Float("ack_loss", 0),
-		streams: make(map[streamKey]*recvStream),
-	}
-	if m.ackLoss > 0 {
-		m.rng = mrand.New(mrand.NewSource(m.seed))
-	}
-	return m
-}
-
 // Dial opens a reliable windowed connection to the remote context.
 func (m *Reliable) Dial(remote transport.Descriptor) (transport.Conn, error) {
 	var idBuf [8]byte

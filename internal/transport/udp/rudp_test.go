@@ -31,8 +31,8 @@ func pollUntil(t *testing.T, recv transport.Module, sink *collect, want int, tim
 
 func TestInOrderDelivery(t *testing.T) {
 	sink := &collect{}
-	recv, d := initOn(t, NewReliable(nil), 1, sink)
-	send, _ := initOn(t, NewReliable(nil), 2, &collect{})
+	recv, d := initOn(t, newModule[*Reliable](ReliableName, nil), 1, sink)
+	send, _ := initOn(t, newModule[*Reliable](ReliableName, nil), 2, &collect{})
 	c, err := send.Dial(d)
 	if err != nil {
 		t.Fatal(err)
@@ -67,9 +67,9 @@ func TestInOrderDelivery(t *testing.T) {
 
 func TestReliabilityUnderDataLoss(t *testing.T) {
 	sink := &collect{}
-	recv, d := initOn(t, NewReliable(nil), 1, sink)
+	recv, d := initOn(t, newModule[*Reliable](ReliableName, nil), 1, sink)
 	// 30% of first transmissions vanish; retransmission must recover all.
-	send, _ := initOn(t, NewReliable(transport.Params{"loss": "0.3", "rto": "5ms"}), 2, &collect{})
+	send, _ := initOn(t, newModule[*Reliable](ReliableName, transport.Params{"loss": "0.3", "rto": "5ms"}), 2, &collect{})
 	c, err := send.Dial(d)
 	if err != nil {
 		t.Fatal(err)
@@ -106,8 +106,8 @@ func TestReliabilityUnderAckLoss(t *testing.T) {
 	sink := &collect{}
 	// Receiver drops 40% of its ACKs: sender retransmits; receiver must
 	// deduplicate.
-	recv, d := initOn(t, NewReliable(transport.Params{"ack_loss": "0.4"}), 1, sink)
-	send, _ := initOn(t, NewReliable(transport.Params{"rto": "5ms"}), 2, &collect{})
+	recv, d := initOn(t, newModule[*Reliable](ReliableName, transport.Params{"ack_loss": "0.4"}), 1, sink)
+	send, _ := initOn(t, newModule[*Reliable](ReliableName, transport.Params{"rto": "5ms"}), 2, &collect{})
 	c, err := send.Dial(d)
 	if err != nil {
 		t.Fatal(err)
@@ -142,8 +142,8 @@ func TestReliabilityUnderAckLoss(t *testing.T) {
 
 func TestWindowBlocksAndDrains(t *testing.T) {
 	sink := &collect{}
-	recv, d := initOn(t, NewReliable(nil), 1, sink)
-	send, _ := initOn(t, NewReliable(transport.Params{"window": "4", "rto": "5ms"}), 2, &collect{})
+	recv, d := initOn(t, newModule[*Reliable](ReliableName, nil), 1, sink)
+	send, _ := initOn(t, newModule[*Reliable](ReliableName, transport.Params{"window": "4", "rto": "5ms"}), 2, &collect{})
 	c, err := send.Dial(d)
 	if err != nil {
 		t.Fatal(err)
@@ -173,8 +173,8 @@ func TestWindowBlocksAndDrains(t *testing.T) {
 
 func TestSendTimeoutPoisonsConn(t *testing.T) {
 	sink := &collect{}
-	recv, d := initOn(t, NewReliable(nil), 1, sink)
-	send, _ := initOn(t, NewReliable(transport.Params{"rto": "2ms", "retries": "3", "window": "2"}), 2, &collect{})
+	recv, d := initOn(t, newModule[*Reliable](ReliableName, nil), 1, sink)
+	send, _ := initOn(t, newModule[*Reliable](ReliableName, transport.Params{"rto": "2ms", "retries": "3", "window": "2"}), 2, &collect{})
 	c, err := send.Dial(d)
 	if err != nil {
 		t.Fatal(err)
@@ -211,8 +211,8 @@ func isRefused(err error) bool {
 
 func TestTwoConnsIndependentStreams(t *testing.T) {
 	sink := &collect{}
-	recv, d := initOn(t, NewReliable(nil), 1, sink)
-	send, _ := initOn(t, NewReliable(nil), 2, &collect{})
+	recv, d := initOn(t, newModule[*Reliable](ReliableName, nil), 1, sink)
+	send, _ := initOn(t, newModule[*Reliable](ReliableName, nil), 2, &collect{})
 	c1, err := send.Dial(d)
 	if err != nil {
 		t.Fatal(err)
@@ -262,7 +262,7 @@ func TestTwoConnsIndependentStreams(t *testing.T) {
 // on 0 would strand the in-order datagram waiting behind the duplicates.
 func TestBoundedPollReportsProgress(t *testing.T) {
 	sink := &collect{}
-	recv, d := initOn(t, NewReliable(nil), 1, sink)
+	recv, d := initOn(t, newModule[*Reliable](ReliableName, nil), 1, sink)
 	raw, err := net.Dial("udp", d.Attr("addr"))
 	if err != nil {
 		t.Fatal(err)
@@ -325,7 +325,7 @@ func TestReliableReceiveAllocs(t *testing.T) {
 		t.Skip("allocation counts differ under -race")
 	}
 	sink := &counter{}
-	recv, d := initOn(t, NewReliable(nil), 1, sink)
+	recv, d := initOn(t, newModule[*Reliable](ReliableName, nil), 1, sink)
 	raw, err := net.Dial("udp", d.Attr("addr"))
 	if err != nil {
 		t.Fatal(err)
@@ -391,7 +391,7 @@ func FuzzReliableReceive(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, in []byte) {
 		sink := &collect{}
-		m := NewReliable(nil)
+		m := newModule[*Reliable](ReliableName, nil)
 		m.env.Sink = sink
 		acks := make(map[streamKey]uint32)
 		expect := make(map[streamKey]uint32)

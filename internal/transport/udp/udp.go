@@ -52,8 +52,29 @@ const MaxDatagram = 60 << 10
 var ErrTooLarge = fmt.Errorf("udp: frame exceeds datagram size: %w", transport.ErrTooLarge)
 
 func init() {
-	transport.Register(Name, func(p transport.Params) transport.Module { return New(p) })
-	transport.Register(ReliableName, func(p transport.Params) transport.Module { return NewReliable(p) })
+	shared := []transport.Param{
+		{Key: "listen", Default: "127.0.0.1:0", Doc: "listen address"},
+		{Key: "loss", Default: 0.0, Min: 0, Max: 1, Doc: "probability of silently dropping an outbound frame (rudp: DATA datagram)"},
+		{Key: "seed", Default: 1, Doc: "RNG seed for deterministic loss injection"},
+		{Key: "rcvbuf", Default: DefaultRecvBuffer, Min: 0, Doc: "requested socket receive buffer in bytes (0 = OS default)"},
+		{Key: "sndbuf", Default: DefaultSendBuffer, Min: 0, Doc: "requested send buffer in bytes of outbound connections (0 = OS default)"},
+	}
+	transport.Register(Name, shared, func(v transport.Values) (transport.Module, error) {
+		return &Module{socket: newSocket(Name, v)}, nil
+	})
+	transport.Register(ReliableName, append(shared,
+		transport.Param{Key: "window", Default: 32, Min: 1, Doc: "sliding-window size in frames"},
+		transport.Param{Key: "rto", Default: 20 * time.Millisecond, Min: 0, Doc: "retransmission timeout"},
+		transport.Param{Key: "retries", Default: 50, Min: 1, Doc: "attempts per frame before ErrSendTimeout"},
+		transport.Param{Key: "ack_loss", Default: 0.0, Min: 0, Max: 1, Doc: "probability of dropping an outbound ACK"},
+	), func(v transport.Values) (transport.Module, error) {
+		m := &Reliable{socket: newSocket(ReliableName, v), window: v.Int("window"), rto: v.Duration("rto"),
+			retries: v.Int("retries"), ackLoss: v.Float("ack_loss"), streams: make(map[streamKey]*recvStream)}
+		if m.ackLoss > 0 {
+			m.rng = rand.New(rand.NewSource(m.seed))
+		}
+		return m, nil
+	})
 }
 
 // DefaultRecvBuffer is the socket receive buffer requested at Init. The
@@ -85,7 +106,7 @@ const sendSlots = 16
 // polling loop inside one module's Poll while other methods starve.
 const maxPollDatagrams = 1024
 
-// socket is what both datagram modules share: the parameters they parse
+// socket is what both datagram modules share: the parameters they read
 // alike, the bound listen socket with its batch reader, the reactor
 // registration and the inited/closed lifecycle. The modules embed it and so
 // get Name, Init, Applicable, MaxMessage, AttachReactor, DetachReactor and
@@ -108,15 +129,15 @@ type socket struct {
 	closed bool
 }
 
-// newSocket parses the parameters both modules accept (listed on New).
-func newSocket(name string, p transport.Params) socket {
+// newSocket reads the parameters both modules declare.
+func newSocket(name string, v transport.Values) socket {
 	return socket{
 		name:   name,
-		listen: p.Str("listen", "127.0.0.1:0"),
-		loss:   p.Float("loss", 0),
-		seed:   int64(p.Int("seed", 1)),
-		rcvbuf: p.Int("rcvbuf", DefaultRecvBuffer),
-		sndbuf: p.Int("sndbuf", DefaultSendBuffer),
+		listen: v.Str("listen"),
+		loss:   v.Float("loss"),
+		seed:   int64(v.Int("seed")),
+		rcvbuf: v.Int("rcvbuf"),
+		sndbuf: v.Int("sndbuf"),
 	}
 }
 
@@ -328,20 +349,6 @@ func (s *socket) Close() error {
 // Module is a UDP communication method instance.
 type Module struct {
 	socket
-}
-
-// New returns an uninitialized UDP module. Recognized parameters, which
-// rudp accepts too:
-//
-//	listen — listen address (default "127.0.0.1:0")
-//	loss   — probability in [0,1] of silently dropping an outbound frame
-//	seed   — RNG seed for deterministic loss injection (default 1)
-//	rcvbuf — requested socket receive buffer in bytes (default 4 MiB;
-//	         0 keeps the OS default)
-//	sndbuf — requested socket send buffer in bytes, applied to outbound
-//	         connections (default 4 MiB; 0 keeps the OS default)
-func New(p transport.Params) *Module {
-	return &Module{socket: newSocket(Name, p)}
 }
 
 // Dial opens an unreliable connection to the remote context.

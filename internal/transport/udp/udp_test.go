@@ -33,6 +33,16 @@ func (c *collect) frame(i int) []byte {
 	return c.frames[i]
 }
 
+// newModule builds a module of the named method through the registry, as a
+// context does.
+func newModule[M transport.Module](method string, p transport.Params) M {
+	m, err := transport.Default.New(method, p)
+	if err != nil {
+		panic(err)
+	}
+	return m.(M)
+}
+
 // initOn initializes m as context ctx delivering to sink and closes it when
 // the test ends.
 func initOn[M transport.Module](t *testing.T, m M, ctx transport.ContextID, sink transport.Sink) (M, transport.Descriptor) {
@@ -50,14 +60,14 @@ var methods = []struct {
 	name, other string
 	new         func(transport.Params) transport.Module
 }{
-	{Name, ReliableName, func(p transport.Params) transport.Module { return New(p) }},
-	{ReliableName, Name, func(p transport.Params) transport.Module { return NewReliable(p) }},
+	{Name, ReliableName, func(p transport.Params) transport.Module { return newModule[*Module](Name, p) }},
+	{ReliableName, Name, func(p transport.Params) transport.Module { return newModule[*Reliable](ReliableName, p) }},
 }
 
 func TestSendPollRoundTrip(t *testing.T) {
 	sink := &collect{}
-	recv, d := initOn(t, New(nil), 1, sink)
-	send, _ := initOn(t, New(nil), 2, &collect{})
+	recv, d := initOn(t, newModule[*Module](Name, nil), 1, sink)
+	send, _ := initOn(t, newModule[*Module](Name, nil), 2, &collect{})
 
 	c, err := send.Dial(d)
 	if err != nil {
@@ -107,8 +117,8 @@ func TestOversizeFrameRejected(t *testing.T) {
 
 func TestLossInjection(t *testing.T) {
 	sink := &collect{}
-	recv, d := initOn(t, New(nil), 1, sink)
-	send, _ := initOn(t, New(transport.Params{"loss": "0.5", "seed": "7"}), 2, &collect{})
+	recv, d := initOn(t, newModule[*Module](Name, nil), 1, sink)
+	send, _ := initOn(t, newModule[*Module](Name, transport.Params{"loss": "0.5", "seed": "7"}), 2, &collect{})
 	c, err := send.Dial(d)
 	if err != nil {
 		t.Fatal(err)
@@ -136,7 +146,7 @@ func TestLossInjection(t *testing.T) {
 		t.Errorf("with 50%% loss received %d/%d datagrams; want strictly between", got, n)
 	}
 	// Deterministic: a second identical sender drops the same pattern.
-	send2, _ := initOn(t, New(transport.Params{"loss": "0.5", "seed": "7"}), 3, &collect{})
+	send2, _ := initOn(t, newModule[*Module](Name, transport.Params{"loss": "0.5", "seed": "7"}), 3, &collect{})
 	c2, err := send2.Dial(d)
 	if err != nil {
 		t.Fatal(err)

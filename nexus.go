@@ -241,6 +241,9 @@ var (
 	// payload over the context's 16 MiB message cap, or a frame over the
 	// selected method's limit on a direct transport send.
 	ErrTooLarge = transport.ErrTooLarge
+	// ErrBadParam matches (errors.Is) every rejected method parameter; the
+	// error names the method and the key.
+	ErrBadParam = transport.ErrBadParam
 	// ErrNoCredit reports an RSR refused by credit-based flow control: the
 	// link's receive window is exhausted and the send's class or the
 	// configured block timeout did not permit waiting for a refill.
@@ -326,8 +329,12 @@ type (
 	// Module is the communication-method interface; register custom
 	// methods with RegisterModule.
 	Module = transport.Module
-	// ModuleFactory constructs module instances for a registry.
+	// ModuleFactory constructs a module from its checked parameters.
 	ModuleFactory = transport.Factory
+	// ModuleParam declares one parameter a module reads.
+	ModuleParam = transport.Param
+	// ModuleValues is a parameter set checked against a declaration.
+	ModuleValues = transport.Values
 	// ModuleEnv is the environment a module is initialized with.
 	ModuleEnv = transport.Env
 	// ModuleConn is an active connection (the paper's communication object).
@@ -336,8 +343,8 @@ type (
 	FrameSink = transport.Sink
 )
 
-// RegisterModule adds a custom communication method to the default registry
-// (the paper's dynamic module loading).
+// RegisterModule adds a custom communication method, with the parameters its
+// factory reads, to the default registry (the paper's dynamic module loading).
 var RegisterModule = transport.Register
 
 // Machine bootstrap (internal/cluster).

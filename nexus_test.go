@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"nexus"
+	"nexus/internal/transport"
 )
 
 // TestPublicAPIRoundTrip drives the facade end to end: contexts, links,
@@ -141,16 +142,29 @@ func TestResourceSpecDrivenContext(t *testing.T) {
 // through the public registry — the paper's dynamically loaded module.
 func TestCustomModuleRegistration(t *testing.T) {
 	name := fmt.Sprintf("custom-%d", time.Now().UnixNano())
-	nexus.RegisterModule(name, func(p nexus.Params) nexus.Module {
-		return &loopbackModule{name: name}
+	params := []nexus.ModuleParam{{Key: "loopback_tag", Default: "none", Doc: "a label"}}
+	var tag string
+	nexus.RegisterModule(name, params, func(v nexus.ModuleValues) (nexus.Module, error) {
+		tag = v.Str("loopback_tag")
+		return &loopbackModule{name: name}, nil
 	})
+	t.Cleanup(func() { transport.Default.Unregister(name) })
+	_, err := nexus.NewContext(nexus.Options{
+		Methods: []nexus.MethodConfig{{Name: name, Params: nexus.Params{"loopback_tga": "x"}}},
+	})
+	if !errors.Is(err, nexus.ErrBadParam) {
+		t.Fatalf("misspelled key: NewContext = %v, want ErrBadParam", err)
+	}
 	ctx, err := nexus.NewContext(nexus.Options{
-		Methods: []nexus.MethodConfig{{Name: name}},
+		Methods: []nexus.MethodConfig{{Name: name, Params: nexus.Params{"loopback_tag": "x"}}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ctx.Close()
+	if tag != "x" {
+		t.Errorf("factory read loopback_tag %q, want x", tag)
+	}
 
 	var got atomic.Int64
 	ep := ctx.NewEndpoint(nexus.WithHandler(func(*nexus.Endpoint, *nexus.Buffer) { got.Add(1) }))
