@@ -13,9 +13,9 @@ import (
 // cost-aware multi-hop mesh. Every gossip record carries the origin's
 // descriptor table; forwarders advertise willingness to relay. From that
 // shared state each node independently computes, per unreachable
-// destination, the cheapest path through forwarders — edges exist where the
-// two tables share an applicable method (same method, same fabric, and the
-// method's advertised scope rule holds), weighted by the advertised
+// destination, the cheapest path through forwarders — edges exist where a
+// descriptor of one table reaches one of the other (transport.Reaches, the
+// rule every module's Applicable applies), weighted by the advertised
 // per-message cost refined with locally observed send/poll costs for the
 // first hop. The chosen route installs as a rewritten peer table
 // (core.NewRelayRoute): entries name the final destination but dial the
@@ -35,56 +35,23 @@ type routeState struct {
 	viaSeq uint64
 }
 
-// descApplicable reports whether a context holding descriptor `from` can
-// dial descriptor `to`, using only advertised attributes — the third-party
-// mirror of Module.Applicable, for endpoints the computing node owns
-// neither of. Methods must match; fabrics (when advertised) must match; and
-// the target's advertised scope rule is applied.
-func descApplicable(from, to transport.Descriptor) bool {
-	if from.Method != to.Method {
-		return false
-	}
-	if from.Method == "local" {
-		// local delivers only within one context; registry tables always
-		// describe distinct contexts, so it never forms a mesh edge.
-		return false
-	}
-	if from.Attr(transport.AttrRelay) != "" || to.Attr(transport.AttrRelay) != "" {
-		return false // route entries are virtual, not physical links
-	}
-	// Shared-medium attributes must agree (simnet methods advertise fabric,
-	// inproc advertises exchange; both empty for point-to-point transports).
-	if from.Attr("fabric") != to.Attr("fabric") || from.Attr("exchange") != to.Attr("exchange") {
-		return false
-	}
-	switch to.Attr("scope") {
-	case "partition":
-		return from.Attr("process") == to.Attr("process") &&
-			from.Attr("partition") == to.Attr("partition")
-	case "process":
-		return from.Attr("process") == to.Attr("process")
-	default:
-		// No advertised scope: methods that name a hosting process (inproc)
-		// require it to match; anything else is taken as globally routable.
-		if p := to.Attr("process"); p != "" || from.Attr("process") != "" {
-			return from.Attr("process") == p
-		}
-		return true
-	}
-}
-
 // edgeBetween reports whether a context advertising table a can reach one
-// advertising table b, with the cheapest advertised cost among applicable
-// method pairs and the tightest message-size limit of the chosen pair.
-// Cost floors at 1 so hop count still matters when nothing is advertised.
+// advertising table b, with the cheapest advertised cost among reaching
+// descriptor pairs and the tightest message-size limit of the chosen pair.
+// Relay entries are routes, not links, and never form an edge. Cost floors
+// at 1 so hop count still matters when nothing is advertised.
 func edgeBetween(a, b *transport.Table) (cost int64, maxMsg int, ok bool) {
 	if a == nil || b == nil {
 		return 0, 0, false
 	}
 	cost = math.MaxInt64
 	for _, da := range a.Entries {
+		if da.Attr(transport.AttrRelay) != "" {
+			continue
+		}
+		ra := transport.ReachOf(da)
 		for _, db := range b.Entries {
-			if !descApplicable(da, db) {
+			if !ra.Reaches(db) || db.Attr(transport.AttrRelay) != "" {
 				continue
 			}
 			c := db.Cost()
@@ -101,10 +68,7 @@ func edgeBetween(a, b *transport.Table) (cost int64, maxMsg int, ok bool) {
 			}
 		}
 	}
-	if !ok {
-		return 0, 0, false
-	}
-	return cost, maxMsg, true
+	return cost, maxMsg, ok
 }
 
 // meshNode is one vertex of the route graph.
@@ -144,14 +108,11 @@ func (n *Node) recomputeRoutesLocked() {
 	self := meshNode{rec: n.self, table: n.ctx.AdvertisedTable()}
 	live := n.reg.Live()
 	nodes := make([]meshNode, 0, len(live)+1)
-	index := make(map[transport.ContextID]int, len(live)+1)
 	nodes = append(nodes, self)
-	index[n.self.Origin] = 0
 	for _, rec := range live {
 		if rec.Origin == n.self.Origin {
 			continue
 		}
-		index[rec.Origin] = len(nodes)
 		nodes = append(nodes, meshNode{rec: rec, table: rec.Table})
 	}
 

@@ -6,6 +6,7 @@ import (
 
 	"nexus/internal/buffer"
 	"nexus/internal/core"
+	"nexus/internal/transport"
 )
 
 // meshTopology ranks for the two-relay-hop tests: a sender in partition pA
@@ -266,5 +267,39 @@ func TestRelayExtTTLExhaustion(t *testing.T) {
 	}
 	if len(inbox) != 0 {
 		t.Fatalf("frame delivered despite exhausted hop budget: %v", inbox)
+	}
+}
+
+// TestEdgeFollowsReachRule: a mesh edge exists exactly where a descriptor of
+// one table reaches one of the other by the rule the modules apply. Two
+// shm-only contexts on different hosts share no memory and get no edge;
+// global-scope wan crosses processes; a relay entry is a route, not a link.
+func TestEdgeFollowsReachRule(t *testing.T) {
+	shmOn := func(ctx transport.ContextID, host string) transport.Descriptor {
+		return transport.Descriptor{Method: "shm", Context: ctx, Attrs: map[string]string{
+			"host": host, "dir": "/dev/shm/d", "ctl": "/dev/shm/d/ctl.fifo", transport.AttrMaxMessage: "65536"}}
+	}
+	sim := func(ctx transport.ContextID, method, scope, process, partition string) transport.Descriptor {
+		return transport.Descriptor{Method: method, Context: ctx, Attrs: map[string]string{
+			"fabric": "f/" + method, "scope": scope, "process": process, "partition": partition, "addr": "1"}}
+	}
+	relayed := sim(2, "wan", "global", "q", "pB").Clone()
+	relayed.Attrs[transport.AttrRelay] = "3"
+	for _, tc := range []struct {
+		name string
+		a, b transport.Descriptor
+		want bool
+	}{
+		{"shm across hosts", shmOn(1, "h1"), shmOn(2, "h2"), false},
+		{"shm on one host", shmOn(1, "h1"), shmOn(2, "h1"), true},
+		{"global wan across processes", sim(1, "wan", "global", "p", "pA"), sim(2, "wan", "global", "q", "pB"), true},
+		{"mpl across partitions", sim(1, "mpl", "partition", "p", "pA"), sim(2, "mpl", "partition", "p", "pB"), false},
+		{"mpl in one partition", sim(1, "mpl", "partition", "p", "pA"), sim(2, "mpl", "partition", "p", "pA"), true},
+		{"relay entry", sim(1, "wan", "global", "p", "pA"), relayed, false},
+	} {
+		_, _, ok := edgeBetween(transport.NewTable(tc.a), transport.NewTable(tc.b))
+		if ok != tc.want {
+			t.Errorf("%s: edge = %v, want %v", tc.name, ok, tc.want)
+		}
 	}
 }

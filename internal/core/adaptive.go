@@ -63,29 +63,11 @@ func (c *Context) startAdaptive(interval time.Duration, maxSkip int) (stop func(
 // adaptOnce performs one adaptation round, throttling idle methods up to
 // maxSkip (exposed for deterministic tests).
 func (c *Context) adaptOnce(maxSkip int, lastFrames map[string]uint64) {
-	c.mu.RLock()
-	mods := make([]*moduleState, len(c.modules))
-	copy(mods, c.modules)
-	c.mu.RUnlock()
-
-	// Find the cheapest poll cost to define "expensive". pollCostEstimate
-	// prefers the observed mean from the poll-stage histograms (when stats
-	// are on and the method has enough samples) over the module's static
-	// hint, so the tuner's notion of cheap vs. expensive tracks what polls
-	// actually cost on this host.
-	var minCost time.Duration
-	costs := make(map[*moduleState]time.Duration, len(mods))
-	for _, ms := range mods {
-		if cost := c.pollCostEstimate(ms); cost > 0 {
-			costs[ms] = cost
-			if minCost == 0 || cost < minCost {
-				minCost = cost
-			}
-		}
-	}
-	for _, ms := range mods {
-		cost, hinted := costs[ms]
-		if !hinted || minCost == 0 || cost < minCost*adaptiveMinCostRatio {
+	// Costs are observed means once sampled (pollCostEstimate), so cheap
+	// and expensive track what polls actually cost on this host.
+	costs, minCost := c.polledCosts()
+	for ms, cost := range costs {
+		if cost < minCost*adaptiveMinCostRatio {
 			continue // cheap method: always polled eagerly
 		}
 		frames := ms.frames.Load()

@@ -230,19 +230,26 @@ func (l *link) bindLocked(c *Context, desc transport.Descriptor, gen uint64, tid
 		method: desc.Method,
 		conn:   sc,
 		lat:    c.stageSetFor(desc.Method),
-		maxMsg: wire.MaxFrameLen(),
+		maxMsg: c.moduleFor(desc.Method).pairLimit(desc),
 		relay:  relayHop(desc) != 0,
-	}
-	if ms := c.moduleFor(desc.Method); ms != nil && ms.maxMsg < b.maxMsg {
-		b.maxMsg = ms.maxMsg
-	}
-	if dm := desc.MaxMessage(); dm > 0 && dm < b.maxMsg {
-		b.maxMsg = dm
 	}
 	b.gen.Store(gen)
 	b.reportUp.Store(true)
 	l.cur.Store(b)
 	return b, nil
+}
+
+// pairLimit is the largest frame a connection of ms to d accepts: the
+// module's limit (the wire's for a nil ms), tightened by d's max_message.
+func (ms *moduleState) pairLimit(d transport.Descriptor) int {
+	limit := wire.MaxFrameLen()
+	if ms != nil {
+		limit = ms.maxMsg
+	}
+	if dm := d.MaxMessage(); dm > 0 && dm < limit {
+		limit = dm
+	}
+	return limit
 }
 
 // unbindLocked releases the link's communication object, if any.

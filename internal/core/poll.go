@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -310,28 +311,34 @@ func (c *Context) SkipPoll(method string) int {
 // latency once enough samples exist (pollCostEstimate); otherwise the
 // module's static PollCostHint is used.
 func (c *Context) AutoSkipPoll() {
+	costs, minCost := c.polledCosts()
+	for ms, cost := range costs {
+		ms.setSkipPoll(&c.pollMu, int(cost/minCost), false)
+	}
+}
+
+// polledCosts reports the poll cost (pollCostEstimate) of every method the
+// polling loop applies skip_poll to, and the cheapest of them. An unpinned
+// reactive method is detected by readiness instead: its nominal
+// reactivePollCost must not be the yardstick the polled methods are scaled by.
+func (c *Context) polledCosts() (map[*moduleState]time.Duration, time.Duration) {
 	c.mu.RLock()
 	mods := c.modules
 	c.mu.RUnlock()
-	minCost := time.Duration(0)
-	costs := make(map[*moduleState]time.Duration, len(mods))
-	for _, ms := range mods {
-		cost := c.pollCostEstimate(ms)
-		if cost <= 0 {
-			continue
+	c.pollMu.Lock() // guards pinned
+	polled := slices.DeleteFunc(slices.Clone(mods), func(ms *moduleState) bool { return ms.reactive && !ms.pinned })
+	c.pollMu.Unlock()
+	var minCost time.Duration
+	costs := make(map[*moduleState]time.Duration, len(polled))
+	for _, ms := range polled {
+		if cost := c.pollCostEstimate(ms); cost > 0 {
+			costs[ms] = cost
+			if minCost == 0 || cost < minCost {
+				minCost = cost
+			}
 		}
-		costs[ms] = cost
-		if minCost == 0 || cost < minCost {
-			minCost = cost
-		}
 	}
-	if minCost == 0 {
-		return
-	}
-	for ms, cost := range costs {
-		k := int(cost / minCost)
-		ms.setSkipPoll(&c.pollMu, k, false)
-	}
+	return costs, minCost
 }
 
 // StartPoller launches a background goroutine that polls continuously,

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -99,6 +100,29 @@ func TestAutoSkipPoll(t *testing.T) {
 	}
 	if got := c.SkipPoll("wan"); got != 10 {
 		t.Errorf("wan skip = %d, want 10 (10x cost ratio)", got)
+	}
+}
+
+// TestAutoSkipPollIgnoresReactive: a reactive tcp is detected by readiness,
+// so its nominal per-pass cost must not set the scale. Beside it, mpl is the
+// cheapest polled method and keeps skip 1: the paper's MPL+TCP configuration
+// with its fast method polled on every pass.
+func TestAutoSkipPollIgnoresReactive(t *testing.T) {
+	tag := "auto-skip-reactive"
+	c := newCtx(t, tag, "p0",
+		MethodConfig{Name: "mpl", Params: transport.Params{"fabric": tag, "poll_cost": "3us"}},
+		MethodConfig{Name: "tcp"},
+	)
+	if !slices.Contains(c.ReactiveMethods(), "tcp") {
+		t.Skip("tcp is not readiness-driven here")
+	}
+	c.AutoSkipPoll()
+	if got := c.SkipPoll("mpl"); got != 1 {
+		t.Errorf("mpl skip = %d, want 1 (cheapest polled method)", got)
+	}
+	c.adaptOnce(adaptiveMaxSkip, map[string]uint64{})
+	if got := c.SkipPoll("mpl"); got != 1 {
+		t.Errorf("mpl skip after a tuner round = %d, want 1", got)
 	}
 }
 

@@ -20,16 +20,20 @@ func FirstApplicable(c *Context, table *transport.Table) (transport.Descriptor, 
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	for _, d := range table.Entries {
-		ms, ok := c.byMethod[d.Method]
-		if !ok {
-			continue
-		}
-		if ms.module.Applicable(d) {
+		if c.applicableLocked(d) != nil {
 			return detach(d), nil
 		}
 	}
-	return transport.Descriptor{}, fmt.Errorf("%w (table %v, local methods %v)",
-		ErrNoApplicableMethod, table, methodNamesLocked(c))
+	return transport.Descriptor{}, errNoApplicableLocked(c, table)
+}
+
+// applicableLocked returns the enabled module that judges d applicable, or
+// nil. Caller holds c.mu.
+func (c *Context) applicableLocked(d transport.Descriptor) *moduleState {
+	if ms := c.byMethod[d.Method]; ms != nil && ms.module.Applicable(d) {
+		return ms
+	}
+	return nil
 }
 
 // detach returns a copy of a table entry that later edits to the table
@@ -50,11 +54,7 @@ func PreferOrder(methods ...string) Selector {
 	return func(c *Context, table *transport.Table) (transport.Descriptor, error) {
 		c.mu.RLock()
 		for _, name := range methods {
-			ms, ok := c.byMethod[name]
-			if !ok {
-				continue
-			}
-			if d, found := table.Find(name); found && ms.module.Applicable(d) {
+			if d, found := table.Find(name); found && c.applicableLocked(d) != nil {
 				c.mu.RUnlock()
 				return detach(d), nil
 			}
@@ -78,8 +78,8 @@ func CheapestPoll(c *Context, table *transport.Table) (transport.Descriptor, err
 	best := -1
 	bestCost := time.Duration(1<<63 - 1)
 	for i, d := range table.Entries {
-		ms, ok := c.byMethod[d.Method]
-		if !ok || !ms.module.Applicable(d) {
+		ms := c.applicableLocked(d)
+		if ms == nil {
 			continue
 		}
 		cost := c.pollCostEstimate(ms)
@@ -88,8 +88,7 @@ func CheapestPoll(c *Context, table *transport.Table) (transport.Descriptor, err
 		}
 	}
 	if best < 0 {
-		return transport.Descriptor{}, fmt.Errorf("%w (table %v, local methods %v)",
-			ErrNoApplicableMethod, table, methodNamesLocked(c))
+		return transport.Descriptor{}, errNoApplicableLocked(c, table)
 	}
 	return detach(table.Entries[best]), nil
 }
@@ -105,8 +104,8 @@ func FastestObserved(c *Context, table *transport.Table) (transport.Descriptor, 
 	best := -1
 	bestCost := time.Duration(1<<63 - 1)
 	for i, d := range table.Entries {
-		ms, ok := c.byMethod[d.Method]
-		if !ok || !ms.module.Applicable(d) {
+		ms := c.applicableLocked(d)
+		if ms == nil {
 			continue
 		}
 		cost := c.sendCostEstimate(ms)
@@ -150,15 +149,7 @@ func SizeAware(threshold int, small, bulk Selector) Selector {
 		c.mu.RLock()
 		var native []transport.Descriptor
 		for _, d := range table.Entries {
-			ms, ok := c.byMethod[d.Method]
-			if !ok || !ms.module.Applicable(d) {
-				continue
-			}
-			limit := ms.maxMsg
-			if dm := d.MaxMessage(); dm > 0 && dm < limit {
-				limit = dm
-			}
-			if limit >= size {
+			if ms := c.applicableLocked(d); ms != nil && ms.pairLimit(d) >= size {
 				native = append(native, d)
 			}
 		}
@@ -172,10 +163,11 @@ func SizeAware(threshold int, small, bulk Selector) Selector {
 	}
 }
 
-func methodNamesLocked(c *Context) []string {
+// errNoApplicableLocked names the table and the local methods; c.mu is held.
+func errNoApplicableLocked(c *Context, table *transport.Table) error {
 	names := make([]string, 0, len(c.modules))
 	for _, ms := range c.modules {
 		names = append(names, ms.name)
 	}
-	return names
+	return fmt.Errorf("%w (table %v, local methods %v)", ErrNoApplicableMethod, table, names)
 }

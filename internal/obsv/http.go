@@ -25,7 +25,7 @@ func Handler(src func() []Snapshot) http.Handler {
 			w.Header().Set("Content-Type", "application/json")
 			enc := json.NewEncoder(w)
 			enc.SetIndent("", "  ")
-			_ = enc.Encode(snaps)
+			_ = enc.Encode(snaps) // a failed write is a client gone mid-response
 			return
 		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")

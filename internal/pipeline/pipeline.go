@@ -164,7 +164,9 @@ func InstallWorker(ctx *core.Context, cfg Config) {
 		res.PutInt(id)
 		res.PutInt(workerRank)
 		res.PutFloat64s(out)
-		_ = reply.RSR(handlerResult, res)
+		if reply.RSR(handlerResult, res) != nil { // the coordinator waits for every tile
+			ctx.Stats().Counter("pipeline.result_unsent").Inc()
+		}
 		reply.Close()
 	})
 }

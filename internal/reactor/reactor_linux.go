@@ -98,7 +98,7 @@ func (r *Reactor) Remove(fd int) {
 	closed := r.closed
 	r.mu.Unlock()
 	if known && !closed {
-		_ = syscall.EpollCtl(r.epfd, syscall.EPOLL_CTL_DEL, fd, nil)
+		_ = syscall.EpollCtl(r.epfd, syscall.EPOLL_CTL_DEL, fd, nil) // fails only on an fd closed first, which left the set
 	}
 }
 
@@ -122,7 +122,7 @@ func (r *Reactor) Close() {
 	r.closed = true
 	r.mu.Unlock()
 	var one [1]byte
-	_, _ = syscall.Write(r.wakeW, one[:])
+	_, _ = syscall.Write(r.wakeW, one[:]) // a full pipe already holds a wakeup
 	<-r.exited
 	syscall.Close(r.epfd)
 	syscall.Close(r.wakeR)

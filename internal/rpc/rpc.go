@@ -406,7 +406,7 @@ func (r *RPC) serve(key callKey, method string, h Handler, route *replyRoute,
 	if h == nil {
 		r.cUnknown.Inc()
 		rp := r.newResponder(key, route, method, trace, nil)
-		_ = rp.Error(fmt.Errorf("rpc: no handler registered for %q", method))
+		_ = rp.Error(fmt.Errorf("rpc: no handler registered for %q", method)) // unsent: the caller's deadline is the recovery
 		return
 	}
 	if !deadline.IsZero() && expiredOnArrival(deadline) {

@@ -233,6 +233,7 @@ type Module struct {
 
 	mu     sync.Mutex
 	env    transport.Env
+	own    transport.Reach // of the descriptor Init returned
 	box    *mailbox
 	inited bool
 	closed bool
@@ -249,7 +250,7 @@ func (m *Module) Name() string { return m.cfg.Method }
 func (m *Module) Config() Config { return m.cfg }
 
 // Init attaches the context to the fabric. The descriptor carries the
-// fabric, process, and partition identities that Applicable checks.
+// fabric, process, partition and scope the reach rule reads.
 func (m *Module) Init(env transport.Env) (*transport.Descriptor, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -260,9 +261,6 @@ func (m *Module) Init(env transport.Env) (*transport.Descriptor, error) {
 	if err != nil {
 		return nil, err
 	}
-	m.env = env
-	m.box = box
-	m.inited = true
 	attrs := map[string]string{
 		"fabric":    m.fabric.name,
 		"process":   env.Process,
@@ -271,10 +269,7 @@ func (m *Module) Init(env transport.Env) (*transport.Descriptor, error) {
 		// normally the context itself, but forwarding setups rewrite it
 		// to a forwarder's mailbox while Context keeps naming the final
 		// destination.
-		"addr": strconv.FormatUint(uint64(env.Context), 10),
-		// scope lets a third party (mesh route computation) apply the same
-		// applicability rule Applicable enforces locally, for descriptor
-		// pairs it does not own either end of.
+		"addr":  strconv.FormatUint(uint64(env.Context), 10),
 		"scope": m.cfg.Scope.String(),
 	}
 	if m.cfg.MaxMessage > 0 {
@@ -285,32 +280,23 @@ func (m *Module) Init(env transport.Env) (*transport.Descriptor, error) {
 		// weight edges between remote contexts it has never sent over.
 		attrs[transport.AttrCost] = strconv.FormatInt(cost.Nanoseconds(), 10)
 	}
-	return &transport.Descriptor{
-		Method:  m.cfg.Method,
-		Context: env.Context,
-		Attrs:   attrs,
-	}, nil
+	d := transport.Descriptor{Method: m.cfg.Method, Context: env.Context, Attrs: attrs}
+	m.env = env
+	m.own = transport.ReachOf(d)
+	m.box = box
+	m.inited = true
+	return &d, nil
 }
 
 // MaxMessage implements transport.SizeLimiter (0 = unlimited).
 func (m *Module) MaxMessage() int { return m.cfg.MaxMessage }
 
-// Applicable applies the method's scope rule: same fabric and process
-// always; same partition additionally for partition-scoped methods.
+// Applicable applies the reach rule (transport.Reaches): same fabric, then
+// the advertised scope.
 func (m *Module) Applicable(remote transport.Descriptor) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if !m.inited || remote.Method != m.cfg.Method || remote.Attr("fabric") != m.fabric.name {
-		return false
-	}
-	switch m.cfg.Scope {
-	case ScopePartition:
-		return remote.Attr("process") == m.env.Process && remote.Attr("partition") == m.env.Partition
-	case ScopeProcess:
-		return remote.Attr("process") == m.env.Process
-	default:
-		return true
-	}
+	return m.inited && m.own.Reaches(remote)
 }
 
 // Dial opens a connection whose sends are stamped with modelled arrival

@@ -88,6 +88,9 @@ func nextPair(pairs string) (k, v, rest string) {
 }
 
 func cutString(s string) (string, string) {
+	if n := int(s[0]); n < 0x80 {
+		return s[1 : 1+n], s[1+n:] // a one-byte length, as nearly all are
+	}
 	n, w := uvarint(s)
 	end := w + int(n)
 	return s[w:end], s[end:]

@@ -132,6 +132,7 @@ func (e *Exchange) lookup(ctx transport.ContextID) (*mailbox, bool) {
 type Module struct {
 	exchange  *Exchange
 	env       transport.Env
+	own       transport.Reach // of the descriptor Init returned
 	box       *mailbox
 	pollBatch int
 	pollCost  time.Duration
@@ -155,7 +156,7 @@ func New(e *Exchange, v transport.Values) *Module {
 func (m *Module) Name() string { return Name }
 
 // Init registers this context's mailbox on the exchange. The descriptor
-// carries the exchange and process identities used by Applicable.
+// carries the exchange and process identities the reach rule reads.
 func (m *Module) Init(env transport.Env) (*transport.Descriptor, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -166,10 +167,7 @@ func (m *Module) Init(env transport.Env) (*transport.Descriptor, error) {
 	if err != nil {
 		return nil, err
 	}
-	m.env = env
-	m.box = box
-	m.inited = true
-	return &transport.Descriptor{
+	d := transport.Descriptor{
 		Method:  Name,
 		Context: env.Context,
 		Attrs: map[string]string{
@@ -179,18 +177,20 @@ func (m *Module) Init(env transport.Env) (*transport.Descriptor, error) {
 			// rewrite it while Context keeps naming the final destination.
 			"addr": strconv.FormatUint(uint64(env.Context), 10),
 		},
-	}, nil
+	}
+	m.env = env
+	m.own = transport.ReachOf(d)
+	m.box = box
+	m.inited = true
+	return &d, nil
 }
 
-// Applicable reports whether remote is reachable: same method, same exchange,
-// same OS process.
+// Applicable reports whether remote is reachable (transport.Reaches): same
+// exchange, same OS process.
 func (m *Module) Applicable(remote transport.Descriptor) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.inited &&
-		remote.Method == Name &&
-		remote.Attr("exchange") == m.exchange.name &&
-		remote.Attr("process") == m.env.Process
+	return m.inited && m.own.Reaches(remote)
 }
 
 // Dial opens a connection that enqueues frames on the remote mailbox.

@@ -43,7 +43,7 @@ func (m *Module) Init(env transport.Env) (*transport.Descriptor, error) {
 
 // Applicable reports whether remote names this very context.
 func (m *Module) Applicable(remote transport.Descriptor) bool {
-	return m.inited.Load() && remote.Method == Name && remote.Context == m.env.Context
+	return m.inited.Load() && transport.Reaches(transport.Descriptor{Method: Name, Context: m.env.Context}, remote)
 }
 
 // Dial returns a direct-delivery connection.

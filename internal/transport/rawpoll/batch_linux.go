@@ -292,7 +292,7 @@ func ProbeGSO(c syscall.Conn) bool {
 		return false
 	}
 	ok := false
-	_ = rc.Control(func(fd uintptr) {
+	_ = rc.Control(func(fd uintptr) { // a failed Control leaves ok false: no GSO
 		ok = syscall.SetsockoptInt(int(fd), solUDP, udpSegment, 0) == nil
 	})
 	return ok

@@ -66,7 +66,7 @@ type Module struct {
 
 	mu      sync.Mutex
 	env     transport.Env
-	host    string
+	own     transport.Reach // of the descriptor Init returned
 	dir     string
 	ctlPath string
 	rfd     int // FIFO read end (O_RDONLY|O_NONBLOCK)
@@ -158,17 +158,7 @@ func (m *Module) Init(env transport.Env) (*transport.Descriptor, error) {
 	if err != nil || host == "" {
 		host = "localhost"
 	}
-	m.env = env
-	m.host = host
-	m.dir = dir
-	m.ctlPath = ctl
-	m.rfd = rfd
-	m.wfd = wfd
-	m.byPeer = make(map[transport.ContextID]*segment)
-	m.rbuf = make([]byte, 4096)
-	m.inited = true
-	m.sweepStale(base)
-	return &transport.Descriptor{
+	d := transport.Descriptor{
 		Method:  Name,
 		Context: env.Context,
 		Attrs: map[string]string{
@@ -177,7 +167,18 @@ func (m *Module) Init(env transport.Env) (*transport.Descriptor, error) {
 			attrCtl:                  ctl,
 			transport.AttrMaxMessage: strconv.Itoa(m.MaxMessage()),
 		},
-	}, nil
+	}
+	m.env = env
+	m.own = transport.ReachOf(d)
+	m.dir = dir
+	m.ctlPath = ctl
+	m.rfd = rfd
+	m.wfd = wfd
+	m.byPeer = make(map[transport.ContextID]*segment)
+	m.rbuf = make([]byte, 4096)
+	m.inited = true
+	m.sweepStale(base)
+	return &d, nil
 }
 
 // sweepStale removes sibling segment directories whose control FIFO has no
@@ -214,25 +215,18 @@ func (m *Module) sweepStale(base string) {
 	}
 }
 
-// Applicable implements the locality rule: only descriptors from the same
-// host whose control FIFO still exists match, so every selection policy —
-// table order, cheapest-poll, observed-cost, size-aware — naturally prefers
-// shared memory within a node and never considers it across nodes.
+// Applicable implements the locality rule: only same-host descriptors
+// (transport.Reaches) whose control FIFO still exists match, so every
+// selection policy naturally prefers shared memory within a node and never
+// considers it across nodes.
 func (m *Module) Applicable(remote transport.Descriptor) bool {
 	m.mu.Lock()
-	host, inited := m.host, m.inited
+	own, inited := m.own, m.inited
 	m.mu.Unlock()
-	if !inited || remote.Method != Name {
+	if !inited || !own.Reaches(remote) {
 		return false
 	}
-	if remote.Attr(attrHost) == "" || remote.Attr(attrHost) != host {
-		return false
-	}
-	ctl := remote.Attr(attrCtl)
-	if ctl == "" {
-		return false
-	}
-	st, err := os.Stat(ctl)
+	st, err := os.Stat(remote.Attr(attrCtl)) // fails for a missing ctl
 	return err == nil && st.Mode()&os.ModeNamedPipe != 0
 }
 
@@ -650,7 +644,7 @@ func (s *segment) doorbell(i int) {
 		fd = f
 	}
 	if fd >= 0 {
-		_, _ = syscall.Write(fd, []byte{'\n'})
+		_, _ = syscall.Write(fd, []byte{'\n'}) // a full FIFO already rings; a gone peer reads nothing
 		s.rung.Add(1)
 	}
 	s.doorMu.Unlock()

@@ -140,10 +140,11 @@ func (m *Module) tune(c net.Conn) {
 	}
 }
 
-// Applicable reports whether remote advertises a TCP address. TCP is the
-// universal fallback: any advertised address is assumed routable.
+// Applicable reports whether remote is reachable (a tcp descriptor has no
+// reach attribute, so even before Init) and advertises an address. TCP is
+// the universal fallback: any advertised address is assumed routable.
 func (m *Module) Applicable(remote transport.Descriptor) bool {
-	return remote.Method == Name && remote.Attr("addr") != ""
+	return transport.Reaches(transport.Descriptor{Method: Name}, remote) && remote.Attr("addr") != ""
 }
 
 // Dial opens a TCP connection to the remote context.

@@ -72,7 +72,8 @@ func (d Descriptor) block() string {
 	return b
 }
 
-// sealed returns the descriptor with its attributes sealed into a block.
+// sealed returns d with its attributes sealed into one immutable block, the
+// form a table holds.
 func (d Descriptor) sealed() Descriptor {
 	if d.Attrs != nil {
 		d.attrs, d.Attrs = sealAttrs(d.Attrs), nil
@@ -98,26 +99,19 @@ const AttrCost = "cost_ns"
 
 // Cost reports the descriptor's advertised cost estimate in nanoseconds
 // (0 when absent or malformed).
-func (d Descriptor) Cost() int64 {
-	a := d.Attr(AttrCost)
+func (d Descriptor) Cost() int64 { return d.count(AttrCost) }
+
+// MaxMessage reports the descriptor's advertised frame-size limit in bytes
+// (0 when absent or malformed, meaning "no advertised limit").
+func (d Descriptor) MaxMessage() int { return int(d.count(AttrMaxMessage)) }
+
+// count reads a non-negative decimal attribute (0 when absent or malformed).
+func (d Descriptor) count(key string) int64 {
+	a := d.Attr(key)
 	if a == "" {
 		return 0
 	}
 	n, err := strconv.ParseInt(a, 10, 64)
-	if err != nil || n < 0 {
-		return 0
-	}
-	return n
-}
-
-// MaxMessage reports the descriptor's advertised frame-size limit in bytes
-// (0 when absent or malformed, meaning "no advertised limit").
-func (d Descriptor) MaxMessage() int {
-	a := d.Attr(AttrMaxMessage)
-	if a == "" {
-		return 0
-	}
-	n, err := strconv.Atoi(a)
 	if err != nil || n < 0 {
 		return 0
 	}
@@ -248,9 +242,9 @@ type Module interface {
 	// method, but may still dial out.
 	Init(env Env) (*Descriptor, error)
 	// Applicable reports whether this module can be used to send to remote.
-	// It is the method-specific half of the paper's selection rule: a method
-	// is applicable if supported by both contexts and if module criteria
-	// (same partition, same process, ...) hold.
+	// It is the method-specific half of the paper's selection rule: Reaches
+	// from the module's own descriptor (same partition, same process, ...)
+	// plus what only the module can check, such as an address to dial.
 	Applicable(remote Descriptor) bool
 	// Dial opens a communication object to the remote context.
 	Dial(remote Descriptor) (Conn, error)

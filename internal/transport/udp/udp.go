@@ -202,9 +202,10 @@ func (s *socket) Init(env transport.Env) (*transport.Descriptor, error) {
 // MaxMessage implements transport.SizeLimiter: one frame per datagram.
 func (s *socket) MaxMessage() int { return MaxDatagram }
 
-// Applicable reports whether remote advertises an address for this method.
+// Applicable reports whether remote is reachable (a datagram descriptor has
+// no reach attribute, so even before Init) and advertises an address.
 func (s *socket) Applicable(remote transport.Descriptor) bool {
-	return remote.Method == s.name && remote.Attr("addr") != ""
+	return transport.Reaches(transport.Descriptor{Method: s.name}, remote) && remote.Attr("addr") != ""
 }
 
 // dial opens a connected socket to remote with its send buffer sized and a
