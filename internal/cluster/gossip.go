@@ -11,6 +11,7 @@ import (
 
 	"nexus/internal/buffer"
 	"nexus/internal/core"
+	"nexus/internal/metrics"
 	"nexus/internal/names"
 	"nexus/internal/obsv"
 	"nexus/internal/transport"
@@ -98,30 +99,73 @@ type Node struct {
 	cfg NodeConfig
 	reg *names.Registry
 	ep  *core.Endpoint
+	c   counters
 
 	mu         sync.Mutex
 	rng        *rand.Rand
 	self       names.Record          // its table is sealed (NewTable), so a digest copies it
 	peerBuf    []transport.ContextID // livePeersLocked's reused origin list
+	peerRecs   []names.Record        // livePeersLocked's reused result
+	changed    []names.Record        // applyRegistryLocked's reused ChangedSince result
 	appliedGen uint64                // registry generation applyRegistry last ran at
 	digestPos  int                   // rotating digest window cursor
 	probeTick  int
 	failures   map[transport.ContextID]int        // consecutive failed sends
 	routed     map[transport.ContextID]routeState // mesh.go
-	// lastTables keeps each peer's most recent live table even after a
-	// tombstone (which carries none), so resurrection probes can still
-	// address the peer.
-	lastTables  map[transport.ContextID]*transport.Table
-	sps         map[spKey]*core.Startpoint
-	spOrder     []spKey
+	// lastTables keeps the table each tombstoned peer was last reached by
+	// (a tombstone carries none), so resurrection probes can still address
+	// the peer.
+	lastTables map[transport.ContextID]*transport.Table
+	// sps caches one gossip startpoint per peer origin; spOrder holds the
+	// same origins, oldest first, and nothing else.
+	sps         map[transport.ContextID]cachedSP
+	spOrder     []transport.ContextID
 	routesDirty bool
 	closed      bool
 	stopRun     chan struct{}
 }
 
-type spKey struct {
-	ctx transport.ContextID
-	ep  uint64
+// cachedSP is a cached startpoint to a peer's gossip endpoint ep.
+type cachedSP struct {
+	ep uint64
+	sp *core.Startpoint
+}
+
+// counters are the agent's cluster.* counters, resolved once at Attach, so
+// that counting a message is an atomic add and not a lookup by name.
+type counters struct {
+	join, leave, leaveUnsent, rounds, probeTx            *metrics.Counter
+	selfRejoin, selfRefresh                              *metrics.Counter
+	appliedRecord, appliedTombstone, merged              *metrics.Counter
+	peerSuspect, peerDead, decodeErrors                  *metrics.Counter
+	digestTx, digestRx, deltaTx, deltaRx, pushTx, pushRx *metrics.Counter
+	routesInstalled, routesRemoved                       *metrics.Counter
+}
+
+func newCounters(s *metrics.Set) counters {
+	return counters{
+		join:             s.Counter("cluster.join"),
+		leave:            s.Counter("cluster.leave"),
+		leaveUnsent:      s.Counter("cluster.leave.unsent"),
+		rounds:           s.Counter("cluster.rounds"),
+		probeTx:          s.Counter("cluster.probe.tx"),
+		selfRejoin:       s.Counter("cluster.self.rejoin"),
+		selfRefresh:      s.Counter("cluster.self.refresh"),
+		appliedRecord:    s.Counter("cluster.applied.record"),
+		appliedTombstone: s.Counter("cluster.applied.tombstone"),
+		merged:           s.Counter("cluster.merged"),
+		peerSuspect:      s.Counter("cluster.peer.suspect"),
+		peerDead:         s.Counter("cluster.peer.dead"),
+		decodeErrors:     s.Counter("cluster.decode.errors"),
+		digestTx:         s.Counter("cluster.digest.tx"),
+		digestRx:         s.Counter("cluster.digest.rx"),
+		deltaTx:          s.Counter("cluster.delta.tx"),
+		deltaRx:          s.Counter("cluster.delta.rx"),
+		pushTx:           s.Counter("cluster.push.tx"),
+		pushRx:           s.Counter("cluster.push.rx"),
+		routesInstalled:  s.Counter("cluster.routes.installed"),
+		routesRemoved:    s.Counter("cluster.routes.removed"),
+	}
 }
 
 // Attach builds a gossip agent, takes the context's core.LayerCluster slot
@@ -142,11 +186,12 @@ func Attach(ctx *core.Context, cfg NodeConfig) *Node {
 		ctx:        ctx,
 		cfg:        cfg,
 		reg:        names.NewRegistry(),
+		c:          newCounters(ctx.Stats()),
 		rng:        rand.New(rand.NewSource(cfg.Seed)),
 		failures:   make(map[transport.ContextID]int),
 		routed:     make(map[transport.ContextID]routeState),
 		lastTables: make(map[transport.ContextID]*transport.Table),
-		sps:        make(map[spKey]*core.Startpoint),
+		sps:        make(map[transport.ContextID]cachedSP),
 	}
 	n.ep = ctx.NewEndpoint()
 	n.self = names.Record{
@@ -208,12 +253,12 @@ func (n *Node) Join(seedTable *transport.Table, seedEP uint64) error {
 	msg := n.digestMsgLocked()
 	n.mu.Unlock()
 	err := n.sendDigest(sp, msg)
-	digestMsgs.Put(msg)
+	msgBufs.Put(msg)
 	n.noteSend(seed, err)
 	if err != nil {
 		return fmt.Errorf("cluster: join via context %d: %w", seed, err)
 	}
-	n.ctx.Stats().Counter("cluster.join").Inc()
+	n.c.join.Inc()
 	return nil
 }
 
@@ -248,10 +293,10 @@ func (n *Node) Leave() {
 	names.EncodeRecords(b, tombs)
 	for _, sp := range targets {
 		if sp.RSR(handlerPush, b) != nil {
-			n.ctx.Stats().Counter("cluster.leave.unsent").Inc()
+			n.c.leaveUnsent.Inc()
 		}
 	}
-	n.ctx.Stats().Counter("cluster.leave").Inc()
+	n.c.leave.Inc()
 }
 
 // Closed reports whether the agent has left the cluster.
@@ -302,7 +347,7 @@ func (n *Node) Step() {
 			p := tombs[n.rng.Intn(len(tombs))]
 			if t := n.lastTables[p.Origin]; t != nil {
 				targets = append(targets, dst{sp: n.startpointLocked(p.Origin, p.GossipEP, t), origin: p.Origin, probe: true})
-				n.ctx.Stats().Counter("cluster.probe.tx").Inc()
+				n.c.probeTx.Inc()
 			}
 		}
 	}
@@ -317,7 +362,7 @@ func (n *Node) Step() {
 			n.noteSend(t.origin, err)
 		}
 	}
-	digestMsgs.Put(msg)
+	msgBufs.Put(msg)
 	// Send outcomes are fresh failure-detector evidence (failure counts
 	// raised or cleared); fold them into mesh routes now rather than a round
 	// later — this is what lets a route heal in the same round its relay's
@@ -328,7 +373,7 @@ func (n *Node) Step() {
 		n.recomputeRoutesLocked()
 	}
 	n.mu.Unlock()
-	n.ctx.Stats().Counter("cluster.rounds").Inc()
+	n.c.rounds.Inc()
 }
 
 // probeEvery is how often (in Steps) a node probes one tombstoned peer.
@@ -379,17 +424,16 @@ func (n *Node) refreshSelfLocked() {
 		n.self.Tombstone = false
 		n.self.Table = transport.NewTable(n.ctx.AdvertisedTable().Entries...)
 		n.reg.Merge(n.self)
-		n.ctx.Stats().Counter("cluster.self.rejoin").Inc()
+		n.c.selfRejoin.Inc()
 		return
 	}
-	t := n.ctx.AdvertisedTable()
-	if t.Equal(n.self.Table) {
+	if n.ctx.Advertises(n.self.Table) {
 		return
 	}
 	n.self.Seq++
-	n.self.Table = transport.NewTable(t.Entries...)
+	n.self.Table = transport.NewTable(n.ctx.AdvertisedTable().Entries...)
 	n.reg.Merge(n.self)
-	n.ctx.Stats().Counter("cluster.self.refresh").Inc()
+	n.c.selfRefresh.Inc()
 }
 
 // applyRegistryLocked folds registry changes into the live context: applied
@@ -399,8 +443,10 @@ func (n *Node) refreshSelfLocked() {
 // descriptor), and any change marks mesh routes for recomputation. Only the
 // records applied since the last fold are read, and every one of them is
 // folded: the registry's generation moves only when a merge changes a record.
+// A tombstoned peer's table is kept in lastTables as it is removed: it is the
+// table the peer was last reached by, which a resurrection probe needs.
 func (n *Node) applyRegistryLocked() {
-	recs, gen := n.reg.ChangedSince(n.appliedGen)
+	recs, gen := n.reg.ChangedSince(n.changed, n.appliedGen)
 	n.appliedGen = gen
 	for _, rec := range recs {
 		if rec.Origin == n.self.Origin {
@@ -409,16 +455,20 @@ func (n *Node) applyRegistryLocked() {
 		n.dropPeerLocked(rec.Origin)
 		n.routesDirty = true
 		if rec.Tombstone {
+			if t := n.ctx.PeerTable(rec.Origin); t != nil {
+				n.lastTables[rec.Origin] = t
+			}
 			n.ctx.RemovePeerTable(rec.Origin)
-			n.ctx.Stats().Counter("cluster.applied.tombstone").Inc()
+			n.c.appliedTombstone.Inc()
 			continue
 		}
 		if rec.Table != nil {
-			n.lastTables[rec.Origin] = rec.Table
 			n.ctx.RefreshPeerTable(rec.Table)
 		}
-		n.ctx.Stats().Counter("cluster.applied.record").Inc()
+		n.c.appliedRecord.Inc()
 	}
+	clear(recs)
+	n.changed = recs[:0]
 	if n.cfg.Mesh && n.routesDirty {
 		n.routesDirty = false
 		n.recomputeRoutesLocked()
@@ -426,22 +476,26 @@ func (n *Node) applyRegistryLocked() {
 }
 
 // dropPeerLocked forgets per-peer send state for an origin whose record
-// changed: its failure count, and its cached gossip startpoints, which rebind
+// changed: its failure count, and its cached gossip startpoint, which rebinds
 // on next use so a bootstrap-era binding cannot outlive the table it was
 // built from.
 func (n *Node) dropPeerLocked(origin transport.ContextID) {
 	delete(n.failures, origin)
-	n.closeSPsLocked(origin)
+	n.closeSPLocked(origin)
 }
 
-// closeSPsLocked evicts cached startpoints addressing the given origin.
-func (n *Node) closeSPsLocked(origin transport.ContextID) {
-	for k, sp := range n.sps {
-		if k.ctx == origin {
-			sp.Close()
-			delete(n.sps, k)
-		}
+// closeSPLocked closes and forgets the startpoint cached for origin, if any.
+// Most origins have none, which one lookup settles; spOrder is at most
+// spCacheCap long.
+func (n *Node) closeSPLocked(origin transport.ContextID) {
+	c, ok := n.sps[origin]
+	if !ok {
+		return
 	}
+	c.sp.Close()
+	delete(n.sps, origin)
+	i := slices.Index(n.spOrder, origin)
+	n.spOrder = slices.Delete(n.spOrder, i, i+1)
 }
 
 // livePeersLocked shuffles the live peers other than self and returns the
@@ -457,12 +511,13 @@ func (n *Node) livePeersLocked(max int) []names.Record {
 	if len(peers) > max {
 		peers = peers[:max]
 	}
-	out := make([]names.Record, 0, len(peers))
+	out := n.peerRecs[:0]
 	for _, o := range peers {
 		if rec, ok := n.reg.Get(o); ok && !rec.Tombstone {
 			out = append(out, rec)
 		}
 	}
+	n.peerRecs = out
 	return out
 }
 
@@ -470,11 +525,15 @@ func (n *Node) livePeersLocked(max int) []names.Record {
 // gossip endpoint. When the context has a registered peer table for the
 // target the startpoint resolves through it lazily — so it follows gossip
 // refreshes and mesh route installs automatically — otherwise the record's
-// own table is bound directly (the bootstrap case).
+// own table is bound directly (the bootstrap case). A full cache evicts the
+// startpoint cached longest ago; one cached for the peer's previous gossip
+// endpoint is replaced.
 func (n *Node) startpointLocked(ctx transport.ContextID, ep uint64, table *transport.Table) *core.Startpoint {
-	key := spKey{ctx: ctx, ep: ep}
-	if sp, ok := n.sps[key]; ok {
-		return sp
+	if c, ok := n.sps[ctx]; ok {
+		if c.ep == ep {
+			return c.sp
+		}
+		n.closeSPLocked(ctx)
 	}
 	var bind *transport.Table
 	if !n.ctx.HasPeerTable(ctx) {
@@ -483,15 +542,10 @@ func (n *Node) startpointLocked(ctx transport.ContextID, ep uint64, table *trans
 	sp := n.ctx.NewStartpointTo(ctx, ep, bind)
 	sp.SetClass(core.ClassControl)
 	if len(n.spOrder) >= spCacheCap {
-		oldest := n.spOrder[0]
-		n.spOrder = n.spOrder[1:]
-		if old, ok := n.sps[oldest]; ok {
-			old.Close()
-			delete(n.sps, oldest)
-		}
+		n.closeSPLocked(n.spOrder[0])
 	}
-	n.sps[key] = sp
-	n.spOrder = append(n.spOrder, key)
+	n.sps[ctx] = cachedSP{ep: ep, sp: sp}
+	n.spOrder = append(n.spOrder, ctx)
 	return sp
 }
 
@@ -500,12 +554,7 @@ func (n *Node) startpointLocked(ctx transport.ContextID, ep uint64, table *trans
 func (n *Node) invalidateStartpoint(ctx transport.ContextID) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	for k, sp := range n.sps {
-		if k.ctx == ctx {
-			sp.Close()
-			delete(n.sps, k)
-		}
-	}
+	n.closeSPLocked(ctx)
 }
 
 // noteSend is the failure detector: consecutive send failures first make the
@@ -528,7 +577,7 @@ func (n *Node) noteSend(origin transport.ContextID, err error) {
 	f := n.failures[origin]
 	if f == suspectAfter {
 		n.routesDirty = true
-		n.ctx.Stats().Counter("cluster.peer.suspect").Inc()
+		n.c.peerSuspect.Inc()
 	}
 	dead := f >= suspectAfter*deadAfterFactor
 	var tomb names.Record
@@ -548,28 +597,33 @@ func (n *Node) noteSend(origin transport.ContextID, err error) {
 	n.mu.Unlock()
 	if dead {
 		n.reg.Merge(tomb)
-		n.ctx.Stats().Counter("cluster.peer.dead").Inc()
+		n.c.peerDead.Inc()
 	}
 }
 
-// digestMsgs recycles digest messages: RSR copies the buffer it sends, so a
-// round's message is free again once its sends have returned.
-var digestMsgs sync.Pool
+// msgBufs recycles outgoing gossip messages: RSR copies the buffer it sends,
+// so a message is free again once its sends have returned.
+var msgBufs sync.Pool
+
+// newMsg returns an empty message buffer, recycled from msgBufs or new with
+// room for size bytes. The caller hands it back to msgBufs after its sends.
+func newMsg(size int) *buffer.Buffer {
+	if b, _ := msgBufs.Get().(*buffer.Buffer); b != nil {
+		b.Reset()
+		return b
+	}
+	return buffer.New(size)
+}
 
 // digestMsgLocked builds a round's digest message — [self record][digest],
 // the digest packed straight from the registry at the rotating window cursor
 // — and advances the cursor. The self record names the sender and its gossip
 // endpoint, so the message needs no other header. One message serves every
-// target of the round; the caller hands it back to digestMsgs after the
-// sends. A new buffer is sized to the whole message: the record batch, the
-// digest's 20 fixed bytes and 24 B per entry.
+// target of the round. A new buffer is sized to the whole message: the
+// record batch, the digest's 20 fixed bytes and 24 B per entry.
 func (n *Node) digestMsgLocked() *buffer.Buffer {
 	recs := []names.Record{n.self}
-	b, _ := digestMsgs.Get().(*buffer.Buffer)
-	if b == nil {
-		b = buffer.New(recordsLen(recs) + 20 + 24*min(n.reg.Len(), maxDigest))
-	}
-	b.Reset()
+	b := newMsg(recordsLen(recs) + 20 + 24*min(n.reg.Len(), maxDigest))
 	names.EncodeRecords(b, recs)
 	n.digestPos = n.reg.AppendDigest(b, n.digestPos, maxDigest)
 	return b
@@ -579,7 +633,7 @@ func (n *Node) digestMsgLocked() *buffer.Buffer {
 func (n *Node) sendDigest(sp *core.Startpoint, msg *buffer.Buffer) error {
 	err := sp.RSR(handlerDigest, msg)
 	if err == nil {
-		n.ctx.Stats().Counter("cluster.digest.tx").Inc()
+		n.c.digestTx.Inc()
 	}
 	return err
 }
@@ -593,32 +647,48 @@ func (n *Node) replyTo(from transport.ContextID, fromEP uint64, senderTable *tra
 	return n.startpointLocked(from, fromEP, senderTable)
 }
 
-// digestScratch holds the digests onDigest decodes into. Each handler call
-// takes its own, so concurrent deliveries on a threaded context never share
-// one, and an honest digest lands in storage an earlier one left behind.
-var digestScratch = sync.Pool{New: func() any { return new(names.Digest) }}
+// scratch is one handler call's reusable storage: the record batch and the
+// digest it reads, and the records and origins it answers with. Each call
+// takes its own from scratches, so concurrent deliveries on a threaded
+// context never share one, and a message lands in storage an earlier one
+// left behind.
+type scratch struct {
+	batch  names.Batch
+	digest names.Digest
+	recs   []names.Record
+	wants  []transport.ContextID
+}
+
+var scratches = sync.Pool{New: func() any { return new(scratch) }}
+
+// release empties s, keeping its storage but no record, and recycles it.
+func (s *scratch) release() {
+	clear(s.recs)
+	s.recs, s.wants = s.recs[:0], s.wants[:0]
+	scratches.Put(s)
+}
 
 // onDigest answers a digest with the delta the sender lacks and a want-list
 // push request for what we lack (rolled into the same delta message). The
 // digest's first record is the sender's own: its origin, gossip endpoint and
 // table address the reply.
 func (n *Node) onDigest(_ *core.Endpoint, b *buffer.Buffer) {
-	recs, err := names.DecodeRecords(b)
-	if err != nil || b.Err() != nil || len(recs) == 0 {
-		n.ctx.Stats().Counter("cluster.decode.errors").Inc()
+	s := scratches.Get().(*scratch)
+	defer s.release()
+	if err := n.reg.ReadBatch(b, &s.batch); err != nil || s.batch.Len() == 0 {
+		n.c.decodeErrors.Inc()
 		return
 	}
-	digest := digestScratch.Get().(*names.Digest)
-	defer digestScratch.Put(digest)
-	if err := digest.Decode(b); err != nil {
-		n.ctx.Stats().Counter("cluster.decode.errors").Inc()
+	if err := s.digest.Decode(b); err != nil {
+		n.c.decodeErrors.Inc()
 		return
 	}
-	n.ctx.Stats().Counter("cluster.digest.rx").Inc()
-	sender := recs[0]
+	n.c.digestRx.Inc()
+	sender := s.batch.First()
 	from := sender.Origin
-	n.reg.MergeAll(recs)
-	delta, wants := n.reg.DeltaFor(*digest, maxDelta)
+	n.reg.MergeBatch(&s.batch)
+	delta, wants := n.reg.AppendDeltaFor(s.recs, s.wants, s.digest, maxDelta)
+	s.recs, s.wants = delta, wants
 	// Never ship the sender its own record back: it is the authority on it
 	// (and during a leave push race, echoing it would be pure noise).
 	trimmed := delta[:0]
@@ -632,79 +702,79 @@ func (n *Node) onDigest(_ *core.Endpoint, b *buffer.Buffer) {
 		return
 	}
 	sp := n.replyTo(from, sender.GossipEP, sender.Table)
-	n.mu.Lock()
-	self := n.self
-	n.mu.Unlock()
-	out := buffer.New(16 + recordsLen(delta) + 4 + 8*len(wants))
-	out.PutUint64(uint64(self.Origin))
-	out.PutUint64(self.GossipEP)
+	out := newMsg(16 + recordsLen(delta) + 4 + 8*len(wants))
+	defer msgBufs.Put(out)
+	out.PutUint64(uint64(n.ctx.ID()))
+	out.PutUint64(n.ep.ID())
 	names.EncodeRecords(out, delta)
 	out.PutUint32(uint32(len(wants)))
 	for _, w := range wants {
 		out.PutUint64(uint64(w))
 	}
-	err = sp.RSR(handlerDelta, out)
+	err := sp.RSR(handlerDelta, out)
 	n.noteSend(from, err)
 	if err == nil {
-		n.ctx.Stats().Counter("cluster.delta.tx").Inc()
+		n.c.deltaTx.Inc()
 	}
 }
 
 // onDelta merges the responder's records and answers its want-list with a
 // push of the records it asked for.
 func (n *Node) onDelta(_ *core.Endpoint, b *buffer.Buffer) {
+	s := scratches.Get().(*scratch)
+	defer s.release()
 	from := transport.ContextID(b.Uint64())
 	fromEP := b.Uint64()
-	recs, err := names.DecodeRecords(b)
-	if err != nil || b.Err() != nil {
-		n.ctx.Stats().Counter("cluster.decode.errors").Inc()
+	if err := n.reg.ReadBatch(b, &s.batch); err != nil {
+		n.c.decodeErrors.Inc()
 		return
 	}
 	nw := int(b.Uint32())
 	if b.Err() != nil || nw < 0 || nw*8 > b.Remaining() {
-		n.ctx.Stats().Counter("cluster.decode.errors").Inc()
+		n.c.decodeErrors.Inc()
 		return
 	}
-	wants := make([]transport.ContextID, 0, nw)
 	for i := 0; i < nw; i++ {
-		wants = append(wants, transport.ContextID(b.Uint64()))
+		s.wants = append(s.wants, transport.ContextID(b.Uint64()))
 	}
 	if b.Err() != nil {
-		n.ctx.Stats().Counter("cluster.decode.errors").Inc()
+		n.c.decodeErrors.Inc()
 		return
 	}
-	n.ctx.Stats().Counter("cluster.delta.rx").Inc()
-	if applied := n.reg.MergeAll(recs); applied > 0 {
-		n.ctx.Stats().Counter("cluster.merged").Add(uint64(applied))
+	n.c.deltaRx.Inc()
+	if applied := n.reg.MergeBatch(&s.batch); applied > 0 {
+		n.c.merged.Add(uint64(applied))
 	}
-	if len(wants) == 0 {
+	if len(s.wants) == 0 {
 		return
 	}
-	answer := n.reg.RecordsFor(wants, maxDelta)
-	if len(answer) == 0 {
+	s.recs = n.reg.RecordsFor(s.recs, s.wants, maxDelta)
+	if len(s.recs) == 0 {
 		return
 	}
 	sp := n.replyTo(from, fromEP, nil)
-	out := buffer.New(recordsLen(answer))
-	names.EncodeRecords(out, answer)
-	err = sp.RSR(handlerPush, out)
+	out := newMsg(recordsLen(s.recs))
+	defer msgBufs.Put(out)
+	names.EncodeRecords(out, s.recs)
+	err := sp.RSR(handlerPush, out)
 	n.noteSend(from, err)
 	if err == nil {
-		n.ctx.Stats().Counter("cluster.push.tx").Inc()
+		n.c.pushTx.Inc()
 	}
 }
 
 // onPush merges an unsolicited record batch (want-list answers, leave
 // notices, join relays).
 func (n *Node) onPush(_ *core.Endpoint, b *buffer.Buffer) {
-	recs, err := names.DecodeRecords(b)
-	if err != nil || b.Err() != nil {
-		n.ctx.Stats().Counter("cluster.decode.errors").Inc()
+	s := scratches.Get().(*scratch)
+	defer s.release()
+	if err := n.reg.ReadBatch(b, &s.batch); err != nil {
+		n.c.decodeErrors.Inc()
 		return
 	}
-	n.ctx.Stats().Counter("cluster.push.rx").Inc()
-	if applied := n.reg.MergeAll(recs); applied > 0 {
-		n.ctx.Stats().Counter("cluster.merged").Add(uint64(applied))
+	n.c.pushRx.Inc()
+	if applied := n.reg.MergeBatch(&s.batch); applied > 0 {
+		n.c.merged.Add(uint64(applied))
 	}
 }
 

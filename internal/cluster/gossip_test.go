@@ -327,6 +327,49 @@ func TestDigestWithoutSenderRecord(t *testing.T) {
 	}
 }
 
+// TestStartpointCacheEvictsOldestLive pins the gossip startpoint cache's
+// eviction: the cap counts the startpoints cached now, not ones already
+// closed, and a startpoint cached again after it was closed counts as the
+// newest, so a full cache evicts the oldest one still cached.
+func TestStartpointCacheEvictsOldestLive(t *testing.T) {
+	c := newDynCtx(t, transport.Params{"exchange": "sp-cache"})
+	defer c.Close()
+	n := Attach(c, NodeConfig{})
+	cached := map[transport.ContextID]*core.Startpoint{}
+	put := func(o transport.ContextID) {
+		n.mu.Lock()
+		cached[o] = n.startpointLocked(o, 1, nil)
+		n.mu.Unlock()
+	}
+	for o := transport.ContextID(1); o <= spCacheCap; o++ {
+		put(o)
+	}
+	// A send failure closes one: 63 remain, so the next is cached without
+	// evicting any.
+	n.invalidateStartpoint(10)
+	delete(cached, 10)
+	put(100)
+	// A changed record closes another, which is then cached again as the
+	// newest; the next one evicts the oldest, origin 1.
+	n.mu.Lock()
+	n.dropPeerLocked(20)
+	n.mu.Unlock()
+	put(20)
+	put(101)
+	delete(cached, 1)
+
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if len(n.sps) != spCacheCap || len(n.spOrder) != spCacheCap {
+		t.Fatalf("cache holds %d startpoints in an order of %d, want %d and %d", len(n.sps), len(n.spOrder), spCacheCap, spCacheCap)
+	}
+	for o, sp := range cached {
+		if n.startpointLocked(o, 1, nil) != sp {
+			t.Errorf("origin %d's startpoint was evicted", o)
+		}
+	}
+}
+
 // newDynCtx builds a bare context (no agent) on the given inproc exchange.
 func newDynCtx(t *testing.T, params transport.Params) *core.Context {
 	t.Helper()

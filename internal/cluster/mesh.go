@@ -172,7 +172,7 @@ func (n *Node) recomputeRoutesLocked() {
 				if nodes[v].table != nil {
 					n.ctx.RefreshPeerTable(nodes[v].table)
 				}
-				n.ctx.Stats().Counter("cluster.routes.removed").Inc()
+				n.c.routesRemoved.Inc()
 			}
 			continue
 		}
@@ -182,7 +182,7 @@ func (n *Node) recomputeRoutesLocked() {
 			if _, had := n.routed[dest]; had {
 				delete(n.routed, dest)
 				n.ctx.RemovePeerTable(dest)
-				n.ctx.Stats().Counter("cluster.routes.removed").Inc()
+				n.c.routesRemoved.Inc()
 			}
 			continue
 		}
@@ -202,7 +202,7 @@ func (n *Node) recomputeRoutesLocked() {
 		}
 		n.ctx.RefreshPeerTable(route)
 		n.routed[dest] = routeState{via: via.Origin, viaSeq: via.Seq}
-		n.ctx.Stats().Counter("cluster.routes.installed").Inc()
+		n.c.routesInstalled.Inc()
 	}
 }
 

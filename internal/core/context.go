@@ -610,6 +610,15 @@ func (c *Context) AdvertisedTable() *transport.Table {
 	return c.advertised.Clone()
 }
 
+// Advertises reports whether t holds the descriptors of the context's
+// advertised table, in order, without copying the advertised table as
+// AdvertisedTable does.
+func (c *Context) Advertises(t *transport.Table) bool {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.advertised.Equal(t)
+}
+
 // SetAdvertisedTable replaces the context's descriptor table. Used by
 // forwarding setups to advertise a forwarder's address in place of the
 // context's own, and by users exercising manual method control.
@@ -920,18 +929,17 @@ func (c *Context) Close() error {
 }
 
 // connKey identifies a shareable communication object: same method, same
-// remote context, same descriptor attributes. enc is the descriptor's
-// canonical encoding, attributes included.
+// remote context, same descriptor attributes. attrs is the descriptor's
+// attribute block (Descriptor.AttrBlock), which a sealed descriptor holds
+// as it is, so making the key copies and encodes nothing.
 type connKey struct {
 	method string
 	ctx    transport.ContextID
-	enc    string
+	attrs  string
 }
 
 func keyFor(d transport.Descriptor) connKey {
-	b := buffer.New(64)
-	(&transport.Table{Entries: []transport.Descriptor{d}}).Encode(b)
-	return connKey{method: d.Method, ctx: d.Context, enc: string(b.Bytes())}
+	return connKey{method: d.Method, ctx: d.Context, attrs: d.AttrBlock()}
 }
 
 // sharedConn is a reference-counted communication object shared among

@@ -266,7 +266,8 @@ func (h *healthRegistry) allowed(method string, peer transport.ContextID) bool {
 
 // filterTable returns a view of table with entries whose circuits are open
 // removed. Half-open grants happen here: at most one caller receives the
-// probed method.
+// probed method. Every entry is asked, but a new table is allocated only
+// once one is dropped: a table that passes whole is returned as it is.
 func (h *healthRegistry) filterTable(table *transport.Table) *transport.Table {
 	now := time.Now()
 	h.mu.Lock()
@@ -274,13 +275,18 @@ func (h *healthRegistry) filterTable(table *transport.Table) *transport.Table {
 	if len(h.entries) == 0 {
 		return table
 	}
-	kept := make([]transport.Descriptor, 0, len(table.Entries))
-	for _, d := range table.Entries {
-		if h.allowedLocked(healthKey{d.Method, d.Context}, now) {
+	var kept []transport.Descriptor // nil until an entry is dropped
+	for i, d := range table.Entries {
+		switch {
+		case !h.allowedLocked(healthKey{d.Method, d.Context}, now):
+			if kept == nil {
+				kept = append(make([]transport.Descriptor, 0, len(table.Entries)-1), table.Entries[:i]...)
+			}
+		case kept != nil:
 			kept = append(kept, d)
 		}
 	}
-	if len(kept) == len(table.Entries) {
+	if kept == nil {
 		return table
 	}
 	return &transport.Table{Entries: kept}

@@ -144,6 +144,52 @@ func TestHealthFilterTable(t *testing.T) {
 	}
 }
 
+// TestHealthFilterTableAllocs pins that a table nothing is dropped from is
+// filtered without allocating, even with circuits held for other peers: a
+// send filters its table on every selection.
+func TestHealthFilterTableAllocs(t *testing.T) {
+	h := newHealthRegistry(fastHealth(), metrics.NewSet())
+	h.tripNow("mpl", 3, errors.New("down"))
+	table := transport.NewTable(
+		transport.Descriptor{Method: "mpl", Context: 4},
+		transport.Descriptor{Method: "tcp", Context: 4},
+	)
+	if avg := testing.AllocsPerRun(100, func() {
+		if h.filterTable(table) != table {
+			t.Fatal("a table with no open circuit was copied")
+		}
+	}); avg != 0 {
+		t.Errorf("filtering a table nothing is dropped from allocates %.1f times, want 0", avg)
+	}
+	// Dropping the last entry keeps the ones before it.
+	h.tripNow("tcp", 4, errors.New("down"))
+	if got := h.filterTable(table); got.Len() != 1 || got.Entries[0].Method != "mpl" {
+		t.Fatalf("filtered table = %v, want [mpl]", got)
+	}
+}
+
+// TestConnKeyFromAttrBlock pins the connection-cache key: a descriptor in
+// map form and its sealed equivalent share one key, a different attribute
+// does not, and a sealed descriptor's key costs no allocation.
+func TestConnKeyFromAttrBlock(t *testing.T) {
+	open := transport.Descriptor{Method: "tcp", Context: 7, Attrs: map[string]string{"addr": "a:1", "fabric": "f"}}
+	sealed := transport.NewTable(open).Entries[0]
+	if keyFor(open) != keyFor(sealed) {
+		t.Fatalf("map-form key %+v differs from sealed key %+v", keyFor(open), keyFor(sealed))
+	}
+	other := transport.Descriptor{Method: "tcp", Context: 7, Attrs: map[string]string{"addr": "a:2", "fabric": "f"}}
+	if keyFor(other) == keyFor(sealed) {
+		t.Fatal("descriptors with different attributes share a key")
+	}
+	bare := transport.Descriptor{Method: "tcp", Context: 7}
+	if keyFor(bare) != keyFor(transport.Descriptor{Method: "tcp", Context: 7, Attrs: map[string]string{}}) {
+		t.Fatal("a nil and an empty attribute map key differently")
+	}
+	if avg := testing.AllocsPerRun(100, func() { _ = keyFor(sealed) }); avg != 0 {
+		t.Errorf("a sealed descriptor's key allocates %.1f times, want 0", avg)
+	}
+}
+
 func TestHealthAwareFallsBackWhenAllOpen(t *testing.T) {
 	c := newCtx(t, "health-fallback", "", inprocCfg())
 	peer := newCtx(t, "health-fallback", "", inprocCfg())

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"cmp"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"slices"
 	"sync"
@@ -58,17 +57,7 @@ type Record struct {
 func (r Record) encode(b *buffer.Buffer) {
 	b.PutUint64(uint64(r.Origin))
 	b.PutUint64(r.Seq)
-	var flags byte
-	if r.Tombstone {
-		flags |= 1
-	}
-	if r.Forwarder {
-		flags |= 2
-	}
-	if r.Table != nil {
-		flags |= 4
-	}
-	b.PutByte(flags)
+	b.PutByte(r.flags())
 	b.PutString(r.Partition)
 	b.PutUint64(r.GossipEP)
 	if r.Table != nil {
@@ -76,24 +65,73 @@ func (r Record) encode(b *buffer.Buffer) {
 	}
 }
 
-// decodeRecord unpacks a record encoded with encode.
-func decodeRecord(b *buffer.Buffer) (Record, error) {
-	r := Record{
-		Origin: transport.ContextID(b.Uint64()),
-		Seq:    b.Uint64(),
+// Record flag bits, one byte on the wire.
+const (
+	flagTombstone = 1
+	flagForwarder = 2
+	flagTable     = 4
+)
+
+// flags packs the record's flag byte.
+func (r Record) flags() byte {
+	var f byte
+	if r.Tombstone {
+		f |= flagTombstone
 	}
-	flags := b.Byte()
-	if flags&^7 != 0 {
-		return r, fmt.Errorf("names: decoding record: unknown flags %#x", flags)
+	if r.Forwarder {
+		f |= flagForwarder
 	}
-	r.Tombstone = flags&1 != 0
-	r.Forwarder = flags&2 != 0
-	r.Partition = b.String()
-	r.GossipEP = b.Uint64()
+	if r.Table != nil {
+		f |= flagTable
+	}
+	return f
+}
+
+// wireRecord is a record's fixed fields as read from its encoding, before its
+// table: enough to judge the record against the one held for its origin.
+// partition aliases the buffer it was read from.
+type wireRecord struct {
+	origin    transport.ContextID
+	seq       uint64
+	flags     byte
+	partition []byte
+	gossipEP  uint64
+}
+
+// readWireRecord reads a record's fixed fields, leaving b at its table.
+func readWireRecord(b *buffer.Buffer) (wireRecord, error) {
+	w := wireRecord{
+		origin: transport.ContextID(b.Uint64()),
+		seq:    b.Uint64(),
+		flags:  b.Byte(),
+	}
+	if w.flags&^(flagTombstone|flagForwarder|flagTable) != 0 {
+		return w, fmt.Errorf("names: decoding record: unknown flags %#x", w.flags)
+	}
+	w.partition = b.BytesView()
+	w.gossipEP = b.Uint64()
 	if err := b.Err(); err != nil {
-		return r, fmt.Errorf("names: decoding record: %w", err)
+		return w, fmt.Errorf("names: decoding record: %w", err)
 	}
-	if flags&4 != 0 {
+	return w, nil
+}
+
+// decode completes the record from its table's bytes at b. held is the
+// partition of the record held for the origin, if any: a new version almost
+// always keeps it, and then shares its string rather than copying another.
+func (w wireRecord) decode(b *buffer.Buffer, held string) (Record, error) {
+	r := Record{
+		Origin:    w.origin,
+		Seq:       w.seq,
+		Tombstone: w.flags&flagTombstone != 0,
+		Forwarder: w.flags&flagForwarder != 0,
+		Partition: held,
+		GossipEP:  w.gossipEP,
+	}
+	if string(w.partition) != held {
+		r.Partition = string(w.partition)
+	}
+	if w.flags&flagTable != 0 {
 		t, err := transport.DecodeTable(b)
 		if err != nil {
 			return r, fmt.Errorf("names: decoding record table: %w", err)
@@ -102,6 +140,44 @@ func decodeRecord(b *buffer.Buffer) (Record, error) {
 	}
 	return r, nil
 }
+
+// skip moves b past the record's table, validating it without allocating.
+func (w wireRecord) skip(b *buffer.Buffer) error {
+	if w.flags&flagTable == 0 {
+		return nil
+	}
+	n, err := transport.TableLen(unread(b))
+	if err != nil {
+		return fmt.Errorf("names: decoding record table: %w", err)
+	}
+	b.Raw(n)
+	return nil
+}
+
+// repeats reports whether the record is identical to cur, the record held
+// for its origin, and if so how many table bytes to skip. The fields are
+// compared as values and the table bytes with cur's table's encoding, in
+// place; the table layout has no byte order, so a repeat is recognised from
+// a sender of either order.
+func (w wireRecord) repeats(cur *Record, table []byte) (int, bool) {
+	if w.seq != cur.Seq || w.flags != cur.flags() || w.gossipEP != cur.GossipEP || string(w.partition) != cur.Partition {
+		return 0, false
+	}
+	if cur.Table == nil {
+		return 0, true
+	}
+	return cur.Table.EncodedPrefix(table)
+}
+
+// losesTo reports whether the record loses to cur, the record held for its
+// origin, on its fixed fields alone: it is older, or a live record against a
+// tombstone of the same version (loses' first two rules).
+func (w wireRecord) losesTo(cur *Record) bool {
+	return w.seq < cur.Seq || w.seq == cur.Seq && cur.Tombstone && w.flags&flagTombstone == 0
+}
+
+// unread returns b's bytes not yet read.
+func unread(b *buffer.Buffer) []byte { return b.Bytes()[b.Len()-b.Remaining():] }
 
 // equal reports whether two records are identical: equal exactly when their
 // canonical encodings are, so Merge can turn a re-delivery away without
@@ -228,19 +304,36 @@ func EncodeRecords(b *buffer.Buffer, recs []Record) {
 // maxRecordBatch bounds hostile record-batch lengths.
 const maxRecordBatch = 1 << 16
 
-// DecodeRecords unpacks a record batch encoded with EncodeRecords.
-func DecodeRecords(b *buffer.Buffer) ([]Record, error) {
+// readBatchLen reads a record batch's count, validated against the bytes
+// present.
+func readBatchLen(b *buffer.Buffer) (int, error) {
 	n := int(b.Uint32())
 	if err := b.Err(); err != nil {
-		return nil, fmt.Errorf("names: decoding records: %w", err)
+		return 0, fmt.Errorf("names: decoding records: %w", err)
 	}
 	// A record is at least 8+8+1+4+8 bytes.
 	if n > maxRecordBatch || n*29 > b.Remaining() {
-		return nil, fmt.Errorf("names: record count %d cannot fit in %d bytes", n, b.Remaining())
+		return 0, fmt.Errorf("names: record count %d cannot fit in %d bytes", n, b.Remaining())
+	}
+	return n, nil
+}
+
+// DecodeRecords unpacks a record batch encoded with EncodeRecords, every
+// record in full. Gossip reads batches with Registry.ReadBatch instead,
+// which decodes only the records that could change the registry;
+// DecodeRecords is the reference it is tested against.
+func DecodeRecords(b *buffer.Buffer) ([]Record, error) {
+	n, err := readBatchLen(b)
+	if err != nil {
+		return nil, err
 	}
 	out := make([]Record, 0, n)
 	for i := 0; i < n; i++ {
-		r, err := decodeRecord(b)
+		w, err := readWireRecord(b)
+		if err != nil {
+			return nil, err
+		}
+		r, err := w.decode(b, "")
 		if err != nil {
 			return nil, err
 		}
@@ -328,28 +421,37 @@ func loses(rec, cur Record) bool {
 }
 
 // MergeAll folds a batch in, record by record as Merge would, and reports
-// how many records were applied. Origins new to the registry are gathered in
-// order and merged into the slice in one pass (insert), not inserted one by
-// one.
-func (r *Registry) MergeAll(recs []Record) int {
+// how many records were applied.
+func (r *Registry) MergeAll(recs []Record) int { return r.merge(recs, nil) }
+
+// merge folds recs in, in order, and reports how many were applied. encs,
+// when set, holds each record's canonical encoding (nil where unknown), so a
+// winner is hashed without being encoded again. Origins new to the registry
+// are gathered in order and merged into the slice in one pass (insert), not
+// inserted one by one.
+func (r *Registry) merge(recs []Record, encs [][]byte) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	applied := 0
 	var fresh []stored // origins r.s lacks, ascending
-	for _, rec := range recs {
+	for k, rec := range recs {
 		held := r.s
 		i, ok := search(held, rec.Origin)
 		if !ok {
 			held = fresh
 			if i, ok = search(held, rec.Origin); !ok {
 				if fresh == nil {
-					fresh = make([]stored, 0, len(recs))
+					fresh = make([]stored, 0, len(recs)-k)
 				}
 				fresh = slices.Insert(fresh, i, stored{})
 				held = fresh
 			}
 		}
-		if r.apply(&held[i], rec, ok) {
+		var enc []byte
+		if encs != nil {
+			enc = encs[k]
+		}
+		if r.apply(&held[i], rec, enc, ok) {
 			applied++
 		}
 	}
@@ -359,15 +461,17 @@ func (r *Registry) MergeAll(recs []Record) int {
 
 // apply writes rec over cur — the entry held for rec's origin when held is
 // set, a new one otherwise — if rec wins, keeping the fingerprint and the
-// generation current.
-func (r *Registry) apply(cur *stored, rec Record, held bool) bool {
+// generation current. enc is rec's canonical encoding, or nil to make it.
+func (r *Registry) apply(cur *stored, rec Record, enc []byte, held bool) bool {
 	// A repeat — an older version, or an identical re-delivery — loses
 	// whatever its content, so gossip's repeats are turned away before they
 	// cost an encoding.
 	if held && loses(rec, cur.rec) {
 		return false
 	}
-	enc := rec.canonical()
+	if enc == nil {
+		enc = rec.canonical()
+	}
 	if held {
 		// Same version and kind, different content: the held record is
 		// encoded only now, for the byte tie-break.
@@ -376,12 +480,140 @@ func (r *Registry) apply(cur *stored, rec Record, held bool) bool {
 		}
 		r.fp ^= fpMix(cur.rec.Origin, cur.rec.Seq, cur.hash)
 	}
-	h := fnv.New64a()
-	h.Write(enc)
 	r.gen++
-	*cur = stored{rec: rec, hash: h.Sum64(), gen: r.gen}
+	*cur = stored{rec: rec, hash: fnv64a(enc), gen: r.gen}
 	r.fp ^= fpMix(rec.Origin, rec.Seq, cur.hash)
 	return true
+}
+
+// fnv64a is FNV-1a over p, as hash/fnv's New64a computes it, without a
+// hash.Hash to allocate.
+func fnv64a(p []byte) uint64 {
+	h := uint64(14695981039346656037)
+	for _, c := range p {
+		h ^= uint64(c)
+		h *= 1099511628211
+	}
+	return h
+}
+
+// Batch is a record batch read by ReadBatch and judged against the registry
+// from its bytes, waiting for MergeBatch. It holds only the records that could
+// change the registry, decoded; the rest were skipped unread. A Batch is
+// reusable: ReadBatch resets it, and its storage is kept across uses.
+type Batch struct {
+	recs  []Record
+	encs  [][]byte // each record's received bytes when they are canonical, else nil
+	first Record
+	n     int
+}
+
+// Len reports how many records the batch's encoding held, judged or not.
+func (bt *Batch) Len() int { return bt.n }
+
+// First returns the batch's first record whole, however it was judged: the
+// record held for its origin when the two are identical, otherwise the
+// record decoded. Gossip puts the sender's own record first.
+func (bt *Batch) First() Record { return bt.first }
+
+// ReadBatch reads a batch packed by EncodeRecords into bt and judges each
+// record against the registry before decoding it. A record identical to the
+// one held (same fields, table bytes equal to the held table's encoding) is
+// skipped, and one older than the held record, or a live record against a
+// tombstone of the same version, has its table validated and skipped; only
+// the records that could change the registry are decoded, tables included.
+// When b is little-endian a decoded record's received bytes are its
+// canonical encoding, and bt keeps them (aliasing b) for MergeBatch to hash,
+// so b's bytes must outlive the MergeBatch call. A malformed record anywhere
+// fails the whole batch, which then merges nothing.
+//
+// The judging runs under the read lock and MergeBatch under the write lock.
+// A merge in between cannot turn a skipped record into a winner: a held
+// record is only ever replaced by one after it in the merge order, which
+// the skipped record was already at or before.
+func (r *Registry) ReadBatch(b *buffer.Buffer, bt *Batch) error {
+	bt.reset()
+	n, err := readBatchLen(b)
+	if err != nil {
+		return err
+	}
+	wire := b.Format() == buffer.LittleEndian
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	for i := 0; i < n; i++ {
+		if err := r.readRecord(b, bt, i == 0, wire); err != nil {
+			bt.reset()
+			return err
+		}
+	}
+	bt.n = n
+	return nil
+}
+
+// readRecord reads one record of a batch into bt, judging it against the
+// record held for its origin: a repeat or a loser is skipped, anything else
+// decoded. The first record is decoded even when it loses, to be First. The
+// caller holds r.mu for reading.
+func (r *Registry) readRecord(b *buffer.Buffer, bt *Batch, first, wire bool) error {
+	start := unread(b)
+	w, err := readWireRecord(b)
+	if err != nil {
+		return err
+	}
+	var cur *Record
+	var partition string
+	if k, ok := search(r.s, w.origin); ok {
+		cur = &r.s[k].rec
+		if tl, same := w.repeats(cur, unread(b)); same {
+			b.Raw(tl)
+			if first {
+				bt.first = *cur
+			}
+			return nil
+		}
+		if !first && w.losesTo(cur) {
+			return w.skip(b)
+		}
+		partition = cur.Partition
+	}
+	rec, err := w.decode(b, partition)
+	if err != nil {
+		return err
+	}
+	if first {
+		bt.first = rec
+		if cur != nil && loses(rec, *cur) {
+			return nil
+		}
+	}
+	var enc []byte
+	if wire {
+		enc = start[:len(start)-b.Remaining()]
+	}
+	bt.recs = append(bt.recs, rec)
+	bt.encs = append(bt.encs, enc)
+	return nil
+}
+
+// MergeBatch folds in the records ReadBatch judged could change the
+// registry, in order, and reports how many were applied: the count MergeAll
+// of the whole decoded batch would report. It empties the batch.
+func (r *Registry) MergeBatch(bt *Batch) int {
+	applied := 0
+	if len(bt.recs) > 0 {
+		applied = r.merge(bt.recs, bt.encs)
+	}
+	bt.reset()
+	return applied
+}
+
+// reset empties bt, keeping its storage but none of the tables or bytes it
+// referred to.
+func (bt *Batch) reset() {
+	clear(bt.recs)
+	clear(bt.encs)
+	bt.recs, bt.encs = bt.recs[:0], bt.encs[:0]
+	bt.first, bt.n = Record{}, 0
 }
 
 // insert merges fresh, ascending origins that r.s lacks, into r.s from the
@@ -468,24 +700,25 @@ func (r *Registry) LiveOrigins(dst []transport.ContextID) []transport.ContextID 
 	return dst
 }
 
-// ChangedSince returns, sorted by origin, every record applied after
-// generation gen, and the generation to pass next time; it moves exactly
-// when a Merge applies, that is when a record's content changes. Starting
-// from 0 returns every record. A poller that folds registry changes into
-// other state thereby pays for what moved, not for the table, and needs no
-// memory of its own of what it folded last time.
-func (r *Registry) ChangedSince(gen uint64) (recs []Record, now uint64) {
+// ChangedSince appends to dst, sorted by origin, every record applied after
+// generation gen, and returns it with the generation to pass next time; it
+// moves exactly when a Merge applies, that is when a record's content
+// changes. Starting from 0 returns every record. A poller that folds
+// registry changes into other state thereby pays for what moved, not for the
+// table, needs no memory of its own of what it folded last time, and can
+// fold into the same dst every time.
+func (r *Registry) ChangedSince(dst []Record, gen uint64) (recs []Record, now uint64) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	if gen == r.gen {
-		return nil, gen
+		return dst, gen
 	}
 	for i := range r.s {
 		if s := &r.s[i]; s.gen > gen {
-			recs = append(recs, s.rec)
+			dst = append(dst, s.rec)
 		}
 	}
-	return recs, r.gen
+	return dst, r.gen
 }
 
 // Equal reports whether two registries hold identical records — the
@@ -578,12 +811,20 @@ func (r *Registry) AppendDigest(b *buffer.Buffer, start, limit int) (next int) {
 // judged by its last entry, and each of its entries ahead of us is wanted.
 // A digest that agrees with the registry costs no allocation.
 func (r *Registry) DeltaFor(d Digest, maxDelta int) (delta []Record, wants []transport.ContextID) {
+	return r.AppendDeltaFor(nil, nil, d, maxDelta)
+}
+
+// AppendDeltaFor is DeltaFor appending to delta and wants, so a responder
+// that keeps both as scratch answers a digest into the same storage every
+// time.
+func (r *Registry) AppendDeltaFor(delta []Record, wants []transport.ContextID, d Digest, maxDelta int) ([]Record, []transport.ContextID) {
 	es := d.Entries
 	byOrigin := func(a, b DigestEntry) int { return cmp.Compare(a.Origin, b.Origin) }
 	if !slices.IsSortedFunc(es, byOrigin) {
 		es = slices.Clone(es)
 		slices.SortStableFunc(es, byOrigin)
 	}
+	base := len(delta)
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	i := 0
@@ -610,7 +851,7 @@ func (r *Registry) DeltaFor(d Digest, maxDelta int) (delta []Record, wants []tra
 			if diverged {
 				wants = append(wants, o)
 			}
-			if (stale || diverged) && (maxDelta <= 0 || len(delta) < maxDelta) {
+			if (stale || diverged) && (maxDelta <= 0 || len(delta)-base < maxDelta) {
 				delta = append(delta, s.rec)
 			}
 		}
@@ -622,19 +863,19 @@ func (r *Registry) DeltaFor(d Digest, maxDelta int) (delta []Record, wants []tra
 	return delta, wants
 }
 
-// RecordsFor returns the records held for the requested origins (capped at
-// max), answering a want-list.
-func (r *Registry) RecordsFor(origins []transport.ContextID, max int) []Record {
-	out := make([]Record, 0, len(origins))
+// RecordsFor appends to dst the records held for the requested origins
+// (at most max of them), answering a want-list, and returns it.
+func (r *Registry) RecordsFor(dst []Record, origins []transport.ContextID, max int) []Record {
+	base := len(dst)
 	r.mu.RLock()
+	defer r.mu.RUnlock()
 	for _, o := range origins {
 		if i, ok := search(r.s, o); ok {
-			out = append(out, r.s[i].rec)
-			if max > 0 && len(out) == max {
+			dst = append(dst, r.s[i].rec)
+			if max > 0 && len(dst)-base == max {
 				break
 			}
 		}
 	}
-	r.mu.RUnlock()
-	return out
+	return dst
 }

@@ -24,11 +24,11 @@ func TestRegistryMergeVersions(t *testing.T) {
 	if !r.Merge(Record{Origin: 1, Seq: 1, Table: tbl("mpl", 1, nil)}) {
 		t.Fatal("first record not applied")
 	}
-	_, g := r.ChangedSince(0)
+	_, g := r.ChangedSince(nil, 0)
 	if r.Merge(Record{Origin: 1, Seq: 1, Table: tbl("mpl", 1, nil)}) {
 		t.Error("duplicate record applied")
 	}
-	if _, now := r.ChangedSince(g); now != g {
+	if _, now := r.ChangedSince(nil, g); now != g {
 		t.Error("generation moved on a no-op merge")
 	}
 	if r.Merge(Record{Origin: 1, Seq: 0, Table: tbl("wan", 1, nil)}) {
@@ -208,7 +208,7 @@ func TestDeltaForPushPull(t *testing.T) {
 	}
 	// Applying the delta plus the answered want-list converges the pair.
 	older.MergeAll(delta)
-	newer.MergeAll(older.RecordsFor(wants, 0))
+	newer.MergeAll(older.RecordsFor(nil, wants, 0))
 	if !older.Equal(newer) {
 		t.Fatalf("pair did not converge:\n%+v\n%+v", older.Snapshot(), newer.Snapshot())
 	}
@@ -233,7 +233,7 @@ func TestChangedSince(t *testing.T) {
 	}
 	check := func(since uint64, want ...transport.ContextID) ([]Record, uint64) {
 		t.Helper()
-		recs, now := r.ChangedSince(since)
+		recs, now := r.ChangedSince(nil, since)
 		if len(recs) != len(want) {
 			t.Fatalf("ChangedSince(%d) = %d records; want origins %v", since, len(recs), want)
 		}
@@ -481,8 +481,8 @@ func TestMergeAllMatchesMerge(t *testing.T) {
 		if got := all.MergeAll(batch); got != applied {
 			t.Fatalf("trial %d: MergeAll applied %d, Merge one by one %d", trial, got, applied)
 		}
-		_, genOne := one.ChangedSince(0)
-		_, genAll := all.ChangedSince(0)
+		_, genOne := one.ChangedSince(nil, 0)
+		_, genAll := all.ChangedSince(nil, 0)
 		if !one.Equal(all) || one.Fingerprint() != all.Fingerprint() || genOne != genAll {
 			t.Fatalf("trial %d: batch and one-by-one merges differ:\n%+v\n%+v", trial, all.Snapshot(), one.Snapshot())
 		}
@@ -767,4 +767,167 @@ func FuzzDecodeDigest(f *testing.F) {
 			t.Fatalf("re-encoding differs:\n got %x\nwant %x", re.Bytes(), used)
 		}
 	})
+}
+
+// batchRecord derives a record from three fuzz bytes for FuzzReadBatch:
+// origin 1–6, sequence 0–3, and a kind covering what a batch can carry — a
+// tombstone with and without a table, a live record with a nil, an empty or
+// one of two same-version divergent tables, a forwarder, and a second
+// partition.
+func batchRecord(origin, seq, kind byte) Record {
+	o := transport.ContextID(origin%6 + 1)
+	rec := Record{Origin: o, Seq: uint64(seq % 4), Partition: "p", GossipEP: uint64(o) + 100}
+	addr := func(a string) *transport.Table { return tbl("mpl", uint64(o), map[string]string{"addr": a}) }
+	switch kind % 8 {
+	case 0:
+		rec.Tombstone = true
+	case 1:
+		rec.Tombstone, rec.Table = true, addr("a")
+	case 2:
+	case 3:
+		rec.Table = &transport.Table{}
+	case 4:
+		rec.Table = addr("a")
+	case 5:
+		rec.Table = addr("b")
+	case 6:
+		rec.Forwarder, rec.Table = true, addr("a")
+	case 7:
+		rec.Partition, rec.Table = "q", addr("a")
+	}
+	return rec
+}
+
+// FuzzReadBatch holds the byte-judged merge — ReadBatch then MergeBatch,
+// which skips repeats and losers without decoding them — to the reference
+// it replaced, DecodeRecords then MergeAll, on a registry that already holds
+// some records: the same accept or reject, the same applied count, the same
+// records, fingerprint and generation, the same first record, and the
+// buffer left at the same place. Batches come in either byte order, and may
+// be truncated or have one byte corrupted.
+func FuzzReadBatch(f *testing.F) {
+	f.Add([]byte{0, 1, 4, 1, 2, 2}, []byte{0, 1, 4, 0, 1, 5, 1, 2, 2, 2, 3, 0, 3, 0, 3}, false, uint16(0xFFFF), uint16(0), byte(0))
+	f.Add([]byte{0, 1, 4, 1, 2, 6, 2, 0, 3}, []byte{0, 1, 4, 1, 2, 6, 2, 0, 3}, true, uint16(0xFFFF), uint16(0), byte(0))
+	f.Add([]byte{3, 1, 1}, []byte{3, 1, 0, 3, 1, 1, 4, 3, 7, 4, 2, 4}, true, uint16(40), uint16(0), byte(0))
+	f.Add([]byte{}, []byte{5, 3, 5, 5, 3, 4}, false, uint16(0xFFFF), uint16(20), byte(0x80))
+	f.Fuzz(func(t *testing.T, held, batch []byte, bigEndian bool, cut, at uint16, flip byte) {
+		var heldRecs, recs []Record
+		for i := 0; i+2 < len(held) && len(heldRecs) < 32; i += 3 {
+			heldRecs = append(heldRecs, batchRecord(held[i], held[i+1], held[i+2]))
+		}
+		for i := 0; i+2 < len(batch) && len(recs) < 32; i += 3 {
+			recs = append(recs, batchRecord(batch[i], batch[i+1], batch[i+2]))
+		}
+		format := buffer.LittleEndian
+		if bigEndian {
+			format = buffer.BigEndian
+		}
+		enc := buffer.NewFormat(format, 64)
+		EncodeRecords(enc, recs)
+		wire := slices.Clone(enc.Encode())
+		if int(cut) < len(wire) {
+			wire = wire[:cut]
+		}
+		if len(wire) > 1 && flip != 0 {
+			wire[1+int(at)%(len(wire)-1)] ^= flip
+		}
+		ref, got := NewRegistry(), NewRegistry()
+		ref.MergeAll(heldRecs)
+		got.MergeAll(heldRecs)
+
+		refBuf, err := buffer.FromBytes(wire)
+		if err != nil {
+			return
+		}
+		decoded, refErr := DecodeRecords(refBuf)
+		refApplied := 0
+		if refErr == nil {
+			refApplied = ref.MergeAll(decoded)
+		}
+		gotBuf, _ := buffer.FromBytes(slices.Clone(wire))
+		var bt Batch
+		gotErr := got.ReadBatch(gotBuf, &bt)
+		if (refErr == nil) != (gotErr == nil) {
+			t.Fatalf("DecodeRecords error %v, ReadBatch error %v", refErr, gotErr)
+		}
+		if gotErr == nil {
+			if bt.Len() != len(decoded) {
+				t.Fatalf("batch of %d records, DecodeRecords read %d", bt.Len(), len(decoded))
+			}
+			if len(decoded) > 0 && !bytes.Equal(bt.First().canonical(), decoded[0].canonical()) {
+				t.Fatalf("First = %+v, decoded first record %+v", bt.First(), decoded[0])
+			}
+			if gotBuf.Remaining() != refBuf.Remaining() {
+				t.Fatalf("ReadBatch left %d bytes, DecodeRecords %d", gotBuf.Remaining(), refBuf.Remaining())
+			}
+		}
+		if applied := got.MergeBatch(&bt); applied != refApplied {
+			t.Fatalf("MergeBatch applied %d, MergeAll of the decoded batch %d", applied, refApplied)
+		}
+		_, refGen := ref.ChangedSince(nil, 0)
+		_, gotGen := got.ChangedSince(nil, 0)
+		if !got.Equal(ref) || got.Fingerprint() != ref.Fingerprint() || gotGen != refGen {
+			t.Fatalf("registries differ:\n got %+v\n ref %+v", got.Snapshot(), ref.Snapshot())
+		}
+	})
+}
+
+// TestRepeatBatchAllocs pins that a batch the registry already holds,
+// record for record, is judged from its bytes and costs no allocation,
+// whatever the buffer's byte order: gossip delivers most records more than
+// once.
+func TestRepeatBatchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	r := NewRegistry()
+	recs := make([]Record, 64)
+	for i := range recs {
+		o := uint64(i + 1)
+		recs[i] = Record{Origin: transport.ContextID(o), Seq: 3, Forwarder: i%2 == 0, Partition: "p", GossipEP: o,
+			Table: tbl("mpl", o, map[string]string{"partition": "p", "fabric": "f"})}
+	}
+	r.MergeAll(recs)
+	for _, f := range []buffer.Format{buffer.LittleEndian, buffer.BigEndian} {
+		b := buffer.NewFormat(f, 64*64)
+		EncodeRecords(b, recs)
+		var bt Batch
+		avg := testing.AllocsPerRun(100, func() {
+			b.Rewind()
+			if err := r.ReadBatch(b, &bt); err != nil {
+				t.Fatal(err)
+			}
+			if r.MergeBatch(&bt) != 0 {
+				t.Fatal("a repeated batch changed the registry")
+			}
+		})
+		if avg != 0 {
+			t.Errorf("merging a repeated %v batch of 64 records allocates %.1f times, want 0", f, avg)
+		}
+	}
+}
+
+// TestBatchWinnerHash pins the hash a record merged from a batch is held
+// under: the one Merge computes from its canonical encoding, whether the
+// batch was little-endian (hashed from the bytes it arrived in) or
+// big-endian (encoded again).
+func TestBatchWinnerHash(t *testing.T) {
+	rec := Record{Origin: 7, Seq: 3, Forwarder: true, Partition: "p", GossipEP: 9,
+		Table: tbl("mpl", 7, map[string]string{"partition": "p", "fabric": "f"})}
+	want := recordHash(rec)
+	for _, f := range []buffer.Format{buffer.LittleEndian, buffer.BigEndian} {
+		b := buffer.NewFormat(f, 128)
+		EncodeRecords(b, []Record{rec})
+		r := NewRegistry()
+		var bt Batch
+		if err := r.ReadBatch(b, &bt); err != nil {
+			t.Fatal(err)
+		}
+		if r.MergeBatch(&bt) != 1 {
+			t.Fatalf("%v: the record was not applied", f)
+		}
+		if d, _ := r.Digest(0, 0); d.Entries[0].Hash != want {
+			t.Errorf("%v: merged record hashes to %x, canonical %x", f, d.Entries[0].Hash, want)
+		}
+	}
 }

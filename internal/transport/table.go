@@ -138,7 +138,7 @@ func (t *Table) Encode(b *buffer.Buffer) {
 		putUvarint(b, uint64(len(e.Method)))
 		b.PutRaw([]byte(e.Method))
 		putUvarint(b, uint64(e.Context))
-		b.PutRaw([]byte(e.block()))
+		b.PutRaw([]byte(e.AttrBlock()))
 	}
 }
 
@@ -146,7 +146,7 @@ func (t *Table) Encode(b *buffer.Buffer) {
 func (t *Table) EncodedLen() int {
 	n := 1 + uvarintLen(uint64(len(t.Entries)))
 	for _, e := range t.Entries {
-		n += uvarintLen(uint64(len(e.Method))) + len(e.Method) + uvarintLen(uint64(e.Context)) + len(e.block())
+		n += uvarintLen(uint64(len(e.Method))) + len(e.Method) + uvarintLen(uint64(e.Context)) + len(e.AttrBlock())
 	}
 	return n
 }
@@ -173,6 +173,56 @@ func DecodeTable(b *buffer.Buffer) (*Table, error) {
 		panic("transport: a validated table failed to decode: " + err.Error())
 	}
 	return t, nil
+}
+
+// TableLen validates the encoded table at the head of p, as DecodeTable
+// would, and returns its length without allocating: a receiver that skips a
+// table it has no use for still rejects one it could not have decoded.
+func TableLen(p []byte) (int, error) {
+	n, err := walkTable(p, nil)
+	if err != nil {
+		return 0, fmt.Errorf("transport: decoding table: %w", err)
+	}
+	return n, nil
+}
+
+// EncodedPrefix reports whether p begins with the table's encoding (Encode)
+// and, if it does, how long that encoding is. It compares in place, so a
+// table of sealed descriptors allocates nothing: a receiver recognises a
+// table it already holds from the bytes, without decoding them. The layout
+// does not depend on byte order, so neither does the answer.
+func (t *Table) EncodedPrefix(p []byte) (int, bool) {
+	m := prefixMatcher{p: p, ok: len(p) > 0 && p[0] == tableVersion, off: 1}
+	m.uvarint(uint64(len(t.Entries)))
+	for i := 0; m.ok && i < len(t.Entries); i++ {
+		e := &t.Entries[i]
+		m.uvarint(uint64(len(e.Method)))
+		m.bytes(e.Method)
+		m.uvarint(uint64(e.Context))
+		m.bytes(e.AttrBlock())
+	}
+	return m.off, m.ok
+}
+
+// prefixMatcher walks p, matching expected bytes at off; the first mismatch
+// sticks, as a buffer's first unpack error does.
+type prefixMatcher struct {
+	p   []byte
+	off int
+	ok  bool
+}
+
+func (m *prefixMatcher) bytes(s string) {
+	if m.ok && len(m.p)-m.off >= len(s) && string(m.p[m.off:m.off+len(s)]) == s {
+		m.off += len(s)
+	} else {
+		m.ok = false
+	}
+}
+
+func (m *prefixMatcher) uvarint(v uint64) {
+	var tmp [binary.MaxVarintLen64]byte
+	m.bytes(string(binary.AppendUvarint(tmp[:0], v)))
 }
 
 // Equal reports whether two tables hold identical descriptors in the same

@@ -59,9 +59,12 @@ func (d Descriptor) Attr(key string) string {
 	return blockAttr(d.attrs, key)
 }
 
-// block returns the attribute block Encode writes for the descriptor,
-// sealing Attrs if it is set.
-func (d Descriptor) block() string {
+// AttrBlock returns the attribute block Encode writes for the descriptor,
+// sealing Attrs if it is set. A sealed descriptor's block is returned as it
+// is held, without allocating. Two descriptors with the same method and
+// context are Equal exactly when their blocks are, so the block keys a
+// descriptor without encoding it.
+func (d Descriptor) AttrBlock() string {
 	b := d.attrs
 	if d.Attrs != nil {
 		b = sealAttrs(d.Attrs)
@@ -160,7 +163,7 @@ func (d Descriptor) Equal(o Descriptor) bool {
 func (d Descriptor) String() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%s->ctx%dmap[", d.Method, d.Context)
-	n, pairs := blockPairs(d.block())
+	n, pairs := blockPairs(d.AttrBlock())
 	for i := 0; i < n; i++ {
 		var k, v string
 		k, v, pairs = nextPair(pairs)
