@@ -125,10 +125,13 @@ type Node struct {
 	stopRun     chan struct{}
 }
 
-// cachedSP is a cached startpoint to a peer's gossip endpoint ep.
+// cachedSP is a cached startpoint to a peer's gossip endpoint ep. explicit
+// marks one built on the record's own table (the bootstrap case) rather than
+// resolving through the context's peer table.
 type cachedSP struct {
-	ep uint64
-	sp *core.Startpoint
+	ep       uint64
+	sp       *core.Startpoint
+	explicit bool
 }
 
 // counters are the agent's cluster.* counters, resolved once at Attach, so
@@ -452,7 +455,6 @@ func (n *Node) applyRegistryLocked() {
 		if rec.Origin == n.self.Origin {
 			continue
 		}
-		n.dropPeerLocked(rec.Origin)
 		n.routesDirty = true
 		if rec.Tombstone {
 			if t := n.ctx.PeerTable(rec.Origin); t != nil {
@@ -460,12 +462,13 @@ func (n *Node) applyRegistryLocked() {
 			}
 			n.ctx.RemovePeerTable(rec.Origin)
 			n.c.appliedTombstone.Inc()
-			continue
+		} else {
+			if rec.Table != nil {
+				n.ctx.RefreshPeerTable(rec.Table)
+			}
+			n.c.appliedRecord.Inc()
 		}
-		if rec.Table != nil {
-			n.ctx.RefreshPeerTable(rec.Table)
-		}
-		n.c.appliedRecord.Inc()
+		n.dropPeerLocked(rec.Origin)
 	}
 	clear(recs)
 	n.changed = recs[:0]
@@ -476,12 +479,16 @@ func (n *Node) applyRegistryLocked() {
 }
 
 // dropPeerLocked forgets per-peer send state for an origin whose record
-// changed: its failure count, and its cached gossip startpoint, which rebinds
-// on next use so a bootstrap-era binding cannot outlive the table it was
-// built from.
+// changed and whose peer table has been refreshed or removed: its failure
+// count, and a cached gossip startpoint that cannot follow the new table —
+// one built on an explicit table, or one whose peer has no peer table left.
+// A startpoint that resolves through the peer table is kept: its link
+// re-resolves on its next send.
 func (n *Node) dropPeerLocked(origin transport.ContextID) {
 	delete(n.failures, origin)
-	n.closeSPLocked(origin)
+	if c, ok := n.sps[origin]; ok && (c.explicit || !n.ctx.HasPeerTable(origin)) {
+		n.closeSPLocked(origin)
+	}
 }
 
 // closeSPLocked closes and forgets the startpoint cached for origin, if any.
@@ -544,7 +551,7 @@ func (n *Node) startpointLocked(ctx transport.ContextID, ep uint64, table *trans
 	if len(n.spOrder) >= spCacheCap {
 		n.closeSPLocked(n.spOrder[0])
 	}
-	n.sps[ctx] = cachedSP{ep: ep, sp: sp}
+	n.sps[ctx] = cachedSP{ep: ep, sp: sp, explicit: bind != nil}
 	n.spOrder = append(n.spOrder, ctx)
 	return sp
 }

@@ -370,6 +370,48 @@ func TestStartpointCacheEvictsOldestLive(t *testing.T) {
 	}
 }
 
+// TestStartpointCacheFollowsPeerTable pins which applied records rebuild a
+// peer's cached gossip startpoint: one that resolves through the peer table
+// follows a newer live record by itself and is kept; after a tombstone
+// removes the peer table it is replaced by one bound to the record's table.
+func TestStartpointCacheFollowsPeerTable(t *testing.T) {
+	c := newDynCtx(t, transport.Params{"exchange": "sp-follow"})
+	defer c.Close()
+	n := Attach(c, NodeConfig{})
+	const peer = transport.ContextID(50)
+	table := func(addr string) *transport.Table {
+		return transport.NewTable(transport.Descriptor{Method: "inproc", Context: peer,
+			Attrs: map[string]string{"exchange": "sp-follow", "addr": addr}})
+	}
+	apply := func(rec names.Record) {
+		n.reg.Merge(rec)
+		n.applyRegistryLocked()
+	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	apply(names.Record{Origin: peer, Seq: 1, GossipEP: 1, Table: table("a")})
+	if !c.HasPeerTable(peer) {
+		t.Fatal("applied record registered no peer table")
+	}
+	sp := n.startpointLocked(peer, 1, table("a"))
+
+	apply(names.Record{Origin: peer, Seq: 2, GossipEP: 1, Table: table("b")})
+	if got := n.startpointLocked(peer, 1, table("b")); got != sp {
+		t.Error("a newer live record rebuilt a startpoint that resolves through the peer table")
+	}
+
+	apply(names.Record{Origin: peer, Seq: 3, Tombstone: true})
+	if c.HasPeerTable(peer) {
+		t.Fatal("tombstone left the peer table registered")
+	}
+	if got := n.startpointLocked(peer, 1, table("b")); got == sp {
+		t.Error("the startpoint cached before a tombstone survived it")
+	}
+	if len(n.sps) != 1 || len(n.spOrder) != 1 {
+		t.Errorf("cache holds %d startpoints in an order of %d, want 1 and 1", len(n.sps), len(n.spOrder))
+	}
+}
+
 // newDynCtx builds a bare context (no agent) on the given inproc exchange.
 func newDynCtx(t *testing.T, params transport.Params) *core.Context {
 	t.Helper()

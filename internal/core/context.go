@@ -683,8 +683,8 @@ func (c *Context) RegisterPeerTable(t *transport.Table) {
 // RefreshPeerTable registers or replaces a peer's descriptor table at
 // runtime and invalidates everything that cached the old one: the peer-table
 // generation moves so lightweight startpoint links re-resolve, and the
-// health generation moves so published send snapshots go stale and re-run
-// selection. This is the hook gossip-driven descriptor distribution rides —
+// health generation moves so every link's published binding goes stale and
+// its next send re-runs selection. This is the hook gossip-driven descriptor distribution rides —
 // a method added or removed on a live peer propagates into every local
 // link's next send through the same mechanism a circuit trip uses. As with
 // RegisterPeerTable, the context keeps t itself: do not modify it afterwards.

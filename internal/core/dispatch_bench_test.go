@@ -97,8 +97,8 @@ func (nullConn) Close() error      { return nil }
 
 // BenchmarkSendContention hammers one startpoint with RSRs from GOMAXPROCS
 // goroutines over a free transport: what remains is the send path's own
-// synchronization (snapshot load + health-generation check vs. the old
-// full-send mutex).
+// synchronization — one load of the link set, then per link the binding load
+// and health-generation check (link.current); no lock is taken.
 func BenchmarkSendContention(b *testing.B) {
 	reg := transport.NewRegistry()
 	reg.Register("null", nil, func(transport.Values) (transport.Module, error) { return nullModule{}, nil })

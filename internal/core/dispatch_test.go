@@ -256,7 +256,7 @@ func TestConcurrentRegistration(t *testing.T) {
 				}
 			}()
 			// RSR flood from two senders sharing one startpoint (exercises
-			// the lock-free send snapshot too).
+			// the lock-free send path too).
 			for g := 0; g < 2; g++ {
 				wg.Add(1)
 				go func() {

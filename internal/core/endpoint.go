@@ -88,14 +88,7 @@ func (ep *Endpoint) NewStartpoint() *Startpoint {
 	ep.ctx.mu.RLock()
 	table := ep.ctx.advertised.Clone()
 	ep.ctx.mu.RUnlock()
-	return &Startpoint{
-		owner: ep.ctx,
-		targets: []*link{{
-			context:  ep.ctx.id,
-			endpoint: ep.id,
-			table:    table,
-		}},
-	}
+	return newStartpoint(ep.ctx, &link{context: ep.ctx.id, endpoint: ep.id, table: table})
 }
 
 func (ep *Endpoint) String() string {

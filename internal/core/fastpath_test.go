@@ -1,7 +1,9 @@
 package core
 
 import (
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,7 +15,7 @@ import (
 // TestCrossMergeNoDeadlock is the regression test for the Merge lock-order
 // inversion: two goroutines merging a pair of startpoints into each other
 // used to acquire the two startpoint locks in opposite orders and deadlock.
-// Run under -race, which also checks the snapshot-then-append scheme for
+// Run under -race, which also checks Merge's copy-on-write link set for
 // unsynchronized table access.
 func TestCrossMergeNoDeadlock(t *testing.T) {
 	tag := "cross-merge"
@@ -44,6 +46,75 @@ func TestCrossMergeNoDeadlock(t *testing.T) {
 	}
 	if n := len(spB.Targets()); n != 2 {
 		t.Errorf("spB targets = %d, want 2", n)
+	}
+}
+
+// TestMergeWhileSending runs RSRs from several goroutines on one startpoint
+// while Merge adds targets to it: a send uses the link set it loaded, no send
+// fails, and every merged target receives frames. Run under -race, it checks
+// that Merge's copy-on-write replacement of the link set needs no lock on the
+// send path.
+func TestMergeWhileSending(t *testing.T) {
+	tag := "merge-while-sending"
+	send := newCtx(t, tag, "", inprocCfg())
+	const targets, senders = 4, 4
+	recv := make([]*Context, targets)
+	got := make([]atomic.Int64, targets)
+	sps := make([]*Startpoint, targets)
+	for i := range recv {
+		recv[i] = newCtx(t, tag, "", inprocCfg())
+		ep := recv[i].NewEndpoint(WithHandler(func(*Endpoint, *buffer.Buffer) { got[i].Add(1) }))
+		sps[i] = transferStartpoint(t, ep.NewStartpoint(), send, false)
+	}
+	sp := sps[0]
+	poll := func() {
+		for _, c := range recv {
+			c.Poll()
+		}
+	}
+
+	var stop atomic.Bool
+	errs := make(chan error, senders)
+	var wg sync.WaitGroup
+	for g := 0; g < senders; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			b := buffer.New(16)
+			b.PutInt64(int64(g))
+			for !stop.Load() {
+				if err := sp.RSR("", b); err != nil {
+					errs <- err
+					return
+				}
+				runtime.Gosched()
+			}
+		}()
+	}
+	defer func() { stop.Store(true); wg.Wait() }()
+	for i := 1; i < targets; i++ {
+		sp.Merge(sps[i])
+		for deadline := time.Now().Add(10 * time.Second); got[i].Load() == 0; poll() {
+			if time.Now().After(deadline) {
+				t.Fatalf("merged target %d received nothing", i)
+			}
+			runtime.Gosched()
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Errorf("RSR during Merge: %v", err)
+	}
+	poll()
+	if n := len(sp.Targets()); n != targets {
+		t.Errorf("startpoint has %d targets, want %d", n, targets)
+	}
+	for i := range got {
+		if got[i].Load() == 0 {
+			t.Errorf("target %d received nothing", i)
+		}
 	}
 }
 

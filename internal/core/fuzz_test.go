@@ -27,7 +27,7 @@ func FuzzDecodeStartpoint(f *testing.F) {
 		f.Add(b.Encode())
 	}
 	multi := c.NewStartpointTo(7, 3, table)
-	multi.targets = append(multi.targets, &link{context: 8, endpoint: 4})
+	multi.Merge(c.NewStartpointTo(8, 4, nil))
 	b := buffer.NewFormat(buffer.LittleEndian, 128)
 	multi.Encode(b)
 	f.Add(b.Encode())
@@ -48,8 +48,8 @@ func FuzzDecodeStartpoint(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if cap(sp.targets)*minTargetBytes > len(data) {
-			t.Fatalf("decoded %d targets (capacity %d) from %d bytes", len(sp.targets), cap(sp.targets), len(data))
+		if targets := sp.targets(); cap(targets)*minTargetBytes > len(data) {
+			t.Fatalf("decoded %d targets (capacity %d) from %d bytes", len(targets), cap(targets), len(data))
 		}
 		used := data[1 : len(data)-b.Remaining()]
 		re := buffer.NewFormat(b.Format(), len(used))

@@ -169,8 +169,9 @@ func newHealthRegistry(cfg healthConfig, stats *metrics.Set) *healthRegistry {
 // Gen returns the current transition generation.
 func (h *healthRegistry) Gen() uint64 { return h.gen.Load() }
 
-// bump forces a generation move without a circuit transition, invalidating
-// every published send snapshot so supervised links re-run selection. The
+// bump forces a generation move without a circuit transition, so every
+// link's published binding reads as stale and its next send re-runs
+// selection. The
 // peer-table refresh path uses it to push runtime descriptor changes into
 // live links.
 func (h *healthRegistry) bump() { h.gen.Add(1) }

@@ -39,8 +39,8 @@ type link struct {
 	exclude uint64
 
 	// mu serializes (re)binding and recovery. A steady-state send never takes
-	// it: senders read cur (or a startpoint's snapshot of it) and meet again
-	// only at the transport.
+	// it: senders read cur (link.current) and meet again only at the
+	// transport.
 	mu sync.Mutex
 	// table is the descriptor table selection runs against; nil until a
 	// lightweight link resolves it from the owning context's peer tables.
@@ -373,40 +373,45 @@ func (l *link) ensure(c *Context, tid obsv.TraceID) (*binding, error) {
 	return nb, nil
 }
 
-// deliver sends m over the link's current binding — one atomic load and a
-// health-generation compare in the steady state — binding or re-validating
-// the link first when it has to. It is the entry point for callers that keep
-// no snapshot of their own.
-func (l *link) deliver(c *Context, m *outMsg) error {
+// current returns the binding to send a payload of size bytes on: the
+// published one — one atomic load and a health-generation compare — unless
+// the link is unbound, the registry has moved or a probe is due, in which
+// case ensure binds or re-validates it. Every send checks its links this way.
+func (l *link) current(c *Context, size int, tid obsv.TraceID) (*binding, error) {
 	b := l.cur.Load()
-	if b == nil || b.gen.Load() != c.health.Gen() || c.health.probeDue() {
-		// Selection may run: publish the frame's size first so size-aware
-		// policies see the message they are selecting for.
-		c.selSize.Store(int64(len(m.enc) - m.off))
-		var err error
-		if b, err = l.ensure(c, m.trace()); err != nil && !m.failover {
-			return err
-		}
+	if b != nil && b.gen.Load() == c.health.Gen() && !c.health.probeDue() {
+		return b, nil
 	}
-	_, err := l.send(c, b, m)
-	return err
+	// Selection may run: publish the payload size first so size-aware
+	// policies see the message they are selecting for.
+	c.selSize.Store(int64(size))
+	return l.ensure(c, tid)
+}
+
+// deliver sends m over the link's current binding, binding or re-validating
+// the link first when it has to.
+func (l *link) deliver(c *Context, m *outMsg) error {
+	b, err := l.current(c, len(m.enc)-m.off, m.trace())
+	if err != nil && !m.failover {
+		return err
+	}
+	return l.send(c, b, m)
 }
 
 // send transmits m on binding b — the caller's view of the link, possibly
 // stale — and supervises the outcome: a success is timed and, on a fresh
 // communication object, reported to the health registry; a failure goes
-// through recover. The first result tells a caller that keeps its own view of
-// the binding that recovery ran and the view needs refreshing.
-func (l *link) send(c *Context, b *binding, m *outMsg) (bool, error) {
+// through recover.
+func (l *link) send(c *Context, b *binding, m *outMsg) error {
 	if b.conn == nil {
-		return true, l.recover(c, b, m, b.selErr)
+		return l.recover(c, b, m, b.selErr)
 	}
 	var t0 time.Time
 	if m.mode&obsStats != 0 {
 		t0 = time.Now()
 	}
 	if err := b.transmit(c, m); err != nil {
-		return true, l.recover(c, b, m, err)
+		return l.recover(c, b, m, err)
 	}
 	if m.mode&obsStats != 0 {
 		d := time.Since(t0)
@@ -428,7 +433,7 @@ func (l *link) send(c *Context, b *binding, m *outMsg) (bool, error) {
 	if b.reportUp.CompareAndSwap(true, false) {
 		c.health.reportSuccess(b.method, l.context)
 	}
-	return false, nil
+	return nil
 }
 
 // transmit hands m to the bound communication object, whole if it fits the

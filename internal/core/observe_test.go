@@ -295,9 +295,9 @@ func TestTraceSpansForwarder(t *testing.T) {
 	}
 	table.Add(transport.Descriptor{Method: "wan", Context: member.ID(), Attrs: fwdWan.Attrs})
 	spb := buffer.New(256)
-	(&Startpoint{owner: member, targets: []*target{{
+	newStartpoint(member, &target{
 		context: member.ID(), endpoint: ep.ID(), table: table,
-	}}}).encode(spb, true)
+	}).encode(spb, true)
 	dec, err := buffer.FromBytes(spb.Encode())
 	if err != nil {
 		t.Fatal(err)

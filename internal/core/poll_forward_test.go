@@ -185,9 +185,9 @@ func TestForwardingRelay(t *testing.T) {
 	sp := ep.NewStartpoint()
 	spb := buffer.New(256)
 	// Encode a startpoint that carries the rewritten table.
-	spRewritten := &Startpoint{owner: member, targets: []*target{{
+	spRewritten := newStartpoint(member, &target{
 		context: member.ID(), endpoint: ep.ID(), table: table,
-	}}}
+	})
 	spRewritten.encode(spb, true)
 	dec, err := buffer.FromBytes(spb.Encode())
 	if err != nil {
@@ -249,9 +249,9 @@ func TestForwardingDisabledDrops(t *testing.T) {
 	}
 	bogus := transport.Descriptor{Method: "wan", Context: 99999, Attrs: wanDesc.Attrs}
 	tbl := transport.NewTable(bogus)
-	spBogus := &Startpoint{owner: external, targets: []*target{{
+	spBogus := newStartpoint(external, &target{
 		context: 99999, endpoint: 1, table: tbl,
-	}}}
+	})
 	if err := spBogus.RSR("", nil); err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestForwarderWithoutRouteDrops(t *testing.T) {
 
 	wanDesc, _ := fwd.AdvertisedTable().Find("wan")
 	tbl := transport.NewTable(transport.Descriptor{Method: "wan", Context: 88888, Attrs: wanDesc.Attrs})
-	sp := &Startpoint{owner: external, targets: []*target{{context: 88888, endpoint: 1, table: tbl}}}
+	sp := newStartpoint(external, &target{context: 88888, endpoint: 1, table: tbl})
 	if err := sp.RSR("", nil); err != nil {
 		t.Fatal(err)
 	}

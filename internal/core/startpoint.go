@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -22,18 +23,12 @@ import (
 type Startpoint struct {
 	owner *Context
 
-	// mu guards the link set and the failover flag; each link guards its own
-	// binding (link.go).
+	// links is the link set: an immutable slice that senders read with one
+	// atomic load. Only Merge replaces it, copying it under mu; each link
+	// publishes its own binding (link.cur), which senders check per link.
+	links    atomic.Pointer[[]*link]
 	mu       sync.Mutex
-	targets  []*link
-	failover bool
-
-	// snap is the published send snapshot: an immutable view of the link set
-	// that concurrent senders read with one atomic load instead of queueing
-	// on mu. Every operation that may rebind a link republishes it; senders
-	// fall back to the locked slow path only when the snapshot is missing,
-	// incomplete, or stale against the health registry's generation.
-	snap atomic.Pointer[sendSnapshot]
+	failover atomic.Bool
 
 	// class is the wire.Class every RSR from this startpoint is tagged with
 	// (atomic: SetClass may race with concurrent sends). ClassNormal frames
@@ -51,20 +46,19 @@ func (sp *Startpoint) SetClass(cls Class) { sp.class.Store(uint32(cls)) }
 // Class reports the traffic class RSRs from this startpoint carry.
 func (sp *Startpoint) Class() Class { return Class(sp.class.Load()) }
 
-// sendSnapshot is an immutable publication of a startpoint's links' bindings.
-// The lock-free send path trusts it as long as its generation matches the
-// health registry and no probe is due; everything else goes through prepare.
-type sendSnapshot struct {
-	// gen is the oldest health-registry generation any binding was validated
-	// under; the snapshot is stale once the registry moves past it.
-	gen uint64
-	// ready means every link is bound to a live communication object, i.e.
-	// the snapshot can be sent on as-is.
-	ready    bool
-	failover bool
-	// links holds one binding per target, in order; an unbound link is
-	// represented by a placeholder (nil conn).
-	links []*binding
+// newStartpoint returns a startpoint owned by c over links, which it keeps.
+func newStartpoint(c *Context, links ...*link) *Startpoint {
+	sp := &Startpoint{owner: c}
+	sp.links.Store(&links)
+	return sp
+}
+
+// targets returns the link set, which the caller must not modify.
+func (sp *Startpoint) targets() []*link {
+	if p := sp.links.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
 // Targets reports the (context, endpoint) pairs this startpoint is linked to.
@@ -72,13 +66,12 @@ func (sp *Startpoint) Targets() []struct {
 	Context  transport.ContextID
 	Endpoint uint64
 } {
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
+	targets := sp.targets()
 	out := make([]struct {
 		Context  transport.ContextID
 		Endpoint uint64
-	}, len(sp.targets))
-	for i, t := range sp.targets {
+	}, len(targets))
+	for i, t := range targets {
 		out[i].Context = t.context
 		out[i].Endpoint = t.endpoint
 	}
@@ -92,53 +85,35 @@ func (sp *Startpoint) Owner() *Context { return sp.owner }
 // removes the failed method from its table and retries with the next
 // applicable one (the paper's "switch among alternative communication
 // substrates in the event of error").
-func (sp *Startpoint) SetFailover(on bool) {
-	sp.mu.Lock()
-	sp.failover = on
-	sp.publishLocked()
-	sp.mu.Unlock()
-}
+func (sp *Startpoint) SetFailover(on bool) { sp.failover.Store(on) }
 
 // Merge adds the links of other startpoints to this one, turning it into a
-// multicast startpoint. Duplicate links are ignored.
-//
-// Each other startpoint is snapshotted under its own lock before sp's lock
-// is taken: holding both at once would order the locks sp→other here while a
-// concurrent other.Merge(sp) orders them other→sp — the classic deadlock.
+// multicast startpoint. Duplicate links are ignored. Sends in flight keep the
+// link set they loaded; the next send sees the merged one. Only sp's lock is
+// taken — the others' link sets are read with one load each — so concurrent
+// a.Merge(b) and b.Merge(a) cannot deadlock.
 func (sp *Startpoint) Merge(others ...*Startpoint) {
-	var snap []*link
+	sp.mu.Lock()
+	defer sp.mu.Unlock()
+	links := slices.Clone(sp.targets())
 	for _, o := range others {
 		if o == sp {
 			continue
 		}
-		o.mu.Lock()
-		for _, t := range o.targets {
+		for _, t := range o.targets() {
+			if slices.ContainsFunc(links, func(l *link) bool {
+				return l.context == t.context && l.endpoint == t.endpoint
+			}) {
+				continue
+			}
 			nt := &link{context: t.context, endpoint: t.endpoint}
 			if table := t.liveTable(); table != nil {
-				nt.table = table.Clone() // clone under o.mu: tables are live
+				nt.table = table.Clone()
 			}
-			snap = append(snap, nt)
-		}
-		o.mu.Unlock()
-	}
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	for _, nt := range snap {
-		if sp.hasTargetLocked(nt.context, nt.endpoint) {
-			continue
-		}
-		sp.targets = append(sp.targets, nt)
-	}
-	sp.publishLocked()
-}
-
-func (sp *Startpoint) hasTargetLocked(ctx transport.ContextID, ep uint64) bool {
-	for _, t := range sp.targets {
-		if t.context == ctx && t.endpoint == ep {
-			return true
+			links = append(links, nt)
 		}
 	}
-	return false
+	sp.links.Store(&links)
 }
 
 // Table returns the descriptor table for the startpoint's single target
@@ -148,20 +123,17 @@ func (sp *Startpoint) hasTargetLocked(ctx transport.ContextID, ep uint64) bool {
 // table the link resolved from the context's peer tables is copied first,
 // so the edit reaches this link only.
 func (sp *Startpoint) Table() *transport.Table {
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	if len(sp.targets) != 1 {
+	targets := sp.targets()
+	if len(targets) != 1 {
 		panic("core: Table on multi-target startpoint; use TableFor")
 	}
-	return sp.targets[0].ownTable()
+	return targets[0].ownTable()
 }
 
 // TableFor returns the descriptor table for the link to the given context,
 // the link's own as Table's is, or nil if no such link (or no table) exists.
 func (sp *Startpoint) TableFor(ctx transport.ContextID) *transport.Table {
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	for _, t := range sp.targets {
+	for _, t := range sp.targets() {
 		if t.context == ctx {
 			return t.ownTable()
 		}
@@ -172,12 +144,11 @@ func (sp *Startpoint) TableFor(ctx transport.ContextID) *transport.Table {
 // Method reports the currently selected method for the single-target
 // startpoint ("" if selection has not happened yet).
 func (sp *Startpoint) Method() string {
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	if len(sp.targets) == 0 {
+	targets := sp.targets()
+	if len(targets) == 0 {
 		return ""
 	}
-	return sp.targets[0].method()
+	return targets[0].method()
 }
 
 // MethodFor reports the currently selected method for the link to the given
@@ -185,9 +156,7 @@ func (sp *Startpoint) Method() string {
 // a multicast startpoint each link degrades and heals independently, so
 // different targets may be on different methods at the same time.
 func (sp *Startpoint) MethodFor(ctx transport.ContextID) string {
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	for _, t := range sp.targets {
+	for _, t := range sp.targets() {
 		if t.context == ctx {
 			return t.method()
 		}
@@ -199,10 +168,7 @@ func (sp *Startpoint) MethodFor(ctx transport.ContextID) string {
 // startpoint, overriding automatic selection. The method must appear in each
 // link's descriptor table and be applicable from the owning context.
 func (sp *Startpoint) SetMethod(name string) error {
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	defer sp.publishLocked()
-	for _, t := range sp.targets {
+	for _, t := range sp.targets() {
 		if err := t.setMethod(sp.owner, name); err != nil {
 			return err
 		}
@@ -213,18 +179,16 @@ func (sp *Startpoint) SetMethod(name string) error {
 // SelectMethod runs automatic selection now (it otherwise runs lazily on the
 // first RSR), returning the method chosen for the first link.
 func (sp *Startpoint) SelectMethod() (string, error) {
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	defer sp.publishLocked()
-	for _, t := range sp.targets {
+	targets := sp.targets()
+	if len(targets) == 0 {
+		return "", fmt.Errorf("core: startpoint has no links")
+	}
+	for _, t := range targets {
 		if _, err := t.ensure(sp.owner, obsv.TraceID{}); err != nil {
 			return "", err
 		}
 	}
-	if len(sp.targets) == 0 {
-		return "", fmt.Errorf("core: startpoint has no links")
-	}
-	return sp.targets[0].method(), nil
+	return targets[0].method(), nil
 }
 
 // RSR performs an asynchronous remote service request on every link of the
@@ -263,11 +227,11 @@ func (sp *Startpoint) RSRWithRPC(handler string, b *buffer.Buffer, rs RPCSend) e
 // returns (the transport.Conn contract), which is what makes both the
 // in-place patching and the scratch recycling sound.
 //
-// Concurrent sends on one startpoint do not serialize on sp.mu: the bindings
-// are read from the published snapshot (one atomic load), validated against
-// the health registry's generation, and senders synchronize only at the
-// transport. The locked slow paths (prepare here, recovery in the link) run
-// only when the snapshot is missing/stale, a probe is due, or a send fails.
+// Concurrent sends on one startpoint take no lock: the link set is one atomic
+// load, each link's binding is checked as link.deliver checks it
+// (link.current), and senders synchronize only at the transport. A link's
+// locked slow paths (ensure, recover) run only when its binding is missing or
+// stale, a probe is due, or a send fails.
 func (sp *Startpoint) send(handler string, b *buffer.Buffer, rs *RPCSend) error {
 	owner := sp.owner
 	m := outMsg{handler: handler, mode: owner.obs.mode.Load()}
@@ -294,19 +258,25 @@ func (sp *Startpoint) send(handler string, b *buffer.Buffer, rs *RPCSend) error 
 		return fmt.Errorf("core: RSR payload of %d bytes exceeds the context's %d-byte message cap: %w",
 			payloadLen, owner.maxMsg, transport.ErrTooLarge)
 	}
-	snap := sp.snap.Load()
-	if snap == nil || !snap.ready ||
-		snap.gen != owner.health.Gen() || owner.health.probeDue() {
-		// Selection may run inside prepare: publish the payload size first so
-		// size-aware policies see the message they are selecting for.
-		owner.selSize.Store(int64(payloadLen))
-		var err error
-		if snap, err = sp.prepare(m.trace()); err != nil {
+	links := sp.targets()
+	if len(links) == 0 {
+		return fmt.Errorf("core: RSR on unbound startpoint")
+	}
+	m.failover = sp.failover.Load()
+	// Check every link before encoding: the relay flag and a piggybacked
+	// grant depend on the bindings. With failover on, a link that could not
+	// be bound still gets the frame: its placeholder takes it through the
+	// link's recovery loop. Up to eight bindings live on the stack.
+	var stack [8]*binding
+	bindings := stack[:0]
+	for _, l := range links {
+		lb, err := l.current(owner, payloadLen, m.trace())
+		if err != nil && !m.failover {
 			return err
 		}
+		bindings = append(bindings, lb)
 	}
-	m.failover = snap.failover
-	for _, lb := range snap.links {
+	for _, lb := range bindings {
 		if lb.relay {
 			// At least one link rides a mesh-installed relay route: stamp the
 			// hop budget so forwarders can decrement it and suppress loops.
@@ -318,16 +288,16 @@ func (sp *Startpoint) send(handler string, b *buffer.Buffer, rs *RPCSend) error 
 			break
 		}
 	}
-	if fl := owner.flow; fl != nil && len(snap.links) == 1 && cls != wire.ClassControl {
+	if fl := owner.flow; fl != nil && len(bindings) == 1 && cls != wire.ClassControl {
 		// Piggyback a due credit grant for the reverse direction of this
 		// link on the outbound frame — the no-extra-frame refill path for
 		// request/reply traffic. Single-link only (the frame is encoded
 		// once for all links), and only when the credited frame stays under
 		// the link's limit: fragmentation strips the credit extension.
-		b0 := snap.links[0]
+		b0 := bindings[0]
 		if b0.method != "" && b0.method != "local" &&
 			wire.HeaderLenExt(len(handler), m.flags|wire.FlagCredit)+payloadLen <= b0.maxMsg {
-			if gb, gf, ok := fl.grantor.GrantIfDue(uint64(b0.l.context), b0.method); ok {
+			if gb, gf, ok := fl.grantor.GrantIfDue(uint64(links[0].context), b0.method); ok {
 				m.flags |= wire.FlagCredit
 				m.ext.CreditBytes, m.ext.CreditFrames = gb, gf
 				fl.cGrantsSent.Inc()
@@ -338,7 +308,7 @@ func (sp *Startpoint) send(handler string, b *buffer.Buffer, rs *RPCSend) error 
 	m.enc = bufpool.Get(m.off + payloadLen)
 	defer bufpool.Put(m.enc)
 	wire.EncodeHeaderExt(m.enc, wire.TypeRSR, m.flags,
-		uint64(snap.links[0].l.context), snap.links[0].l.endpoint, uint64(owner.id),
+		uint64(links[0].context), links[0].endpoint, uint64(owner.id),
 		m.ext, handler, payloadLen)
 	if b != nil {
 		b.EncodeTo(m.enc[m.off:])
@@ -346,8 +316,8 @@ func (sp *Startpoint) send(handler string, b *buffer.Buffer, rs *RPCSend) error 
 		m.enc[m.off] = byte(buffer.NativeFormat)
 	}
 	var errs []error
-	for _, lb := range snap.links {
-		l := lb.l
+	for i, lb := range bindings {
+		l := links[i]
 		m.endpoint = l.endpoint
 		wire.PatchDest(m.enc, uint64(l.context), l.endpoint)
 		if fl := owner.flow; fl != nil && cls != wire.ClassControl && lb.conn != nil && lb.method != "local" {
@@ -366,14 +336,9 @@ func (sp *Startpoint) send(handler string, b *buffer.Buffer, rs *RPCSend) error 
 				continue
 			}
 		}
-		recovered, err := l.send(owner, lb, &m)
-		if recovered {
-			// The link rebound (or unbound) itself: refresh the snapshot.
-			sp.publish()
-		}
-		if err != nil {
+		if err := l.send(owner, lb, &m); err != nil {
 			err = fmt.Errorf("core: RSR to context %d: %w", l.context, err)
-			if !snap.failover {
+			if !m.failover {
 				// Without failover the first real send error aborts the RSR.
 				return err
 			}
@@ -394,75 +359,12 @@ func (sp *Startpoint) send(handler string, b *buffer.Buffer, rs *RPCSend) error 
 	return nil
 }
 
-// prepare rebuilds the send snapshot under sp.mu: bind unbound links and
-// re-validate bound ones whose selection is stale (link.ensure).
-func (sp *Startpoint) prepare(tid obsv.TraceID) (*sendSnapshot, error) {
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	if len(sp.targets) == 0 {
-		return nil, fmt.Errorf("core: RSR on unbound startpoint")
-	}
-	links := make([]*binding, len(sp.targets))
-	for i, t := range sp.targets {
-		lb, err := t.ensure(sp.owner, tid)
-		if err != nil && !sp.failover {
-			sp.publishLocked()
-			return nil, err
-		}
-		// With failover on, a failed selection still gets the frame: the
-		// placeholder takes it through the link's recovery loop, against the
-		// remaining healthy methods, once the frame is encoded.
-		links[i] = lb
-	}
-	return sp.storeLocked(links), nil
-}
-
-// publishLocked rebuilds the send snapshot from the links' current bindings.
-// Caller holds sp.mu. Every operation that may rebind a link republishes, so
-// the lock-free fast path never trusts a binding older than the last one.
-func (sp *Startpoint) publishLocked() *sendSnapshot {
-	links := make([]*binding, len(sp.targets))
-	for i, t := range sp.targets {
-		if links[i] = t.cur.Load(); links[i] == nil {
-			links[i] = &binding{l: t}
-		}
-	}
-	return sp.storeLocked(links)
-}
-
-func (sp *Startpoint) publish() {
-	sp.mu.Lock()
-	sp.publishLocked()
-	sp.mu.Unlock()
-}
-
-func (sp *Startpoint) storeLocked(links []*binding) *sendSnapshot {
-	snap := &sendSnapshot{
-		gen:      ^uint64(0),
-		ready:    len(links) > 0,
-		failover: sp.failover,
-		links:    links,
-	}
-	for _, lb := range links {
-		if lb.conn == nil {
-			snap.ready = false
-		} else if g := lb.gen.Load(); g < snap.gen {
-			snap.gen = g
-		}
-	}
-	sp.snap.Store(snap)
-	return snap
-}
-
 // Close releases the startpoint's communication objects. The links
 // themselves (the remote endpoints) are unaffected.
 func (sp *Startpoint) Close() {
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	for _, t := range sp.targets {
+	for _, t := range sp.targets() {
 		t.unbind(sp.owner)
 	}
-	sp.publishLocked()
 }
 
 // Encode packs the startpoint — links and descriptor tables — into the
@@ -476,10 +378,9 @@ func (sp *Startpoint) Encode(b *buffer.Buffer) { sp.encode(b, true) }
 func (sp *Startpoint) EncodeLite(b *buffer.Buffer) { sp.encode(b, false) }
 
 func (sp *Startpoint) encode(b *buffer.Buffer, withTables bool) {
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	b.PutUint16(uint16(len(sp.targets)))
-	for _, t := range sp.targets {
+	targets := sp.targets()
+	b.PutUint16(uint16(len(targets)))
+	for _, t := range targets {
 		b.PutUint64(uint64(t.context))
 		b.PutUint64(t.endpoint)
 		if table := t.liveTable(); withTables && table != nil {
@@ -505,7 +406,7 @@ func (c *Context) DecodeStartpoint(b *buffer.Buffer) (*Startpoint, error) {
 		return nil, fmt.Errorf("core: decoding startpoint: %w", err)
 	}
 	// The count is the peer's word; the input bounds what it can hold.
-	sp := &Startpoint{owner: c, targets: make([]*link, 0, min(n, b.Remaining()/minTargetBytes))}
+	links := make([]*link, 0, min(n, b.Remaining()/minTargetBytes))
 	for i := 0; i < n; i++ {
 		t := &link{
 			context:  transport.ContextID(b.Uint64()),
@@ -525,9 +426,9 @@ func (c *Context) DecodeStartpoint(b *buffer.Buffer) (*Startpoint, error) {
 		if err := b.Err(); err != nil {
 			return nil, fmt.Errorf("core: decoding startpoint target %d: %w", i, err)
 		}
-		sp.targets = append(sp.targets, t)
+		links = append(links, t)
 	}
-	return sp, nil
+	return newStartpoint(c, links...), nil
 }
 
 // NewStartpointTo builds a startpoint addressing an explicit (context,
@@ -542,7 +443,7 @@ func (c *Context) NewStartpointTo(ctx transport.ContextID, ep uint64, table *tra
 	if table != nil {
 		t.table = table.Clone()
 	}
-	return &Startpoint{owner: c, targets: []*link{t}}
+	return newStartpoint(c, t)
 }
 
 // TransferStartpoint copies a startpoint into another context through the
@@ -560,11 +461,10 @@ func TransferStartpoint(sp *Startpoint, dst *Context) (*Startpoint, error) {
 }
 
 func (sp *Startpoint) String() string {
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	if len(sp.targets) == 1 {
-		t := sp.targets[0]
+	targets := sp.targets()
+	if len(targets) == 1 {
+		t := targets[0]
 		return fmt.Sprintf("startpoint(ctx=%d, ep=%d, method=%q)", t.context, t.endpoint, t.method())
 	}
-	return fmt.Sprintf("startpoint(%d links)", len(sp.targets))
+	return fmt.Sprintf("startpoint(%d links)", len(targets))
 }

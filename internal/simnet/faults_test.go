@@ -136,3 +136,29 @@ func TestFaultsReset(t *testing.T) {
 		t.Fatalf("delivered %d, want 1", n)
 	}
 }
+
+// TestRefusedSendAllocs pins the cost of a refused send: a send across a
+// partition and one to a context that has left the fabric return their
+// sentinels without allocating, and the departed one still reads as
+// transport.ErrClosed.
+func TestRefusedSendAllocs(t *testing.T) {
+	f, c, recv, _ := faultPair(t, "faults-refused-allocs")
+	frame := []byte("x")
+	f.Faults().Partition([]transport.ContextID{1}, []transport.ContextID{2})
+	if n := testing.AllocsPerRun(100, func() {
+		if err := c.Send(frame); !errors.Is(err, ErrPartitioned) {
+			t.Fatalf("err = %v, want ErrPartitioned", err)
+		}
+	}); n != 0 {
+		t.Errorf("partitioned send allocates %v times, want 0", n)
+	}
+	f.Faults().Heal()
+	recv.Close()
+	if n := testing.AllocsPerRun(100, func() {
+		if err := c.Send(frame); !errors.Is(err, transport.ErrClosed) {
+			t.Fatalf("err = %v, want transport.ErrClosed", err)
+		}
+	}); n != 0 {
+		t.Errorf("send to a departed context allocates %v times, want 0", n)
+	}
+}

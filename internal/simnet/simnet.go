@@ -390,11 +390,16 @@ type conn struct {
 	linkFree time.Time // when the modelled link finishes its previous frame
 }
 
+// errDeparted refuses a send to a context that has left the fabric.
+var errDeparted = fmt.Errorf("simnet: destination context not on fabric: %w", transport.ErrClosed)
+
 // Send stamps the frame with its modelled arrival time: transmission starts
 // when the link is free, lasts size/bandwidth, and arrival adds wire latency.
 // Configured faults are consulted first: an injected error aborts the send, a
 // probabilistic drop silently discards the frame (Send still succeeds), and
-// injected delay is added to the arrival time unscaled.
+// injected delay is added to the arrival time unscaled. A refused send
+// returns a package sentinel as it is, allocating nothing: core's link names
+// the method and the peer when it reports the failure.
 func (c *conn) Send(frame []byte) error {
 	if c.cfg.MaxMessage > 0 && len(frame) > c.cfg.MaxMessage {
 		return fmt.Errorf("simnet(%s): frame of %d bytes exceeds MTU %d: %w",
@@ -404,7 +409,7 @@ func (c *conn) Send(frame []byte) error {
 	if fs := c.fabric.faults; fs != nil && fs.active.Load() {
 		d, drop, err := fs.apply(c.src, c.dest)
 		if err != nil {
-			return fmt.Errorf("simnet(%s): %d->%d: %w", c.cfg.Method, c.src, c.dest, err)
+			return err
 		}
 		if drop {
 			return nil
@@ -413,8 +418,7 @@ func (c *conn) Send(frame []byte) error {
 	}
 	box, ok := c.fabric.lookup(c.dest)
 	if !ok {
-		return fmt.Errorf("simnet(%s): context %d not on fabric %q: %w",
-			c.cfg.Method, c.dest, c.fabric.name, transport.ErrClosed)
+		return errDeparted
 	}
 	now := time.Now()
 	var tx time.Duration
