@@ -20,20 +20,21 @@ import (
 
 func BenchmarkTraceOverhead(b *testing.B) {
 	modes := []struct {
-		name string
-		cfg  nexus.ObserveConfig
+		name   string
+		enable func(*nexus.Context)
 	}{
-		{"off", nexus.ObserveConfig{}},
-		{"stats", nexus.ObserveConfig{Stats: true}},
-		{"trace", nexus.ObserveConfig{Trace: true}},
+		{"off", func(*nexus.Context) {}},
+		{"stats", (*nexus.Context).EnableStats},
+		{"trace", func(c *nexus.Context) { c.EnableTracing(0) }},
 	}
 	for _, m := range modes {
 		b.Run(m.name, func(b *testing.B) {
-			ctx, err := nexus.NewContext(nexus.Options{Observe: m.cfg})
+			ctx, err := nexus.NewContext(nexus.Options{})
 			if err != nil {
 				b.Fatal(err)
 			}
 			defer ctx.Close()
+			m.enable(ctx)
 			var got atomic.Int64
 			ep := ctx.NewEndpoint(nexus.WithHandler(func(*nexus.Endpoint, *nexus.Buffer) { got.Add(1) }))
 			sp := ep.NewStartpoint()

@@ -49,12 +49,12 @@ func main() {
 		methods = append(methods, nexus.MethodConfig{Name: *extra, SkipPoll: *skip})
 	}
 	mk := func() *nexus.Context {
-		c, err := nexus.NewContext(nexus.Options{
-			Methods: methods,
-			Observe: nexus.ObserveConfig{Trace: *trace},
-		})
+		c, err := nexus.NewContext(nexus.Options{Methods: methods})
 		if err != nil {
 			log.Fatal(err)
+		}
+		if *trace {
+			c.EnableTracing(0)
 		}
 		return c
 	}

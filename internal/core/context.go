@@ -164,10 +164,6 @@ type Options struct {
 	// Nexus operation is performed". Default true; set DisablePollOnRSR to
 	// turn it off.
 	DisablePollOnRSR bool
-	// Observe configures the observability subsystem (latency histograms,
-	// RSR tracing). The zero value leaves it off — the default, and the
-	// configuration the hot-path overhead contract is written against.
-	Observe ObserveConfig
 	// Flow enables and tunes credit-based flow control (see FlowConfig). The
 	// zero value leaves it off: sends are never charged against credit and
 	// the context advertises no windows.
@@ -306,11 +302,11 @@ type Context struct {
 	// branch is the entire cost.
 	obs obsvState
 
-	// rx is the readiness reactor (nil off-Linux, when disableReactor is
-	// set, or when construction failed); ready is the bitmap its waiter
-	// goroutine sets — bit i belongs to the i-th reactive module — and the
-	// polling loop consumes with one atomic swap per pass. nextReadyBit is
-	// guarded by mu.
+	// rx is the process's readiness reactor (nil off-Linux, when
+	// disableReactor is set, or when building it failed); ready is the
+	// bitmap its waiter goroutine sets for this context — bit i belongs to
+	// the i-th reactive module — and the polling loop consumes with one
+	// atomic swap per pass. nextReadyBit is guarded by mu.
 	rx           *reactor.Reactor
 	ready        atomic.Uint64
 	nextReadyBit int
@@ -357,8 +353,7 @@ type moduleState struct {
 	// skip and countdown implement skip_poll; both are guarded by the
 	// context's pollMu except for reads through the atomic skipAtomic.
 	// pinned (same guard) marks a value set manually via SetSkipPoll:
-	// automatic tuners (AutoSkipPoll, StartAdaptiveSkipPoll) leave pinned
-	// modules alone until UnpinSkipPoll.
+	// AutoSkipPoll leaves pinned modules alone until UnpinSkipPoll.
 	skip       int
 	countdown  int
 	pinned     bool
@@ -465,18 +460,15 @@ func NewContext(opts Options) (*Context, error) {
 		c.dispatcher = newDispatcher(c, opts.dispatch)
 	}
 	c.obs.ids = obsv.NewIDGen(uint64(id)<<32 ^ uint64(time.Now().UnixNano()))
-	if opts.Observe.Trace {
-		c.EnableTracing(0)
-	} else if opts.Observe.Stats {
-		c.EnableStats()
-	}
 	c.errlog = opts.errorLog
 	if c.errlog == nil {
 		dropped := c.stats.Counter("errors.dropped")
 		c.errlog = func(error) { dropped.Inc() }
 	}
 
-	c.rx = newReactor(opts)
+	if !opts.disableReactor {
+		c.rx = sharedReactor()
+	}
 
 	configs := opts.Methods
 	if !hasMethod(configs, "local") {
@@ -911,11 +903,6 @@ func (c *Context) Close() error {
 		if err := ms.module.Close(); err != nil {
 			errs = append(errs, err.Error())
 		}
-	}
-	if c.rx != nil {
-		// After module Close: each module removes its fds from the reactor
-		// before closing its sockets, which requires the reactor alive.
-		c.rx.Close()
 	}
 	if c.dispatcher != nil {
 		// Lane workers exit on their next receive; frames still queued are

@@ -33,26 +33,13 @@ const (
 
 // minObservedPolls is how many poll observations a method needs before its
 // measured cost overrides the module's static PollCostHint in selection and
-// adaptive tuning.
+// AutoSkipPoll.
 const minObservedPolls = 16
 
 // reactivePollCost is the per-pass cost attributed to a reactor-backed
 // method: one bit test in the readiness bitmap (the syscalls happen only when
 // data is actually pending, and belong to delivery, not detection).
 const reactivePollCost = 200 * time.Nanosecond
-
-// ObserveConfig configures a context's observability at construction.
-// Everything can also be toggled at runtime (EnableStats, EnableTracing,
-// DisableObservability).
-type ObserveConfig struct {
-	// Stats enables the per-(method, stage) latency histograms.
-	Stats bool
-	// Trace enables cross-context RSR tracing (implies Stats): outbound
-	// frames carry a 16-byte trace ID and every instrumented stage appends
-	// an event to the context's ring buffer (4096 events; EnableTracing
-	// sizes it at runtime).
-	Trace bool
-}
 
 // latMap maps a method name to its stage histograms; published copy-on-write
 // so hot paths read it with one atomic load.
@@ -181,8 +168,8 @@ func (c *Context) stageSetFor(method string) *obsv.StageSet {
 // pollCostEstimate reports a method's per-poll cost for measurement-driven
 // selection: the observed mean from the poll-stage histogram once it has
 // minObservedPolls samples, otherwise the module's static PollCostHint. This
-// is what closes the paper's tuning loop — CheapestPoll and the adaptive
-// skip_poll tuner rank methods by what polling actually costs on this host,
+// is what closes the paper's tuning loop — CheapestPoll and
+// AutoSkipPoll rank methods by what polling actually costs on this host,
 // not by the module author's guess.
 func (c *Context) pollCostEstimate(ms *moduleState) time.Duration {
 	if ms.reactive {
@@ -190,7 +177,7 @@ func (c *Context) pollCostEstimate(ms *moduleState) time.Duration {
 		// syscalls. Its poll-stage histogram records only the passes that
 		// had data to drain, which would wildly overstate what detection
 		// costs; report the near-zero idle cost instead, so selection and
-		// the skip_poll tuners treat the method as essentially free to keep
+		// AutoSkipPoll treat the method as essentially free to keep
 		// in the rotation.
 		return reactivePollCost
 	}

@@ -83,10 +83,8 @@ func TestObservabilityToggles(t *testing.T) {
 // and handler latencies for ordinary RSR traffic, and that Observe surfaces
 // them with non-zero counts.
 func TestHistogramStagesLocal(t *testing.T) {
-	c := observeCtx(t, Options{
-		Methods: []MethodConfig{inprocCfg()},
-		Observe: ObserveConfig{Stats: true},
-	})
+	c := observeCtx(t, Options{Methods: []MethodConfig{inprocCfg()}})
+	c.EnableStats()
 	var got atomic.Int64
 	ep := c.NewEndpoint(WithHandler(func(ep *Endpoint, b *buffer.Buffer) {
 		got.Add(1)
@@ -136,13 +134,13 @@ func TestTraceCrossContextTCP(t *testing.T) {
 		Methods:   []MethodConfig{{Name: "tcp"}},
 		Threaded:  true,
 		dispatch:  dispatchConfig{lanes: 2, queueDepth: 64},
-		Observe:   ObserveConfig{Trace: true},
 	})
+	recv.EnableTracing(0)
 	send := observeCtx(t, Options{
 		Partition: "p0",
 		Methods:   []MethodConfig{{Name: "tcp"}},
-		Observe:   ObserveConfig{Trace: true},
 	})
+	send.EnableTracing(0)
 
 	var got atomic.Int64
 	ep := recv.NewEndpoint(WithHandler(func(ep *Endpoint, b *buffer.Buffer) {
@@ -493,8 +491,8 @@ func TestObservedPollCostInMethods(t *testing.T) {
 	c := observeCtx(t, Options{
 		Methods: []MethodConfig{{Name: "mpl", Params: transport.Params{
 			"fabric": "obs-enquiry", "latency": "0s", "poll_cost": "5us"}}},
-		Observe: ObserveConfig{Stats: true},
 	})
+	c.EnableStats()
 	find := func() MethodInfo {
 		for _, mi := range c.Methods() {
 			if mi.Name == "mpl" {
@@ -520,8 +518,8 @@ func TestPollStageRecorded(t *testing.T) {
 	c := observeCtx(t, Options{
 		Methods: []MethodConfig{{Name: "mpl", Params: transport.Params{
 			"fabric": "obs-pollstage", "latency": "0s", "poll_cost": "0s"}}},
-		Observe: ObserveConfig{Stats: true},
 	})
+	c.EnableStats()
 	for i := 0; i < 20; i++ {
 		c.Poll()
 	}

@@ -98,7 +98,7 @@ func (c *Context) pollPassLocked() int {
 		edge := false
 		if reactive {
 			// Readiness-driven: the kernel says whether this module has
-			// inbound data. No bit, no syscall — a tuner's skip_poll countdown
+			// inbound data. No bit, no syscall — the skip_poll countdown
 			// doesn't apply (readiness is a strictly better version of the
 			// same economy). A module with a recent edge stays "hot" and is
 			// probed directly for a grace window: during a transfer the
@@ -239,9 +239,8 @@ func (c *Context) PollUntil(pred func() bool, timeout time.Duration) bool {
 
 // SetSkipPoll sets the skip_poll parameter for one method: the method is
 // polled on every k-th pass, whether or not a reactor watches its sockets.
-// k < 1 is treated as 1. A value set this way is pinned: automatic tuners
-// (AutoSkipPoll, StartAdaptiveSkipPoll) will not overwrite it until
-// UnpinSkipPoll releases the method back to them.
+// k < 1 is treated as 1. A value set this way is pinned: AutoSkipPoll will
+// not overwrite it until UnpinSkipPoll releases the method.
 func (c *Context) SetSkipPoll(method string, k int) error {
 	ms := c.moduleFor(method)
 	if ms == nil {
@@ -251,9 +250,9 @@ func (c *Context) SetSkipPoll(method string, k int) error {
 	return nil
 }
 
-// UnpinSkipPoll releases a method pinned by SetSkipPoll back to automatic
-// skip_poll tuning, and a reactive method back to readiness-driven
-// detection. The current skip value is kept until a tuner moves it.
+// UnpinSkipPoll releases a method pinned by SetSkipPoll back to AutoSkipPoll,
+// and a reactive method back to readiness-driven detection. The current skip
+// value is kept until AutoSkipPoll moves it.
 func (c *Context) UnpinSkipPoll(method string) error {
 	ms := c.moduleFor(method)
 	if ms == nil {
@@ -272,9 +271,8 @@ func (c *Context) UnpinSkipPoll(method string) error {
 
 // setSkipPoll is the shared skip_poll writer; pollMu is the owning context's,
 // which guards skip, countdown and pinned. pin=true (SetSkipPoll) marks the
-// module as manually controlled; pin=false (the automatic tuners) is a no-op
-// on pinned modules, so a manual choice survives a running tuner. k < 1 is
-// treated as 1.
+// module as manually controlled; pin=false (AutoSkipPoll) is a no-op on
+// pinned modules, so a manual choice survives it. k < 1 is treated as 1.
 func (ms *moduleState) setSkipPoll(pollMu *sync.Mutex, k int, pin bool) {
 	if k < 1 {
 		k = 1
@@ -417,7 +415,7 @@ type MethodInfo struct {
 	// SkipPoll is the current skip_poll value.
 	SkipPoll int
 	// Pinned reports whether the skip_poll value was set manually
-	// (SetSkipPoll) and is therefore off-limits to automatic tuners.
+	// (SetSkipPoll) and is therefore off-limits to AutoSkipPoll.
 	Pinned bool
 	// Reactive reports whether the method's sockets are watched by the
 	// context's reactor. Unless Pinned, the polling loop then touches it only
@@ -435,8 +433,8 @@ type MethodInfo struct {
 	MaxMessage int
 	// ObservedPollCost is the mean measured poll latency from the
 	// observability histograms (0 until stats are enabled and the method
-	// has enough samples). When non-zero it is what selection and the
-	// skip_poll tuners actually use.
+	// has enough samples). When non-zero it is what selection and
+	// AutoSkipPoll actually use.
 	ObservedPollCost time.Duration
 }
 

@@ -120,9 +120,46 @@ func TestAutoSkipPollIgnoresReactive(t *testing.T) {
 	if got := c.SkipPoll("mpl"); got != 1 {
 		t.Errorf("mpl skip = %d, want 1 (cheapest polled method)", got)
 	}
-	c.adaptOnce(adaptiveMaxSkip, map[string]uint64{})
-	if got := c.SkipPoll("mpl"); got != 1 {
-		t.Errorf("mpl skip after a tuner round = %d, want 1", got)
+}
+
+// TestAutoSkipPollPinning: a value set via SetSkipPoll is pinned and survives
+// AutoSkipPoll until UnpinSkipPoll releases it.
+func TestAutoSkipPollPinning(t *testing.T) {
+	tag := "auto-skip-pin"
+	c := newCtx(t, tag, "p0",
+		MethodConfig{Name: "mpl", Params: transport.Params{"fabric": tag, "poll_cost": "10us", "latency": "0", "bandwidth": "0"}},
+		MethodConfig{Name: "wan", Params: transport.Params{"fabric": tag, "poll_cost": "100us", "latency": "0", "bandwidth": "0"}},
+	)
+	if err := c.SetSkipPoll("wan", 7); err != nil {
+		t.Fatal(err)
+	}
+	c.AutoSkipPoll()
+	if got := c.SkipPoll("wan"); got != 7 {
+		t.Errorf("pinned wan skip after AutoSkipPoll = %d, want 7", got)
+	}
+	var pinned, unpinned bool
+	for _, mi := range c.Methods() {
+		switch mi.Name {
+		case "wan":
+			pinned = mi.Pinned
+		case "mpl":
+			unpinned = mi.Pinned
+		}
+	}
+	if !pinned || unpinned {
+		t.Errorf("Pinned flags: wan=%v mpl=%v, want true/false", pinned, unpinned)
+	}
+
+	// Unpinned, wan is AutoSkipPoll's again: its cost is ten times mpl's.
+	if err := c.UnpinSkipPoll("wan"); err != nil {
+		t.Fatal(err)
+	}
+	c.AutoSkipPoll()
+	if got := c.SkipPoll("wan"); got != 10 {
+		t.Errorf("unpinned wan skip after AutoSkipPoll = %d, want 10", got)
+	}
+	if err := c.UnpinSkipPoll("nope"); err == nil {
+		t.Error("UnpinSkipPoll on unknown method: want error")
 	}
 }
 

@@ -10,15 +10,16 @@ import (
 )
 
 // This file wires the readiness reactor (internal/reactor) into the context's
-// polling loop. Modules implementing transport.Reactive register their socket
-// fds with one context-wide epoll instance; the reactor's waiter goroutine
-// turns kernel readiness events into bits in a single atomic bitmap, and the
-// polling loop consumes the bitmap with one load per pass. A reactive module
-// is polled only when its bit is set — an idle pass over reactor-backed
-// methods costs zero syscalls, which is what collapses the poll-cost share of
-// TCP/UDP detection that motivated skip_poll in the first place. Modules that
-// cannot (or on platforms that cannot) use the reactor keep the portable
-// polling path unchanged.
+// polling loop. The process runs one reactor, shared by every context:
+// modules implementing transport.Reactive register their socket fds with its
+// epoll instance, and its one waiter goroutine turns kernel readiness events
+// into bits in the owning context's atomic bitmap, which that context's
+// polling loop consumes with one load per pass. A reactive module is polled
+// only when its bit is set — an idle pass over reactor-backed methods costs
+// zero syscalls, which is what collapses the poll-cost share of TCP/UDP
+// detection that motivated skip_poll in the first place. Modules that cannot
+// (or on platforms that cannot) use the reactor keep the portable polling
+// path unchanged.
 
 // atomicOr sets bits in v. (atomic.Uint64.Or needs Go 1.23; go.mod pins 1.22.)
 func atomicOr(v *atomic.Uint64, bits uint64) {
@@ -30,25 +31,36 @@ func atomicOr(v *atomic.Uint64, bits uint64) {
 	}
 }
 
-// newReactor builds the context's reactor when the platform supports one and
-// the options do not disable it. Best-effort: a construction failure (fd
-// limits, exotic kernels) leaves every module on the polling path rather than
-// failing the context.
-func newReactor(opts Options) *reactor.Reactor {
-	if opts.disableReactor || !reactor.Supported() {
-		return nil
-	}
-	r, err := reactor.New()
-	if err != nil {
-		return nil
-	}
-	return r
+// processReactor is the one reactor of the process. The first context that
+// asks builds it, and nothing closes it: contexts come and go, and each
+// module removes its own fds when it closes. A failed build (fd limits,
+// exotic kernels) is not remembered — that context stays on the polling path
+// and the next one tries again.
+var processReactor struct {
+	mu sync.Mutex
+	r  *reactor.Reactor
 }
 
-// moduleReadiness adapts the context reactor to the transport.Readiness
+// sharedReactor returns the process reactor, building it if none runs yet,
+// or nil when the platform has none or the build fails.
+func sharedReactor() *reactor.Reactor {
+	processReactor.mu.Lock()
+	defer processReactor.mu.Unlock()
+	if processReactor.r == nil {
+		if r, err := reactor.New(); err == nil {
+			processReactor.r = r
+		}
+	}
+	return processReactor.r
+}
+
+// moduleReadiness adapts the process reactor to the transport.Readiness
 // surface one module sees: every fd the module adds notifies by setting that
-// module's bit in the context's readiness bitmap. The notify callback runs on
-// the reactor's waiter goroutine and must stay this cheap.
+// module's bit in its context's readiness bitmap. The notify callback runs on
+// the reactor's waiter goroutine, which every context shares, and must stay
+// this cheap. It may still run once for an fd just removed (the waiter read
+// the callback before Remove took it out); that sets a bit, and the spurious
+// edge costs one empty poll.
 //
 // It also implements the NAPI-style suppression the hot-poll grace window
 // needs: while the polling loop probes a module directly (mid-transfer), the
@@ -168,8 +180,9 @@ func (c *Context) attachReactive(ms *moduleState) {
 	atomicOr(&c.ready, ms.readyBit)
 }
 
-// ReactorActive reports whether this context runs a readiness reactor (Linux,
-// not disabled by the options' test seam, and construction succeeded).
+// ReactorActive reports whether this context uses the process's readiness
+// reactor (Linux, not disabled by the options' test seam, and the reactor
+// was built).
 func (c *Context) ReactorActive() bool { return c.rx != nil }
 
 // ReactiveMethods reports the names of methods currently on readiness-driven

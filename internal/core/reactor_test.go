@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -397,5 +399,121 @@ func TestShmWinsCheapestPoll(t *testing.T) {
 	}
 	if !server.PollUntil(func() bool { return hits.Load() == 1 }, 5*time.Second) {
 		t.Fatal("RSR not delivered")
+	}
+}
+
+// TestReactorOnePerProcess: contexts share the process's one reactor, so
+// building many of them starts at most one waiter goroutine (the reactor's,
+// if no earlier context built it), and closing them stops none of it.
+func TestReactorOnePerProcess(t *testing.T) {
+	const n = 64
+	before := runtime.NumGoroutine()
+	ctxs := make([]*Context, n)
+	for i := range ctxs {
+		c, err := NewContext(Options{Methods: []MethodConfig{{Name: "mpl", Params: transport.Params{"fabric": "one-reactor"}}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctxs[i] = c
+	}
+	if got := runtime.NumGoroutine() - before; got > 1 {
+		t.Errorf("%d contexts raised the goroutine count by %d, want at most 1", n, got)
+	}
+	for _, c := range ctxs {
+		c.Close()
+	}
+	if got := runtime.NumGoroutine() - before; got > 1 {
+		t.Errorf("after closing %d contexts the goroutine count is up by %d, want at most 1", n, got)
+	}
+}
+
+// TestReactorCloseUnregisters: every fd a context's modules put into the
+// process reactor leaves it when the context closes. A reactor shared by the
+// whole process is never closed wholesale, so an fd left behind would keep a
+// closed context's callback, and would route the readiness of a socket that
+// later reuses the fd number to it.
+func TestReactorCloseUnregisters(t *testing.T) {
+	if !shm.Supported() {
+		t.Skip("shm transport requires linux")
+	}
+	rx := sharedReactor()
+	if rx == nil {
+		t.Skip("no reactor on this platform")
+	}
+	baseline := rx.Watched()
+	// tcp goes last: a link switching methods releases its connection, and
+	// the tcp connections still open at Close are the fds most likely left.
+	methods := []string{"udp", "rudp", "shm", "tcp"}
+	mk := func() *Context {
+		c, err := NewContext(Options{Methods: []MethodConfig{
+			{Name: "tcp"}, {Name: "udp"}, {Name: "rudp"},
+			{Name: "shm", Params: transport.Params{"dir": t.TempDir()}},
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	a, b := mk(), mk()
+	defer a.Close()
+	defer b.Close()
+	if rx.Watched() <= baseline {
+		t.Fatalf("Watched() = %d with two socket contexts built, want above %d", rx.Watched(), baseline)
+	}
+
+	// Each context polls on its own goroutine while the other sends: rudp's
+	// sender waits for acknowledgements the receiver's polls produce.
+	var hits atomic.Int64
+	done := make(chan struct{})
+	var polling sync.WaitGroup
+	for _, c := range []*Context{a, b} {
+		polling.Add(1)
+		go func(c *Context) {
+			defer polling.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if c.Poll() == 0 {
+					time.Sleep(100 * time.Microsecond)
+				}
+			}
+		}(c)
+	}
+	for _, pair := range [][2]*Context{{a, b}, {b, a}} {
+		ep := pair[1].NewEndpoint(WithHandler(func(*Endpoint, *buffer.Buffer) { hits.Add(1) }))
+		sp := transferStartpoint(t, ep.NewStartpoint(), pair[0], false)
+		for _, m := range methods {
+			if err := sp.SetMethod(m); err != nil {
+				t.Fatal(err)
+			}
+			if err := sp.RSR("", nil); err != nil {
+				t.Fatalf("RSR over %s: %v", m, err)
+			}
+		}
+	}
+	want := int64(2 * len(methods))
+	deadline := time.Now().Add(10 * time.Second)
+	for hits.Load() < want && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	close(done)
+	polling.Wait()
+	if got := hits.Load(); got != want {
+		t.Fatalf("delivered %d of %d RSRs", got, want)
+	}
+	// Let every hot window decay, so each module's fds are back in the
+	// kernel watch set when the contexts close.
+	for i := 0; i <= reactiveHotPasses; i++ {
+		a.Poll()
+		b.Poll()
+	}
+	t.Logf("watched: %d before, %d with both contexts open", baseline, rx.Watched())
+	a.Close()
+	b.Close()
+	if got := rx.Watched(); got != baseline {
+		t.Errorf("Watched() = %d after Close, want %d as before the contexts were built", got, baseline)
 	}
 }

@@ -311,53 +311,3 @@ partition:viz = myri:latency=0:poll_cost=0:bandwidth=0
 		t.Fatal("cross-site RSR lost")
 	}
 }
-
-// TestAdaptiveTunerOnIdleWideArea runs the adaptive skip_poll tuner on an
-// sp2 node whose wan link is idle, then verifies traffic snaps it back.
-func TestAdaptiveTunerOnIdleWideArea(t *testing.T) {
-	sp2 := []core.MethodConfig{
-		{Name: "mpl", Params: fast(transport.Params{"poll_cost": "10us"})},
-		{Name: "wan", Params: fast(transport.Params{"poll_cost": "100us"})},
-	}
-	m, err := cluster.New(cluster.Config{Nodes: []cluster.NodeSpec{
-		{Partition: "sp2", Methods: sp2},
-		{Partition: "remote", Methods: []core.MethodConfig{{Name: "wan", Params: fast(transport.Params{"poll_cost": "100us"})}}},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	node := m.Context(0)
-	stop := node.StartAdaptiveSkipPoll()
-	defer stop()
-
-	const maxSkip = 1024 // the tuner's cap
-	deadline := time.Now().Add(5 * time.Second)
-	for node.SkipPoll("wan") != maxSkip && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if got := node.SkipPoll("wan"); got != maxSkip {
-		t.Fatalf("idle wan not throttled: skip = %d", got)
-	}
-
-	// Wide-area traffic arrives; the tuner must restore eager polling.
-	var hits atomic.Int64
-	ep := node.NewEndpoint(core.WithHandler(func(*core.Endpoint, *buffer.Buffer) { hits.Add(1) }))
-	sp, err := core.TransferStartpoint(ep.NewStartpoint(), m.Context(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sp.RSR("", nil); err != nil {
-		t.Fatal(err)
-	}
-	deadline = time.Now().Add(5 * time.Second)
-	for node.SkipPoll("wan") == maxSkip && time.Now().Before(deadline) {
-		node.Poll()
-	}
-	if got := node.SkipPoll("wan"); got >= maxSkip {
-		t.Errorf("wan skip after traffic = %d, want reduced", got)
-	}
-	if hits.Load() == 0 {
-		t.Error("wan RSR never delivered")
-	}
-}

@@ -13,6 +13,11 @@
 // work are never touched — zero system calls on the idle path, regardless
 // of how many expensive methods are enabled.
 //
+// A process needs one reactor: core builds it for the first context that
+// uses it and never closes it, and every context's modules register their
+// fds with it, so a process holds one blocked waiter however many contexts
+// it runs. New and Close stay available for callers that want a private one.
+//
 // Edge-triggered registration is deliberate. The reactor goroutine never
 // reads the sockets itself (delivery stays on the polling goroutine, where
 // the paper's detection semantics live); with level-triggered events the

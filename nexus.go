@@ -94,9 +94,6 @@ type (
 	// Class is an RSR's priority class, carried in the wire header and used
 	// by the dispatch lanes and the load-shedding policy (Startpoint.SetClass).
 	Class = core.Class
-	// ObserveConfig configures a context's observability subsystem
-	// (latency histograms, RSR tracing) at construction.
-	ObserveConfig = core.ObserveConfig
 	// ObserveSnapshot is the typed observability snapshot returned by
 	// Context.Observe: counters, per-(method, stage) latency percentiles,
 	// and trace-ring occupancy.
